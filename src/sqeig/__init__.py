@@ -64,6 +64,7 @@ from .matpoly import (
     MatrixPolynomial,
     PerturbationSample,
     ScalingInfo,
+    TruthSpec,
     joint_norm,
     normal_rank,
     sample_perturbation,
@@ -79,7 +80,6 @@ from .solver import (
 )
 from .verify import (
     TrialReport,
-    TruthSpec,
     empirical_probability,
     expansion_order_check,
     linearization_ratios,

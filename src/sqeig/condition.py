@@ -59,9 +59,26 @@ class BadDirectionError(RuntimeError):
 
 
 def power_sum(lam, degree):
-    """``sum_{j=0}^{degree} |lam|**(2j)`` (the j = 0 term is always 1)."""
-    a2 = abs(lam) ** 2
-    return float(sum(a2**j for j in range(degree + 1)))
+    """``sum_{j=0}^{degree} |lam|**(2j)`` (the j = 0 term is always 1), elementwise."""
+    a2 = np.abs(lam) ** 2
+    return sum(a2**j for j in range(degree + 1))
+
+
+def _condition(coeffs, lam, x, y):
+    # sqrt(sum_j |lam|**(2j)) / |y* P'(lam) x| for P = sum_j lam**j coeffs[j]
+    # (coeffs[0] is never read), +inf where the inner product vanishes.  x and
+    # y may be column stacks with one lam per column; P'(lam) x is evaluated
+    # by Horner's rule on coeffs[j] @ x.
+    lam = np.asarray(lam, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    degree = len(coeffs) - 1
+    dx = degree * (coeffs[degree] @ x)
+    for j in range(degree - 1, 0, -1):
+        dx = dx * lam + j * (coeffs[j] @ x)
+    with np.errstate(divide="ignore"):
+        kappa = np.sqrt(power_sum(lam, degree)) / np.abs(np.sum(y.conj() * dx, axis=0))
+    return float(kappa) if kappa.ndim == 0 else kappa
 
 
 def inverse_condition(p, lam, x, y):
@@ -70,42 +87,28 @@ def inverse_condition(p, lam, x, y):
     Zero output is meaningful: it flags an infinitely ill-conditioned
     (or spurious) eigenvalue.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    return float(abs(y.conj() @ p.derivative_at(lam) @ x)) / math.sqrt(
-        power_sum(lam, p.degree)
-    )
+    return 1.0 / _condition(p.coeffs, lam, np.ravel(x), np.ravel(y))
 
 
 def pencil_condition(b, lam, x, y):
     """Condition number of a pencil eigenvalue: sqrt(1+|lam|^2)/|y* B x|.
 
-    Returns +inf when the inner product vanishes, so callers can compare
-    against an acceptance threshold directly.
+    ``x`` and ``y`` are unit vectors, or column stacks of them with one
+    ``lam`` per column (the result is then an array).  Returns +inf when
+    the inner product vanishes, so callers can compare against an
+    acceptance threshold directly.
     """
-    b = as_matrix(b, "B")
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    denom = abs(y.conj() @ b @ x)
-    if denom == 0.0:
-        return math.inf
-    return math.sqrt(1.0 + abs(lam) ** 2) / float(denom)
+    return _condition((None, as_matrix(b, "B")), lam, x, y)
 
 
 def quadratic_condition(m, c, lam, x, y):
     """Condition number of a quadratic eigenvalue.
 
     ``sqrt(1 + |lam|^2 + |lam|^4) / |y* (2 lam M + C) x|`` with +inf when
-    the inner product vanishes.
+    the inner product vanishes; vectorized over columns as
+    ``pencil_condition``.
     """
-    m = as_matrix(m, "M")
-    c = as_matrix(c, "C")
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    denom = abs(y.conj() @ (2.0 * lam * m + c) @ x)
-    if denom == 0.0:
-        return math.inf
-    return math.sqrt(1.0 + abs(lam) ** 2 + abs(lam) ** 4) / float(denom)
+    return _condition((None, as_matrix(c, "C"), as_matrix(m, "M")), lam, x, y)
 
 
 def _stack_bases(big, single):

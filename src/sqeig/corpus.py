@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construct import chain_coefficients
-from .matpoly import MatrixPolynomial
-from .verify import TruthSpec
+from .matpoly import MatrixPolynomial, TruthSpec
 
 __all__ = ["BUILTIN_NAMES", "BUILTIN_NOTES", "builtin", "synth_pencil"]
 

@@ -121,15 +121,10 @@ def nullspace_basis(m, rel_tol):
 
 def _fix_phases(vectors):
     # Make the entry of largest modulus in each column real positive so that
-    # eigenvector output is deterministic up to the solver itself.
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if a != 0:
-            out[:, j] = col * (np.conj(a) / np.abs(a))
-    return out
+    # eigenvector output is deterministic up to the solver itself.  Columns
+    # have unit norm, so that entry is nonzero.
+    a = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * (np.conj(a) / np.abs(a))
 
 
 @dataclass(frozen=True)
@@ -163,11 +158,12 @@ class GeneralizedEigenDecomposition:
         return lam
 
 
-def generalized_eig(a, b, want_left=True, inf_cutoff=DEFAULT_INF_CUTOFF):
+def generalized_eig(a, b, want_left=True):
     """Solve the generalized eigenproblem of the pencil ``a - lam*b``.
 
     The pencil must be regular.  Finite eigenvalues are ordered by modulus
-    (descending), ties broken by phase; infinite eigenvalues come last.
+    (descending), ties broken by phase; infinite eigenvalues (relative
+    ``|beta|`` at most ``DEFAULT_INF_CUTOFF``) come last.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -188,7 +184,7 @@ def generalized_eig(a, b, want_left=True, inf_cutoff=DEFAULT_INF_CUTOFF):
     if np.any((np.abs(alphas) + np.abs(betas)) == 0.0):
         raise EigensolverError("indeterminate eigenvalue (alpha = beta = 0); pencil is singular")
 
-    finite = np.abs(betas) > inf_cutoff * (np.abs(alphas) + np.abs(betas))
+    finite = np.abs(betas) > DEFAULT_INF_CUTOFF * (np.abs(alphas) + np.abs(betas))
     lam = np.zeros_like(alphas)
     lam[finite] = alphas[finite] / betas[finite]
     key_mod = np.where(finite, -np.abs(lam), 0.0)

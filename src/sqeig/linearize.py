@@ -19,7 +19,6 @@ from .matpoly import MatrixPolynomial
 __all__ = [
     "KernelDegenerateError",
     "Pencil",
-    "RecoveryError",
     "alternate_companion",
     "first_companion",
     "left_kernel_basis_alternate",
@@ -30,6 +29,8 @@ __all__ = [
 ]
 
 
+# never raised (the recover functions return an ``ok`` mask instead), but
+# perfbench/tracing.py imports it
 class RecoveryError(RuntimeError):
     """Recovered eigenvector block is numerically zero."""
 
@@ -104,36 +105,41 @@ def alternate_companion(m, c, k):
     return Pencil(a, b)
 
 
-def _unit_block(block, full, what):
-    nb = np.linalg.norm(block)
-    if nb < 1e-8 * np.linalg.norm(full):
-        raise RecoveryError(f"{what} eigenvector block is numerically zero")
-    return block / nb
+def _unit_block(block, full):
+    # unit-norm columns, and whether each block holds at least 1e-8 of its
+    # column's norm (a smaller block carries no direction information)
+    nb = np.linalg.norm(block, axis=0)
+    return block / np.where(nb > 0, nb, 1.0), nb >= 1e-8 * np.linalg.norm(full, axis=0)
+
+
+def _recover(v, w, right_on_top):
+    v = np.asarray(v, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    n = v.shape[0] // 2
+    x, x_ok = _unit_block(v[:n] if right_on_top else v[n:], v)
+    y, y_ok = _unit_block(w[:n], w)
+    return x, y, x_ok & y_ok
 
 
 def recover_from_first(v, w):
-    """Quadratic eigenvectors from a first-companion eigenpair.
+    """Quadratic eigenvectors from first-companion eigenvectors.
 
-    ``v`` and ``w`` are right/left eigenvectors of the order-2n pencil; the
-    right and left quadratic eigenvectors are the leading n entries of each,
-    renormalized to unit norm.
+    ``v`` and ``w`` are right/left eigenvectors of the order-2n pencil, or
+    column stacks of them; the right and left quadratic eigenvectors are
+    the leading n entries of each, renormalized to unit norm.  Returns
+    ``(x, y, ok)``; ``ok`` is False where either block is numerically
+    zero, so that the pair carries no eigenvector information.
     """
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    n = v.size // 2
-    return _unit_block(v[:n], v, "right"), _unit_block(w[:n], w, "left")
+    return _recover(v, w, right_on_top=True)
 
 
 def recover_from_alternate(v, w):
-    """Quadratic eigenvectors from an alternate-companion eigenpair.
+    """Quadratic eigenvectors from alternate-companion eigenvectors.
 
-    The right eigenvector sits in the trailing n entries, the left one in
-    the leading n entries.
+    As ``recover_from_first``, except that the right eigenvector sits in
+    the trailing n entries.
     """
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    n = v.size // 2
-    return _unit_block(v[n:], v, "right"), _unit_block(w[:n], w, "left")
+    return _recover(v, w, right_on_top=False)
 
 
 def _check_orthonormal(cols, what):

@@ -3,8 +3,9 @@
 A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
 ascending powers.  The module provides evaluation, derivative, reversal,
 the joint Frobenius norm of a coefficient stack, normalized random
-perturbation sampling, probabilistic normal-rank estimation, and the
-two-norm scaling used to balance quadratic problems.
+perturbation sampling, probabilistic normal-rank estimation, the
+two-norm scaling used to balance quadratic problems, and the known-truth
+record of benchmark problems.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "MatrixPolynomial",
     "PerturbationSample",
     "ScalingInfo",
+    "TruthSpec",
     "joint_norm",
     "normal_rank",
     "pad_to_square",
@@ -32,6 +34,28 @@ __all__ = [
 
 class DegenerateProblemError(ValueError):
     """Raised when an input violates a structural assumption (e.g. M = 0)."""
+
+
+@dataclass(frozen=True)
+class TruthSpec:
+    """Known finite eigenvalues of a benchmark problem.
+
+    ``match_tol`` is the relative matching tolerance used to decide whether
+    an accepted eigenvalue hits a true one; the default matches the
+    accuracy scale of default solver parameters (epsilon * tol).
+    """
+
+    finite_eigenvalues: tuple
+    match_tol: float = 1e-4
+
+    def __post_init__(self):
+        evs = tuple(complex(v) for v in self.finite_eigenvalues)
+        if len({(v.real, v.imag) for v in evs}) != len(evs):
+            raise ValueError("truth eigenvalues must be distinct")
+        object.__setattr__(self, "finite_eigenvalues", evs)
+
+    def with_match_tol(self, match_tol):
+        return TruthSpec(self.finite_eigenvalues, match_tol)
 
 
 def pad_to_square(m):
@@ -128,59 +152,40 @@ def joint_norm(coeffs):
 
 @dataclass(frozen=True)
 class PerturbationSample:
-    """Random coefficient stack drawn uniformly from a norm-one sphere.
+    """Random coefficient stack drawn uniformly from the unit sphere.
 
-    With ``normalization="joint"`` the stack as a whole has unit joint norm,
-    i.e. it is uniform on the unit sphere of real dimension 2*n**2*(m+1).
-    The ``"per_coefficient"`` compatibility mode instead gives every
-    coefficient unit Frobenius norm (joint norm sqrt(m+1)).
+    The stack as a whole has unit joint norm, i.e. it is uniform on the
+    unit sphere of real dimension 2*n**2*(m+1).
     """
 
     coeffs: tuple
-    normalization: str = "joint"
 
     def __post_init__(self):
-        tol = 64 * np.finfo(float).eps
-        if self.normalization == "joint":
-            if abs(joint_norm(self.coeffs) - 1.0) > tol:
-                raise ValueError("joint-normalized sample must have unit joint norm")
-        elif self.normalization == "per_coefficient":
-            for c in self.coeffs:
-                if abs(np.linalg.norm(c, "fro") - 1.0) > tol:
-                    raise ValueError("each coefficient must have unit Frobenius norm")
-        else:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+        if abs(joint_norm(self.coeffs) - 1.0) > 64 * np.finfo(float).eps:
+            raise ValueError("perturbation sample must have unit joint norm")
 
     @property
     def joint_norm(self):
         return joint_norm(self.coeffs)
 
 
-def sample_perturbation(n, m, rng, per_coefficient=False):
+def sample_perturbation(n, m, rng):
     """Draw a random perturbation stack of m+1 complex n-by-n coefficients.
 
     Every real and imaginary entry is an independent standard normal; the
-    stack is then renormalized.  The joint mode divides once by the joint
-    norm (and once more to absorb rounding), making the vectorized stack
-    exactly uniform on the unit sphere.  The per-coefficient mode normalizes
-    each coefficient separately.
+    stack is then divided once by its joint norm (and once more to absorb
+    rounding), making the vectorized stack exactly uniform on the unit
+    sphere.
     """
     rng = np.random.default_rng(rng)
     raw = [
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for _ in range(m + 1)
     ]
-    if per_coefficient:
-        coeffs = []
-        for c in raw:
-            for _ in range(2):
-                c = c / np.linalg.norm(c, "fro")
-            coeffs.append(_freeze(c))
-        return PerturbationSample(tuple(coeffs), normalization="per_coefficient")
     for _ in range(2):
         s = joint_norm(raw)
         raw = [c / s for c in raw]
-    return PerturbationSample(tuple(_freeze(c) for c in raw), normalization="joint")
+    return PerturbationSample(tuple(_freeze(c) for c in raw))
 
 
 def normal_rank(p, rng=None, samples=3, rank_tol=1e-10):

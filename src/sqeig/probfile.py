@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matpoly import MatrixPolynomial
-from .verify import TruthSpec
+from .matpoly import MatrixPolynomial, TruthSpec
 
 __all__ = ["ProblemFile", "ProblemFormatError", "dump", "load", "parse", "serialize"]
 

@@ -1,37 +1,40 @@
-"""Randomized solvers for singular generalized and quadratic eigenproblems.
+"""Randomized solver for singular generalized and quadratic eigenproblems.
 
-Both solvers follow the same template: add a small random perturbation to
-the coefficients (turning the singular problem into a regular one almost
-surely), solve the perturbed problem with a dense QZ-backed eigensolver,
-and classify each computed eigenvalue by its condition number.  Well
-conditioned eigenvalues approximate true eigenvalues of the original
-problem; eigenvalues created from the perturbed singular part come out
-violently ill conditioned and are rejected by the threshold.
+One pipeline serves pencils and quadratics: add a small random
+perturbation to the coefficients (turning the singular problem into a
+regular one almost surely), solve the perturbed problem with a dense
+QZ-backed eigensolver, and classify each computed eigenvalue by its
+condition number.  Well conditioned eigenvalues approximate true
+eigenvalues of the original problem; eigenvalues created from the
+perturbed singular part come out violently ill conditioned and are
+rejected by the threshold.
 
-The quadratic solver balances the coefficients first, solves two companion
-linearizations, keeps large-modulus candidates from the first companion
-form and small-modulus candidates from the alternate form, and finally
-rescales accepted values.
+A quadratic is balanced first and solved through two companion
+linearizations: large-modulus candidates come from the first companion
+form, small-modulus ones from the alternate form, and accepted values are
+rescaled to the original units.  A pencil is its own linearization.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .condition import pencil_condition, quadratic_condition
-from .densela import EigensolverError, as_matrix, generalized_eig
+from .densela import EigensolverError, generalized_eig
 from .linearize import (
-    RecoveryError,
     alternate_companion,
     first_companion,
     recover_from_alternate,
     recover_from_first,
 )
-from .matpoly import pad_to_square, sample_perturbation, scale_quadratic
+from .matpoly import MatrixPolynomial, sample_perturbation, scale_quadratic
+
+# unused here; perfbench/tracing.py patches these solver attributes by name
+from .densela import as_matrix  # noqa: F401
+from .matpoly import pad_to_square  # noqa: F401
 
 __all__ = [
     "ClassifiedEigenvalue",
@@ -52,20 +55,12 @@ class SolverConfig:
 
     ``epsilon`` is the perturbation size, ``tol`` the condition-number
     acceptance threshold, ``seed`` anything ``numpy.random.default_rng``
-    accepts.  ``per_coefficient_normalization`` switches the perturbation
-    stack from one jointly normalized draw to one unit-norm draw per
-    coefficient; ``use_perturbed_condition`` evaluates the classification
-    statistic with the perturbed instead of the unperturbed coefficients
-    (an O(epsilon) difference, for sensitivity studies).
+    accepts.
     """
 
     epsilon: float = 1e-8
     tol: float = 1e4
     seed: object = 0
-    rank_tol: float = 1e-10
-    inf_cutoff: float = 1e-12
-    per_coefficient_normalization: bool = False
-    use_perturbed_condition: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -82,10 +77,11 @@ class ClassifiedEigenvalue:
     """A finite computed eigenvalue with its classification.
 
     ``value`` is in the original problem's units (rescaled where the solver
-    balanced the coefficients).  ``kappa_bar`` may be +inf; ``accepted`` is
-    equivalent to ``kappa_bar <= tol``.  ``kappa_bar_lin`` additionally
-    reports, for quadratic solves, the pencil-level condition number of the
-    same eigentriple on the linearization that produced it.
+    balanced the coefficients).  ``kappa_bar`` is the condition number of
+    the eigentriple on the balanced, unperturbed problem and may be +inf;
+    ``accepted`` is equivalent to ``kappa_bar <= tol``.  ``source`` names
+    the linearization the value came from (``pencil``, ``C1`` or
+    ``C1hat``); the eigenvectors have unit norm.
     """
 
     value: complex
@@ -94,152 +90,80 @@ class ClassifiedEigenvalue:
     source: str
     right_vector: np.ndarray
     left_vector: np.ndarray
-    kappa_bar_lin: float | None = None
-
-
-def _safe_unit(v):
-    nv = np.linalg.norm(v)
-    return v / nv if nv > 0 else v
-
-
-def _sorted_output(entries):
-    return tuple(
-        sorted(entries, key=lambda e: (-abs(e.value), np.angle(e.value), e.source))
-    )
 
 
 def solve_singular_pencil(a, b, cfg=None):
-    """Finite well-conditioned eigenvalues of the (possibly singular) pencil
-    ``A - lam*B``.
-
-    Rectangular input is zero-padded to square.  Returns every finite
-    eigenvalue of the randomly perturbed pencil as a classified entry,
-    ordered by modulus (descending) then phase.
-    """
-    cfg = cfg or SolverConfig()
-    a = pad_to_square(as_matrix(a, "A"))
-    b = pad_to_square(as_matrix(b, "B"))
-    if a.shape != b.shape:
-        raise ValueError("A and B must pad to the same order")
-    n = a.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    e = sample_perturbation(n, 1, rng, per_coefficient=cfg.per_coefficient_normalization)
-    ap = a + cfg.epsilon * e.coeffs[0]
-    bp = b - cfg.epsilon * e.coeffs[1]
-
-    try:
-        dec = generalized_eig(ap, bp, want_left=True, inf_cutoff=cfg.inf_cutoff)
-    except EigensolverError as exc:
-        raise EigensolverError(
-            f"pencil solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
-        ) from exc
-    b_for_kappa = bp if cfg.use_perturbed_condition else b
-    out = []
-    for j in np.flatnonzero(dec.finite_mask(cfg.inf_cutoff)):
-        lam = dec.alphas[j] / dec.betas[j]
-        x = dec.right_vectors[:, j]
-        y = dec.left_vectors[:, j]
-        kappa = pencil_condition(b_for_kappa, lam, x, y)
-        out.append(
-            ClassifiedEigenvalue(
-                value=complex(lam),
-                kappa_bar=kappa,
-                accepted=bool(kappa <= cfg.tol),
-                source=SOURCE_PENCIL,
-                right_vector=x,
-                left_vector=y,
-            )
-        )
-    return _sorted_output(out)
-
-
-def _classify_companion(dec, keep_large, recover, pencil_b, m_s, c_s, gamma, cfg):
-    out = []
-    for j in np.flatnonzero(dec.finite_mask(cfg.inf_cutoff)):
-        lam = dec.alphas[j] / dec.betas[j]
-        large = abs(lam) >= 1.0
-        if large != keep_large:
-            continue
-        v = dec.right_vectors[:, j]
-        w = dec.left_vectors[:, j]
-        try:
-            x, y = recover(v, w)
-        except RecoveryError:
-            # block too small to carry direction information: reject outright
-            n = m_s.shape[0]
-            x = _safe_unit(v[:n] if keep_large else v[n:])
-            y = _safe_unit(w[:n])
-            kappa = math.inf
-        else:
-            kappa = quadratic_condition(m_s, c_s, lam, x, y)
-        out.append(
-            ClassifiedEigenvalue(
-                value=complex(gamma * lam),
-                kappa_bar=kappa,
-                accepted=bool(kappa <= cfg.tol),
-                source=SOURCE_C1 if keep_large else SOURCE_C1HAT,
-                right_vector=x,
-                left_vector=y,
-                kappa_bar_lin=pencil_condition(pencil_b, lam, v, w),
-            )
-        )
-    return out
+    """Classified finite eigenvalues of the (possibly singular) pencil ``A - lam*B``."""
+    return solve_polynomial(MatrixPolynomial.pencil(a, b), cfg)
 
 
 def solve_singular_quadratic(m, c, k, cfg=None):
-    """Finite well-conditioned eigenvalues of ``lam**2 M + lam C + K``.
-
-    The coefficients are balanced to unit leading/trailing 2-norms, jointly
-    perturbed, and both companion linearizations are solved.  Candidates
-    with ``|lam| >= 1`` are taken from the first companion form, the rest
-    from the alternate form, classified with the unperturbed balanced
-    coefficients, and rescaled back to original units.
-    """
-    cfg = cfg or SolverConfig()
-    m = pad_to_square(as_matrix(m, "M"))
-    c = pad_to_square(as_matrix(c, "C"))
-    k = pad_to_square(as_matrix(k, "K"))
-    if not (m.shape == c.shape == k.shape):
-        raise ValueError("M, C, K must pad to the same order")
-    n = m.shape[0]
-    m_s, c_s, k_s, info = scale_quadratic(m, c, k)
-
-    rng = np.random.default_rng(cfg.seed)
-    e = sample_perturbation(n, 2, rng, per_coefficient=cfg.per_coefficient_normalization)
-    k_p = k_s + cfg.epsilon * e.coeffs[0]
-    c_p = c_s + cfg.epsilon * e.coeffs[1]
-    m_p = m_s + cfg.epsilon * e.coeffs[2]
-
-    big = first_companion(m_p, c_p, k_p)
-    big_hat = alternate_companion(m_p, c_p, k_p)
-    try:
-        dec = generalized_eig(big.A, big.B, want_left=True, inf_cutoff=cfg.inf_cutoff)
-        dec_hat = generalized_eig(big_hat.A, big_hat.B, want_left=True, inf_cutoff=cfg.inf_cutoff)
-    except EigensolverError as exc:
-        raise EigensolverError(
-            f"quadratic solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
-        ) from exc
-
-    if cfg.use_perturbed_condition:
-        m_cl, c_cl = m_p, c_p
-        b_c1 = big.B
-        b_c1hat = big_hat.B
-    else:
-        m_cl, c_cl = m_s, c_s
-        b_c1 = first_companion(m_s, c_s, k_s).B
-        b_c1hat = alternate_companion(m_s, c_s, k_s).B
-
-    out = _classify_companion(dec, True, recover_from_first, b_c1, m_cl, c_cl, info.gamma, cfg)
-    out += _classify_companion(
-        dec_hat, False, recover_from_alternate, b_c1hat, m_cl, c_cl, info.gamma, cfg
-    )
-    return _sorted_output(out)
+    """Classified finite eigenvalues of ``lam**2 M + lam C + K``."""
+    return solve_polynomial(MatrixPolynomial.quadratic(m, c, k), cfg)
 
 
 def solve_polynomial(p, cfg=None):
-    """Dispatch a degree-1 or degree-2 matrix polynomial to its solver."""
-    if p.degree == 1:
-        return solve_singular_pencil(p.coeffs[0], -p.coeffs[1], cfg)
+    """Finite eigenvalues of a degree-1 or degree-2 matrix polynomial, classified.
+
+    A quadratic is balanced to unit leading/trailing 2-norms.  The
+    coefficient stack is then perturbed jointly (uniformly on the unit
+    sphere, scaled by ``epsilon``), linearized and solved by QZ.  All
+    finite candidates of a QZ call are classified at once, with the
+    balanced, unperturbed coefficients; a candidate whose recovered
+    eigenvector block is numerically zero gets ``kappa_bar = inf``.
+    Returns every finite candidate, ordered by modulus (descending), then
+    phase, then source.
+    """
+    if p.degree not in (1, 2):
+        raise ValueError(f"no solver for degree {p.degree}; supported degrees are 1 and 2")
+    cfg = cfg or SolverConfig()
+    coeffs, gamma = p.coeffs, 1.0
     if p.degree == 2:
-        return solve_singular_quadratic(p.coeffs[2], p.coeffs[1], p.coeffs[0], cfg)
-    raise ValueError(f"no solver for degree {p.degree}; supported degrees are 1 and 2")
+        m_s, c_s, k_s, info = scale_quadratic(coeffs[2], coeffs[1], coeffs[0])
+        coeffs, gamma = (k_s, c_s, m_s), info.gamma
+    e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
+    perturbed = [a + cfg.epsilon * d for a, d in zip(coeffs, e.coeffs)]
+
+    # (source, pencil A, pencil B, keeps |lam| >= 1, eigenvector recovery)
+    if p.degree == 1:
+        routes = [(SOURCE_PENCIL, perturbed[0], -perturbed[1], None, None)]
+    else:
+        k_p, c_p, m_p = perturbed
+        big = first_companion(m_p, c_p, k_p)
+        big_hat = alternate_companion(m_p, c_p, k_p)
+        routes = [
+            (SOURCE_C1, big.A, big.B, True, recover_from_first),
+            (SOURCE_C1HAT, big_hat.A, big_hat.B, False, recover_from_alternate),
+        ]
+    out = []
+    for source, a, b, large, recover in routes:
+        try:
+            dec = generalized_eig(a, b, want_left=True)
+        except EigensolverError as exc:
+            kind = "pencil" if p.degree == 1 else "quadratic"
+            raise EigensolverError(
+                f"{kind} solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
+            ) from exc
+        finite = dec.finite_mask()
+        lam = dec.alphas[finite] / dec.betas[finite]
+        x, y = dec.right_vectors[:, finite], dec.left_vectors[:, finite]
+        if recover is None:
+            kappa = pencil_condition(-coeffs[1], lam, x, y)
+        else:
+            keep = (np.abs(lam) >= 1.0) == large
+            lam = lam[keep]
+            x, y, ok = recover(x[:, keep], y[:, keep])
+            kappa = np.where(ok, quadratic_condition(coeffs[2], coeffs[1], lam, x, y), np.inf)
+        values = gamma * lam
+        out += [
+            ClassifiedEigenvalue(
+                value=complex(values[i]),
+                kappa_bar=float(kappa[i]),
+                accepted=bool(kappa[i] <= cfg.tol),
+                source=source,
+                right_vector=x[:, i],
+                left_vector=y[:, i],
+            )
+            for i in range(lam.size)
+        ]
+    return tuple(sorted(out, key=lambda r: (-abs(r.value), np.angle(r.value), r.source)))

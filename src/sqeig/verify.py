@@ -19,6 +19,7 @@ import scipy.stats
 
 from .condition import (
     BadDirectionError,
+    _projected_perturbation,
     inverse_condition,
     limit_pencil,
     spurious_condition_bound,
@@ -33,6 +34,7 @@ from .linearize import (
 )
 from .matpoly import (
     MatrixPolynomial,
+    TruthSpec,
     normal_rank,
     sample_perturbation,
     scale_quadratic,
@@ -63,28 +65,6 @@ __all__ = [
 
 class ProbeFailureError(RuntimeError):
     """A nullspace probe did not see the expected kernel dimension."""
-
-
-@dataclass(frozen=True)
-class TruthSpec:
-    """Known finite eigenvalues of a benchmark problem.
-
-    ``match_tol`` is the relative matching tolerance used to decide whether
-    an accepted eigenvalue hits a true one; the default matches the
-    accuracy scale of default solver parameters (epsilon * tol).
-    """
-
-    finite_eigenvalues: tuple
-    match_tol: float = 1e-4
-
-    def __post_init__(self):
-        evs = tuple(complex(v) for v in self.finite_eigenvalues)
-        if len({(v.real, v.imag) for v in evs}) != len(evs):
-            raise ValueError("truth eigenvalues must be distinct")
-        object.__setattr__(self, "finite_eigenvalues", evs)
-
-    def with_match_tol(self, match_tol):
-        return TruthSpec(self.finite_eigenvalues, match_tol)
 
 
 @dataclass(frozen=True)
@@ -236,10 +216,9 @@ def _signed_det(m):
 
 
 def _first_order_coefficient(poly, lam0, bases, e_coeffs):
-    ys = np.hstack([bases.Y, bases.y.reshape(-1, 1)]) if bases.Y.size else bases.y.reshape(-1, 1)
-    xs = np.hstack([bases.X, bases.x.reshape(-1, 1)]) if bases.X.size else bases.x.reshape(-1, 1)
-    e_lam = sum((lam0**j) * c for j, c in enumerate(e_coeffs))
-    g = ys.conj().T @ e_lam @ xs
+    g, _, _ = _projected_perturbation(
+        poly, lam0, bases.X, bases.x, bases.Y, bases.y, e_coeffs
+    )
     inner = g[:-1, :-1]
     anchor = bases.y.conj() @ poly.derivative_at(lam0) @ bases.x
     denom = anchor * _signed_det(inner)
@@ -248,7 +227,7 @@ def _first_order_coefficient(poly, lam0, bases, e_coeffs):
     return _signed_det(g) / denom
 
 
-def _finite_eigenvalues(poly, inf_cutoff=1e-12):
+def _finite_eigenvalues(poly):
     if poly.degree == 1:
         dec = generalized_eig(poly.coeffs[0], -poly.coeffs[1], want_left=False)
     elif poly.degree == 2:
@@ -256,7 +235,7 @@ def _finite_eigenvalues(poly, inf_cutoff=1e-12):
         dec = generalized_eig(pencil.A, pencil.B, want_left=False)
     else:
         raise ValueError("only degrees 1 and 2 are supported")
-    mask = dec.finite_mask(inf_cutoff)
+    mask = dec.finite_mask()
     return dec.alphas[mask] / dec.betas[mask]
 
 
@@ -312,6 +291,18 @@ class RatioReport:
         return self.gamma_q / self.gamma_c1hat
 
 
+def _companion_inverse_conditions(m, c, k, big_x, x, big_y, y, lam):
+    # reciprocal condition numbers of an eigentriple on the first and the
+    # alternate companion form, with the companions' kernel bases built from
+    # the quadratic's; returns (gamma_c1, beta_c1, gamma_c1hat, beta_c1hat)
+    x_l = right_kernel_basis(big_x, x, lam)[:, -1]
+    _, y_l, beta = left_kernel_basis_first(big_y, y, lam, m, c)
+    _, y_lh, beta_hat = left_kernel_basis_alternate(big_y, y, lam, m)
+    gamma_c1 = inverse_condition(first_companion(m, c, k).as_polynomial(), lam, x_l, y_l)
+    gamma_c1hat = inverse_condition(alternate_companion(m, c, k).as_polynomial(), lam, x_l, y_lh)
+    return gamma_c1, beta, gamma_c1hat, beta_hat
+
+
 def linearization_ratios(instance, lam0):
     """Per-eigenvalue ratios gamma(quadratic) / gamma(linearization).
 
@@ -319,24 +310,13 @@ def linearization_ratios(instance, lam0):
     coefficients for the ratio bounds to be meaningful.
     """
     bases = instance.bases(lam0)
-    poly = instance.polynomial()
-    gamma_q = inverse_condition(poly, lam0, bases.x, bases.y)
-
-    right = right_kernel_basis(bases.X, bases.x, lam0)
-    x_l = right[:, -1]
-
-    _, y_l, beta = left_kernel_basis_first(bases.Y, bases.y, lam0, instance.M, instance.C)
-    pencil = first_companion(instance.M, instance.C, instance.K)
-    gamma_c1 = inverse_condition(pencil.as_polynomial(), lam0, x_l, y_l)
-
-    _, y_lh, beta_hat = left_kernel_basis_alternate(bases.Y, bases.y, lam0, instance.M)
-    pencil_hat = alternate_companion(instance.M, instance.C, instance.K)
-    gamma_c1hat = inverse_condition(pencil_hat.as_polynomial(), lam0, x_l, y_lh)
-
+    gamma_c1, beta, gamma_c1hat, beta_hat = _companion_inverse_conditions(
+        instance.M, instance.C, instance.K, bases.X, bases.x, bases.Y, bases.y, lam0
+    )
     return RatioReport(
         lam0=complex(lam0),
         c_norm=float(np.linalg.norm(instance.C, 2)),
-        gamma_q=gamma_q,
+        gamma_q=inverse_condition(instance.polynomial(), lam0, bases.x, bases.y),
         gamma_c1=gamma_c1,
         gamma_c1hat=gamma_c1hat,
         beta_c1=beta,
@@ -349,17 +329,25 @@ def end_to_end_condition_ratios(instance, cfg, match_tol=1e-4):
 
     Runs the randomized quadratic solver on the instance and returns, for
     every accepted eigenvalue matched to a designed one,
-    ``(value, source, kappa_bar, kappa_bar_lin)``.
+    ``(value, source, kappa_bar, kappa_bar_lin)``.  ``kappa_bar_lin`` is
+    the condition number of the same eigentriple on the balanced,
+    unperturbed companion form named by ``source``.
     """
-    results = solve_singular_quadratic(instance.M, instance.C, instance.K, cfg)
+    m_s, c_s, k_s, info = scale_quadratic(instance.M, instance.C, instance.K)
+    empty = np.zeros((instance.n, 0))
     records = []
-    for r in results:
+    for r in solve_singular_quadratic(instance.M, instance.C, instance.K, cfg):
         if not r.accepted:
             continue
         dists = [abs(r.value - ev) for ev in instance.eigenvalues]
         j = int(np.argmin(dists))
-        if dists[j] <= match_tol * max(1.0, abs(instance.eigenvalues[j])):
-            records.append((r.value, r.source, r.kappa_bar, r.kappa_bar_lin))
+        if dists[j] > match_tol * max(1.0, abs(instance.eigenvalues[j])):
+            continue
+        gamma_c1, _, gamma_c1hat, _ = _companion_inverse_conditions(
+            m_s, c_s, k_s, empty, r.right_vector, empty, r.left_vector, r.value / info.gamma
+        )
+        gamma_lin = gamma_c1 if r.source == "C1" else gamma_c1hat
+        records.append((r.value, r.source, r.kappa_bar, 1.0 / gamma_lin))
     return records
 
 
@@ -428,19 +416,19 @@ def singular_space_estimate(
     )
 
 
-def spurious_bound_records(m, c, k, cfg, n_runs, truth=(), match_tol=1e-4):
+def spurious_bound_records(m, c, k, cfg, n_runs, truth=(), match_tol=1e-4, rank_tol=1e-10):
     """Measured condition numbers vs. certified bounds for spurious output.
 
     Runs the quadratic solver repeatedly; every finite candidate not close
     to a truth eigenvalue is treated as spurious, and whenever the bound's
     precondition holds the pair (measured kappa_bar, certified lower bound)
-    is recorded.  Quantities are evaluated on the balanced problem.
+    is recorded.  Quantities are evaluated on the balanced problem, whose
+    normal rank is estimated with the relative tolerance ``rank_tol``.
     """
     m_s, c_s, k_s, info = scale_quadratic(m, c, k)
     scaled_poly = MatrixPolynomial.quadratic(m_s, c_s, k_s)
     children = _seed_sequence(cfg.seed).spawn(n_runs)
-    rank = normal_rank(scaled_poly, rng=np.random.default_rng(0), rank_tol=cfg.rank_tol)
-    e_norm = math.sqrt(3.0) if cfg.per_coefficient_normalization else 1.0
+    rank = normal_rank(scaled_poly, rng=np.random.default_rng(0), rank_tol=rank_tol)
     records = []
     for child in children:
         for cand in solve_singular_quadratic(m, c, k, cfg.with_seed(child)):
@@ -455,7 +443,7 @@ def spurious_bound_records(m, c, k, cfg, n_runs, truth=(), match_tol=1e-4):
                 np.linalg.norm(scaled_poly.derivative_at(lam_scaled), 2)
             )
             bound = spurious_condition_bound(
-                tau, cfg.epsilon, lam_scaled, 2, e_norm, dp_norm
+                tau, cfg.epsilon, lam_scaled, 2, 1.0, dp_norm
             )
             if bound is not None:
                 records.append((cand.kappa_bar, bound))

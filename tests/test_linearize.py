@@ -10,7 +10,6 @@ from sqeig.construct import chain_quadratic
 from sqeig.densela import UNIT_ROUNDOFF, generalized_eig
 from sqeig.linearize import (
     KernelDegenerateError,
-    RecoveryError,
     alternate_companion,
     first_companion,
     left_kernel_basis_alternate,
@@ -99,7 +98,8 @@ class TestRecovery:
         x /= np.linalg.norm(x)
         lam = 1.7 - 0.4j
         v = np.concatenate([lam * x, x]) / math.sqrt(1 + abs(lam) ** 2)
-        got, _ = recover_from_first(v, v)
+        got, _, ok = recover_from_first(v, v)
+        assert ok
         overlap = abs(got.conj() @ x)
         assert abs(overlap - 1.0) <= 1e-12
 
@@ -109,15 +109,20 @@ class TestRecovery:
         x /= np.linalg.norm(x)
         lam = 0.3 + 0.8j
         v = np.concatenate([lam * x, x]) / math.sqrt(1 + abs(lam) ** 2)
-        got, _ = recover_from_alternate(v, v)
+        got, _, ok = recover_from_alternate(v, v)
+        assert ok
         assert abs(abs(got.conj() @ x) - 1.0) <= 1e-12
 
     def test_degenerate_block_flagged(self):
         v = np.concatenate([np.zeros(3), np.ones(3) / math.sqrt(3)])
-        with pytest.raises(RecoveryError):
-            recover_from_first(v, np.ones(6) / math.sqrt(6))
-        with pytest.raises(RecoveryError):
-            recover_from_alternate(np.flip(v), np.flip(v))
+        good = np.ones(6) / math.sqrt(6)
+        assert not recover_from_first(v, good)[2]
+        assert not recover_from_first(good, v)[2]  # left block
+        assert not recover_from_alternate(np.flip(v), np.flip(v))[2]
+        # column stacks: only the degenerate column is flagged
+        stack = np.column_stack([good, v])
+        _, _, ok = recover_from_first(stack, np.column_stack([good, good]))
+        assert ok.tolist() == [True, False]
 
     @pytest.mark.parametrize(
         "form,recover",
@@ -131,7 +136,8 @@ class TestRecovery:
             dec = generalized_eig(pencil.A, pencil.B)
             j = 0  # largest-modulus finite eigenvalue
             lam = dec.alphas[j] / dec.betas[j]
-            x, y = recover(dec.right_vectors[:, j], dec.left_vectors[:, j])
+            x, y, ok = recover(dec.right_vectors[:, j], dec.left_vectors[:, j])
+            assert ok
             q = lam**2 * m + lam * c + k
             scale = np.linalg.norm(q) + 1.0
             assert np.linalg.norm(q @ x) <= 1e-8 * scale

@@ -130,12 +130,6 @@ class TestSamplePerturbation:
         se = math.sqrt((big_n - 1) / (big_n**2 * (big_n + 1)) / draws)
         assert abs(vals.mean() - 1.0 / big_n) <= 4 * se
 
-    def test_per_coefficient_mode(self):
-        s = sample_perturbation(4, 2, np.random.default_rng(6), per_coefficient=True)
-        for c in s.coeffs:
-            assert abs(np.linalg.norm(c, "fro") - 1.0) <= 1e-14
-        assert math.isclose(s.joint_norm, math.sqrt(3.0), rel_tol=1e-14)
-
     def test_deterministic_given_seed(self):
         a = sample_perturbation(3, 1, np.random.default_rng(7))
         b = sample_perturbation(3, 1, np.random.default_rng(7))
