@@ -20,6 +20,7 @@ from .condition import (
     beta_ratio_lower_tail_bound,
     directional_sensitivity,
     estimate_condition,
+    first_order_coefficient,
     inverse_condition,
     limit_pencil,
     lower_bound_validity,
@@ -51,7 +52,6 @@ from .densela import (
     svd,
 )
 from .linearize import (
-    Pencil,
     alternate_companion,
     first_companion,
     left_kernel_basis_alternate,

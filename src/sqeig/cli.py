@@ -24,21 +24,12 @@ import sys
 import numpy as np
 
 from . import corpus, probfile
-from .condition import (
-    BadDirectionError,
-    inverse_condition,
-    lower_bound_validity,
-    weak_condition_bounds,
-)
+from .condition import BadDirectionError, lower_bound_validity, weak_condition_bounds
 from .construct import chain_quadratic, diagonal_pencil
 from .densela import EigensolverError
 from .matpoly import DegenerateProblemError
 from .solver import SolverConfig, solve_polynomial
-from .verify import (
-    empirical_probability,
-    model_sensitivity_samples,
-    sensitivity_samples,
-)
+from .verify import empirical_probability, sensitivity_distribution_ks
 
 __all__ = ["main"]
 
@@ -121,12 +112,8 @@ def _cmd_dist(args):
     lam0 = instance.eigenvalues[0]
     poly = instance.polynomial()
     bases = instance.bases(lam0)
-    rng = np.random.default_rng(args.seed)
-    gamma = inverse_condition(poly, lam0, bases.x, bases.y)
-    emp = gamma * sensitivity_samples(poly, lam0, bases, args.samples, rng)
-    big_n = args.n**2 * (args.m + 1)
-    model = model_sensitivity_samples(
-        big_n, args.n, args.r, max(10**5, 10 * args.samples), rng
+    _, emp, model = sensitivity_distribution_ks(
+        poly, lam0, bases, args.samples, args.seed, model_size=max(10**5, 10 * args.samples)
     )
     qs = np.arange(1, 100) / 100.0
     out = csv.writer(sys.stdout)

@@ -5,14 +5,14 @@ The central scale is the reciprocal condition number of a simple eigenvalue,
     inv_cond = |y* P'(lam) x| / sqrt(sum_j |lam|**(2j)),
 
 computed from unit right/left eigenvectors.  For singular problems the
-module also provides the directional first-order sensitivity of an
-eigenvalue under a perturbation stack, its exact distribution model under
-uniformly random perturbations (a ratio of beta variables), probabilistic
-upper/lower bounds on the delta-weak condition number, a beta-ratio tail
-estimate, the small "limit pencil" whose eigenvectors describe how
-perturbed eigenvectors mix kernel directions, and a lower bound certifying
-that spurious eigenvalues created from the singular part are ill
-conditioned.
+module also provides the first-order coefficient of an eigenvalue path
+under a perturbation stack and the directional sensitivity it induces,
+the sensitivity's exact distribution model under uniformly random
+perturbations (a ratio of beta variables), probabilistic upper/lower
+bounds on the delta-weak condition number, a beta-ratio tail estimate,
+the small "limit pencil" whose eigenvectors describe how perturbed
+eigenvectors mix kernel directions, and a lower bound certifying that
+spurious eigenvalues created from the singular part are ill conditioned.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "beta_ratio_lower_tail_bound",
     "directional_sensitivity",
     "estimate_condition",
+    "first_order_coefficient",
     "inverse_condition",
     "limit_pencil",
     "lower_bound_validity",
@@ -137,26 +138,48 @@ def _check_inner_condition(g):
             )
 
 
-def directional_sensitivity(p, lam, big_x, x, big_y, y, e):
-    """First-order eigenvalue movement per unit perturbation size.
+def _first_order_terms(p, lam, big_x, x, big_y, y, e_coeffs):
+    # (phase, log magnitude, y* P'(lam) x) with c = phase * exp(log) / anchor
+    g, _, _ = _projected_perturbation(p, lam, big_x, x, big_y, y, e_coeffs)
+    _check_inner_condition(g)
+    sign_full, ld_full = np.linalg.slogdet(g)
+    sign_inner, ld_inner = np.linalg.slogdet(g[:-1, :-1])
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    y = np.asarray(y, dtype=complex).reshape(-1)
+    anchor = complex(y.conj() @ p.derivative_at(lam) @ x)
+    return complex(sign_full / sign_inner), ld_full - ld_inner, anchor
+
+
+def first_order_coefficient(p, lam, big_x, x, big_y, y, e):
+    """Signed first-order coefficient c of ``lam(eps) = lam - c*eps + O(eps**2)``.
 
     ``[big_x, x]`` and ``[big_y, y]`` are orthonormal kernel bases at the
     simple eigenvalue ``lam`` whose leading blocks span the right/left
-    singular spaces.  ``e`` is a perturbation stack (its joint norm is
-    divided out).  Determinants are evaluated in log-magnitude form so the
-    ratio survives large kernel dimensions.
+    singular spaces, and ``e`` is a perturbation stack.  With G the
+    kernel-projected perturbation, ``c = det(G) / (det(G11) * y* P'(lam) x)``
+    where G11 drops the last row and column; the determinants are evaluated
+    in log-magnitude form so the ratio survives large kernel dimensions.
+    c is infinite where ``y* P'(lam) x`` vanishes.
     """
     e_coeffs = e.coeffs if hasattr(e, "coeffs") else tuple(e)
-    g, _, _ = _projected_perturbation(p, lam, big_x, x, big_y, y, e_coeffs)
-    _check_inner_condition(g)
-    _, ld_full = np.linalg.slogdet(g)
-    _, ld_inner = np.linalg.slogdet(g[:-1, :-1])
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    anchor = abs(y.conj() @ p.derivative_at(lam) @ x)
+    phase, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e_coeffs)
+    if anchor == 0.0:
+        return complex(math.inf)
+    return phase * math.exp(log_mag) / anchor
+
+
+def directional_sensitivity(p, lam, big_x, x, big_y, y, e):
+    """First-order eigenvalue movement per unit perturbation size.
+
+    ``|first_order_coefficient| / joint_norm(e)``, with the arguments of
+    ``first_order_coefficient``; the modulus is formed from the log
+    magnitudes without the phase.
+    """
+    e_coeffs = e.coeffs if hasattr(e, "coeffs") else tuple(e)
+    _, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e_coeffs)
     if anchor == 0.0:
         return math.inf
-    return math.exp(ld_full - ld_inner) / (joint_norm(e_coeffs) * float(anchor))
+    return math.exp(log_mag) / (joint_norm(e_coeffs) * abs(anchor))
 
 
 @dataclass(frozen=True)

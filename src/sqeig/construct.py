@@ -32,6 +32,7 @@ __all__ = [
     "chain_quadratic",
     "diagonal_pencil",
     "diagonal_quadratic",
+    "random_conjugation",
     "random_orthonormal",
 ]
 
@@ -67,19 +68,35 @@ def _orthonormalize_against(v, basis):
     return v / nv
 
 
-def _transform(bases, u, v):
-    # Conjugated problem U^T Q(lam) V: right vectors map through V^T,
-    # left vectors through U^T.
-    return KernelBases(
-        X=v.T @ bases.X,
-        x=v.T @ bases.x,
-        Y=u.T @ bases.Y,
-        y=u.T @ bases.y,
-    )
+def random_conjugation(mats, rng, uniform=False, bases=()):
+    """Conjugate each matrix as ``U.T @ m @ V`` with random orthonormal U, V.
+
+    U, then V, is drawn from ``rng`` by ``random_orthonormal``.  Kernel
+    ``bases`` of the unconjugated problem are mapped to the conjugated one:
+    right vectors through V^T, left vectors through U^T.  Returns the
+    tuples ``(matrices, bases)``.
+    """
+    rng = np.random.default_rng(rng)
+    n = mats[0].shape[0]
+    u = random_orthonormal(n, rng, uniform)
+    v = random_orthonormal(n, rng, uniform)
+    mats = tuple(u.T @ m @ v for m in mats)
+    bases = tuple(KernelBases(X=v.T @ b.X, x=v.T @ b.x, Y=u.T @ b.Y, y=u.T @ b.y) for b in bases)
+    return mats, bases
+
+
+class _DesignedSpectrum:
+    """Kernel-basis lookup of an instance with ``eigenvalues`` and ``kernel_bases``."""
+
+    def bases(self, lam0):
+        i = int(np.argmin([abs(lam0 - ev) for ev in self.eigenvalues]))
+        if abs(self.eigenvalues[i] - lam0) > 1e-12 * max(1.0, abs(lam0)):
+            raise ValueError(f"{lam0} is not a designed eigenvalue of this instance")
+        return self.kernel_bases[i]
 
 
 @dataclass(frozen=True)
-class SingularQuadratic:
+class SingularQuadratic(_DesignedSpectrum):
     """Constructed singular quadratic with known spectral structure."""
 
     M: np.ndarray
@@ -95,12 +112,6 @@ class SingularQuadratic:
 
     def polynomial(self):
         return MatrixPolynomial.quadratic(self.M, self.C, self.K)
-
-    def bases(self, lam0):
-        i = int(np.argmin([abs(lam0 - ev) for ev in self.eigenvalues]))
-        if abs(self.eigenvalues[i] - lam0) > 1e-12 * max(1.0, abs(lam0)):
-            raise ValueError(f"{lam0} is not a designed eigenvalue of this instance")
-        return self.kernel_bases[i]
 
     def scaled(self):
         """Rescaled instance with unit-norm leading and trailing coefficients.
@@ -122,7 +133,7 @@ class SingularQuadratic:
 
 
 @dataclass(frozen=True)
-class SingularPencil:
+class SingularPencil(_DesignedSpectrum):
     """Constructed singular pencil ``A - lam*B`` with known structure."""
 
     A: np.ndarray
@@ -137,12 +148,6 @@ class SingularPencil:
 
     def polynomial(self):
         return MatrixPolynomial.pencil(self.A, self.B)
-
-    def bases(self, lam0):
-        i = int(np.argmin([abs(lam0 - ev) for ev in self.eigenvalues]))
-        if abs(self.eigenvalues[i] - lam0) > 1e-12 * max(1.0, abs(lam0)):
-            raise ValueError(f"{lam0} is not a designed eigenvalue of this instance")
-        return self.kernel_bases[i]
 
 
 def chain_coefficients(eigenvalues, n):
@@ -194,20 +199,16 @@ def chain_quadratic(eigenvalues, n, rng=None, rotate=True):
     if len(set(eigenvalues)) != len(eigenvalues):
         raise ValueError("designed eigenvalues must be distinct")
     m, c, kk = chain_coefficients(eigenvalues, n)
-    bases = [_chain_bases(eigenvalues, n, i) for i in range(len(eigenvalues))]
+    bases = tuple(_chain_bases(eigenvalues, n, i) for i in range(len(eigenvalues)))
     if rotate:
-        rng = np.random.default_rng(rng)
-        u = random_orthonormal(n, rng)
-        v = random_orthonormal(n, rng)
-        m, c, kk = u.T @ m @ v, u.T @ c @ v, u.T @ kk @ v
-        bases = [_transform(b, u, v) for b in bases]
+        (m, c, kk), bases = random_conjugation((m, c, kk), rng, bases=bases)
     return SingularQuadratic(
         M=m,
         C=c,
         K=kk,
         eigenvalues=eigenvalues,
         normal_rank=len(eigenvalues),
-        kernel_bases=tuple(bases),
+        kernel_bases=bases,
     )
 
 
@@ -244,11 +245,7 @@ def diagonal_quadratic(root_pairs, n, rng=None, rotate=True):
             eigenvalues.append(root)
             bases.append(_axis_bases(n, k, i))
     if rotate:
-        rng = np.random.default_rng(rng)
-        u = random_orthonormal(n, rng)
-        v = random_orthonormal(n, rng)
-        m, c, kk = u.T @ m @ v, u.T @ c @ v, u.T @ kk @ v
-        bases = [_transform(b, u, v) for b in bases]
+        (m, c, kk), bases = random_conjugation((m, c, kk), rng, bases=bases)
     return SingularQuadratic(
         M=m,
         C=c,
@@ -272,14 +269,10 @@ def diagonal_pencil(eigenvalues, n, rng=None, rotate=True):
     for i, lam in enumerate(eigenvalues):
         a[i, i] = lam
         b[i, i] = 1.0
-    bases = [_axis_bases(n, k, i) for i in range(k)]
+    bases = tuple(_axis_bases(n, k, i) for i in range(k))
     if rotate:
-        rng = np.random.default_rng(rng)
-        u = random_orthonormal(n, rng)
-        v = random_orthonormal(n, rng)
         # pencil value is A - lam*B, conjugated the same way as the quadratic
-        a, b = u.T @ a @ v, u.T @ b @ v
-        bases = [_transform(bb, u, v) for bb in bases]
+        (a, b), bases = random_conjugation((a, b), rng, bases=bases)
     return SingularPencil(
-        A=a, B=b, eigenvalues=eigenvalues, normal_rank=k, kernel_bases=tuple(bases)
+        A=a, B=b, eigenvalues=eigenvalues, normal_rank=k, kernel_bases=bases
     )

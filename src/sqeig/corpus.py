@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .construct import chain_coefficients
+from .construct import chain_coefficients, random_conjugation, random_orthonormal
 from .matpoly import MatrixPolynomial, TruthSpec
 
 __all__ = ["BUILTIN_NAMES", "BUILTIN_NOTES", "builtin", "synth_pencil"]
@@ -39,12 +39,6 @@ BUILTIN_NOTES = {
     " for this family, which counts the infinite one",
     "ex10": "stored rectangular (4x5); the solver pads it with a zero row",
 }
-
-
-def _orth_uniform(n, rng):
-    # orthonormalization of a uniform random matrix, QR-based
-    q, r = np.linalg.qr(rng.random((n, n)))
-    return q * np.sign(np.diag(r))
 
 
 def _quad(m, c, k):
@@ -82,10 +76,7 @@ def _ex4():
 
 
 def _rotated_chain(lambdas, n, rng):
-    m, c, k = chain_coefficients(lambdas, n)
-    u = _orth_uniform(n, rng)
-    v = _orth_uniform(n, rng)
-    return u.T @ m @ v, u.T @ c @ v, u.T @ k @ v
+    return random_conjugation(chain_coefficients(lambdas, n), rng, uniform=True)[0]
 
 
 def _ex5(rng):
@@ -117,8 +108,8 @@ def _ex8(rng):
     m6, c6, k6 = chain_coefficients(lambdas, 11)
     m7, c7, k7 = k6, c6, m6
     d = np.diag([1.0, 4.0, 2.0, 1.0, 8.0, 1.0, 16.0, 32.0, 64.0, 1.0, 1.0])
-    u = _orth_uniform(11, rng)
-    v = _orth_uniform(11, rng)
+    u = random_orthonormal(11, rng, uniform=True)
+    v = random_orthonormal(11, rng, uniform=True)
     m = u @ d @ m7 @ d @ v
     c = u @ d @ c7 @ d @ v
     k = u @ d @ k7 @ d @ v
@@ -202,6 +193,5 @@ def synth_pencil(size, rank, n_finite=None, seed=0):
         b[i, i] = 1.0
     for i in range(n_finite, rank):
         a[i, i] = 1.0
-    u = _orth_uniform(size, rng)
-    v = _orth_uniform(size, rng)
-    return MatrixPolynomial.pencil(u.T @ a @ v, u.T @ b @ v), TruthSpec(eigenvalues)
+    (a, b), _ = random_conjugation((a, b), rng, uniform=True)
+    return MatrixPolynomial.pencil(a, b), TruthSpec(eigenvalues)

@@ -9,16 +9,13 @@ the linearization kernels built from kernel bases of the quadratic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .densela import as_matrix
-from .matpoly import MatrixPolynomial
 
 __all__ = [
     "KernelDegenerateError",
-    "Pencil",
     "alternate_companion",
     "first_companion",
     "left_kernel_basis_alternate",
@@ -39,35 +36,6 @@ class KernelDegenerateError(RuntimeError):
     """Left kernel construction degenerated (non-simple eigenvalue or bad bases)."""
 
 
-@dataclass(frozen=True)
-class Pencil:
-    """Linear matrix polynomial ``A - lam*B`` stored as the pair (A, B)."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        a = as_matrix(self.A, "A")
-        b = as_matrix(self.B, "B")
-        if a.shape != b.shape or a.shape[0] != a.shape[1]:
-            raise ValueError("pencil matrices must be square and of equal order")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-
-    @property
-    def order(self):
-        return self.A.shape[0]
-
-    def value(self, lam):
-        return self.A - lam * self.B
-
-    def derivative(self):
-        return -self.B
-
-    def as_polynomial(self):
-        return MatrixPolynomial((self.A, -self.B))
-
-
 def _check_quadratic_coeffs(m, c, k):
     m = as_matrix(m, "M")
     c = as_matrix(c, "C")
@@ -80,7 +48,8 @@ def _check_quadratic_coeffs(m, c, k):
 def first_companion(m, c, k):
     """First companion linearization of ``lam**2 M + lam C + K``.
 
-    The pencil is ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` of order 2n.
+    The pencil is ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` of order 2n,
+    returned as the pair ``(A, B)`` of ``A - lam*B``.
     """
     m, c, k = _check_quadratic_coeffs(m, c, k)
     n = m.shape[0]
@@ -88,13 +57,14 @@ def first_companion(m, c, k):
     zero = np.zeros((n, n), dtype=complex)
     a = np.block([[c, k], [-eye, zero]])
     b = np.block([[-m, zero], [zero, -eye]])
-    return Pencil(a, b)
+    return a, b
 
 
 def alternate_companion(m, c, k):
     """Alternate strong linearization ``lam*[[M, C], [0, I]] + [[0, K], [-I, 0]]``.
 
     Preferable to the first companion form for eigenvalues of small modulus.
+    Returned as the pair ``(A, B)`` of ``A - lam*B``.
     """
     m, c, k = _check_quadratic_coeffs(m, c, k)
     n = m.shape[0]
@@ -102,7 +72,7 @@ def alternate_companion(m, c, k):
     zero = np.zeros((n, n), dtype=complex)
     a = np.block([[zero, k], [-eye, zero]])
     b = np.block([[-m, -c], [zero, -eye]])
-    return Pencil(a, b)
+    return a, b
 
 
 def _unit_block(block, full):

@@ -129,11 +129,9 @@ def solve_polynomial(p, cfg=None):
         routes = [(SOURCE_PENCIL, perturbed[0], -perturbed[1], None, None)]
     else:
         k_p, c_p, m_p = perturbed
-        big = first_companion(m_p, c_p, k_p)
-        big_hat = alternate_companion(m_p, c_p, k_p)
         routes = [
-            (SOURCE_C1, big.A, big.B, True, recover_from_first),
-            (SOURCE_C1HAT, big_hat.A, big_hat.B, False, recover_from_alternate),
+            (SOURCE_C1, *first_companion(m_p, c_p, k_p), True, recover_from_first),
+            (SOURCE_C1HAT, *alternate_companion(m_p, c_p, k_p), False, recover_from_alternate),
         ]
     out = []
     for source, a, b, large, recover in routes:

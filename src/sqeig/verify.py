@@ -19,7 +19,7 @@ import scipy.stats
 
 from .condition import (
     BadDirectionError,
-    _projected_perturbation,
+    first_order_coefficient,
     inverse_condition,
     limit_pencil,
     spurious_condition_bound,
@@ -155,27 +155,32 @@ def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     return TrialReport(n_t=n_t, n_s=n_s, trials=tuple(outcomes) if keep_trials else None)
 
 
+def _per_direction(statistic, poly, lam0, bases, n_samples, rng, max_retries):
+    # statistic(poly, lam0, X, x, Y, y, e) for n_samples independent uniform
+    # directions e; a direction raising BadDirectionError is redrawn, at most
+    # max_retries times over the whole call
+    out = []
+    bad = 0
+    while len(out) < n_samples:
+        e = sample_perturbation(poly.n, poly.degree, rng)
+        try:
+            out.append(statistic(poly, lam0, bases.X, bases.x, bases.Y, bases.y, e))
+        except BadDirectionError:
+            bad += 1
+            if bad > max_retries:
+                raise
+    return out
+
+
 def sensitivity_samples(poly, lam0, bases, n_samples, rng, max_retries=100):
     """Directional sensitivities under independent uniform perturbations."""
     from .condition import directional_sensitivity
 
     rng = np.random.default_rng(rng)
-    out = np.empty(n_samples)
-    bad = 0
-    i = 0
-    while i < n_samples:
-        e = sample_perturbation(poly.n, poly.degree, rng)
-        try:
-            out[i] = directional_sensitivity(
-                poly, lam0, bases.X, bases.x, bases.Y, bases.y, e
-            )
-        except BadDirectionError:
-            bad += 1
-            if bad > max_retries:
-                raise
-            continue
-        i += 1
-    return out
+    return np.array(
+        _per_direction(directional_sensitivity, poly, lam0, bases, n_samples, rng, max_retries),
+        dtype=float,
+    )
 
 
 def model_sensitivity_samples(big_n, n, r, size, rng):
@@ -196,7 +201,7 @@ def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10
     """Two-sample KS distance between scaled sensitivities and the model law.
 
     The empirical samples are multiplied by the reciprocal condition number
-    so both sides are parameter free.
+    so both sides are parameter free.  Returns ``(ks, empirical, model)``.
     """
     rng = np.random.default_rng(rng)
     gamma = inverse_condition(poly, lam0, bases.x, bases.y)
@@ -205,36 +210,17 @@ def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10
     model = model_sensitivity_samples(
         poly.n**2 * (poly.degree + 1), poly.n, r, model_size, rng
     )
-    return float(scipy.stats.ks_2samp(emp, model).statistic), emp
-
-
-def _signed_det(m):
-    if m.size == 0:
-        return 1.0 + 0j
-    sign, logdet = np.linalg.slogdet(m)
-    return sign * np.exp(logdet)
-
-
-def _first_order_coefficient(poly, lam0, bases, e_coeffs):
-    g, _, _ = _projected_perturbation(
-        poly, lam0, bases.X, bases.x, bases.Y, bases.y, e_coeffs
-    )
-    inner = g[:-1, :-1]
-    anchor = bases.y.conj() @ poly.derivative_at(lam0) @ bases.x
-    denom = anchor * _signed_det(inner)
-    if denom == 0:
-        raise BadDirectionError("first-order coefficient undefined for this direction")
-    return _signed_det(g) / denom
+    return float(scipy.stats.ks_2samp(emp, model).statistic), emp, model
 
 
 def _finite_eigenvalues(poly):
     if poly.degree == 1:
-        dec = generalized_eig(poly.coeffs[0], -poly.coeffs[1], want_left=False)
+        a, b = poly.coeffs[0], -poly.coeffs[1]
     elif poly.degree == 2:
-        pencil = first_companion(poly.coeffs[2], poly.coeffs[1], poly.coeffs[0])
-        dec = generalized_eig(pencil.A, pencil.B, want_left=False)
+        a, b = first_companion(poly.coeffs[2], poly.coeffs[1], poly.coeffs[0])
     else:
         raise ValueError("only degrees 1 and 2 are supported")
+    dec = generalized_eig(a, b, want_left=False)
     mask = dec.finite_mask()
     return dec.alphas[mask] / dec.betas[mask]
 
@@ -256,7 +242,7 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
     expansion holds.
     """
     e_coeffs = e.coeffs if hasattr(e, "coeffs") else tuple(e)
-    coeff = _first_order_coefficient(poly, lam0, bases, e_coeffs)
+    coeff = first_order_coefficient(poly, lam0, bases.X, bases.x, bases.Y, bases.y, e_coeffs)
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     remainders = np.empty_like(eps)
     for i, ep in enumerate(eps):
@@ -298,8 +284,10 @@ def _companion_inverse_conditions(m, c, k, big_x, x, big_y, y, lam):
     x_l = right_kernel_basis(big_x, x, lam)[:, -1]
     _, y_l, beta = left_kernel_basis_first(big_y, y, lam, m, c)
     _, y_lh, beta_hat = left_kernel_basis_alternate(big_y, y, lam, m)
-    gamma_c1 = inverse_condition(first_companion(m, c, k).as_polynomial(), lam, x_l, y_l)
-    gamma_c1hat = inverse_condition(alternate_companion(m, c, k).as_polynomial(), lam, x_l, y_lh)
+    c1 = MatrixPolynomial.pencil(*first_companion(m, c, k))
+    c1hat = MatrixPolynomial.pencil(*alternate_companion(m, c, k))
+    gamma_c1 = inverse_condition(c1, lam, x_l, y_l)
+    gamma_c1hat = inverse_condition(c1hat, lam, x_l, y_lh)
     return gamma_c1, beta, gamma_c1hat, beta_hat
 
 
@@ -359,20 +347,8 @@ def limit_mixing_samples(poly, lam0, bases, n_samples, rng, max_retries=100):
     """
     rng = np.random.default_rng(rng)
     gamma = inverse_condition(poly, lam0, bases.x, bases.y)
-    weights = np.empty(n_samples)
-    bad = 0
-    i = 0
-    while i < n_samples:
-        e = sample_perturbation(poly.n, poly.degree, rng)
-        try:
-            lp = limit_pencil(poly, lam0, bases.X, bases.x, bases.Y, bases.y, e)
-        except BadDirectionError:
-            bad += 1
-            if bad > max_retries:
-                raise
-            continue
-        weights[i] = lp.left_weight * lp.right_weight
-        i += 1
+    pencils = _per_direction(limit_pencil, poly, lam0, bases, n_samples, rng, max_retries)
+    weights = np.array([lp.left_weight * lp.right_weight for lp in pencils], dtype=float)
     return weights, gamma * weights, gamma
 
 

@@ -11,6 +11,7 @@ from sqeig.condition import (
     beta_ratio_lower_tail_bound,
     directional_sensitivity,
     estimate_condition,
+    first_order_coefficient,
     inverse_condition,
     limit_pencil,
     lower_bound_validity,
@@ -23,7 +24,7 @@ from sqeig.condition import (
     weak_condition_upper,
 )
 from sqeig.construct import chain_quadratic
-from sqeig.matpoly import MatrixPolynomial, sample_perturbation
+from sqeig.matpoly import MatrixPolynomial, joint_norm, sample_perturbation
 
 
 def _scalar_pencil():
@@ -127,6 +128,30 @@ class TestDirectionalSensitivity:
         e = (u + 0.0 * u, np.zeros_like(u), np.zeros_like(u))
         with pytest.raises(BadDirectionError):
             directional_sensitivity(inst.polynomial(), 1.0, b.X, b.x, b.Y, b.y, e)
+
+
+class TestFirstOrderCoefficient:
+    @pytest.mark.parametrize(
+        "lams,n,lam0,seed", [((1.0, 0.5), 3, 0.5, 30), ((1.0, 0.5, 2.0), 5, 2.0, 31)]
+    )
+    def test_matches_determinant_ratio(self, lams, n, lam0, seed):
+        # reference: c = det(G) / (det(G11) * y* P'(lam) x) with plain
+        # determinants of the kernel-projected perturbation G
+        inst = chain_quadratic(lams, n, rng=seed)
+        poly = inst.polynomial()
+        b = inst.bases(lam0)
+        xs = np.column_stack([b.X, b.x])
+        ys = np.column_stack([b.Y, b.y])
+        anchor = b.y.conj() @ poly.derivative_at(lam0) @ b.x
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            e = sample_perturbation(n, 2, rng)
+            g = ys.conj().T @ sum(lam0**j * c for j, c in enumerate(e.coeffs)) @ xs
+            ref = np.linalg.det(g) / (np.linalg.det(g[:-1, :-1]) * anchor)
+            c = first_order_coefficient(poly, lam0, b.X, b.x, b.Y, b.y, e)
+            assert abs(c - ref) <= 1e-12 * abs(ref)
+            sigma = directional_sensitivity(poly, lam0, b.X, b.x, b.Y, b.y, e)
+            assert math.isclose(sigma, abs(c) / joint_norm(e.coeffs), rel_tol=1e-14)
 
 
 class TestSensitivityTail:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_multiset_close
+from sqeig.construct import chain_quadratic, diagonal_pencil
 from sqeig.corpus import BUILTIN_NAMES, BUILTIN_NOTES, builtin, synth_pencil
 from sqeig.matpoly import normal_rank
 from sqeig.solver import SolverConfig, solve_polynomial
@@ -111,3 +112,83 @@ def test_synth_pencil_validation():
         synth_pencil(4, 4)
     with pytest.raises(ValueError):
         synth_pencil(4, 2, n_finite=3)
+
+
+# Frobenius norm of every coefficient, then entries [0, 1] and [-1, 0] of
+# every coefficient, in ascending powers.  The benchmark and the acceptance
+# suite solve these recipes, so a changed draw order or conjugation would
+# silently change their problems.
+PINNED = {
+    "ex5": (
+        (2.2361350597627148, 3.1623250948471444, 2.23606797749979),
+        (
+            (-0.3725814788440932, -0.1066801043970135),
+            (-0.20887427186745847, 0.2806085884003097),
+            (0.5814277789242227, -0.1739270273008878),
+        ),
+    ),
+    "ex6": (
+        (0.7262382888241262, 2.920175003686285, 2.82842712474619),
+        (
+            (-0.0700974306016226, -0.01507407854124538),
+            (0.3728703704849092, 0.09474178608177289),
+            (0.08402817616317595, 0.045807221547265506),
+        ),
+    ),
+    "ex7": (
+        (2.82842712474619, 2.920175003686285, 0.7262382888241262),
+        (
+            (0.08402817616317595, 0.045807221547265506),
+            (0.3728703704849092, 0.09474178608177289),
+            (-0.0700974306016226, -0.01507407854124538),
+        ),
+    ),
+    "ex8": (
+        (2111.1409237661032, 1090.5957056153186, 133.98200417709327),
+        (
+            (-211.73506493891554, -129.7925435315596),
+            (-3.0817901994120396, -96.09055550474254),
+            (3.7790247218915725, 13.356490906737838),
+        ),
+    ),
+    "synth_pencil": (
+        (2.4307762472254044, 2.0),
+        (
+            (
+                complex(0.3442134747042115, -0.10015975429739182),
+                complex(0.025893922419216238, 0.0013566461931770228),
+            ),
+            (0.19210887102547888, -0.15038811645962333),
+        ),
+    ),
+    "chain_quadratic": (
+        (2.0615528128088303, 2.5, 1.414213562373095),
+        (
+            (1.029590120288746, 0.0026861994895305418),
+            (-0.577013075071171, -0.3936742053745631),
+            (-0.17748112492301868, 0.19456472009573608),
+        ),
+    ),
+    "diagonal_pencil": (
+        (2.2360679774997894, 1.414213562373095),
+        ((1.6675158767351537, 0.6752536403554027), (-0.8500321269268578, -0.682743334839243)),
+    ),
+}
+
+PINNED_RECIPES = {
+    "ex5": lambda: builtin("ex5", seed=0)[0],
+    "ex6": lambda: builtin("ex6", seed=0)[0],
+    "ex7": lambda: builtin("ex7", seed=0)[0],
+    "ex8": lambda: builtin("ex8", seed=0)[0],
+    "synth_pencil": lambda: synth_pencil(8, 4, seed=3)[0],
+    "chain_quadratic": lambda: chain_quadratic([0.5, 2.0], 4, rng=1).polynomial(),
+    "diagonal_pencil": lambda: diagonal_pencil([1.0, 2.0], 3, rng=2).polynomial(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_constructed_matrices_pinned(name):
+    norms, entries = PINNED[name]
+    coeffs = PINNED_RECIPES[name]().coeffs
+    np.testing.assert_allclose([np.linalg.norm(c) for c in coeffs], norms, rtol=1e-14)
+    np.testing.assert_allclose([(c[0, 1], c[-1, 0]) for c in coeffs], entries, rtol=1e-14)

@@ -37,6 +37,21 @@ def test_data_model_imports_no_upper_layer(module):
     assert not _imported_modules(SRC / f"{module}.py") & {"solver", "verify", "cli"}
 
 
+def test_no_private_cross_module_import():
+    # an underscore-prefixed name belongs to its module; the rest of the
+    # package reaches it through a public function
+    private = [
+        f"{path.stem}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("sqeig"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_tracer_patch_table_resolves(monkeypatch):
     # the benchmark tracer patches module attributes by name; each one it
     # lists must still exist on the package

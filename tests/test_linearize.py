@@ -39,24 +39,24 @@ def _det_roots(m, c, k):
 
 class TestCompanionForms:
     def test_scalar_first_companion(self):
-        p = first_companion(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
-        np.testing.assert_allclose(p.A, [[3.0, 5.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(p.B, [[-2.0, 0.0], [0.0, -1.0]])
+        pa, pb = first_companion(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
+        np.testing.assert_allclose(pa, [[3.0, 5.0], [-1.0, 0.0]])
+        np.testing.assert_allclose(pb, [[-2.0, 0.0], [0.0, -1.0]])
 
     def test_scalar_alternate_companion(self):
-        p = alternate_companion(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
-        np.testing.assert_allclose(p.A, [[0.0, 5.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(p.B, [[-2.0, -3.0], [0.0, -1.0]])
+        pa, pb = alternate_companion(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
+        np.testing.assert_allclose(pa, [[0.0, 5.0], [-1.0, 0.0]])
+        np.testing.assert_allclose(pb, [[-2.0, -3.0], [0.0, -1.0]])
 
     @pytest.mark.parametrize("form", [first_companion, alternate_companion])
     def test_determinant_identity(self, form):
         rng = np.random.default_rng(0)
         m, c, k = _random_quadratic(rng, 3)
-        pencil = form(m, c, k)
+        pa, pb = form(m, c, k)
         for _ in range(5):
             lam = rng.standard_normal() + 1j * rng.standard_normal()
             dq = np.linalg.det(lam**2 * m + lam * c + k)
-            dl = np.linalg.det(pencil.value(lam))
+            dl = np.linalg.det(pa - lam * pb)
             assert abs(dq - dl) <= 1e-10 * max(1.0, abs(dq))
 
     @pytest.mark.parametrize("form", [first_companion, alternate_companion])
@@ -65,12 +65,12 @@ class TestCompanionForms:
         rng = np.random.default_rng(1)
         n = 4
         m, c, k = _random_quadratic(rng, n)
-        pencil = form(m, c, k)
+        pa, pb = form(m, c, k)
         scale = sum(np.linalg.norm(x) for x in (m, c, k))
         for _ in range(10):
             lam = rng.standard_normal() + 1j * rng.standard_normal()
             emb = np.vstack([lam * np.eye(n), np.eye(n)])
-            top = pencil.value(lam) @ emb
+            top = (pa - lam * pb) @ emb
             q = lam**2 * m + lam * c + k
             lim = 1e3 * UNIT_ROUNDOFF * scale * max(1.0, abs(lam)) ** 2
             assert np.linalg.norm(top[:n] - q) <= lim
@@ -80,8 +80,8 @@ class TestCompanionForms:
     def test_spectrum_matches_determinant_oracle(self, form):
         rng = np.random.default_rng(2)
         m, c, k = _random_quadratic(rng, 3)
-        pencil = form(m, c, k)
-        dec = generalized_eig(pencil.A, pencil.B, want_left=False)
+        pa, pb = form(m, c, k)
+        dec = generalized_eig(pa, pb, want_left=False)
         assert_multiset_close(
             dec.eigenvalues(), _det_roots(m, c, k), atol=1e-8, rtol=1e-8
         )
@@ -132,8 +132,8 @@ class TestRecovery:
         rng = np.random.default_rng(4)
         for n in (1, 3):
             m, c, k = _random_quadratic(rng, n)
-            pencil = form(m, c, k)
-            dec = generalized_eig(pencil.A, pencil.B)
+            pa, pb = form(m, c, k)
+            dec = generalized_eig(pa, pb)
             j = 0  # largest-modulus finite eigenvalue
             lam = dec.alphas[j] / dec.betas[j]
             x, y, ok = recover(dec.right_vectors[:, j], dec.left_vectors[:, j])
@@ -158,8 +158,8 @@ class TestRightKernelBasis:
         lam = 0.5
         b = inst.bases(lam)
         cols = right_kernel_basis(b.X, b.x, lam)
-        pencil = first_companion(inst.M, inst.C, inst.K)
-        assert np.linalg.norm(pencil.value(lam) @ cols) <= 1e-12
+        pa, pb = first_companion(inst.M, inst.C, inst.K)
+        assert np.linalg.norm((pa - lam * pb) @ cols) <= 1e-12
 
     def test_zero_eigenvalue_block_form(self):
         inst = chain_quadratic([0.0, 1.0], 3, rng=2, rotate=False)
@@ -191,10 +191,10 @@ class TestLeftKernelBasis:
         inst = chain_quadratic([1.0, 0.5], 4, rng=6)
         b = inst.bases(lam0)
         y_l_block, y_l, beta = left_kernel_basis_first(b.Y, b.y, lam0, inst.M, inst.C)
-        pencil = first_companion(inst.M, inst.C, inst.K)
+        pa, pb = first_companion(inst.M, inst.C, inst.K)
         cols = np.column_stack([y_l_block, y_l])
         np.testing.assert_allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-10)
-        assert np.linalg.norm(cols.conj().T @ pencil.value(lam0)) <= 1e-10
+        assert np.linalg.norm(cols.conj().T @ (pa - lam0 * pb)) <= 1e-10
 
     def test_beta_bound_for_scaled_problem(self):
         # with unit-norm outer coefficients, beta <= the closed-form minimum
@@ -217,9 +217,9 @@ class TestLeftKernelBasis:
         lam0 = 1.0
         b = inst.bases(lam0)
         y_l_block, y_l, _ = left_kernel_basis_alternate(b.Y, b.y, lam0, inst.M)
-        pencil = alternate_companion(inst.M, inst.C, inst.K)
+        pa, pb = alternate_companion(inst.M, inst.C, inst.K)
         cols = np.column_stack([y_l_block, y_l])
-        assert np.linalg.norm(cols.conj().T @ pencil.value(lam0)) <= 1e-10
+        assert np.linalg.norm(cols.conj().T @ (pa - lam0 * pb)) <= 1e-10
 
 
 class TestConditionTransferIdentity:
@@ -230,8 +230,8 @@ class TestConditionTransferIdentity:
         b = inst.bases(lam0)
         x_l = right_kernel_basis(b.X, b.x, lam0)[:, -1]
         _, y_l, beta = left_kernel_basis_first(b.Y, b.y, lam0, inst.M, inst.C)
-        pencil = first_companion(inst.M, inst.C, inst.K)
-        lhs = (y_l.conj() @ pencil.derivative() @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
+        pa, pb = first_companion(inst.M, inst.C, inst.K)
+        lhs = (y_l.conj() @ (-pb) @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
         q_prime = inst.polynomial().derivative_at(lam0)
         rhs = b.y.conj() @ q_prime @ b.x
         assert abs(lhs - rhs) <= 1e6 * UNIT_ROUNDOFF * max(1.0, abs(rhs))
@@ -242,8 +242,8 @@ class TestConditionTransferIdentity:
         b = inst.bases(lam0)
         x_l = right_kernel_basis(b.X, b.x, lam0)[:, -1]
         _, y_l, beta = left_kernel_basis_alternate(b.Y, b.y, lam0, inst.M)
-        pencil = alternate_companion(inst.M, inst.C, inst.K)
-        lhs = (y_l.conj() @ pencil.derivative() @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
+        pa, pb = alternate_companion(inst.M, inst.C, inst.K)
+        lhs = (y_l.conj() @ (-pb) @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
         rhs = b.y.conj() @ inst.polynomial().derivative_at(lam0) @ b.x
         assert abs(lhs - rhs) <= 1e6 * UNIT_ROUNDOFF * max(1.0, abs(rhs))
 

@@ -200,10 +200,10 @@ class TestScaleQuadratic:
             c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             k = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             ms, cs, ks, info = scale_quadratic(m, c, k)
-            p0 = first_companion(m, c, k)
-            p1 = first_companion(ms, cs, ks)
-            lam0 = generalized_eig(p0.A, p0.B, want_left=False).eigenvalues()
-            lam1 = generalized_eig(p1.A, p1.B, want_left=False).eigenvalues()
+            a0, b0 = first_companion(m, c, k)
+            a1, b1 = first_companion(ms, cs, ks)
+            lam0 = generalized_eig(a0, b0, want_left=False).eigenvalues()
+            lam1 = generalized_eig(a1, b1, want_left=False).eigenvalues()
             assert_multiset_close(lam0, info.gamma * lam1, rtol=1e6 * UNIT_ROUNDOFF)
 
 

@@ -112,7 +112,7 @@ class TestSensitivityDistribution:
 
     def test_singular_case_ks_smoke(self):
         inst = chain_quadratic([1.0, 0.5], 3, rng=23)
-        ks, emp = sensitivity_distribution_ks(
+        ks, emp, _ = sensitivity_distribution_ks(
             inst.polynomial(), 1.0, inst.bases(1.0), 2000, rng=24, model_size=10**5
         )
         assert ks <= 0.05
