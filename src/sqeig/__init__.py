@@ -62,8 +62,6 @@ from .linearize import (
 )
 from .matpoly import (
     MatrixPolynomial,
-    PerturbationSample,
-    ScalingInfo,
     TruthSpec,
     joint_norm,
     normal_rank,

@@ -1,16 +1,15 @@
-"""Command-line interface.
+"""Eigenvalues of singular quadratic eigenvalue problems and matrix pencils
+by random regularization and condition-number screening.
 
-Subcommands:
+subcommands:
+  solve         classify the eigenvalues of one problem (CSV or JSON rows)
+  montecarlo    detection probability over repeated randomized runs (JSON)
+  dist          empirical vs model quantiles of the scaled sensitivity (CSV)
+  bounds        weak-condition-number bounds for given parameters (JSON)
+  synth-pencil  emit a random singular pencil with known eigenvalues
 
-* ``solve``       classify the eigenvalues of one problem (CSV or JSON rows)
-* ``montecarlo``  detection probability over repeated randomized runs (JSON)
-* ``dist``        empirical vs. model quantiles of the scaled sensitivity (CSV)
-* ``bounds``      weak-condition-number bounds for given parameters (JSON)
-* ``synth-pencil`` emit a random singular pencil with known eigenvalues as a
-  problem file
-
-Exit codes: 0 on success, 1 on usage errors, 2 on numerical failures.
-All error messages go to standard error.
+Exit codes: 0 success, 1 usage error, 2 numerical failure.  All error
+messages go to standard error.
 """
 
 from __future__ import annotations
@@ -108,6 +107,8 @@ def _dist_instance(n, m, r, seed):
 def _cmd_dist(args):
     if not 0 < args.r < args.n:
         raise _UsageError("need 0 < r < n for a singular test problem")
+    if args.samples < 1:
+        raise _UsageError("--samples must be positive")
     instance = _dist_instance(args.n, args.m, args.r, args.seed)
     lam0 = instance.eigenvalues[0]
     poly = instance.polynomial()
@@ -128,6 +129,8 @@ def _cmd_bounds(args):
         raise _UsageError("--gamma must be positive")
     if not 0 < args.delta < 1:
         raise _UsageError("--delta must lie in (0, 1)")
+    if args.n < 1 or args.m < 1:
+        raise _UsageError("need n >= 1 and m >= 1")
     if not 0 <= args.r <= args.n:
         raise _UsageError("need 0 <= r <= n")
     bounds = weak_condition_bounds(args.delta, args.gamma, args.n, args.m, args.r)
@@ -170,22 +173,8 @@ def _cmd_synth_pencil(args):
     return 0
 
 
-_DESCRIPTION = """\
-Eigenvalues of singular quadratic eigenvalue problems and matrix pencils
-by random regularization and condition-number screening.
-
-subcommands:
-  solve         classify the eigenvalues of one problem (CSV or JSON rows)
-  montecarlo    detection probability over repeated randomized runs (JSON)
-  dist          empirical vs model quantiles of the scaled sensitivity (CSV)
-  bounds        weak-condition-number bounds for given parameters (JSON)
-  synth-pencil  emit a random singular pencil with known eigenvalues
-
-Exit codes: 0 success, 1 usage error, 2 numerical failure."""
-
-
 def _build_parser():
-    parser = _Parser(prog="sqeig", description=_DESCRIPTION, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="sqeig", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one problem and classify its eigenvalues")

@@ -119,29 +119,28 @@ def _stack_bases(big, single):
     return np.hstack([np.asarray(big, dtype=complex), single])
 
 
-def _projected_perturbation(p, lam, big_x, x, big_y, y, e_coeffs):
+def _projected_perturbation(p, lam, big_x, x, big_y, y, e):
     e_lam = np.zeros((p.n, p.n), dtype=complex)
-    for j, c in enumerate(e_coeffs):
+    for j, c in enumerate(e):
         e_lam = e_lam + (lam**j) * c
     xs = _stack_bases(big_x, x)
     ys = _stack_bases(big_y, y)
     return ys.conj().T @ e_lam @ xs, xs, ys
 
 
-def _check_inner_condition(g):
-    inner = g[:-1, :-1]
-    if inner.size:
-        s = np.linalg.svd(inner, compute_uv=False)
+def _check_direction(g, what):
+    # the singular-value guard shared by the first-order coefficient (on the
+    # inner block) and the limit pencil (on the whole projected block)
+    if g.size:
+        s = np.linalg.svd(g, compute_uv=False)
         if s[-1] == 0.0 or s[0] / s[-1] > BAD_DIRECTION_COND:
-            raise BadDirectionError(
-                "perturbation direction leaves the inner block numerically singular"
-            )
+            raise BadDirectionError(f"perturbation direction leaves {what} numerically singular")
 
 
-def _first_order_terms(p, lam, big_x, x, big_y, y, e_coeffs):
+def _first_order_terms(p, lam, big_x, x, big_y, y, e):
     # (phase, log magnitude, y* P'(lam) x) with c = phase * exp(log) / anchor
-    g, _, _ = _projected_perturbation(p, lam, big_x, x, big_y, y, e_coeffs)
-    _check_inner_condition(g)
+    g, _, _ = _projected_perturbation(p, lam, big_x, x, big_y, y, e)
+    _check_direction(g[:-1, :-1], "the inner block")
     sign_full, ld_full = np.linalg.slogdet(g)
     sign_inner, ld_inner = np.linalg.slogdet(g[:-1, :-1])
     x = np.asarray(x, dtype=complex).reshape(-1)
@@ -161,8 +160,7 @@ def first_order_coefficient(p, lam, big_x, x, big_y, y, e):
     in log-magnitude form so the ratio survives large kernel dimensions.
     c is infinite where ``y* P'(lam) x`` vanishes.
     """
-    e_coeffs = e.coeffs if hasattr(e, "coeffs") else tuple(e)
-    phase, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e_coeffs)
+    phase, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e)
     if anchor == 0.0:
         return complex(math.inf)
     return phase * math.exp(log_mag) / anchor
@@ -175,11 +173,10 @@ def directional_sensitivity(p, lam, big_x, x, big_y, y, e):
     ``first_order_coefficient``; the modulus is formed from the log
     magnitudes without the phase.
     """
-    e_coeffs = e.coeffs if hasattr(e, "coeffs") else tuple(e)
-    _, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e_coeffs)
+    _, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e)
     if anchor == 0.0:
         return math.inf
-    return math.exp(log_mag) / (joint_norm(e_coeffs) * abs(anchor))
+    return math.exp(log_mag) / (joint_norm(e) * abs(anchor))
 
 
 @dataclass(frozen=True)
@@ -216,11 +213,8 @@ def limit_pencil(p, lam, big_x, x, big_y, y, e):
     in closed form ``a = G^{-*} e_last / ||.||`` and
     ``b = G^{-1} e_last / ||.||``.
     """
-    e_coeffs = e.coeffs if hasattr(e, "coeffs") else tuple(e)
-    g, xs, ys = _projected_perturbation(p, lam, big_x, x, big_y, y, e_coeffs)
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] == 0.0 or s[0] / s[-1] > BAD_DIRECTION_COND:
-        raise BadDirectionError("projected perturbation block is numerically singular")
+    g, xs, ys = _projected_perturbation(p, lam, big_x, x, big_y, y, e)
+    _check_direction(g, "the projected perturbation block")
     d = ys.conj().T @ p.derivative_at(lam) @ xs
     e_last = np.zeros(g.shape[0], dtype=complex)
     e_last[-1] = 1.0

@@ -19,6 +19,7 @@ right/left singular spaces, transformed consistently with the conjugation.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,20 +117,13 @@ class SingularQuadratic(_DesignedSpectrum):
     def scaled(self):
         """Rescaled instance with unit-norm leading and trailing coefficients.
 
-        Eigenvalues divide by the scale factor; kernels are unchanged.
+        Returns ``(instance, gamma)``; eigenvalues divide by the scale
+        factor ``gamma`` and kernels are unchanged.
         """
-        ms, cs, ks, info = scale_quadratic(self.M, self.C, self.K)
-        return (
-            SingularQuadratic(
-                M=ms,
-                C=cs,
-                K=ks,
-                eigenvalues=tuple(ev / info.gamma for ev in self.eigenvalues),
-                normal_rank=self.normal_rank,
-                kernel_bases=self.kernel_bases,
-            ),
-            info,
-        )
+        balanced, gamma = scale_quadratic(self.polynomial())
+        k, c, m = balanced.coeffs
+        eigenvalues = tuple(ev / gamma for ev in self.eigenvalues)
+        return dataclasses.replace(self, M=m, C=c, K=k, eigenvalues=eigenvalues), gamma
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,10 @@ def nullspace_basis(m, rel_tol):
     return dec.right_vectors[:, r:]
 
 
+def _finite(alphas, betas, cutoff=DEFAULT_INF_CUTOFF):
+    return np.abs(betas) > cutoff * (np.abs(alphas) + np.abs(betas))
+
+
 def _fix_phases(vectors):
     # Make the entry of largest modulus in each column real positive so that
     # eigenvector output is deterministic up to the solver itself.  Columns
@@ -148,7 +152,7 @@ class GeneralizedEigenDecomposition:
         return self.alphas.size
 
     def finite_mask(self, cutoff=DEFAULT_INF_CUTOFF):
-        return np.abs(self.betas) > cutoff * (np.abs(self.alphas) + np.abs(self.betas))
+        return _finite(self.alphas, self.betas, cutoff)
 
     def eigenvalues(self, cutoff=DEFAULT_INF_CUTOFF):
         """Eigenvalues with infinite ones reported as complex infinity."""
@@ -184,7 +188,7 @@ def generalized_eig(a, b, want_left=True):
     if np.any((np.abs(alphas) + np.abs(betas)) == 0.0):
         raise EigensolverError("indeterminate eigenvalue (alpha = beta = 0); pencil is singular")
 
-    finite = np.abs(betas) > DEFAULT_INF_CUTOFF * (np.abs(alphas) + np.abs(betas))
+    finite = _finite(alphas, betas)
     lam = np.zeros_like(alphas)
     lam[finite] = alphas[finite] / betas[finite]
     key_mod = np.where(finite, -np.abs(lam), 0.0)

@@ -36,40 +36,34 @@ class KernelDegenerateError(RuntimeError):
     """Left kernel construction degenerated (non-simple eigenvalue or bad bases)."""
 
 
-def _check_quadratic_coeffs(m, c, k):
-    m = as_matrix(m, "M")
-    c = as_matrix(c, "C")
-    k = as_matrix(k, "K")
-    if not (m.shape == c.shape == k.shape) or m.shape[0] != m.shape[1]:
-        raise ValueError("M, C, K must be square matrices of equal order")
-    return m, c, k
+def _companion_parts(q):
+    # (K, C, M, I, 0) of a degree-2 polynomial, the blocks of both forms
+    if q.degree != 2:
+        raise ValueError(f"companion forms need a quadratic, got degree {q.degree}")
+    eye = np.eye(q.n, dtype=complex)
+    return (*q.coeffs, eye, np.zeros_like(eye))
 
 
-def first_companion(m, c, k):
-    """First companion linearization of ``lam**2 M + lam C + K``.
+def first_companion(q):
+    """First companion linearization of the quadratic ``lam**2 M + lam C + K``.
 
-    The pencil is ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` of order 2n,
-    returned as the pair ``(A, B)`` of ``A - lam*B``.
+    ``q`` is a degree-2 ``MatrixPolynomial``.  The pencil is
+    ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` of order 2n, returned as
+    the pair ``(A, B)`` of ``A - lam*B``.
     """
-    m, c, k = _check_quadratic_coeffs(m, c, k)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
+    k, c, m, eye, zero = _companion_parts(q)
     a = np.block([[c, k], [-eye, zero]])
     b = np.block([[-m, zero], [zero, -eye]])
     return a, b
 
 
-def alternate_companion(m, c, k):
+def alternate_companion(q):
     """Alternate strong linearization ``lam*[[M, C], [0, I]] + [[0, K], [-I, 0]]``.
 
     Preferable to the first companion form for eigenvalues of small modulus.
-    Returned as the pair ``(A, B)`` of ``A - lam*B``.
+    Takes the degree-2 ``q`` and returns the pair ``(A, B)`` of ``A - lam*B``.
     """
-    m, c, k = _check_quadratic_coeffs(m, c, k)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
+    k, c, m, eye, zero = _companion_parts(q)
     a = np.block([[zero, k], [-eye, zero]])
     b = np.block([[-m, -c], [zero, -eye]])
     return a, b

@@ -20,8 +20,6 @@ from .densela import as_matrix, rank_with_tol
 __all__ = [
     "DegenerateProblemError",
     "MatrixPolynomial",
-    "PerturbationSample",
-    "ScalingInfo",
     "TruthSpec",
     "joint_norm",
     "normal_rank",
@@ -60,7 +58,10 @@ class TruthSpec:
 
 def pad_to_square(m):
     """Zero-pad a rectangular matrix to square order max(rows, cols)."""
-    m = as_matrix(m)
+    return _square(as_matrix(m))
+
+
+def _square(m):
     rows, cols = m.shape
     n = max(rows, cols)
     if rows == cols:
@@ -93,7 +94,7 @@ class MatrixPolynomial:
         shape = raw[0].shape
         if any(c.shape != shape for c in raw):
             raise ValueError("all coefficients must have the same shape")
-        object.__setattr__(self, "coeffs", tuple(_freeze(pad_to_square(c)) for c in raw))
+        object.__setattr__(self, "coeffs", tuple(_freeze(_square(c)) for c in raw))
 
     @classmethod
     def quadratic(cls, m, c, k):
@@ -137,36 +138,16 @@ class MatrixPolynomial:
         """
         return MatrixPolynomial(self.coeffs[::-1])
 
-    def perturbed(self, sample, epsilon):
-        """``P + epsilon * E`` for a coefficient stack of matching shape."""
-        coeffs = sample.coeffs if isinstance(sample, PerturbationSample) else tuple(sample)
-        if len(coeffs) != len(self.coeffs):
+    def perturbed(self, e, epsilon):
+        """``P + epsilon * E`` for a coefficient stack ``e`` of matching shape."""
+        if len(e) != len(self.coeffs):
             raise ValueError("perturbation stack must match the polynomial degree")
-        return MatrixPolynomial(tuple(a + epsilon * e for a, e in zip(self.coeffs, coeffs)))
+        return MatrixPolynomial(tuple(a + epsilon * d for a, d in zip(self.coeffs, e)))
 
 
 def joint_norm(coeffs):
     """Frobenius norm of the stacked coefficients ``[E_0 E_1 ... E_m]``."""
     return math.sqrt(sum(float(np.linalg.norm(c, "fro")) ** 2 for c in coeffs))
-
-
-@dataclass(frozen=True)
-class PerturbationSample:
-    """Random coefficient stack drawn uniformly from the unit sphere.
-
-    The stack as a whole has unit joint norm, i.e. it is uniform on the
-    unit sphere of real dimension 2*n**2*(m+1).
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if abs(joint_norm(self.coeffs) - 1.0) > 64 * np.finfo(float).eps:
-            raise ValueError("perturbation sample must have unit joint norm")
-
-    @property
-    def joint_norm(self):
-        return joint_norm(self.coeffs)
 
 
 def sample_perturbation(n, m, rng):
@@ -175,7 +156,8 @@ def sample_perturbation(n, m, rng):
     Every real and imaginary entry is an independent standard normal; the
     stack is then divided once by its joint norm (and once more to absorb
     rounding), making the vectorized stack exactly uniform on the unit
-    sphere.
+    sphere of real dimension 2*n**2*(m+1).  Returns the tuple of read-only
+    coefficients.
     """
     rng = np.random.default_rng(rng)
     raw = [
@@ -185,7 +167,10 @@ def sample_perturbation(n, m, rng):
     for _ in range(2):
         s = joint_norm(raw)
         raw = [c / s for c in raw]
-    return PerturbationSample(tuple(_freeze(c) for c in raw))
+    e = tuple(_freeze(c) for c in raw)
+    if abs(joint_norm(e) - 1.0) > 64 * np.finfo(float).eps:
+        raise ValueError("perturbation sample must have unit joint norm")
+    return e
 
 
 def normal_rank(p, rng=None, samples=3, rank_tol=1e-10):
@@ -208,35 +193,22 @@ def spectral_norm(m):
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-@dataclass(frozen=True)
-class ScalingInfo:
-    """Balancing factors for a quadratic problem.
-
-    ``gamma`` rescales eigenvalues (original = gamma * scaled) and ``omega``
-    rescales coefficients so that the scaled leading and trailing
-    coefficients both have unit 2-norm.
-    """
-
-    gamma: float
-    omega: float
-
-
-def scale_quadratic(m, c, k):
+def scale_quadratic(p):
     """Balance a quadratic so the scaled M and K have unit 2-norm.
 
-    Returns ``(M_s, C_s, K_s, info)`` with ``M_s = omega*gamma**2*M``,
-    ``C_s = omega*gamma*C`` and ``K_s = omega*K`` where
+    ``p`` is the degree-2 polynomial ``lam**2 M + lam C + K``.  Returns
+    ``(balanced, gamma)``, where ``balanced`` has the coefficients
+    ``omega*gamma**2*M``, ``omega*gamma*C`` and ``omega*K`` with
     ``gamma = sqrt(norm2(K)/norm2(M))`` and ``omega = 1/norm2(K)``.
-    Eigenvalues of the original problem are ``gamma`` times those of the
-    scaled one.
+    Eigenvalues of ``p`` are ``gamma`` times those of ``balanced``.
     """
-    m = as_matrix(m, "M")
-    c = as_matrix(c, "C")
-    k = as_matrix(k, "K")
+    if p.degree != 2:
+        raise ValueError(f"balancing needs a quadratic, got degree {p.degree}")
+    k, c, m = p.coeffs
     nm = spectral_norm(m)
     nk = spectral_norm(k)
     if nm == 0.0 or nk == 0.0:
         raise DegenerateProblemError("scaling requires nonzero leading and trailing coefficients")
     gamma = math.sqrt(nk / nm)
     omega = 1.0 / nk
-    return omega * gamma**2 * m, omega * gamma * c, omega * k, ScalingInfo(gamma, omega)
+    return MatrixPolynomial((omega * k, omega * gamma * c, omega * gamma**2 * m)), gamma

@@ -18,6 +18,7 @@ rescaled to the original units.  A pencil is its own linearization.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,10 @@ class SolverConfig:
     seed: object = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.tol <= 1:
+        # written so that NaN fails both tests
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not self.tol > 1:
             raise ValueError("tol must exceed 1")
 
     def with_seed(self, seed):
@@ -117,21 +119,17 @@ def solve_polynomial(p, cfg=None):
     if p.degree not in (1, 2):
         raise ValueError(f"no solver for degree {p.degree}; supported degrees are 1 and 2")
     cfg = cfg or SolverConfig()
-    coeffs, gamma = p.coeffs, 1.0
-    if p.degree == 2:
-        m_s, c_s, k_s, info = scale_quadratic(coeffs[2], coeffs[1], coeffs[0])
-        coeffs, gamma = (k_s, c_s, m_s), info.gamma
+    balanced, gamma = (p, 1.0) if p.degree == 1 else scale_quadratic(p)
     e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
-    perturbed = [a + cfg.epsilon * d for a, d in zip(coeffs, e.coeffs)]
+    perturbed = balanced.perturbed(e, cfg.epsilon)
 
     # (source, pencil A, pencil B, keeps |lam| >= 1, eigenvector recovery)
     if p.degree == 1:
-        routes = [(SOURCE_PENCIL, perturbed[0], -perturbed[1], None, None)]
+        routes = [(SOURCE_PENCIL, perturbed.coeffs[0], -perturbed.coeffs[1], None, None)]
     else:
-        k_p, c_p, m_p = perturbed
         routes = [
-            (SOURCE_C1, *first_companion(m_p, c_p, k_p), True, recover_from_first),
-            (SOURCE_C1HAT, *alternate_companion(m_p, c_p, k_p), False, recover_from_alternate),
+            (SOURCE_C1, *first_companion(perturbed), True, recover_from_first),
+            (SOURCE_C1HAT, *alternate_companion(perturbed), False, recover_from_alternate),
         ]
     out = []
     for source, a, b, large, recover in routes:
@@ -146,12 +144,13 @@ def solve_polynomial(p, cfg=None):
         lam = dec.alphas[finite] / dec.betas[finite]
         x, y = dec.right_vectors[:, finite], dec.left_vectors[:, finite]
         if recover is None:
-            kappa = pencil_condition(-coeffs[1], lam, x, y)
+            kappa = pencil_condition(-balanced.coeffs[1], lam, x, y)
         else:
             keep = (np.abs(lam) >= 1.0) == large
             lam = lam[keep]
             x, y, ok = recover(x[:, keep], y[:, keep])
-            kappa = np.where(ok, quadratic_condition(coeffs[2], coeffs[1], lam, x, y), np.inf)
+            m, c = balanced.coeffs[2], balanced.coeffs[1]
+            kappa = np.where(ok, quadratic_condition(m, c, lam, x, y), np.inf)
         values = gamma * lam
         out += [
             ClassifiedEigenvalue(

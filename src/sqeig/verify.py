@@ -39,7 +39,7 @@ from .matpoly import (
     sample_perturbation,
     scale_quadratic,
 )
-from .solver import SolverConfig, solve_polynomial, solve_singular_quadratic
+from .solver import SolverConfig, solve_polynomial
 
 __all__ = [
     "ExpansionReport",
@@ -214,12 +214,8 @@ def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10
 
 
 def _finite_eigenvalues(poly):
-    if poly.degree == 1:
-        a, b = poly.coeffs[0], -poly.coeffs[1]
-    elif poly.degree == 2:
-        a, b = first_companion(poly.coeffs[2], poly.coeffs[1], poly.coeffs[0])
-    else:
-        raise ValueError("only degrees 1 and 2 are supported")
+    # any degree but 1 reaches first_companion, which rejects all but 2
+    a, b = (poly.coeffs[0], -poly.coeffs[1]) if poly.degree == 1 else first_companion(poly)
     dec = generalized_eig(a, b, want_left=False)
     mask = dec.finite_mask()
     return dec.alphas[mask] / dec.betas[mask]
@@ -241,12 +237,11 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
     prediction recorded; the fitted log-log slope is about 2 when the
     expansion holds.
     """
-    e_coeffs = e.coeffs if hasattr(e, "coeffs") else tuple(e)
-    coeff = first_order_coefficient(poly, lam0, bases.X, bases.x, bases.Y, bases.y, e_coeffs)
+    coeff = first_order_coefficient(poly, lam0, bases.X, bases.x, bases.Y, bases.y, e)
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     remainders = np.empty_like(eps)
     for i, ep in enumerate(eps):
-        lams = _finite_eigenvalues(poly.perturbed(e_coeffs, ep))
+        lams = _finite_eigenvalues(poly.perturbed(e, ep))
         predicted = lam0 - coeff * ep
         lam = lams[np.argmin(np.abs(lams - predicted))]
         remainders[i] = max(abs(lam - predicted), 1e-300)
@@ -277,15 +272,16 @@ class RatioReport:
         return self.gamma_q / self.gamma_c1hat
 
 
-def _companion_inverse_conditions(m, c, k, big_x, x, big_y, y, lam):
-    # reciprocal condition numbers of an eigentriple on the first and the
-    # alternate companion form, with the companions' kernel bases built from
-    # the quadratic's; returns (gamma_c1, beta_c1, gamma_c1hat, beta_c1hat)
+def _companion_inverse_conditions(q, big_x, x, big_y, y, lam):
+    # reciprocal condition numbers of an eigentriple of the quadratic q on
+    # its first and alternate companion forms, with the companions' kernel
+    # bases built from q's; returns (gamma_c1, beta_c1, gamma_c1hat, beta_c1hat)
+    _, c, m = q.coeffs
     x_l = right_kernel_basis(big_x, x, lam)[:, -1]
     _, y_l, beta = left_kernel_basis_first(big_y, y, lam, m, c)
     _, y_lh, beta_hat = left_kernel_basis_alternate(big_y, y, lam, m)
-    c1 = MatrixPolynomial.pencil(*first_companion(m, c, k))
-    c1hat = MatrixPolynomial.pencil(*alternate_companion(m, c, k))
+    c1 = MatrixPolynomial.pencil(*first_companion(q))
+    c1hat = MatrixPolynomial.pencil(*alternate_companion(q))
     gamma_c1 = inverse_condition(c1, lam, x_l, y_l)
     gamma_c1hat = inverse_condition(c1hat, lam, x_l, y_lh)
     return gamma_c1, beta, gamma_c1hat, beta_hat
@@ -297,14 +293,15 @@ def linearization_ratios(instance, lam0):
     ``instance`` must already have unit-norm leading and trailing
     coefficients for the ratio bounds to be meaningful.
     """
+    q = instance.polynomial()
     bases = instance.bases(lam0)
     gamma_c1, beta, gamma_c1hat, beta_hat = _companion_inverse_conditions(
-        instance.M, instance.C, instance.K, bases.X, bases.x, bases.Y, bases.y, lam0
+        q, bases.X, bases.x, bases.Y, bases.y, lam0
     )
     return RatioReport(
         lam0=complex(lam0),
         c_norm=float(np.linalg.norm(instance.C, 2)),
-        gamma_q=inverse_condition(instance.polynomial(), lam0, bases.x, bases.y),
+        gamma_q=inverse_condition(q, lam0, bases.x, bases.y),
         gamma_c1=gamma_c1,
         gamma_c1hat=gamma_c1hat,
         beta_c1=beta,
@@ -321,10 +318,11 @@ def end_to_end_condition_ratios(instance, cfg, match_tol=1e-4):
     the condition number of the same eigentriple on the balanced,
     unperturbed companion form named by ``source``.
     """
-    m_s, c_s, k_s, info = scale_quadratic(instance.M, instance.C, instance.K)
+    q = instance.polynomial()
+    balanced, gamma = scale_quadratic(q)
     empty = np.zeros((instance.n, 0))
     records = []
-    for r in solve_singular_quadratic(instance.M, instance.C, instance.K, cfg):
+    for r in solve_polynomial(q, cfg):
         if not r.accepted:
             continue
         dists = [abs(r.value - ev) for ev in instance.eigenvalues]
@@ -332,7 +330,7 @@ def end_to_end_condition_ratios(instance, cfg, match_tol=1e-4):
         if dists[j] > match_tol * max(1.0, abs(instance.eigenvalues[j])):
             continue
         gamma_c1, _, gamma_c1hat, _ = _companion_inverse_conditions(
-            m_s, c_s, k_s, empty, r.right_vector, empty, r.left_vector, r.value / info.gamma
+            balanced, empty, r.right_vector, empty, r.left_vector, r.value / gamma
         )
         gamma_lin = gamma_c1 if r.source == "C1" else gamma_c1hat
         records.append((r.value, r.source, r.kappa_bar, 1.0 / gamma_lin))
@@ -401,14 +399,14 @@ def spurious_bound_records(m, c, k, cfg, n_runs, truth=(), match_tol=1e-4, rank_
     is recorded.  Quantities are evaluated on the balanced problem, whose
     normal rank is estimated with the relative tolerance ``rank_tol``.
     """
-    m_s, c_s, k_s, info = scale_quadratic(m, c, k)
-    scaled_poly = MatrixPolynomial.quadratic(m_s, c_s, k_s)
+    poly = MatrixPolynomial.quadratic(m, c, k)
+    scaled_poly, gamma = scale_quadratic(poly)
     children = _seed_sequence(cfg.seed).spawn(n_runs)
     rank = normal_rank(scaled_poly, rng=np.random.default_rng(0), rank_tol=rank_tol)
     records = []
     for child in children:
-        for cand in solve_singular_quadratic(m, c, k, cfg.with_seed(child)):
-            lam_scaled = cand.value / info.gamma
+        for cand in solve_polynomial(poly, cfg.with_seed(child)):
+            lam_scaled = cand.value / gamma
             if any(
                 abs(cand.value - t) <= match_tol * max(1.0, abs(t)) for t in truth
             ):

@@ -7,6 +7,7 @@ import pathlib
 
 import jsonschema
 import numpy as np
+import pytest
 
 from sqeig import probfile
 from sqeig.cli import main
@@ -95,6 +96,13 @@ class TestSolve:
         assert "numerical failure" in err
 
 
+    def test_nan_tol_usage_error(self, capsys):
+        # a NaN threshold would reject every candidate and still exit 0
+        code, out, err = _run(capsys, "solve", "--builtin", "ex4", "--tol", "nan")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
 class TestMontecarlo:
     def test_ex2_reports_certain_detection(self, capsys):
         code, out, _ = _run(
@@ -133,6 +141,18 @@ class TestBounds:
         assert "lower bound requires" in doc["note"]
 
 
+    @pytest.mark.parametrize("n,m,r", [(3, -1, 2), (0, 2, 0)], ids=["m-negative", "n-zero"])
+    def test_empty_coefficient_space_usage_error(self, capsys, n, m, r):
+        # N = n**2 * (m + 1) would be zero
+        code, out, err = _run(
+            capsys,
+            "bounds", "--n", str(n), "--m", str(m), "--r", str(r),
+            "--delta", "0.1", "--gamma", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
 class TestDist:
     def test_quadratic_quantile_table(self, capsys):
         code, out, _ = _run(
@@ -162,6 +182,14 @@ class TestDist:
         )
         assert code == 1
         assert "supports" in err
+
+
+    def test_zero_samples_usage_error(self, capsys):
+        code, out, err = _run(
+            capsys, "dist", "--n", "3", "--m", "2", "--r", "2", "--samples", "0"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
 
 class TestSynthPencil:

@@ -38,11 +38,11 @@ def test_chain_zero_eigenvalue():
 
 def test_chain_scaled_keeps_structure():
     inst = chain_quadratic([2.0, 0.5], 4, rng=5)
-    scaled, info = inst.scaled()
+    scaled, gamma = inst.scaled()
     assert abs(np.linalg.norm(scaled.M, 2) - 1.0) <= 1e-12
     assert abs(np.linalg.norm(scaled.K, 2) - 1.0) <= 1e-12
     for lam_orig, lam_scaled in zip(inst.eigenvalues, scaled.eigenvalues):
-        assert abs(lam_orig - info.gamma * lam_scaled) <= 1e-12
+        assert abs(lam_orig - gamma * lam_scaled) <= 1e-12
         _bases_are_kernels(scaled.polynomial(), lam_scaled, scaled.bases(lam_scaled))
 
 

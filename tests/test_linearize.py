@@ -18,6 +18,7 @@ from sqeig.linearize import (
     recover_from_first,
     right_kernel_basis,
 )
+from sqeig.matpoly import MatrixPolynomial
 
 
 def _random_quadratic(rng, n):
@@ -39,12 +40,16 @@ def _det_roots(m, c, k):
 
 class TestCompanionForms:
     def test_scalar_first_companion(self):
-        pa, pb = first_companion(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
+        pa, pb = first_companion(
+            MatrixPolynomial.quadratic(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
+        )
         np.testing.assert_allclose(pa, [[3.0, 5.0], [-1.0, 0.0]])
         np.testing.assert_allclose(pb, [[-2.0, 0.0], [0.0, -1.0]])
 
     def test_scalar_alternate_companion(self):
-        pa, pb = alternate_companion(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
+        pa, pb = alternate_companion(
+            MatrixPolynomial.quadratic(np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]]))
+        )
         np.testing.assert_allclose(pa, [[0.0, 5.0], [-1.0, 0.0]])
         np.testing.assert_allclose(pb, [[-2.0, -3.0], [0.0, -1.0]])
 
@@ -52,7 +57,7 @@ class TestCompanionForms:
     def test_determinant_identity(self, form):
         rng = np.random.default_rng(0)
         m, c, k = _random_quadratic(rng, 3)
-        pa, pb = form(m, c, k)
+        pa, pb = form(MatrixPolynomial.quadratic(m, c, k))
         for _ in range(5):
             lam = rng.standard_normal() + 1j * rng.standard_normal()
             dq = np.linalg.det(lam**2 * m + lam * c + k)
@@ -65,7 +70,7 @@ class TestCompanionForms:
         rng = np.random.default_rng(1)
         n = 4
         m, c, k = _random_quadratic(rng, n)
-        pa, pb = form(m, c, k)
+        pa, pb = form(MatrixPolynomial.quadratic(m, c, k))
         scale = sum(np.linalg.norm(x) for x in (m, c, k))
         for _ in range(10):
             lam = rng.standard_normal() + 1j * rng.standard_normal()
@@ -80,7 +85,7 @@ class TestCompanionForms:
     def test_spectrum_matches_determinant_oracle(self, form):
         rng = np.random.default_rng(2)
         m, c, k = _random_quadratic(rng, 3)
-        pa, pb = form(m, c, k)
+        pa, pb = form(MatrixPolynomial.quadratic(m, c, k))
         dec = generalized_eig(pa, pb, want_left=False)
         assert_multiset_close(
             dec.eigenvalues(), _det_roots(m, c, k), atol=1e-8, rtol=1e-8
@@ -88,7 +93,12 @@ class TestCompanionForms:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            first_companion(np.eye(2), np.eye(3), np.eye(2))
+            first_companion(MatrixPolynomial.quadratic(np.eye(2), np.eye(3), np.eye(2)))
+
+    @pytest.mark.parametrize("form", [first_companion, alternate_companion])
+    def test_rejects_other_degrees(self, form):
+        with pytest.raises(ValueError, match="quadratic"):
+            form(MatrixPolynomial.pencil(np.eye(2), np.eye(2)))
 
 
 class TestRecovery:
@@ -132,7 +142,7 @@ class TestRecovery:
         rng = np.random.default_rng(4)
         for n in (1, 3):
             m, c, k = _random_quadratic(rng, n)
-            pa, pb = form(m, c, k)
+            pa, pb = form(MatrixPolynomial.quadratic(m, c, k))
             dec = generalized_eig(pa, pb)
             j = 0  # largest-modulus finite eigenvalue
             lam = dec.alphas[j] / dec.betas[j]
@@ -158,7 +168,7 @@ class TestRightKernelBasis:
         lam = 0.5
         b = inst.bases(lam)
         cols = right_kernel_basis(b.X, b.x, lam)
-        pa, pb = first_companion(inst.M, inst.C, inst.K)
+        pa, pb = first_companion(inst.polynomial())
         assert np.linalg.norm((pa - lam * pb) @ cols) <= 1e-12
 
     def test_zero_eigenvalue_block_form(self):
@@ -191,7 +201,7 @@ class TestLeftKernelBasis:
         inst = chain_quadratic([1.0, 0.5], 4, rng=6)
         b = inst.bases(lam0)
         y_l_block, y_l, beta = left_kernel_basis_first(b.Y, b.y, lam0, inst.M, inst.C)
-        pa, pb = first_companion(inst.M, inst.C, inst.K)
+        pa, pb = first_companion(inst.polynomial())
         cols = np.column_stack([y_l_block, y_l])
         np.testing.assert_allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-10)
         assert np.linalg.norm(cols.conj().T @ (pa - lam0 * pb)) <= 1e-10
@@ -217,7 +227,7 @@ class TestLeftKernelBasis:
         lam0 = 1.0
         b = inst.bases(lam0)
         y_l_block, y_l, _ = left_kernel_basis_alternate(b.Y, b.y, lam0, inst.M)
-        pa, pb = alternate_companion(inst.M, inst.C, inst.K)
+        pa, pb = alternate_companion(inst.polynomial())
         cols = np.column_stack([y_l_block, y_l])
         assert np.linalg.norm(cols.conj().T @ (pa - lam0 * pb)) <= 1e-10
 
@@ -230,7 +240,7 @@ class TestConditionTransferIdentity:
         b = inst.bases(lam0)
         x_l = right_kernel_basis(b.X, b.x, lam0)[:, -1]
         _, y_l, beta = left_kernel_basis_first(b.Y, b.y, lam0, inst.M, inst.C)
-        pa, pb = first_companion(inst.M, inst.C, inst.K)
+        pa, pb = first_companion(inst.polynomial())
         lhs = (y_l.conj() @ (-pb) @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
         q_prime = inst.polynomial().derivative_at(lam0)
         rhs = b.y.conj() @ q_prime @ b.x
@@ -242,7 +252,7 @@ class TestConditionTransferIdentity:
         b = inst.bases(lam0)
         x_l = right_kernel_basis(b.X, b.x, lam0)[:, -1]
         _, y_l, beta = left_kernel_basis_alternate(b.Y, b.y, lam0, inst.M)
-        pa, pb = alternate_companion(inst.M, inst.C, inst.K)
+        pa, pb = alternate_companion(inst.polynomial())
         lhs = (y_l.conj() @ (-pb) @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
         rhs = b.y.conj() @ inst.polynomial().derivative_at(lam0) @ b.x
         assert abs(lhs - rhs) <= 1e6 * UNIT_ROUNDOFF * max(1.0, abs(rhs))

@@ -106,7 +106,7 @@ class TestJointNorm:
 
     def test_sample_is_normalized(self):
         s = sample_perturbation(3, 2, np.random.default_rng(0))
-        assert abs(s.joint_norm - 1.0) <= 10 * 2 * UNIT_ROUNDOFF
+        assert abs(joint_norm(s) - 1.0) <= 10 * 2 * UNIT_ROUNDOFF
 
 
 class TestSamplePerturbation:
@@ -115,7 +115,7 @@ class TestSamplePerturbation:
         rng = np.random.default_rng(4)
         big_n = n * n * (m + 1)
         vals = np.array(
-            [sample_perturbation(n, m, rng).coeffs[0][0, 0].real for _ in range(draws)]
+            [sample_perturbation(n, m, rng)[0][0, 0].real for _ in range(draws)]
         )
         assert abs(vals.mean()) <= 3.0 / math.sqrt(2 * big_n * draws)
 
@@ -125,7 +125,7 @@ class TestSamplePerturbation:
         rng = np.random.default_rng(5)
         big_n = n * n * (m + 1)
         vals = np.array(
-            [abs(sample_perturbation(n, m, rng).coeffs[1][1, 2]) ** 2 for _ in range(draws)]
+            [abs(sample_perturbation(n, m, rng)[1][1, 2]) ** 2 for _ in range(draws)]
         )
         se = math.sqrt((big_n - 1) / (big_n**2 * (big_n + 1)) / draws)
         assert abs(vals.mean() - 1.0 / big_n) <= 4 * se
@@ -133,15 +133,23 @@ class TestSamplePerturbation:
     def test_deterministic_given_seed(self):
         a = sample_perturbation(3, 1, np.random.default_rng(7))
         b = sample_perturbation(3, 1, np.random.default_rng(7))
-        for x, y in zip(a.coeffs, b.coeffs):
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_plain_read_only_stack(self):
+        e = sample_perturbation(3, 2, np.random.default_rng(1))
+        assert isinstance(e, tuple) and len(e) == 3
+        assert all(c.shape == (3, 3) and not c.flags.writeable for c in e)
+        p = _random_poly(np.random.default_rng(2), 3, 2)
+        for a, b, d in zip(p.perturbed(e, 0.5).coeffs, p.coeffs, e):
+            np.testing.assert_array_equal(a, b + 0.5 * d)
 
     def test_joint_norm_invariant_across_sizes(self):
         rng = np.random.default_rng(8)
         u = 2 * UNIT_ROUNDOFF
         for n, m in ((1, 0), (4, 1), (8, 2), (12, 3)):
             s = sample_perturbation(n, m, rng)
-            assert abs(s.joint_norm - 1.0) <= 10 * u
+            assert abs(joint_norm(s) - 1.0) <= 10 * u
 
 
 class TestNormalRank:
@@ -165,14 +173,18 @@ class TestScaleQuadratic:
     def test_formula_arithmetic(self):
         m = 4.0 * np.eye(2)
         k = np.eye(2)
-        _, _, _, info = scale_quadratic(m, np.eye(2), k)
-        assert math.isclose(info.gamma, 0.5)
-        assert math.isclose(info.omega, 1.0)
+        balanced, gamma = scale_quadratic(MatrixPolynomial.quadratic(m, np.eye(2), k))
+        assert math.isclose(gamma, 0.5)
+        # omega = 1: the balanced K is omega * K
+        np.testing.assert_allclose(balanced.coeffs[0], k, rtol=1e-9)
 
     def test_identity_case(self):
-        ms, cs, ks, info = scale_quadratic(np.eye(3), np.eye(3), np.eye(3))
-        assert math.isclose(info.gamma, 1.0)
-        assert math.isclose(info.omega, 1.0)
+        eye = np.eye(3)
+        balanced, gamma = scale_quadratic(MatrixPolynomial.quadratic(eye, eye, eye))
+        ks, cs, ms = balanced.coeffs
+        assert math.isclose(gamma, 1.0)
+        # omega = 1: the balanced K is omega * K
+        np.testing.assert_allclose(ks, np.eye(3), rtol=1e-9)
         np.testing.assert_allclose(ms, np.eye(3))
 
     def test_unit_norms_posts(self):
@@ -180,15 +192,19 @@ class TestScaleQuadratic:
         m = np.array([[1, 4, 2], [0, 0, 0], [1, 4, 2]], dtype=complex)
         c = np.array([[1, 3, 0], [1, 4, 2], [0, -1, -2]], dtype=complex)
         k = np.array([[1, 2, -2], [0, -1, -2], [0, 0, 0]], dtype=complex)
-        ms, cs, ks, _ = scale_quadratic(m, c, k)
+        ks, cs, ms = scale_quadratic(MatrixPolynomial.quadratic(m, c, k))[0].coeffs
         assert abs(spectral_norm(ms) - 1.0) <= 10 * 2 * UNIT_ROUNDOFF
         assert abs(spectral_norm(ks) - 1.0) <= 10 * 2 * UNIT_ROUNDOFF
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateProblemError):
-            scale_quadratic(np.zeros((2, 2)), np.eye(2), np.eye(2))
+            scale_quadratic(MatrixPolynomial.quadratic(np.zeros((2, 2)), np.eye(2), np.eye(2)))
         with pytest.raises(DegenerateProblemError):
-            scale_quadratic(np.eye(2), np.eye(2), np.zeros((2, 2)))
+            scale_quadratic(MatrixPolynomial.quadratic(np.eye(2), np.eye(2), np.zeros((2, 2))))
+
+    def test_rejects_other_degrees(self):
+        with pytest.raises(ValueError, match="quadratic"):
+            scale_quadratic(MatrixPolynomial.pencil(np.eye(2), np.eye(2)))
 
     def test_eigenvalue_rescaling_consistency(self):
         # eigenvalues of the scaled problem times gamma match the originals
@@ -199,12 +215,13 @@ class TestScaleQuadratic:
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             k = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            ms, cs, ks, info = scale_quadratic(m, c, k)
-            a0, b0 = first_companion(m, c, k)
-            a1, b1 = first_companion(ms, cs, ks)
+            q = MatrixPolynomial.quadratic(m, c, k)
+            balanced, gamma = scale_quadratic(q)
+            a0, b0 = first_companion(q)
+            a1, b1 = first_companion(balanced)
             lam0 = generalized_eig(a0, b0, want_left=False).eigenvalues()
             lam1 = generalized_eig(a1, b1, want_left=False).eigenvalues()
-            assert_multiset_close(lam0, info.gamma * lam1, rtol=1e6 * UNIT_ROUNDOFF)
+            assert_multiset_close(lam0, gamma * lam1, rtol=1e6 * UNIT_ROUNDOFF)
 
 
 class TestPadding:

@@ -28,6 +28,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"epsilon": -1e-8},
+            {"tol": math.nan},
+            {"tol": 0.5},
+        ],
+        ids=["eps-nan", "eps-inf", "eps-negative", "tol-nan", "tol-below-one"],
+    )
+    def test_rejects_invalid_values(self, kwargs):
+        # NaN compares false with everything, so it must fail the checks
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
     def test_with_seed(self):
         cfg = SolverConfig(seed=1).with_seed(2)
         assert cfg.seed == 2
@@ -124,10 +140,10 @@ class TestQuadraticSolver:
         m = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1]], dtype=float)
         c = np.array([[1, -1, 0], [0, 1, -2], [1, 0, -2]], dtype=float)
         k = np.array([[-1, 0, 0], [0, -2, 0], [-1, -2, 0]], dtype=float)
-        _, _, _, info = scale_quadratic(m, c, k)
+        _, gamma = scale_quadratic(MatrixPolynomial.quadratic(m, c, k))
         res = solve_singular_quadratic(m, c, k, SolverConfig(seed=11))
         for r in res:
-            lam_scaled = abs(r.value) / info.gamma
+            lam_scaled = abs(r.value) / gamma
             if r.source == "C1":
                 assert lam_scaled >= 1.0 - 1e-12
             else:
@@ -217,8 +233,7 @@ class TestReferenceCondition:
         for seed in range(3):
             p, _ = builtin(name, seed=seed)
             if p.degree == 2:
-                m_s, c_s, k_s, info = scale_quadratic(p.coeffs[2], p.coeffs[1], p.coeffs[0])
-                balanced, gamma = MatrixPolynomial.quadratic(m_s, c_s, k_s), info.gamma
+                balanced, gamma = scale_quadratic(p)
             else:
                 balanced, gamma = p, 1.0
             cfg = SolverConfig(seed=seed)
@@ -233,3 +248,65 @@ class TestReferenceCondition:
                     root = math.sqrt(sum(abs(lam) ** (2 * j) for j in range(p.degree + 1)))
                     direct = root / abs(y.conj() @ balanced.derivative_at(lam) @ x)
                     assert abs(r.kappa_bar - direct) <= 1e-10 * direct, (seed, r.value)
+
+
+# every candidate with kappa_bar <= 1e8 at seed 0 (problem and solver), as
+# (value, kappa_bar, accepted), recorded from the code before the coefficient
+# stacks were unified behind MatrixPolynomial
+PINNED_OUTPUTS = {
+    "ex1": [((1.0000000434118246 - 5.173132097913744e-08j), 106.510491789663, True)],
+    "ex4": [
+        ((2.0000000186413973 + 2.3405237419819896e-08j), 21.133009722713, True),
+        ((0.9999999988322894 + 8.071585705977534e-09j), 3.24039162463708, True),
+    ],
+    "ex8": [
+        ((7.999999999245423 + 1.6998452526683548e-08j), 13.6508263136583, True),
+        ((7.000000046904325 - 3.661762859313296e-08j), 60.0788450078949, True),
+        ((5.999997274675002 + 5.235892822347116e-06j), 5156.08575812508, True),
+        ((4.999999963021659 - 2.4239149570871876e-09j), 83.4293671315225, True),
+        ((4.000000283727804 + 4.4956814668158514e-07j), 1557.4213769456, True),
+        ((3.000000087440227 + 1.9155935459718553e-07j), 472.892268117183, True),
+        ((2.000000169250038 + 2.1501162155809656e-08j), 174.633377269967, True),
+    ],
+    "ex10": [
+        ((1.9999998068977078 - 8.227361753390186e-08j), 322.878789199262, True),
+        ((1.0000001240504002 - 1.9372893070707485e-08j), 168.383709516921, True),
+    ],
+    "kagstrom2x2": [
+        ((2.0000000195645535 + 2.9781959925202404e-08j), 9.15852020907065, True),
+        ((0.999999998212818 - 1.37282737321534e-08j), 4.00242851857558, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_outputs_pinned(name):
+    p, _ = builtin(name, seed=0)
+    got = [r for r in solve_polynomial(p, SolverConfig(seed=0)) if r.kappa_bar <= 1e8]
+    want = PINNED_OUTPUTS[name]
+    assert len(got) == len(want)
+    for r, (value, kappa, accepted) in zip(got, want):
+        assert abs(r.value - value) <= 1e-12 * abs(value)
+        assert math.isclose(r.kappa_bar, kappa, rel_tol=1e-12)
+        assert r.accepted == accepted
+
+
+def test_quadratic_solve_checks_each_matrix_once(monkeypatch):
+    # input checks run where a matrix enters the pipeline: the balanced and
+    # the perturbed polynomial (3 coefficients each), the two spectral norms,
+    # and the two QZ and two condition calls (2 matrices each)
+    from sqeig import condition, densela, linearize, matpoly
+
+    calls = []
+
+    def counting(a, name="matrix"):
+        calls.append(name)
+        return densela_as_matrix(a, name)
+
+    densela_as_matrix = densela.as_matrix
+    for module in (condition, densela, linearize, matpoly):
+        monkeypatch.setattr(module, "as_matrix", counting)
+    p, _ = builtin("ex4", seed=0)
+    calls.clear()
+    solve_polynomial(p, SolverConfig(seed=0))
+    assert len(calls) <= 16
