@@ -14,12 +14,10 @@ on.
 
 from .condition import (
     BadDirectionError,
-    ConditionEstimate,
     LimitPencil,
     WeakConditionBounds,
     beta_ratio_lower_tail_bound,
     directional_sensitivity,
-    estimate_condition,
     first_order_coefficient,
     inverse_condition,
     limit_pencil,
@@ -34,7 +32,6 @@ from .condition import (
     weak_condition_upper,
 )
 from .construct import (
-    KernelBases,
     SingularPencil,
     SingularQuadratic,
     chain_quadratic,
@@ -61,6 +58,7 @@ from .linearize import (
     right_kernel_basis,
 )
 from .matpoly import (
+    KernelBases,
     MatrixPolynomial,
     TruthSpec,
     joint_norm,

@@ -29,12 +29,10 @@ from .matpoly import joint_norm
 
 __all__ = [
     "BadDirectionError",
-    "ConditionEstimate",
     "LimitPencil",
     "WeakConditionBounds",
     "beta_ratio_lower_tail_bound",
     "directional_sensitivity",
-    "estimate_condition",
     "first_order_coefficient",
     "inverse_condition",
     "limit_pencil",
@@ -112,19 +110,12 @@ def quadratic_condition(m, c, lam, x, y):
     return _condition((None, as_matrix(c, "C"), as_matrix(m, "M")), lam, x, y)
 
 
-def _stack_bases(big, single):
-    single = np.asarray(single, dtype=complex).reshape(-1, 1)
-    if big is None or np.size(big) == 0:
-        return single
-    return np.hstack([np.asarray(big, dtype=complex), single])
-
-
-def _projected_perturbation(p, lam, big_x, x, big_y, y, e):
+def _projected_perturbation(p, lam, bases, e):
     e_lam = np.zeros((p.n, p.n), dtype=complex)
     for j, c in enumerate(e):
         e_lam = e_lam + (lam**j) * c
-    xs = _stack_bases(big_x, x)
-    ys = _stack_bases(big_y, y)
+    xs = np.column_stack([bases.X, bases.x])
+    ys = np.column_stack([bases.Y, bases.y])
     return ys.conj().T @ e_lam @ xs, xs, ys
 
 
@@ -137,43 +128,40 @@ def _check_direction(g, what):
             raise BadDirectionError(f"perturbation direction leaves {what} numerically singular")
 
 
-def _first_order_terms(p, lam, big_x, x, big_y, y, e):
+def _first_order_terms(p, lam, bases, e):
     # (phase, log magnitude, y* P'(lam) x) with c = phase * exp(log) / anchor
-    g, _, _ = _projected_perturbation(p, lam, big_x, x, big_y, y, e)
+    g, _, _ = _projected_perturbation(p, lam, bases, e)
     _check_direction(g[:-1, :-1], "the inner block")
     sign_full, ld_full = np.linalg.slogdet(g)
     sign_inner, ld_inner = np.linalg.slogdet(g[:-1, :-1])
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    anchor = complex(y.conj() @ p.derivative_at(lam) @ x)
+    anchor = complex(bases.y.conj() @ p.derivative_at(lam) @ bases.x)
     return complex(sign_full / sign_inner), ld_full - ld_inner, anchor
 
 
-def first_order_coefficient(p, lam, big_x, x, big_y, y, e):
+def first_order_coefficient(p, lam, bases, e):
     """Signed first-order coefficient c of ``lam(eps) = lam - c*eps + O(eps**2)``.
 
-    ``[big_x, x]`` and ``[big_y, y]`` are orthonormal kernel bases at the
-    simple eigenvalue ``lam`` whose leading blocks span the right/left
-    singular spaces, and ``e`` is a perturbation stack.  With G the
+    ``bases`` is the ``KernelBases`` ``[X x]``, ``[Y y]`` at the simple
+    eigenvalue ``lam`` and ``e`` a perturbation stack.  With G the
     kernel-projected perturbation, ``c = det(G) / (det(G11) * y* P'(lam) x)``
     where G11 drops the last row and column; the determinants are evaluated
     in log-magnitude form so the ratio survives large kernel dimensions.
     c is infinite where ``y* P'(lam) x`` vanishes.
     """
-    phase, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e)
+    phase, log_mag, anchor = _first_order_terms(p, lam, bases, e)
     if anchor == 0.0:
         return complex(math.inf)
     return phase * math.exp(log_mag) / anchor
 
 
-def directional_sensitivity(p, lam, big_x, x, big_y, y, e):
+def directional_sensitivity(p, lam, bases, e):
     """First-order eigenvalue movement per unit perturbation size.
 
     ``|first_order_coefficient| / joint_norm(e)``, with the arguments of
     ``first_order_coefficient``; the modulus is formed from the log
     magnitudes without the phase.
     """
-    _, log_mag, anchor = _first_order_terms(p, lam, big_x, x, big_y, y, e)
+    _, log_mag, anchor = _first_order_terms(p, lam, bases, e)
     if anchor == 0.0:
         return math.inf
     return math.exp(log_mag) / (joint_norm(e) * abs(anchor))
@@ -206,14 +194,14 @@ class LimitPencil:
         return float(abs(self.b[-1]))
 
 
-def limit_pencil(p, lam, big_x, x, big_y, y, e):
+def limit_pencil(p, lam, bases, e):
     """Compute the limit pencil and its distinguished eigenvector pair.
 
     The pair is the one whose eigenvectors have a nonzero last component;
     in closed form ``a = G^{-*} e_last / ||.||`` and
     ``b = G^{-1} e_last / ||.||``.
     """
-    g, xs, ys = _projected_perturbation(p, lam, big_x, x, big_y, y, e)
+    g, xs, ys = _projected_perturbation(p, lam, bases, e)
     _check_direction(g, "the projected perturbation block")
     d = ys.conj().T @ p.derivative_at(lam) @ xs
     e_last = np.zeros(g.shape[0], dtype=complex)
@@ -221,34 +209,6 @@ def limit_pencil(p, lam, big_x, x, big_y, y, e):
     a = np.linalg.solve(g.conj().T, e_last)
     b = np.linalg.solve(g, e_last)
     return LimitPencil(G=g, D=d, a=a / np.linalg.norm(a), b=b / np.linalg.norm(b))
-
-
-@dataclass(frozen=True)
-class ConditionEstimate:
-    """Condition statistic of a computed eigenvalue.
-
-    ``gamma_bar`` is the perturbed-eigenvector analogue of the reciprocal
-    condition number (never exceeding the unperturbed one) and ``kappa_bar``
-    its reciprocal, +inf when ``gamma_bar`` vanishes.
-    """
-
-    eigenvalue: complex
-    gamma_bar: float
-    kappa_bar: float
-
-
-def estimate_condition(p, lam, big_x, x, big_y, y, e):
-    """Condition estimate a random perturbation ``e`` would produce at ``lam``.
-
-    Uses the limit-pencil eigenvector pair, for which the estimate factors
-    exactly as inv_cond times the product of the pair's last-component
-    moduli; hence ``gamma_bar <= inverse_condition`` always.
-    """
-    lp = limit_pencil(p, lam, big_x, x, big_y, y, e)
-    gamma = inverse_condition(p, lam, x, y)
-    gamma_bar = gamma * lp.left_weight * lp.right_weight
-    kappa = math.inf if gamma_bar == 0.0 else 1.0 / gamma_bar
-    return ConditionEstimate(eigenvalue=lam, gamma_bar=gamma_bar, kappa_bar=kappa)
 
 
 def sensitivity_tail(t, inv_cond, big_n, n, r):

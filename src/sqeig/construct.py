@@ -12,19 +12,21 @@ rows and optionally conjugated with random orthonormal factors:
 * ``diagonal_pencil``: diagonal pencil entries ``lam - lam_i`` padded with
   zero rows.
 
-Every instance records orthonormal bases ``[X x]`` / ``[Y y]`` of the
-kernels at each designed eigenvalue, with the leading blocks spanning the
-right/left singular spaces, transformed consistently with the conjugation.
+Every instance builds, on request through ``bases(lam)``, orthonormal bases
+``[X x]`` / ``[Y y]`` of the kernels at a designed eigenvalue, with the
+leading blocks spanning the right/left singular spaces, transformed
+consistently with the conjugation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matpoly import MatrixPolynomial, scale_quadratic
+from .matpoly import KernelBases, MatrixPolynomial, scale_quadratic
 
 __all__ = [
     "KernelBases",
@@ -46,54 +48,55 @@ def random_orthonormal(n, rng, uniform=False):
     return q * np.sign(np.diag(r))
 
 
-@dataclass(frozen=True)
-class KernelBases:
-    """Orthonormal kernel bases at a simple eigenvalue.
-
-    ``[X x]`` spans the right kernel with ``X`` spanning the right singular
-    space; ``[Y y]`` likewise on the left.
-    """
-
-    X: np.ndarray
-    x: np.ndarray
-    Y: np.ndarray
-    y: np.ndarray
-
-
 def _orthonormalize_against(v, basis):
-    if basis.size:
-        v = v - basis @ (basis.conj().T @ v)
+    v = v - basis @ (basis.conj().T @ v)
     nv = np.linalg.norm(v)
     if nv < 1e-10:
         raise ValueError("eigenvector direction collapsed onto the singular space")
     return v / nv
 
 
-def random_conjugation(mats, rng, uniform=False, bases=()):
+def random_conjugation(mats, rng, uniform=False):
     """Conjugate each matrix as ``U.T @ m @ V`` with random orthonormal U, V.
 
-    U, then V, is drawn from ``rng`` by ``random_orthonormal``.  Kernel
-    ``bases`` of the unconjugated problem are mapped to the conjugated one:
-    right vectors through V^T, left vectors through U^T.  Returns the
-    tuples ``(matrices, bases)``.
+    U, then V, is drawn from ``rng`` by ``random_orthonormal``.  Returns
+    ``(matrices, (U, V))``; kernel vectors of the unconjugated problem map
+    to the conjugated one through V^T on the right and U^T on the left.
     """
     rng = np.random.default_rng(rng)
     n = mats[0].shape[0]
     u = random_orthonormal(n, rng, uniform)
     v = random_orthonormal(n, rng, uniform)
-    mats = tuple(u.T @ m @ v for m in mats)
-    bases = tuple(KernelBases(X=v.T @ b.X, x=v.T @ b.x, Y=u.T @ b.Y, y=u.T @ b.y) for b in bases)
-    return mats, bases
+    return tuple(u.T @ m @ v for m in mats), (u, v)
 
 
+def _conjugated(mats, rng, rotate):
+    return random_conjugation(mats, rng) if rotate else (mats, None)
+
+
+@dataclass(frozen=True)
 class _DesignedSpectrum:
-    """Kernel-basis lookup of an instance with ``eigenvalues`` and ``kernel_bases``."""
+    """Designed eigenvalues and normal rank, with kernel bases on request.
+
+    ``conjugation`` is the ``(U, V)`` pair of ``random_conjugation``, or
+    None; ``index_bases(i)`` builds the unconjugated bases at eigenvalue i.
+    """
+
+    eigenvalues: tuple
+    normal_rank: int
+    conjugation: tuple | None
+    index_bases: Callable[[int], KernelBases]
 
     def bases(self, lam0):
+        """Orthonormal ``KernelBases`` at the designed eigenvalue ``lam0``."""
         i = int(np.argmin([abs(lam0 - ev) for ev in self.eigenvalues]))
         if abs(self.eigenvalues[i] - lam0) > 1e-12 * max(1.0, abs(lam0)):
             raise ValueError(f"{lam0} is not a designed eigenvalue of this instance")
-        return self.kernel_bases[i]
+        b = self.index_bases(i)
+        if self.conjugation is None:
+            return b
+        u, v = self.conjugation
+        return KernelBases(X=v.T @ b.X, x=v.T @ b.x, Y=u.T @ b.Y, y=u.T @ b.y)
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,6 @@ class SingularQuadratic(_DesignedSpectrum):
     M: np.ndarray
     C: np.ndarray
     K: np.ndarray
-    eigenvalues: tuple
-    normal_rank: int
-    kernel_bases: tuple
 
     @property
     def n(self):
@@ -132,9 +132,6 @@ class SingularPencil(_DesignedSpectrum):
 
     A: np.ndarray
     B: np.ndarray
-    eigenvalues: tuple
-    normal_rank: int
-    kernel_bases: tuple
 
     @property
     def n(self):
@@ -169,12 +166,21 @@ def _chain_bases(eigenvalues, n, i0):
         chain[j] = (-1.0) ** j * lam0 ** (k - j)
     chain /= np.linalg.norm(chain)
     consts = np.eye(n, dtype=complex)[:, k + 1 :]
-    big_x = np.column_stack([chain, consts]) if consts.size else chain.reshape(-1, 1)
-    # ... and the eigenvector from the chain truncated at the broken row
+    big_x = np.column_stack([chain, consts])
+    # ... and the eigenvector from the chain truncated at the broken row, which
+    # is parallel to the chain's head (rows <= i0): the shorter of head and tail
+    # stays clear of the chain in rounding, so that one is orthonormalized,
+    # keeping the phase of the truncation
     top = np.zeros(n, dtype=complex)
     for j in range(i0 + 1):
         top[j] = (-lam0) ** (i0 - j)
-    x = _orthonormalize_against(top, big_x)
+    tail = np.where(np.arange(n) > i0, chain, 0.0)
+    if np.linalg.norm(chain[: i0 + 1]) <= np.linalg.norm(tail):
+        x = _orthonormalize_against(top, big_x)
+    else:
+        x = _orthonormalize_against(tail / np.linalg.norm(tail), big_x)
+        phase = np.vdot(x, top)
+        x = x * (phase / abs(phase))
     # left kernel: zero rows are constant left null directions, e_{i0} joins at lam0
     big_y = np.eye(n, dtype=complex)[:, k:]
     y = np.zeros(n, dtype=complex)
@@ -192,17 +198,15 @@ def chain_quadratic(eigenvalues, n, rng=None, rotate=True):
     eigenvalues = tuple(complex(ev) for ev in eigenvalues)
     if len(set(eigenvalues)) != len(eigenvalues):
         raise ValueError("designed eigenvalues must be distinct")
-    m, c, kk = chain_coefficients(eigenvalues, n)
-    bases = tuple(_chain_bases(eigenvalues, n, i) for i in range(len(eigenvalues)))
-    if rotate:
-        (m, c, kk), bases = random_conjugation((m, c, kk), rng, bases=bases)
+    (m, c, kk), conj = _conjugated(chain_coefficients(eigenvalues, n), rng, rotate)
     return SingularQuadratic(
         M=m,
         C=c,
         K=kk,
         eigenvalues=eigenvalues,
         normal_rank=len(eigenvalues),
-        kernel_bases=bases,
+        conjugation=conj,
+        index_bases=lambda i: _chain_bases(eigenvalues, n, i),
     )
 
 
@@ -229,24 +233,20 @@ def diagonal_quadratic(root_pairs, n, rng=None, rotate=True):
     m = np.zeros((n, n), dtype=complex)
     c = np.zeros((n, n), dtype=complex)
     kk = np.zeros((n, n), dtype=complex)
-    eigenvalues = []
-    bases = []
     for i, (a, b) in enumerate(root_pairs):
         m[i, i] = 1.0
         c[i, i] = -(a + b)
         kk[i, i] = a * b
-        for root in (a, b):
-            eigenvalues.append(root)
-            bases.append(_axis_bases(n, k, i))
-    if rotate:
-        (m, c, kk), bases = random_conjugation((m, c, kk), rng, bases=bases)
+    (m, c, kk), conj = _conjugated((m, c, kk), rng, rotate)
     return SingularQuadratic(
         M=m,
         C=c,
         K=kk,
-        eigenvalues=tuple(eigenvalues),
+        eigenvalues=tuple(roots),
         normal_rank=k,
-        kernel_bases=tuple(bases),
+        conjugation=conj,
+        # eigenvalues 2i and 2i+1 are the roots of diagonal entry i
+        index_bases=lambda j: _axis_bases(n, k, j // 2),
     )
 
 
@@ -263,10 +263,13 @@ def diagonal_pencil(eigenvalues, n, rng=None, rotate=True):
     for i, lam in enumerate(eigenvalues):
         a[i, i] = lam
         b[i, i] = 1.0
-    bases = tuple(_axis_bases(n, k, i) for i in range(k))
-    if rotate:
-        # pencil value is A - lam*B, conjugated the same way as the quadratic
-        (a, b), bases = random_conjugation((a, b), rng, bases=bases)
+    # pencil value is A - lam*B, conjugated the same way as the quadratic
+    (a, b), conj = _conjugated((a, b), rng, rotate)
     return SingularPencil(
-        A=a, B=b, eigenvalues=eigenvalues, normal_rank=k, kernel_bases=bases
+        A=a,
+        B=b,
+        eigenvalues=eigenvalues,
+        normal_rank=k,
+        conjugation=conj,
+        index_bases=lambda i: _axis_bases(n, k, i),
     )

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .densela import as_matrix
-
 __all__ = [
     "KernelDegenerateError",
     "alternate_companion",
@@ -106,26 +104,14 @@ def recover_from_alternate(v, w):
     return _recover(v, w, right_on_top=False)
 
 
-def _check_orthonormal(cols, what):
-    if cols.size == 0:
-        return
-    gram = cols.conj().T @ cols
-    if np.linalg.norm(gram - np.eye(gram.shape[0])) > 1e-6:
-        raise ValueError(f"{what} must have orthonormal columns")
-
-
-def right_kernel_basis(big_x, x, lam):
+def right_kernel_basis(lam, bases):
     """Orthonormal kernel basis of a companion linearization at ``lam``.
 
-    Given an orthonormal basis ``[big_x, x]`` of the quadratic's kernel at a
-    simple eigenvalue (with ``big_x`` spanning the right singular space),
-    returns ``[[lam*big_x, lam*x], [big_x, x]] / sqrt(1 + |lam|**2)``.  The
-    same construction is a kernel basis for both companion forms.
+    Given the ``KernelBases`` of the quadratic at a simple eigenvalue, with
+    right basis ``[X x]``, returns ``[[lam*X, lam*x], [X, x]] / sqrt(1 + |lam|**2)``.
+    The same construction is a kernel basis for both companion forms.
     """
-    big_x = as_matrix(big_x, "X") if np.size(big_x) else np.zeros((x.size, 0), dtype=complex)
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    stack = np.column_stack([big_x, x])
-    _check_orthonormal(stack, "[X x]")
+    stack = np.column_stack([bases.X, bases.x])
     scale = 1.0 / math.sqrt(1.0 + abs(lam) ** 2)
     return scale * np.vstack([lam * stack, stack])
 
@@ -138,48 +124,36 @@ def _inv_sqrt_hermitian(g):
     return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
-def _left_kernel_from_map(big_y, y, w_map):
-    big_y = as_matrix(big_y, "Y") if np.size(big_y) else np.zeros((y.size, 0), dtype=complex)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    _check_orthonormal(np.column_stack([big_y, y]), "[Y y]")
-    d = big_y.shape[1]
-    yt = np.concatenate([y, w_map @ y])
-    if d:
-        tall = np.vstack([big_y, w_map @ big_y])
-        s = _inv_sqrt_hermitian(tall.conj().T @ tall)
-        y_l_block = tall @ s
-        proj = yt - y_l_block @ (y_l_block.conj().T @ yt)
-    else:
-        y_l_block = np.zeros((yt.size, 0), dtype=complex)
-        proj = yt
+def _left_kernel_from_map(bases, w_map):
+    yt = np.concatenate([bases.y, w_map @ bases.y])
+    tall = np.vstack([bases.Y, w_map @ bases.Y])
+    y_l_block = tall @ _inv_sqrt_hermitian(tall.conj().T @ tall)
+    proj = yt - y_l_block @ (y_l_block.conj().T @ yt)
     beta = float(np.linalg.norm(proj))
     if beta < 1e-12:
         raise KernelDegenerateError("projected left eigenvector vanished; eigenvalue not simple?")
     return y_l_block, proj / beta, beta
 
 
-def left_kernel_basis_first(big_y, y, lam, m, c):
+def left_kernel_basis_first(q, lam, bases):
     """Orthonormal left-kernel basis of the first companion form at ``lam``.
 
-    Given an orthonormal basis ``[big_y, y]`` of the quadratic's left kernel,
-    stacks each column v into ``[v, (lam*M + C)* v]``, orthonormalizes the
-    singular-space block with an inverse matrix square root and the
-    eigenvector column by projection.  Returns ``(Y_L, y_L, beta)`` where
-    ``beta`` is the norm of the projected eigenvector column before
-    normalization.
+    ``q`` is the quadratic ``lam**2 M + lam C + K`` and ``bases`` its
+    ``KernelBases`` at ``lam``.  Stacks each column v of ``[Y y]`` into
+    ``[v, (lam*M + C)* v]``, orthonormalizes the singular-space block with
+    an inverse matrix square root and the eigenvector column by projection.
+    Returns ``(Y_L, y_L, beta)`` where ``beta`` is the norm of the projected
+    eigenvector column before normalization.
     """
-    m = as_matrix(m, "M")
-    c = as_matrix(c, "C")
-    w_map = (lam * m + c).conj().T
-    return _left_kernel_from_map(big_y, y, w_map)
+    _, c, m = q.coeffs
+    return _left_kernel_from_map(bases, (lam * m + c).conj().T)
 
 
-def left_kernel_basis_alternate(big_y, y, lam, m):
+def left_kernel_basis_alternate(q, lam, bases):
     """Left-kernel basis of the alternate companion form at ``lam``.
 
     Same construction as for the first companion form with the map
     ``v -> [v, conj(lam) * M* v]``.
     """
-    m = as_matrix(m, "M")
-    w_map = np.conj(lam) * m.conj().T
-    return _left_kernel_from_map(big_y, y, w_map)
+    m = q.coeffs[2]
+    return _left_kernel_from_map(bases, np.conj(lam) * m.conj().T)

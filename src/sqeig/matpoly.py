@@ -4,8 +4,9 @@ A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
 ascending powers.  The module provides evaluation, derivative, reversal,
 the joint Frobenius norm of a coefficient stack, normalized random
 perturbation sampling, probabilistic normal-rank estimation, the
-two-norm scaling used to balance quadratic problems, and the known-truth
-record of benchmark problems.
+two-norm scaling used to balance quadratic problems, the orthonormal
+kernel bases at an eigenvalue, and the known-truth record of benchmark
+problems.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from .densela import as_matrix, rank_with_tol
 
 __all__ = [
     "DegenerateProblemError",
+    "KernelBases",
+    "MATCH_TOL",
     "MatrixPolynomial",
+    "RANK_TOL",
     "TruthSpec",
     "joint_norm",
     "normal_rank",
@@ -28,6 +32,12 @@ __all__ = [
     "scale_quadratic",
     "spectral_norm",
 ]
+
+
+#: relative singular-value cutoff of every numerical rank decision
+RANK_TOL = 1e-10
+#: relative tolerance for matching a computed eigenvalue to a known one
+MATCH_TOL = 1e-4
 
 
 class DegenerateProblemError(ValueError):
@@ -44,7 +54,7 @@ class TruthSpec:
     """
 
     finite_eigenvalues: tuple
-    match_tol: float = 1e-4
+    match_tol: float = MATCH_TOL
 
     def __post_init__(self):
         evs = tuple(complex(v) for v in self.finite_eigenvalues)
@@ -104,7 +114,7 @@ class MatrixPolynomial:
     @classmethod
     def pencil(cls, a, b):
         """Build the linear polynomial ``A - lam B``."""
-        return cls((a, -as_matrix(b, "B")))
+        return cls((a, -np.asarray(b, dtype=complex)))
 
     @property
     def n(self):
@@ -145,6 +155,37 @@ class MatrixPolynomial:
         return MatrixPolynomial(tuple(a + epsilon * d for a, d in zip(self.coeffs, e)))
 
 
+@dataclass(frozen=True)
+class KernelBases:
+    """Orthonormal kernel bases at a simple eigenvalue.
+
+    ``[X x]`` spans the right kernel with ``X`` spanning the right singular
+    space; ``[Y y]`` likewise on the left.  ``X`` and ``Y`` are stored as
+    read-only complex (n, d) arrays, with d = 0 for None or an empty array,
+    and ``x`` and ``y`` as complex (n,) vectors.  Raises ValueError unless
+    ``[X x]`` and ``[Y y]`` have the same shape and orthonormal columns.
+    """
+
+    X: np.ndarray
+    x: np.ndarray
+    Y: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        for big, single in (("X", "x"), ("Y", "y")):
+            vec = np.asarray(getattr(self, single), dtype=complex).reshape(-1)
+            block = getattr(self, big)
+            if block is None or np.size(block) == 0:
+                block = np.zeros((vec.size, 0))
+            stack = np.column_stack([block, vec])
+            if np.linalg.norm(stack.conj().T @ stack - np.eye(stack.shape[1])) > 1e-6:
+                raise ValueError(f"[{big} {single}] must have orthonormal columns")
+            object.__setattr__(self, big, _freeze(stack[:, :-1]))
+            object.__setattr__(self, single, _freeze(stack[:, -1]))
+        if self.X.shape != self.Y.shape:
+            raise ValueError(f"[X x] and [Y y] differ in shape: X {self.X.shape}, Y {self.Y.shape}")
+
+
 def joint_norm(coeffs):
     """Frobenius norm of the stacked coefficients ``[E_0 E_1 ... E_m]``."""
     return math.sqrt(sum(float(np.linalg.norm(c, "fro")) ** 2 for c in coeffs))
@@ -173,18 +214,18 @@ def sample_perturbation(n, m, rng):
     return e
 
 
-def normal_rank(p, rng=None, samples=3, rank_tol=1e-10):
+def normal_rank(p, rng=None):
     """Estimate the normal rank of ``p`` (the maximal rank over all lam).
 
-    The rank is evaluated at ``samples`` points drawn uniformly on the unit
+    The rank is evaluated at three points drawn uniformly on the unit
     circle, which avoids the finitely many rank-dropping points almost
     surely; the maximum observed rank is returned.
     """
     rng = np.random.default_rng(rng)
     best = 0
-    for _ in range(samples):
+    for _ in range(3):
         mu = np.exp(2j * np.pi * rng.random())
-        best = max(best, rank_with_tol(p.evaluate(mu), rank_tol))
+        best = max(best, rank_with_tol(p.evaluate(mu), RANK_TOL))
     return best
 
 

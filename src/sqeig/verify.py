@@ -22,6 +22,7 @@ from .condition import (
     first_order_coefficient,
     inverse_condition,
     limit_pencil,
+    pencil_condition,
     spurious_condition_bound,
 )
 from .densela import generalized_eig, nullspace_basis, svd
@@ -33,6 +34,9 @@ from .linearize import (
     right_kernel_basis,
 )
 from .matpoly import (
+    MATCH_TOL,
+    RANK_TOL,
+    KernelBases,
     MatrixPolynomial,
     TruthSpec,
     normal_rank,
@@ -61,6 +65,10 @@ __all__ = [
     "spurious_bound_records",
     "subspace_angle",
 ]
+
+
+#: redraws allowed per sampling call for directions raising BadDirectionError
+MAX_RETRIES = 100
 
 
 class ProbeFailureError(RuntimeError):
@@ -155,31 +163,30 @@ def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     return TrialReport(n_t=n_t, n_s=n_s, trials=tuple(outcomes) if keep_trials else None)
 
 
-def _per_direction(statistic, poly, lam0, bases, n_samples, rng, max_retries):
-    # statistic(poly, lam0, X, x, Y, y, e) for n_samples independent uniform
+def _per_direction(statistic, poly, lam0, bases, n_samples, rng):
+    # statistic(poly, lam0, bases, e) for n_samples independent uniform
     # directions e; a direction raising BadDirectionError is redrawn, at most
-    # max_retries times over the whole call
+    # MAX_RETRIES times over the whole call
     out = []
     bad = 0
     while len(out) < n_samples:
         e = sample_perturbation(poly.n, poly.degree, rng)
         try:
-            out.append(statistic(poly, lam0, bases.X, bases.x, bases.Y, bases.y, e))
+            out.append(statistic(poly, lam0, bases, e))
         except BadDirectionError:
             bad += 1
-            if bad > max_retries:
+            if bad > MAX_RETRIES:
                 raise
     return out
 
 
-def sensitivity_samples(poly, lam0, bases, n_samples, rng, max_retries=100):
+def sensitivity_samples(poly, lam0, bases, n_samples, rng):
     """Directional sensitivities under independent uniform perturbations."""
     from .condition import directional_sensitivity
 
     rng = np.random.default_rng(rng)
     return np.array(
-        _per_direction(directional_sensitivity, poly, lam0, bases, n_samples, rng, max_retries),
-        dtype=float,
+        _per_direction(directional_sensitivity, poly, lam0, bases, n_samples, rng), dtype=float
     )
 
 
@@ -237,7 +244,7 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
     prediction recorded; the fitted log-log slope is about 2 when the
     expansion holds.
     """
-    coeff = first_order_coefficient(poly, lam0, bases.X, bases.x, bases.Y, bases.y, e)
+    coeff = first_order_coefficient(poly, lam0, bases, e)
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     remainders = np.empty_like(eps)
     for i, ep in enumerate(eps):
@@ -272,18 +279,15 @@ class RatioReport:
         return self.gamma_q / self.gamma_c1hat
 
 
-def _companion_inverse_conditions(q, big_x, x, big_y, y, lam):
+def _companion_inverse_conditions(q, bases, lam):
     # reciprocal condition numbers of an eigentriple of the quadratic q on
     # its first and alternate companion forms, with the companions' kernel
     # bases built from q's; returns (gamma_c1, beta_c1, gamma_c1hat, beta_c1hat)
-    _, c, m = q.coeffs
-    x_l = right_kernel_basis(big_x, x, lam)[:, -1]
-    _, y_l, beta = left_kernel_basis_first(big_y, y, lam, m, c)
-    _, y_lh, beta_hat = left_kernel_basis_alternate(big_y, y, lam, m)
-    c1 = MatrixPolynomial.pencil(*first_companion(q))
-    c1hat = MatrixPolynomial.pencil(*alternate_companion(q))
-    gamma_c1 = inverse_condition(c1, lam, x_l, y_l)
-    gamma_c1hat = inverse_condition(c1hat, lam, x_l, y_lh)
+    x_l = right_kernel_basis(lam, bases)[:, -1]
+    _, y_l, beta = left_kernel_basis_first(q, lam, bases)
+    _, y_lh, beta_hat = left_kernel_basis_alternate(q, lam, bases)
+    gamma_c1 = 1 / pencil_condition(first_companion(q)[1], lam, x_l, y_l)
+    gamma_c1hat = 1 / pencil_condition(alternate_companion(q)[1], lam, x_l, y_lh)
     return gamma_c1, beta, gamma_c1hat, beta_hat
 
 
@@ -295,9 +299,7 @@ def linearization_ratios(instance, lam0):
     """
     q = instance.polynomial()
     bases = instance.bases(lam0)
-    gamma_c1, beta, gamma_c1hat, beta_hat = _companion_inverse_conditions(
-        q, bases.X, bases.x, bases.Y, bases.y, lam0
-    )
+    gamma_c1, beta, gamma_c1hat, beta_hat = _companion_inverse_conditions(q, bases, lam0)
     return RatioReport(
         lam0=complex(lam0),
         c_norm=float(np.linalg.norm(instance.C, 2)),
@@ -309,7 +311,7 @@ def linearization_ratios(instance, lam0):
     )
 
 
-def end_to_end_condition_ratios(instance, cfg, match_tol=1e-4):
+def end_to_end_condition_ratios(instance, cfg):
     """Solver-reported condition inflation of the linearization route.
 
     Runs the randomized quadratic solver on the instance and returns, for
@@ -320,32 +322,31 @@ def end_to_end_condition_ratios(instance, cfg, match_tol=1e-4):
     """
     q = instance.polynomial()
     balanced, gamma = scale_quadratic(q)
-    empty = np.zeros((instance.n, 0))
     records = []
     for r in solve_polynomial(q, cfg):
         if not r.accepted:
             continue
         dists = [abs(r.value - ev) for ev in instance.eigenvalues]
         j = int(np.argmin(dists))
-        if dists[j] > match_tol * max(1.0, abs(instance.eigenvalues[j])):
+        if dists[j] > MATCH_TOL * max(1.0, abs(instance.eigenvalues[j])):
             continue
-        gamma_c1, _, gamma_c1hat, _ = _companion_inverse_conditions(
-            balanced, empty, r.right_vector, empty, r.left_vector, r.value / gamma
-        )
-        gamma_lin = gamma_c1 if r.source == "C1" else gamma_c1hat
+        bases = KernelBases(X=None, x=r.right_vector, Y=None, y=r.left_vector)
+        gammas = _companion_inverse_conditions(balanced, bases, r.value / gamma)
+        gamma_lin = gammas[0] if r.source == "C1" else gammas[2]
         records.append((r.value, r.source, r.kappa_bar, 1.0 / gamma_lin))
     return records
 
 
-def limit_mixing_samples(poly, lam0, bases, n_samples, rng, max_retries=100):
+def limit_mixing_samples(poly, lam0, bases, n_samples, rng):
     """Mixing weights |a_last|*|b_last| of the limit pencil, with the
     induced reciprocal-condition estimates.
 
-    Returns ``(weights, gamma_bars, gamma)``.
+    gamma_bar = gamma * weight is the reciprocal condition number seen through
+    the perturbed eigenvectors.  Returns ``(weights, gamma_bars, gamma)``.
     """
     rng = np.random.default_rng(rng)
     gamma = inverse_condition(poly, lam0, bases.x, bases.y)
-    pencils = _per_direction(limit_pencil, poly, lam0, bases, n_samples, rng, max_retries)
+    pencils = _per_direction(limit_pencil, poly, lam0, bases, n_samples, rng)
     weights = np.array([lp.left_weight * lp.right_weight for lp in pencils], dtype=float)
     return weights, gamma * weights, gamma
 
@@ -362,53 +363,51 @@ def subspace_angle(u, v):
     return float(np.arccos(np.clip(s[-1], -1.0, 1.0)))
 
 
-def singular_space_estimate(
-    poly, lam0, h, rng=None, rank_tol=1e-10, max_attempts=5, expected_nullity=None
-):
+def singular_space_estimate(poly, lam0, h, rng=None, expected_nullity=None):
     """Estimate the right singular space at ``lam0`` by a nearby probe.
 
     Evaluates the polynomial at ``lam0 + h*exp(i*theta)`` for a random
     phase; away from the finitely many rank-dropping points the kernel
     there equals the rational kernel evaluated at the probe, an O(h)
-    approximation of the singular space at ``lam0``.  Probes seeing an
-    unexpected kernel dimension are retried with a fresh phase.  The
-    expected dimension defaults to order minus estimated normal rank.
+    approximation of the singular space at ``lam0``.  A probe seeing an
+    unexpected kernel dimension is retried with a fresh phase, up to five
+    probes in all.  The expected dimension defaults to order minus
+    estimated normal rank.
     """
     if h <= 0:
         raise ValueError("probe radius h must be positive")
     rng = np.random.default_rng(rng)
     if expected_nullity is None:
-        expected_nullity = poly.n - normal_rank(poly, rng=rng, rank_tol=rank_tol)
-    expected = expected_nullity
-    for _ in range(max_attempts):
+        expected_nullity = poly.n - normal_rank(poly, rng=rng)
+    for _ in range(5):
         mu = lam0 + h * cmath.exp(2j * math.pi * rng.random())
-        basis = nullspace_basis(poly.evaluate(mu), rank_tol)
-        if basis.shape[1] == expected:
+        basis = nullspace_basis(poly.evaluate(mu), RANK_TOL)
+        if basis.shape[1] == expected_nullity:
             return basis
     raise ProbeFailureError(
-        f"no probe of radius {h} saw a {expected}-dimensional kernel near {lam0}"
+        f"no probe of radius {h} saw a {expected_nullity}-dimensional kernel near {lam0}"
     )
 
 
-def spurious_bound_records(m, c, k, cfg, n_runs, truth=(), match_tol=1e-4, rank_tol=1e-10):
+def spurious_bound_records(m, c, k, cfg, n_runs, truth=()):
     """Measured condition numbers vs. certified bounds for spurious output.
 
     Runs the quadratic solver repeatedly; every finite candidate not close
     to a truth eigenvalue is treated as spurious, and whenever the bound's
     precondition holds the pair (measured kappa_bar, certified lower bound)
     is recorded.  Quantities are evaluated on the balanced problem, whose
-    normal rank is estimated with the relative tolerance ``rank_tol``.
+    normal rank is estimated with the relative tolerance ``RANK_TOL``.
     """
     poly = MatrixPolynomial.quadratic(m, c, k)
     scaled_poly, gamma = scale_quadratic(poly)
     children = _seed_sequence(cfg.seed).spawn(n_runs)
-    rank = normal_rank(scaled_poly, rng=np.random.default_rng(0), rank_tol=rank_tol)
+    rank = normal_rank(scaled_poly, rng=np.random.default_rng(0))
     records = []
     for child in children:
         for cand in solve_polynomial(poly, cfg.with_seed(child)):
             lam_scaled = cand.value / gamma
             if any(
-                abs(cand.value - t) <= match_tol * max(1.0, abs(t)) for t in truth
+                abs(cand.value - t) <= MATCH_TOL * max(1.0, abs(t)) for t in truth
             ):
                 continue
             s = svd(scaled_poly.evaluate(lam_scaled)).singular_values

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sqeig import construct
 from sqeig.construct import chain_quadratic, diagonal_pencil, diagonal_quadratic
 from sqeig.densela import rank_with_tol
 from sqeig.matpoly import normal_rank
@@ -78,3 +79,33 @@ def test_unknown_eigenvalue_lookup():
     inst = chain_quadratic([1.0, 0.5], 3, rng=8)
     with pytest.raises(ValueError, match="designed"):
         inst.bases(3.33)
+
+
+def _annulus_eigenvalues(count, rng):
+    # simple eigenvalues with 0.5 <= |lam| <= 2
+    return rng.uniform(0.5, 2.0, count) * np.exp(2j * np.pi * rng.random(count))
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_chain_bases_orthonormal_at_large_order(n):
+    rng = np.random.default_rng(n)
+    inst = chain_quadratic(_annulus_eigenvalues(n // 2, rng), n, rng=rng)
+    poly = inst.polynomial()
+    for lam0 in inst.eigenvalues:
+        b = inst.bases(lam0)
+        right = np.column_stack([b.X, b.x])
+        np.testing.assert_allclose(right.conj().T @ right, np.eye(right.shape[1]), atol=1e-12)
+        q = poly.evaluate(lam0)
+        assert np.linalg.norm(q @ b.x) <= 1e-12 * np.linalg.norm(q)
+
+
+def test_chain_bases_built_on_demand(monkeypatch):
+    calls = []
+    build = construct._chain_bases
+    monkeypatch.setattr(
+        construct, "_chain_bases", lambda *args: calls.append(args) or build(*args)
+    )
+    inst = chain_quadratic(_annulus_eigenvalues(100, np.random.default_rng(0)), 200, rng=1)
+    assert calls == []
+    inst.bases(inst.eigenvalues[7])
+    assert len(calls) == 1

@@ -18,7 +18,7 @@ from sqeig.linearize import (
     recover_from_first,
     right_kernel_basis,
 )
-from sqeig.matpoly import MatrixPolynomial
+from sqeig.matpoly import KernelBases, MatrixPolynomial
 
 
 def _random_quadratic(rng, n):
@@ -158,7 +158,7 @@ class TestRightKernelBasis:
     def test_orthonormal(self):
         inst = chain_quadratic([1.0, 0.5], 4, rng=0)
         b = inst.bases(1.0)
-        cols = right_kernel_basis(b.X, b.x, 1.0)
+        cols = right_kernel_basis(1.0, b)
         np.testing.assert_allclose(
             cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-12
         )
@@ -167,20 +167,21 @@ class TestRightKernelBasis:
         inst = chain_quadratic([1.0, 0.5], 4, rng=1)
         lam = 0.5
         b = inst.bases(lam)
-        cols = right_kernel_basis(b.X, b.x, lam)
+        cols = right_kernel_basis(lam, b)
         pa, pb = first_companion(inst.polynomial())
         assert np.linalg.norm((pa - lam * pb) @ cols) <= 1e-12
 
     def test_zero_eigenvalue_block_form(self):
         inst = chain_quadratic([0.0, 1.0], 3, rng=2, rotate=False)
         b = inst.bases(0.0)
-        cols = right_kernel_basis(b.X, b.x, 0.0)
+        cols = right_kernel_basis(0.0, b)
         n = 3
         assert np.linalg.norm(cols[:n]) == 0.0
 
     def test_requires_orthonormal_input(self):
+        e = np.eye(3)
         with pytest.raises(ValueError, match="orthonormal"):
-            right_kernel_basis(np.eye(3)[:, :1] * 2.0, np.eye(3)[:, 1], 1.0)
+            KernelBases(X=e[:, :1] * 2.0, x=e[:, 1], Y=e[:, :1], y=e[:, 1])
 
 
 class TestLeftKernelBasis:
@@ -191,7 +192,8 @@ class TestLeftKernelBasis:
         y /= np.linalg.norm(y)
         lam = 0.3 + 0.2j
         empty = np.zeros((3, 0))
-        y_l_block, y_l, beta = left_kernel_basis_first(empty, y, lam, m, c)
+        q = MatrixPolynomial.quadratic(m, c, np.zeros((3, 3)))
+        y_l_block, y_l, beta = left_kernel_basis_first(q, lam, KernelBases(empty, y, empty, y))
         assert y_l_block.shape == (6, 0)
         expected = np.linalg.norm(np.concatenate([y, (lam * m + c).conj().T @ y]))
         assert math.isclose(beta, expected, rel_tol=1e-12)
@@ -200,7 +202,7 @@ class TestLeftKernelBasis:
     def test_columns_annihilated_left(self, lam0):
         inst = chain_quadratic([1.0, 0.5], 4, rng=6)
         b = inst.bases(lam0)
-        y_l_block, y_l, beta = left_kernel_basis_first(b.Y, b.y, lam0, inst.M, inst.C)
+        y_l_block, y_l, beta = left_kernel_basis_first(inst.polynomial(), lam0, b)
         pa, pb = first_companion(inst.polynomial())
         cols = np.column_stack([y_l_block, y_l])
         np.testing.assert_allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-10)
@@ -214,7 +216,7 @@ class TestLeftKernelBasis:
                 if lam0 == 0:
                     continue
                 b = inst.bases(lam0)
-                _, _, beta = left_kernel_basis_first(b.Y, b.y, lam0, inst.M, inst.C)
+                _, _, beta = left_kernel_basis_first(inst.polynomial(), lam0, b)
                 c2 = np.linalg.norm(inst.C, 2)
                 bound = min(
                     math.sqrt(1 + (abs(lam0) + c2) ** 2),
@@ -226,7 +228,7 @@ class TestLeftKernelBasis:
         inst = chain_quadratic([1.0, 0.5], 4, rng=8)
         lam0 = 1.0
         b = inst.bases(lam0)
-        y_l_block, y_l, _ = left_kernel_basis_alternate(b.Y, b.y, lam0, inst.M)
+        y_l_block, y_l, _ = left_kernel_basis_alternate(inst.polynomial(), lam0, b)
         pa, pb = alternate_companion(inst.polynomial())
         cols = np.column_stack([y_l_block, y_l])
         assert np.linalg.norm(cols.conj().T @ (pa - lam0 * pb)) <= 1e-10
@@ -238,8 +240,8 @@ class TestConditionTransferIdentity:
         # y_L* L'(lam) x_L * beta * sqrt(1+|lam|^2) equals y* Q'(lam) x
         inst = chain_quadratic([1.0, 0.5], 4, rng=9)
         b = inst.bases(lam0)
-        x_l = right_kernel_basis(b.X, b.x, lam0)[:, -1]
-        _, y_l, beta = left_kernel_basis_first(b.Y, b.y, lam0, inst.M, inst.C)
+        x_l = right_kernel_basis(lam0, b)[:, -1]
+        _, y_l, beta = left_kernel_basis_first(inst.polynomial(), lam0, b)
         pa, pb = first_companion(inst.polynomial())
         lhs = (y_l.conj() @ (-pb) @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
         q_prime = inst.polynomial().derivative_at(lam0)
@@ -250,8 +252,8 @@ class TestConditionTransferIdentity:
         inst = chain_quadratic([2.0, 0.5], 4, rng=10)
         lam0 = 0.5
         b = inst.bases(lam0)
-        x_l = right_kernel_basis(b.X, b.x, lam0)[:, -1]
-        _, y_l, beta = left_kernel_basis_alternate(b.Y, b.y, lam0, inst.M)
+        x_l = right_kernel_basis(lam0, b)[:, -1]
+        _, y_l, beta = left_kernel_basis_alternate(inst.polynomial(), lam0, b)
         pa, pb = alternate_companion(inst.polynomial())
         lhs = (y_l.conj() @ (-pb) @ x_l) * beta * math.sqrt(1 + abs(lam0) ** 2)
         rhs = b.y.conj() @ inst.polynomial().derivative_at(lam0) @ b.x
@@ -263,4 +265,4 @@ class TestConditionTransferIdentity:
         inst = chain_quadratic([1.0, 0.5], 4, rng=11, rotate=False)
         b = inst.bases(1.0)
         with pytest.raises((ValueError, KernelDegenerateError)):
-            left_kernel_basis_first(b.Y, b.Y[:, 0], 1.0, inst.M, inst.C)
+            KernelBases(X=b.X, x=b.x, Y=b.Y, y=b.Y[:, 0])

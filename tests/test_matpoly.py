@@ -11,6 +11,7 @@ from conftest import assert_multiset_close
 from sqeig.densela import UNIT_ROUNDOFF, generalized_eig
 from sqeig.matpoly import (
     DegenerateProblemError,
+    KernelBases,
     MatrixPolynomial,
     joint_norm,
     normal_rank,
@@ -244,3 +245,31 @@ class TestPadding:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             MatrixPolynomial((np.array([[np.inf]]),))
+
+
+class TestKernelBases:
+    E = np.eye(4)
+
+    def test_rejects_non_orthonormal_right_basis(self):
+        e = self.E
+        with pytest.raises(ValueError, match=r"\[X x\].*orthonormal"):
+            KernelBases(X=e[:, :1], x=(e[:, 0] + e[:, 1]) / math.sqrt(2), Y=e[:, :1], y=e[:, 1])
+
+    def test_rejects_non_orthonormal_left_basis(self):
+        e = self.E
+        with pytest.raises(ValueError, match=r"\[Y y\].*orthonormal"):
+            KernelBases(X=e[:, :1], x=e[:, 1], Y=e[:, :1], y=2.0 * e[:, 1])
+
+    def test_rejects_mismatched_shapes(self):
+        e = self.E
+        with pytest.raises(ValueError, match="shape"):
+            KernelBases(X=e[:, :2], x=e[:, 2], Y=e[:, :1], y=e[:, 2])
+
+    @pytest.mark.parametrize("empty", [None, np.zeros((4, 0)), np.zeros(0)])
+    def test_empty_singular_block(self, empty):
+        e = self.E
+        b = KernelBases(X=empty, x=e[:, 0], Y=empty, y=e[:, 1])
+        for block in (b.X, b.Y):
+            assert block.shape == (4, 0) and block.dtype == complex
+        for vec in (b.x, b.y):
+            assert vec.shape == (4,) and vec.dtype == complex

@@ -295,7 +295,7 @@ def test_quadratic_solve_checks_each_matrix_once(monkeypatch):
     # input checks run where a matrix enters the pipeline: the balanced and
     # the perturbed polynomial (3 coefficients each), the two spectral norms,
     # and the two QZ and two condition calls (2 matrices each)
-    from sqeig import condition, densela, linearize, matpoly
+    from sqeig import condition, densela, matpoly
 
     calls = []
 
@@ -304,7 +304,7 @@ def test_quadratic_solve_checks_each_matrix_once(monkeypatch):
         return densela_as_matrix(a, name)
 
     densela_as_matrix = densela.as_matrix
-    for module in (condition, densela, linearize, matpoly):
+    for module in (condition, densela, matpoly):
         monkeypatch.setattr(module, "as_matrix", counting)
     p, _ = builtin("ex4", seed=0)
     calls.clear()
