@@ -1,4 +1,4 @@
-"""Why the solver uses two companion forms, one per eigenvalue magnitude.
+"""Why the solver reads eigenvectors by the companion form suited to |lam|.
 
 Turning a quadratic into a double-size pencil can inflate eigenvalue
 condition numbers.  After balancing the outer coefficients to unit norm,

@@ -74,7 +74,7 @@ def _conjugated(mats, rng, rotate):
     return random_conjugation(mats, rng) if rotate else (mats, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _DesignedSpectrum:
     """Designed eigenvalues and normal rank, with kernel bases on request.
 
@@ -99,7 +99,7 @@ class _DesignedSpectrum:
         return KernelBases(X=v.T @ b.X, x=v.T @ b.x, Y=u.T @ b.Y, y=u.T @ b.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularQuadratic(_DesignedSpectrum):
     """Constructed singular quadratic with known spectral structure."""
 
@@ -126,7 +126,7 @@ class SingularQuadratic(_DesignedSpectrum):
         return dataclasses.replace(self, M=m, C=c, K=k, eigenvalues=eigenvalues), gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularPencil(_DesignedSpectrum):
     """Constructed singular pencil ``A - lam*B`` with known structure."""
 

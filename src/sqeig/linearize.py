@@ -1,9 +1,12 @@
 """Companion linearizations of quadratic matrix polynomials.
 
-Provides the two strong linearizations used by the solver (one reliable for
+Provides the two strong linearizations of the method (one reliable for
 eigenvalues of large modulus, one for small modulus), eigenvector recovery
 from the linearization's eigenvectors, and structured orthonormal bases of
-the linearization kernels built from kernel bases of the quadratic.
+the linearization kernels built from kernel bases of the quadratic.  The
+alternate form is the first form times the unimodular [[I, C], [0, I]],
+so the solver runs QZ on the first form only and applies either recovery
+to its eigenvectors; the study functions use both forms.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ def recover_from_alternate(v, w):
     """Quadratic eigenvectors from alternate-companion eigenvectors.
 
     As ``recover_from_first``, except that the right eigenvector sits in
-    the trailing n entries.
+    the trailing n entries.  Eigenvectors of the first companion form give
+    the same result, up to a unit phase.
     """
     return _recover(v, w, right_on_top=False)
 

@@ -87,12 +87,13 @@ def _freeze(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Square matrix polynomial ``P(lam) = sum_i lam**i * coeffs[i]``.
 
     Rectangular coefficient input is zero-padded to square before storage.
-    Coefficient arrays are read-only after construction.
+    Coefficient arrays are read-only after construction.  Instances compare
+    and hash by identity, as the array-holding types of this package do.
     """
 
     coeffs: tuple
@@ -155,7 +156,7 @@ class MatrixPolynomial:
         return MatrixPolynomial(tuple(a + epsilon * d for a, d in zip(self.coeffs, e)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBases:
     """Orthonormal kernel bases at a simple eigenvalue.
 

@@ -9,10 +9,13 @@ eigenvalues of the original problem; eigenvalues created from the
 perturbed singular part come out violently ill conditioned and are
 rejected by the threshold.
 
-A quadratic is balanced first and solved through two companion
-linearizations: large-modulus candidates come from the first companion
-form, small-modulus ones from the alternate form, and accepted values are
-rescaled to the original units.  A pencil is its own linearization.
+A quadratic is balanced first and solved by one QZ call on its first
+companion form C1.  The alternate form C1hat = L * C1, with the unimodular
+L = [[I, C], [0, I]], has the same eigenvalues and right eigenvectors, and
+left eigenvectors with the same top block, so both forms' eigenvector
+recovery reads the eigenvectors of C1: large-modulus candidates as the
+first form would, small-modulus ones as the alternate form would.  Values
+are rescaled to the original units.  A pencil is its own linearization.
 """
 
 from __future__ import annotations
@@ -25,16 +28,12 @@ import numpy as np
 
 from .condition import pencil_condition, quadratic_condition
 from .densela import EigensolverError, generalized_eig
-from .linearize import (
-    alternate_companion,
-    first_companion,
-    recover_from_alternate,
-    recover_from_first,
-)
+from .linearize import first_companion, recover_from_alternate, recover_from_first
 from .matpoly import MatrixPolynomial, sample_perturbation, scale_quadratic
 
 # unused here; perfbench/tracing.py patches these solver attributes by name
 from .densela import as_matrix  # noqa: F401
+from .linearize import alternate_companion  # noqa: F401
 from .matpoly import pad_to_square  # noqa: F401
 
 __all__ = [
@@ -82,8 +81,11 @@ class ClassifiedEigenvalue:
     balanced the coefficients).  ``kappa_bar`` is the condition number of
     the eigentriple on the balanced, unperturbed problem and may be +inf;
     ``accepted`` is equivalent to ``kappa_bar <= tol``.  ``source`` names
-    the linearization the value came from (``pencil``, ``C1`` or
-    ``C1hat``); the eigenvectors have unit norm.
+    how the eigenvectors were read: ``pencil``; ``C1``, from the top
+    blocks of the first companion form's eigenvectors (|lam| >= 1 on the
+    balanced problem); or ``C1hat``, with the right vector from the bottom
+    block of C1, as the alternate form would (|lam| < 1).  The eigenvectors
+    have unit norm.
     """
 
     value: complex
@@ -109,10 +111,10 @@ def solve_polynomial(p, cfg=None):
 
     A quadratic is balanced to unit leading/trailing 2-norms.  The
     coefficient stack is then perturbed jointly (uniformly on the unit
-    sphere, scaled by ``epsilon``), linearized and solved by QZ.  All
-    finite candidates of a QZ call are classified at once, with the
-    balanced, unperturbed coefficients; a candidate whose recovered
-    eigenvector block is numerically zero gets ``kappa_bar = inf``.
+    sphere, scaled by ``epsilon``), linearized and solved by one QZ call.
+    All finite candidates are classified at once, with the balanced,
+    unperturbed coefficients; a candidate whose recovered eigenvector
+    block is numerically zero gets ``kappa_bar = inf``.
     Returns every finite candidate, ordered by modulus (descending), then
     phase, then source.
     """
@@ -123,44 +125,45 @@ def solve_polynomial(p, cfg=None):
     e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
     perturbed = balanced.perturbed(e, cfg.epsilon)
 
-    # (source, pencil A, pencil B, keeps |lam| >= 1, eigenvector recovery)
     if p.degree == 1:
-        routes = [(SOURCE_PENCIL, perturbed.coeffs[0], -perturbed.coeffs[1], None, None)]
+        a, b = perturbed.coeffs[0], -perturbed.coeffs[1]
     else:
-        routes = [
-            (SOURCE_C1, *first_companion(perturbed), True, recover_from_first),
-            (SOURCE_C1HAT, *alternate_companion(perturbed), False, recover_from_alternate),
-        ]
-    out = []
-    for source, a, b, large, recover in routes:
-        try:
-            dec = generalized_eig(a, b, want_left=True)
-        except EigensolverError as exc:
-            kind = "pencil" if p.degree == 1 else "quadratic"
-            raise EigensolverError(
-                f"{kind} solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
-            ) from exc
-        finite = dec.finite_mask()
-        lam = dec.alphas[finite] / dec.betas[finite]
-        x, y = dec.right_vectors[:, finite], dec.left_vectors[:, finite]
-        if recover is None:
-            kappa = pencil_condition(-balanced.coeffs[1], lam, x, y)
-        else:
-            keep = (np.abs(lam) >= 1.0) == large
-            lam = lam[keep]
-            x, y, ok = recover(x[:, keep], y[:, keep])
-            m, c = balanced.coeffs[2], balanced.coeffs[1]
-            kappa = np.where(ok, quadratic_condition(m, c, lam, x, y), np.inf)
-        values = gamma * lam
-        out += [
-            ClassifiedEigenvalue(
-                value=complex(values[i]),
-                kappa_bar=float(kappa[i]),
-                accepted=bool(kappa[i] <= cfg.tol),
-                source=source,
-                right_vector=x[:, i],
-                left_vector=y[:, i],
-            )
-            for i in range(lam.size)
-        ]
+        a, b = first_companion(perturbed)
+    try:
+        dec = generalized_eig(a, b, want_left=True)
+    except EigensolverError as exc:
+        kind = "pencil" if p.degree == 1 else "quadratic"
+        raise EigensolverError(
+            f"{kind} solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
+        ) from exc
+    finite = dec.finite_mask()
+    lam = dec.alphas[finite] / dec.betas[finite]
+    v, w = dec.right_vectors[:, finite], dec.left_vectors[:, finite]
+    if p.degree == 1:
+        x, y = v, w
+        sources = [SOURCE_PENCIL] * lam.size
+        kappa = pencil_condition(-balanced.coeffs[1], lam, x, y)
+    else:
+        # the eigenvector block each form reads, chosen by modulus as the
+        # paper chooses the form; both read the eigenvectors of C1
+        large = np.abs(lam) >= 1.0
+        x1, y1, ok1 = recover_from_first(v[:, large], w[:, large])
+        x2, y2, ok2 = recover_from_alternate(v[:, ~large], w[:, ~large])
+        lam = np.concatenate([lam[large], lam[~large]])
+        x, y, ok = np.hstack([x1, x2]), np.hstack([y1, y2]), np.concatenate([ok1, ok2])
+        sources = [SOURCE_C1] * ok1.size + [SOURCE_C1HAT] * ok2.size
+        m, c = balanced.coeffs[2], balanced.coeffs[1]
+        kappa = np.where(ok, quadratic_condition(m, c, lam, x, y), np.inf)
+    values = gamma * lam
+    out = [
+        ClassifiedEigenvalue(
+            value=complex(values[i]),
+            kappa_bar=float(kappa[i]),
+            accepted=bool(kappa[i] <= cfg.tol),
+            source=sources[i],
+            right_vector=x[:, i],
+            left_vector=y[:, i],
+        )
+        for i in range(lam.size)
+    ]
     return tuple(sorted(out, key=lambda r: (-abs(r.value), np.angle(r.value), r.source)))

@@ -109,3 +109,17 @@ def test_chain_bases_built_on_demand(monkeypatch):
     assert calls == []
     inst.bases(inst.eigenvalues[7])
     assert len(calls) == 1
+
+
+def test_array_holding_types_compare_by_identity():
+    # the generated field-wise __eq__ would compare ndarrays and raise
+    for make in (
+        lambda: chain_quadratic([1.0, 0.5], 3, rng=0),
+        lambda: diagonal_pencil([1.0, -2.0], 4, rng=7),
+        lambda: chain_quadratic([1.0, 0.5], 3, rng=0).polynomial(),
+        lambda: chain_quadratic([1.0, 0.5], 3, rng=0).bases(1.0),
+    ):
+        a, b = make(), make()
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2

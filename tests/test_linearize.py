@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_multiset_close
 from sqeig.construct import chain_quadratic
@@ -99,6 +101,44 @@ class TestCompanionForms:
     def test_rejects_other_degrees(self, form):
         with pytest.raises(ValueError, match="quadratic"):
             form(MatrixPolynomial.pencil(np.eye(2), np.eye(2)))
+
+
+class TestAlternateFromFirst:
+    # the solver reads both forms' eigenvectors from one QZ of the first
+    # form, because C1hat = L @ C1 with the unimodular L = [[I, C], [0, I]]
+
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_alternate_is_unimodular_transform_of_first(self, n, seed):
+        m, c, k = _random_quadratic(np.random.default_rng(seed), n)
+        q = MatrixPolynomial.quadratic(m, c, k)
+        ell = np.block([[np.eye(n), c], [np.zeros((n, n)), np.eye(n)]])
+        tol = 1e2 * UNIT_ROUNDOFF * np.linalg.norm(c)
+        for first, alternate in zip(first_companion(q), alternate_companion(q)):
+            np.testing.assert_allclose(ell @ first, alternate, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_alternate_recovery_reads_first_form_eigenvectors(self, n, seed):
+        m, c, k = _random_quadratic(np.random.default_rng(100 + seed), n)
+        q = MatrixPolynomial.quadratic(m, c, k)
+        first = generalized_eig(*first_companion(q))
+        alternate = generalized_eig(*alternate_companion(q))
+        lam1, lam2 = first.eigenvalues(), alternate.eigenvalues()
+        for j in range(2 * n):
+            dist = np.abs(lam2 - lam1[j])
+            i = int(np.argmin(dist))
+            gaps = np.abs(lam1 - lam1[j])
+            gaps[j] = np.inf
+            if gaps.min() < 1e-3 * max(1.0, abs(lam1[j])):
+                continue  # eigenvectors of close eigenvalues are ill determined
+            assert dist[i] <= 1e-10 * max(1.0, abs(lam1[j]))
+            got = recover_from_alternate(first.right_vectors[:, j], first.left_vectors[:, j])
+            want = recover_from_alternate(alternate.right_vectors[:, i], alternate.left_vectors[:, i])
+            assert got[2] and want[2]
+            for u, v in zip(got[:2], want[:2]):
+                phase = np.vdot(u, v) / abs(np.vdot(u, v))
+                assert np.linalg.norm(phase * u - v) <= 1e-8
 
 
 class TestRecovery:
