@@ -49,22 +49,20 @@ def _sig15(x):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--eps", type=float, default=1e-8, help="perturbation size")
-    sub.add_argument("--tol", type=float, default=1e4, help="condition acceptance threshold")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
+    defaults = SolverConfig()
+    sub.add_argument("--eps", type=float, default=defaults.epsilon, help="perturbation size")
+    sub.add_argument("--tol", type=float, default=defaults.tol, help="condition acceptance threshold")
+    sub.add_argument("--seed", type=int, default=defaults.seed, help="random seed")
 
 
 def _load_problem(args):
     if args.builtin is not None:
-        poly, truth = corpus.builtin(args.builtin, seed=args.seed)
-        return poly, truth
-    pf = probfile.load(args.input)
-    truth = pf.truth_spec() if pf.truth is not None else None
-    return pf.to_polynomial(), truth
+        return corpus.builtin(args.builtin, seed=args.seed)[0]
+    return probfile.load(args.input).to_polynomial()
 
 
 def _cmd_solve(args):
-    poly, _ = _load_problem(args)
+    poly = _load_problem(args)
     cfg = SolverConfig(epsilon=args.eps, tol=args.tol, seed=args.seed)
     rows = [
         {
@@ -125,8 +123,8 @@ def _cmd_dist(args):
 
 
 def _cmd_bounds(args):
-    if args.gamma <= 0:
-        raise _UsageError("--gamma must be positive")
+    if not 0 < args.gamma < math.inf:
+        raise _UsageError("--gamma must be positive and finite")
     if not 0 < args.delta < 1:
         raise _UsageError("--delta must lie in (0, 1)")
     if args.n < 1 or args.m < 1:
@@ -230,7 +228,7 @@ def main(argv=None):
     except (EigensolverError, BadDirectionError, DegenerateProblemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, probfile.ProblemFormatError, KeyError, ValueError) as exc:
+    except (OSError, probfile.ProblemFormatError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -85,20 +85,15 @@ def _ex5(rng):
     return _quad(m, c, k), TruthSpec(tuple(lambdas))
 
 
-def _ex6_matrices(rng):
-    lambdas = [0.0] + [1.0 / i for i in range(2, 9)]
-    return _rotated_chain(lambdas, 11, rng), lambdas
-
-
 def _ex6(rng):
-    (m, c, k), lambdas = _ex6_matrices(rng)
+    lambdas = [0.0] + [1.0 / i for i in range(2, 9)]
+    m, c, k = _rotated_chain(lambdas, 11, rng)
     return _quad(m, c, k), TruthSpec(tuple(lambdas))
 
 
 def _ex7(rng):
-    (m, c, k), _ = _ex6_matrices(rng)
     # reversed problem: eigenvalues invert, the zero one becomes infinite
-    return _quad(k, c, m), TruthSpec(tuple(float(i) for i in range(2, 9)))
+    return _ex6(rng)[0].reversed(), TruthSpec(tuple(float(i) for i in range(2, 9)))
 
 
 def _ex8(rng):

@@ -17,6 +17,7 @@ __all__ = [
     "DEFAULT_INF_CUTOFF",
     "EigensolverError",
     "GeneralizedEigenDecomposition",
+    "RANK_TOL",
     "Svd",
     "UNIT_ROUNDOFF",
     "as_matrix",
@@ -33,6 +34,9 @@ UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 #: relative |beta| threshold below which a generalized eigenvalue is flagged
 #: infinite; scale-invariant and far below any sensible perturbation level
 DEFAULT_INF_CUTOFF = 1e-12
+
+#: relative singular-value cutoff of every numerical rank decision
+RANK_TOL = 1e-10
 
 
 class EigensolverError(RuntimeError):
@@ -89,34 +93,29 @@ def svd(m):
     return Svd(u, s, vh.conj().T)
 
 
-def _rank_from_singular_values(s, rel_tol):
+def _rank_from_singular_values(s):
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def rank_with_tol(m, rel_tol):
-    """Number of singular values above ``rel_tol`` times the largest one.
+def rank_with_tol(m):
+    """Number of singular values above ``RANK_TOL`` times the largest one.
 
-    The zero matrix has rank 0 for any tolerance.
+    The zero matrix has rank 0.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    return _rank_from_singular_values(svd(m).singular_values, rel_tol)
+    return _rank_from_singular_values(svd(m).singular_values)
 
 
-def nullspace_basis(m, rel_tol):
+def nullspace_basis(m):
     """Orthonormal basis of the numerical nullspace of ``m``.
 
     Returns the right singular vectors whose singular values are at most
-    ``rel_tol`` times the largest one, as columns of a (cols, nullity) array.
-    Full-rank input yields a (cols, 0) array.
+    ``RANK_TOL`` times the largest one, as columns of a (cols, nullity)
+    array.  Full-rank input yields a (cols, 0) array.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     dec = svd(m)
-    r = _rank_from_singular_values(dec.singular_values, rel_tol)
-    return dec.right_vectors[:, r:]
+    return dec.right_vectors[:, _rank_from_singular_values(dec.singular_values):]
 
 
 def _finite(alphas, betas, cutoff=DEFAULT_INF_CUTOFF):
@@ -154,9 +153,9 @@ class GeneralizedEigenDecomposition:
     def finite_mask(self, cutoff=DEFAULT_INF_CUTOFF):
         return _finite(self.alphas, self.betas, cutoff)
 
-    def eigenvalues(self, cutoff=DEFAULT_INF_CUTOFF):
+    def eigenvalues(self):
         """Eigenvalues with infinite ones reported as complex infinity."""
-        finite = self.finite_mask(cutoff)
+        finite = self.finite_mask()
         lam = np.full(self.order, np.inf + 0j, dtype=complex)
         lam[finite] = self.alphas[finite] / self.betas[finite]
         return lam

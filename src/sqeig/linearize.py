@@ -120,18 +120,11 @@ def right_kernel_basis(lam, bases):
     return scale * np.vstack([lam * stack, stack])
 
 
-def _inv_sqrt_hermitian(g):
-    # g = I + (positive semidefinite), so eigenvalues are >= 1 and the
-    # inverse square root is well conditioned.
-    vals, vecs = np.linalg.eigh(g)
-    vals = np.maximum(vals, np.finfo(float).tiny)
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
-
-
 def _left_kernel_from_map(bases, w_map):
     yt = np.concatenate([bases.y, w_map @ bases.y])
+    # the top block Y is orthonormal, so tall has full column rank
     tall = np.vstack([bases.Y, w_map @ bases.Y])
-    y_l_block = tall @ _inv_sqrt_hermitian(tall.conj().T @ tall)
+    y_l_block = np.linalg.qr(tall)[0]
     proj = yt - y_l_block @ (y_l_block.conj().T @ yt)
     beta = float(np.linalg.norm(proj))
     if beta < 1e-12:
@@ -144,8 +137,8 @@ def left_kernel_basis_first(q, lam, bases):
 
     ``q`` is the quadratic ``lam**2 M + lam C + K`` and ``bases`` its
     ``KernelBases`` at ``lam``.  Stacks each column v of ``[Y y]`` into
-    ``[v, (lam*M + C)* v]``, orthonormalizes the singular-space block with
-    an inverse matrix square root and the eigenvector column by projection.
+    ``[v, (lam*M + C)* v]``, orthonormalizes the singular-space block by a
+    QR factorization and the eigenvector column by projection.
     Returns ``(Y_L, y_L, beta)`` where ``beta`` is the norm of the projected
     eigenvector column before normalization.
     """

@@ -23,7 +23,6 @@ __all__ = [
     "KernelBases",
     "MATCH_TOL",
     "MatrixPolynomial",
-    "RANK_TOL",
     "TruthSpec",
     "joint_norm",
     "normal_rank",
@@ -34,8 +33,6 @@ __all__ = [
 ]
 
 
-#: relative singular-value cutoff of every numerical rank decision
-RANK_TOL = 1e-10
 #: relative tolerance for matching a computed eigenvalue to a known one
 MATCH_TOL = 1e-4
 
@@ -226,7 +223,7 @@ def normal_rank(p, rng=None):
     best = 0
     for _ in range(3):
         mu = np.exp(2j * np.pi * rng.random())
-        best = max(best, rank_with_tol(p.evaluate(mu), RANK_TOL))
+        best = max(best, rank_with_tol(p.evaluate(mu)))
     return best
 
 

@@ -63,10 +63,10 @@ class ProblemFile:
     def to_polynomial(self):
         return MatrixPolynomial(self.coefficients)
 
-    def truth_spec(self, match_tol=1e-4):
+    def truth_spec(self):
         if self.truth is None:
             raise ValueError("problem file carries no truth eigenvalues")
-        return TruthSpec(self.truth, match_tol)
+        return TruthSpec(self.truth)
 
 
 def _pair(value):

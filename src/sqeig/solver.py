@@ -115,8 +115,10 @@ def solve_polynomial(p, cfg=None):
     All finite candidates are classified at once, with the balanced,
     unperturbed coefficients; a candidate whose recovered eigenvector
     block is numerically zero gets ``kappa_bar = inf``.
-    Returns every finite candidate, ordered by modulus (descending), then
-    phase, then source.
+    Returns every finite candidate in the eigensolver's order: modulus
+    (descending), then phase.  For a quadratic the |lam| >= 1 candidates
+    of the balanced problem are a prefix of that order, so every ``C1``
+    candidate precedes every ``C1hat`` one.
     """
     if p.degree not in (1, 2):
         raise ValueError(f"no solver for degree {p.degree}; supported degrees are 1 and 2")
@@ -149,13 +151,12 @@ def solve_polynomial(p, cfg=None):
         large = np.abs(lam) >= 1.0
         x1, y1, ok1 = recover_from_first(v[:, large], w[:, large])
         x2, y2, ok2 = recover_from_alternate(v[:, ~large], w[:, ~large])
-        lam = np.concatenate([lam[large], lam[~large]])
         x, y, ok = np.hstack([x1, x2]), np.hstack([y1, y2]), np.concatenate([ok1, ok2])
         sources = [SOURCE_C1] * ok1.size + [SOURCE_C1HAT] * ok2.size
         m, c = balanced.coeffs[2], balanced.coeffs[1]
         kappa = np.where(ok, quadratic_condition(m, c, lam, x, y), np.inf)
     values = gamma * lam
-    out = [
+    return tuple(
         ClassifiedEigenvalue(
             value=complex(values[i]),
             kappa_bar=float(kappa[i]),
@@ -165,5 +166,4 @@ def solve_polynomial(p, cfg=None):
             left_vector=y[:, i],
         )
         for i in range(lam.size)
-    ]
-    return tuple(sorted(out, key=lambda r: (-abs(r.value), np.angle(r.value), r.source)))
+    )

@@ -35,7 +35,6 @@ from .linearize import (
 )
 from .matpoly import (
     MATCH_TOL,
-    RANK_TOL,
     KernelBases,
     MatrixPolynomial,
     TruthSpec,
@@ -43,7 +42,7 @@ from .matpoly import (
     sample_perturbation,
     scale_quadratic,
 )
-from .solver import SolverConfig, solve_polynomial
+from .solver import SOURCE_C1, SolverConfig, solve_polynomial
 
 __all__ = [
     "ExpansionReport",
@@ -99,6 +98,10 @@ class TrialReport:
         return self.n_s / self.n_t
 
 
+def _matches(value, truth, tol):
+    return abs(value - truth) <= tol * max(1.0, abs(truth))
+
+
 def match_accepted(accepted_values, truth_values, match_tol):
     """Match two eigenvalue multisets within a relative tolerance.
 
@@ -118,7 +121,7 @@ def match_accepted(accepted_values, truth_values, match_tol):
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     matched = [None] * len(accepted_values)
     for i, j in zip(rows, cols):
-        if cost[i, j] > match_tol * max(1.0, abs(truth_values[j])):
+        if not _matches(accepted_values[i], truth_values[j], match_tol):
             return None
         matched[i] = truth_values[j]
     return matched
@@ -262,13 +265,9 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
 class RatioReport:
     """Reciprocal-condition ratios between a quadratic and its linearizations."""
 
-    lam0: complex
-    c_norm: float
     gamma_q: float
     gamma_c1: float
     gamma_c1hat: float
-    beta_c1: float
-    beta_c1hat: float
 
     @property
     def ratio_c1(self):
@@ -282,13 +281,13 @@ class RatioReport:
 def _companion_inverse_conditions(q, bases, lam):
     # reciprocal condition numbers of an eigentriple of the quadratic q on
     # its first and alternate companion forms, with the companions' kernel
-    # bases built from q's; returns (gamma_c1, beta_c1, gamma_c1hat, beta_c1hat)
+    # bases built from q's; returns (gamma_c1, gamma_c1hat)
     x_l = right_kernel_basis(lam, bases)[:, -1]
-    _, y_l, beta = left_kernel_basis_first(q, lam, bases)
-    _, y_lh, beta_hat = left_kernel_basis_alternate(q, lam, bases)
+    _, y_l, _ = left_kernel_basis_first(q, lam, bases)
+    _, y_lh, _ = left_kernel_basis_alternate(q, lam, bases)
     gamma_c1 = 1 / pencil_condition(first_companion(q)[1], lam, x_l, y_l)
     gamma_c1hat = 1 / pencil_condition(alternate_companion(q)[1], lam, x_l, y_lh)
-    return gamma_c1, beta, gamma_c1hat, beta_hat
+    return gamma_c1, gamma_c1hat
 
 
 def linearization_ratios(instance, lam0):
@@ -299,15 +298,11 @@ def linearization_ratios(instance, lam0):
     """
     q = instance.polynomial()
     bases = instance.bases(lam0)
-    gamma_c1, beta, gamma_c1hat, beta_hat = _companion_inverse_conditions(q, bases, lam0)
+    gamma_c1, gamma_c1hat = _companion_inverse_conditions(q, bases, lam0)
     return RatioReport(
-        lam0=complex(lam0),
-        c_norm=float(np.linalg.norm(instance.C, 2)),
         gamma_q=inverse_condition(q, lam0, bases.x, bases.y),
         gamma_c1=gamma_c1,
         gamma_c1hat=gamma_c1hat,
-        beta_c1=beta,
-        beta_c1hat=beta_hat,
     )
 
 
@@ -326,13 +321,12 @@ def end_to_end_condition_ratios(instance, cfg):
     for r in solve_polynomial(q, cfg):
         if not r.accepted:
             continue
-        dists = [abs(r.value - ev) for ev in instance.eigenvalues]
-        j = int(np.argmin(dists))
-        if dists[j] > MATCH_TOL * max(1.0, abs(instance.eigenvalues[j])):
+        nearest = min(instance.eigenvalues, key=lambda ev: abs(r.value - ev))
+        if not _matches(r.value, nearest, MATCH_TOL):
             continue
         bases = KernelBases(X=None, x=r.right_vector, Y=None, y=r.left_vector)
         gammas = _companion_inverse_conditions(balanced, bases, r.value / gamma)
-        gamma_lin = gammas[0] if r.source == "C1" else gammas[2]
+        gamma_lin = gammas[0] if r.source == SOURCE_C1 else gammas[1]
         records.append((r.value, r.source, r.kappa_bar, 1.0 / gamma_lin))
     return records
 
@@ -381,7 +375,7 @@ def singular_space_estimate(poly, lam0, h, rng=None, expected_nullity=None):
         expected_nullity = poly.n - normal_rank(poly, rng=rng)
     for _ in range(5):
         mu = lam0 + h * cmath.exp(2j * math.pi * rng.random())
-        basis = nullspace_basis(poly.evaluate(mu), RANK_TOL)
+        basis = nullspace_basis(poly.evaluate(mu))
         if basis.shape[1] == expected_nullity:
             return basis
     raise ProbeFailureError(
@@ -395,8 +389,10 @@ def spurious_bound_records(m, c, k, cfg, n_runs, truth=()):
     Runs the quadratic solver repeatedly; every finite candidate not close
     to a truth eigenvalue is treated as spurious, and whenever the bound's
     precondition holds the pair (measured kappa_bar, certified lower bound)
-    is recorded.  Quantities are evaluated on the balanced problem, whose
-    normal rank is estimated with the relative tolerance ``RANK_TOL``.
+    is recorded.  A candidate is close to a truth eigenvalue under the
+    matching rule of ``match_accepted`` with tolerance ``MATCH_TOL``.
+    Quantities are evaluated on the balanced problem, whose normal rank is
+    estimated with the rank cutoff ``densela.RANK_TOL``.
     """
     poly = MatrixPolynomial.quadratic(m, c, k)
     scaled_poly, gamma = scale_quadratic(poly)
@@ -406,9 +402,7 @@ def spurious_bound_records(m, c, k, cfg, n_runs, truth=()):
     for child in children:
         for cand in solve_polynomial(poly, cfg.with_seed(child)):
             lam_scaled = cand.value / gamma
-            if any(
-                abs(cand.value - t) <= MATCH_TOL * max(1.0, abs(t)) for t in truth
-            ):
+            if any(_matches(cand.value, t, MATCH_TOL) for t in truth):
                 continue
             s = svd(scaled_poly.evaluate(lam_scaled)).singular_values
             tau = float(s[rank - 1])

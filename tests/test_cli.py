@@ -96,6 +96,11 @@ class TestSolve:
         assert "numerical failure" in err
 
 
+    def test_directory_input_usage_error(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "solve", "--input", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_nan_tol_usage_error(self, capsys):
         # a NaN threshold would reject every candidate and still exit 0
         code, out, err = _run(capsys, "solve", "--builtin", "ex4", "--tol", "nan")
@@ -140,6 +145,17 @@ class TestBounds:
         assert doc["lower"] is None
         assert "lower bound requires" in doc["note"]
 
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_nonfinite_gamma_usage_error(self, capsys, gamma):
+        # json.dumps would print NaN or Infinity, which is not JSON
+        code, out, err = _run(
+            capsys,
+            "bounds", "--n", "3", "--m", "2", "--r", "2",
+            "--delta", "0.01", "--gamma", gamma,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("n,m,r", [(3, -1, 2), (0, 2, 0)], ids=["m-negative", "n-zero"])
     def test_empty_coefficient_space_usage_error(self, capsys, n, m, r):
@@ -214,6 +230,13 @@ class TestSynthPencil:
         assert len(got) == 2
         for g, e in zip(got, expected):
             assert abs(g - e) < 1e-4 * max(1.0, abs(e))
+
+    def test_directory_output_usage_error(self, capsys, tmp_path):
+        code, out, err = _run(
+            capsys, "synth-pencil", "--size", "5", "--rank", "2", "--output", str(tmp_path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
 
 class TestUsage:

@@ -28,7 +28,7 @@ def test_chain_quadratic_structure(rotate):
     assert normal_rank(poly, rng=0) == 3
     for lam0 in lams:
         # rank drops by one at a designed eigenvalue
-        assert rank_with_tol(poly.evaluate(lam0), 1e-10) == 2
+        assert rank_with_tol(poly.evaluate(lam0)) == 2
         _bases_are_kernels(poly, lam0, inst.bases(lam0))
 
 
@@ -54,7 +54,7 @@ def test_diagonal_quadratic_structure():
     assert normal_rank(poly, rng=0) == 2
     assert len(inst.eigenvalues) == 4
     for lam0 in inst.eigenvalues:
-        assert rank_with_tol(poly.evaluate(lam0), 1e-10) == 1
+        assert rank_with_tol(poly.evaluate(lam0)) == 1
         _bases_are_kernels(poly, lam0, inst.bases(lam0))
 
 

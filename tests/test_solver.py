@@ -1,5 +1,6 @@
 """End-to-end randomized solvers: classification, determinism, invariants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -332,3 +333,27 @@ def test_one_qz_call_per_solve(monkeypatch, name):
     if p.degree == 2:
         # both branches present, so the single call served both
         assert {r.source for r in res} == {"C1", "C1hat"}
+
+
+def _order_cases():
+    from sqeig.construct import chain_quadratic
+    from sqeig.corpus import synth_pencil
+
+    cases = [(f"{name}-{seed}", builtin(name, seed=seed)[0], seed)
+             for name in BUILTIN_NAMES for seed in range(5)]
+    chain = chain_quadratic([0.3 + 0.4j, 0.8, 1.5j, -2.5, 4.0 - 1.0j], 12, rng=2)
+    cases.append(("chain_quadratic", chain.polynomial(), 3))
+    cases.append(("synth_pencil", synth_pencil(12, 6, seed=4)[0], 5))
+    return cases
+
+
+def test_output_order_contract():
+    # candidates come out by modulus (descending), then phase, and every C1
+    # candidate precedes every C1hat one; the solver relies on the
+    # eigensolver's order for this and does not sort again
+    for label, p, seed in _order_cases():
+        res = solve_polynomial(p, SolverConfig(seed=seed))
+        keys = [(-abs(r.value), cmath.phase(r.value)) for r in res]
+        assert keys == sorted(keys), label
+        sources = [r.source for r in res]
+        assert sources == sorted(sources, key=lambda s: s == "C1hat"), label
