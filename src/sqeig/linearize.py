@@ -38,11 +38,20 @@ class KernelDegenerateError(RuntimeError):
 
 
 def _companion_parts(q):
-    # (K, C, M, I, 0) of a degree-2 polynomial, the blocks of both forms
+    # (K, C, M, I) of a degree-2 polynomial, the blocks of both forms
     if q.degree != 2:
         raise ValueError(f"companion forms need a quadratic, got degree {q.degree}")
-    eye = np.eye(q.n, dtype=complex)
-    return (*q.coeffs, eye, np.zeros_like(eye))
+    return (*q.coeffs, np.eye(q.n, dtype=complex))
+
+
+def _block_pencil(n, blocks):
+    # the order-2n matrix with the n-by-n blocks {(row, col): block}, zero
+    # elsewhere; slice assignment is cheaper than np.block at small n and
+    # copies the same entries, signed zeros included
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    for (i, j), block in blocks.items():
+        out[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
+    return out
 
 
 def first_companion(q):
@@ -52,9 +61,9 @@ def first_companion(q):
     ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` of order 2n, returned as
     the pair ``(A, B)`` of ``A - lam*B``.
     """
-    k, c, m, eye, zero = _companion_parts(q)
-    a = np.block([[c, k], [-eye, zero]])
-    b = np.block([[-m, zero], [zero, -eye]])
+    k, c, m, eye = _companion_parts(q)
+    a = _block_pencil(q.n, {(0, 0): c, (0, 1): k, (1, 0): -eye})
+    b = _block_pencil(q.n, {(0, 0): -m, (1, 1): -eye})
     return a, b
 
 
@@ -64,9 +73,9 @@ def alternate_companion(q):
     Preferable to the first companion form for eigenvalues of small modulus.
     Takes the degree-2 ``q`` and returns the pair ``(A, B)`` of ``A - lam*B``.
     """
-    k, c, m, eye, zero = _companion_parts(q)
-    a = np.block([[zero, k], [-eye, zero]])
-    b = np.block([[-m, -c], [zero, -eye]])
+    k, c, m, eye = _companion_parts(q)
+    a = _block_pencil(q.n, {(0, 1): k, (1, 0): -eye})
+    b = _block_pencil(q.n, {(0, 0): -m, (0, 1): -c, (1, 1): -eye})
     return a, b
 
 

@@ -102,6 +102,8 @@ class MatrixPolynomial:
         shape = raw[0].shape
         if any(c.shape != shape for c in raw):
             raise ValueError("all coefficients must have the same shape")
+        if max(shape) == 0:
+            raise ValueError("a matrix polynomial needs order at least 1, got order 0")
         object.__setattr__(self, "coeffs", tuple(_freeze(_square(c)) for c in raw))
 
     @classmethod
@@ -198,18 +200,16 @@ def sample_perturbation(n, m, rng):
     sphere of real dimension 2*n**2*(m+1).  Returns the tuple of read-only
     coefficients.
     """
-    rng = np.random.default_rng(rng)
-    raw = [
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for _ in range(m + 1)
-    ]
+    # one draw in the order of m+1 (real part, imaginary part) pairs of
+    # n-by-n draws, so the samples are those of per-coefficient draws
+    raw = np.random.default_rng(rng).standard_normal((m + 1, 2, n, n))
+    e = raw[:, 0] + 1j * raw[:, 1]
     for _ in range(2):
-        s = joint_norm(raw)
-        raw = [c / s for c in raw]
-    e = tuple(_freeze(c) for c in raw)
+        e = e / joint_norm(e)
     if abs(joint_norm(e) - 1.0) > 64 * np.finfo(float).eps:
         raise ValueError("perturbation sample must have unit joint norm")
-    return e
+    e.setflags(write=False)
+    return tuple(e)
 
 
 def normal_rank(p, rng=None):
@@ -244,8 +244,8 @@ def scale_quadratic(p):
     if p.degree != 2:
         raise ValueError(f"balancing needs a quadratic, got degree {p.degree}")
     k, c, m = p.coeffs
-    nm = spectral_norm(m)
-    nk = spectral_norm(k)
+    # one stacked call; each slice runs the gesdd of spectral_norm
+    nm, nk = (float(s) for s in np.linalg.svd(np.stack((m, k)), compute_uv=False)[:, 0])
     if nm == 0.0 or nk == 0.0:
         raise DegenerateProblemError("scaling requires nonzero leading and trailing coefficients")
     gamma = math.sqrt(nk / nm)

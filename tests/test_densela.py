@@ -162,3 +162,63 @@ class TestGeneralizedEig:
     def test_exactly_singular_pencil_rejected(self):
         with pytest.raises(EigensolverError, match="indeterminate|singular"):
             generalized_eig(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_rejects_order_zero_before_lapack(self, monkeypatch):
+        from sqeig import densela
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called for an order-0 pencil")
+
+        monkeypatch.setattr(densela, "_zggev", no_lapack)
+        with pytest.raises(ValueError, match="order 0"):
+            generalized_eig(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
+        from sqeig import densela
+
+        real = densela._zggev
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(densela, "_zggev", failing)
+        with pytest.raises(EigensolverError, match="info=1"):
+            generalized_eig(np.diag([1.0, 2.0]), np.eye(2))
+
+
+def _canonical(alphas, betas):
+    # an order that depends only on the (alpha, beta) bits
+    return np.lexsort((betas.imag, betas.real, alphas.imag, alphas.real))
+
+
+def _assert_same_up_to_phase(got, ref, tol):
+    for g, r in zip(got.T, ref.T):
+        inner = np.vdot(r, g)
+        assert np.linalg.norm(g - r * (inner / abs(inner))) <= tol
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 13, 21, 30])
+def test_direct_qz_matches_library_reference(order):
+    # the direct zggev call reproduces scipy.linalg.eig's (alpha, beta) bit
+    # for bit and its unit eigenvectors up to phase, without touching inputs
+    import scipy.linalg
+
+    rng = np.random.default_rng(100 + order)
+    for layout in ("C", "F"):
+        a = np.asarray(_random_complex(rng, order, order), order=layout)
+        b = np.asarray(_random_complex(rng, order, order), order=layout)
+        a0, b0 = a.copy(), b.copy()
+        w, vl, vr = scipy.linalg.eig(a, b, left=True, right=True, homogeneous_eigvals=True)
+        dec = generalized_eig(a, b)
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
+        ref, got = _canonical(w[0], w[1]), _canonical(dec.alphas, dec.betas)
+        np.testing.assert_array_equal(dec.alphas[got], w[0][ref])
+        np.testing.assert_array_equal(dec.betas[got], w[1][ref])
+        _assert_same_up_to_phase(dec.right_vectors[:, got], vr[:, ref], 1e-14)
+        _assert_same_up_to_phase(dec.left_vectors[:, got], vl[:, ref], 1e-14)
+
+        right_only = generalized_eig(a, b, want_left=False)
+        assert right_only.left_vectors is None
+        np.testing.assert_array_equal(right_only.alphas, dec.alphas)
+        np.testing.assert_array_equal(right_only.betas, dec.betas)

@@ -102,6 +102,31 @@ class TestCompanionForms:
         with pytest.raises(ValueError, match="quadratic"):
             form(MatrixPolynomial.pencil(np.eye(2), np.eye(2)))
 
+    @pytest.mark.parametrize("form", ["first", "alternate"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_blocks_match_np_block_bitwise(self, form, n):
+        # QZ's Householder sign choices read signed zeros, so the -0.0
+        # entries of -I must survive the block assembly
+        from sqeig.corpus import BUILTIN_NAMES, builtin
+
+        quadratics = [builtin(name, seed=1)[0] for name in BUILTIN_NAMES]
+        quadratics = [q for q in quadratics if q.degree == 2 and q.n == n]
+        quadratics.append(MatrixPolynomial((*_random_quadratic(np.random.default_rng(n), n),)))
+        for q in quadratics:
+            k, c, m = q.coeffs
+            eye, zero = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+            if form == "first":
+                want = (np.block([[c, k], [-eye, zero]]), np.block([[-m, zero], [zero, -eye]]))
+                got = first_companion(q)
+            else:
+                want = (np.block([[zero, k], [-eye, zero]]), np.block([[-m, -c], [zero, -eye]]))
+                got = alternate_companion(q)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                np.testing.assert_array_equal(g, w)
+                for part in (np.real, np.imag):
+                    np.testing.assert_array_equal(np.signbit(part(g)), np.signbit(part(w)))
+
 
 class TestAlternateFromFirst:
     # the solver reads both forms' eigenvectors from one QZ of the first

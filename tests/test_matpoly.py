@@ -137,6 +137,21 @@ class TestSamplePerturbation:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("n", [1, 3, 11])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_per_coefficient_draws_bitwise(self, n, m):
+        # the sample is the normalized stack of m+1 (real, imaginary) draws
+        for seed in (0, 1, 7, 2024):
+            rng = np.random.default_rng(seed)
+            raw = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(m + 1)]
+            for _ in range(2):
+                s = joint_norm(raw)
+                raw = [c / s for c in raw]
+            got = sample_perturbation(n, m, np.random.default_rng(seed))
+            assert len(got) == m + 1
+            for g, w in zip(got, raw):
+                np.testing.assert_array_equal(g, w)
+
     def test_plain_read_only_stack(self):
         e = sample_perturbation(3, 2, np.random.default_rng(1))
         assert isinstance(e, tuple) and len(e) == 3
@@ -207,6 +222,23 @@ class TestScaleQuadratic:
         with pytest.raises(ValueError, match="quadratic"):
             scale_quadratic(MatrixPolynomial.pencil(np.eye(2), np.eye(2)))
 
+    def test_matches_spectral_norm_formula_bitwise(self):
+        from sqeig.corpus import BUILTIN_NAMES, builtin
+
+        rng = np.random.default_rng(12)
+        cases = [builtin(name, seed=s)[0] for name in BUILTIN_NAMES for s in range(3)]
+        cases += [_random_poly(rng, n, 2) for n in (1, 2, 3, 7, 20, 40)]
+        for p in cases:
+            if p.degree != 2:
+                continue
+            k, c, m = p.coeffs
+            gamma = math.sqrt(spectral_norm(k) / spectral_norm(m))
+            omega = 1.0 / spectral_norm(k)
+            balanced, got = scale_quadratic(p)
+            assert got == gamma
+            for b, w in zip(balanced.coeffs, (omega * k, omega * gamma * c, omega * gamma**2 * m)):
+                np.testing.assert_array_equal(b, w)
+
     def test_eigenvalue_rescaling_consistency(self):
         # eigenvalues of the scaled problem times gamma match the originals
         from sqeig.linearize import first_companion
@@ -245,6 +277,12 @@ class TestPadding:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             MatrixPolynomial((np.array([[np.inf]]),))
+
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="order 0"):
+            MatrixPolynomial((np.zeros((0, 0)), np.zeros((0, 0))))
+        # a (0, k) coefficient pads to order k
+        assert MatrixPolynomial((np.zeros((0, 2)),)).n == 2
 
 
 class TestKernelBases:

@@ -219,6 +219,19 @@ class TestDispatch:
         res = solve_polynomial(p, SolverConfig(seed=0))
         assert_multiset_close(_accepted_values(res), [1.0, 2.0], atol=1e-6)
 
+    def test_order_zero_rejected_before_lapack(self, monkeypatch):
+        from sqeig import densela
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called for an order-0 problem")
+
+        monkeypatch.setattr(densela, "_zggev", no_lapack)
+        empty = np.zeros((0, 0))
+        with pytest.raises(ValueError, match="order 0"):
+            solve_singular_pencil(empty, empty, SolverConfig(seed=0))
+        with pytest.raises(ValueError, match="order 0"):
+            solve_singular_quadratic(empty, empty, empty, SolverConfig(seed=0))
+
     def test_unsupported_degree(self):
         p = MatrixPolynomial((np.eye(2), np.eye(2), np.eye(2), np.eye(2)))
         with pytest.raises(ValueError, match="degree"):
