@@ -6,7 +6,8 @@ The central scale is the reciprocal condition number of a simple eigenvalue,
 
 computed from unit right/left eigenvectors.  For singular problems the
 module also provides the first-order coefficient of an eigenvalue path
-under a perturbation stack and the directional sensitivity it induces,
+under a perturbation stack and the directional sensitivity it induces
+(for one stack or screened over a batch of them),
 the sensitivity's exact distribution model under uniformly random
 perturbations (a ratio of beta variables), probabilistic upper/lower
 bounds on the delta-weak condition number, a beta-ratio tail estimate,
@@ -32,10 +33,12 @@ __all__ = [
     "LimitPencil",
     "WeakConditionBounds",
     "beta_ratio_lower_tail_bound",
+    "directional_sensitivities",
     "directional_sensitivity",
     "first_order_coefficient",
     "inverse_condition",
     "limit_pencil",
+    "limit_weights",
     "lower_bound_validity",
     "pencil_condition",
     "power_sum",
@@ -110,32 +113,50 @@ def quadratic_condition(m, c, lam, x, y):
     return _condition((None, as_matrix(c, "C"), as_matrix(m, "M")), lam, x, y)
 
 
-def _projected_perturbation(p, lam, bases, e):
-    e_lam = np.zeros((p.n, p.n), dtype=complex)
-    for j, c in enumerate(e):
-        e_lam = e_lam + (lam**j) * c
-    xs = np.column_stack([bases.X, bases.x])
-    ys = np.column_stack([bases.Y, bases.y])
-    return ys.conj().T @ e_lam @ xs, xs, ys
+def _batch_of_one(e):
+    # one perturbation stack as a (1, m+1, n, n) batch
+    return np.asarray(e, dtype=complex)[None]
 
 
-def _check_direction(g, what):
-    # the singular-value guard shared by the first-order coefficient (on the
-    # inner block) and the limit pencil (on the whole projected block)
-    if g.size:
-        s = np.linalg.svd(g, compute_uv=False)
-        if s[-1] == 0.0 or s[0] / s[-1] > BAD_DIRECTION_COND:
-            raise BadDirectionError(f"perturbation direction leaves {what} numerically singular")
+def _projected_perturbations(p, lam, bases, e):
+    # G = [Y y]* E(lam) [X x] for every stack of the (k, m+1, n, n) batch e,
+    # with E(lam) summed in ascending powers
+    e_lam = e[:, 0]
+    for j in range(1, e.shape[1]):
+        e_lam = e_lam + lam**j * e[:, j]
+    return bases.left.conj().T @ e_lam @ bases.right
+
+
+def _passes_screen(g):
+    # True where the square block g[i] is numerically nonsingular, the
+    # singular-value guard shared by the first-order coefficient (on the
+    # inner block) and the limit pencil (on the whole projected block);
+    # empty blocks pass
+    if g.shape[-1] == 0:
+        return np.ones(len(g), dtype=bool)
+    s = np.linalg.svd(g, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s[:, 0] / s[:, -1] <= BAD_DIRECTION_COND
+
+
+def _require_screened(ok, what):
+    if not ok[0]:
+        raise BadDirectionError(f"perturbation direction leaves {what} numerically singular")
 
 
 def _first_order_terms(p, lam, bases, e):
-    # (phase, log magnitude, y* P'(lam) x) with c = phase * exp(log) / anchor
-    g, _, _ = _projected_perturbation(p, lam, bases, e)
-    _check_direction(g[:-1, :-1], "the inner block")
-    sign_full, ld_full = np.linalg.slogdet(g)
-    sign_inner, ld_inner = np.linalg.slogdet(g[:-1, :-1])
+    # (phase, log magnitude, y* P'(lam) x, screen mask) over the batch e, with
+    # c = phase * exp(log magnitude) / anchor where the mask holds
+    g = _projected_perturbations(p, lam, bases, e)
+    inner = g[:, :-1, :-1]
+    ok = _passes_screen(inner)
+    phase, log_mag = np.linalg.slogdet(g)
+    if inner.shape[-1]:  # the regular case has an empty inner block of determinant 1
+        sign_inner, ld_inner = np.linalg.slogdet(inner)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phase, log_mag = phase / sign_inner, log_mag - ld_inner
     anchor = complex(bases.y.conj() @ p.derivative_at(lam) @ bases.x)
-    return complex(sign_full / sign_inner), ld_full - ld_inner, anchor
+    return phase, log_mag, anchor, ok
 
 
 def first_order_coefficient(p, lam, bases, e):
@@ -146,12 +167,28 @@ def first_order_coefficient(p, lam, bases, e):
     kernel-projected perturbation, ``c = det(G) / (det(G11) * y* P'(lam) x)``
     where G11 drops the last row and column; the determinants are evaluated
     in log-magnitude form so the ratio survives large kernel dimensions.
-    c is infinite where ``y* P'(lam) x`` vanishes.
+    c is infinite where ``y* P'(lam) x`` vanishes.  Raises
+    BadDirectionError when G11 is numerically singular.
     """
-    phase, log_mag, anchor = _first_order_terms(p, lam, bases, e)
+    phase, log_mag, anchor, ok = _first_order_terms(p, lam, bases, _batch_of_one(e))
+    _require_screened(ok, "the inner block")
     if anchor == 0.0:
         return complex(math.inf)
-    return phase * math.exp(log_mag) / anchor
+    return complex(phase[0]) * math.exp(log_mag[0]) / anchor
+
+
+def directional_sensitivities(p, lam, bases, e):
+    """Directional sensitivities of a (k, m+1, n, n) batch of perturbation stacks.
+
+    Returns ``(values, ok)``: ``values[i]`` is the sensitivity along
+    ``e[i]`` as ``directional_sensitivity`` defines it, and ``ok[i]`` is
+    False where that direction fails the screen on the inner block, whose
+    value is then meaningless.
+    """
+    _, log_mag, anchor, ok = _first_order_terms(p, lam, bases, e)
+    if anchor == 0.0:
+        return np.full(len(e), math.inf), ok
+    return np.exp(log_mag) / (joint_norm(e) * abs(anchor)), ok
 
 
 def directional_sensitivity(p, lam, bases, e):
@@ -161,10 +198,9 @@ def directional_sensitivity(p, lam, bases, e):
     ``first_order_coefficient``; the modulus is formed from the log
     magnitudes without the phase.
     """
-    _, log_mag, anchor = _first_order_terms(p, lam, bases, e)
-    if anchor == 0.0:
-        return math.inf
-    return math.exp(log_mag) / (joint_norm(e) * abs(anchor))
+    values, ok = directional_sensitivities(p, lam, bases, _batch_of_one(e))
+    _require_screened(ok, "the inner block")
+    return float(values[0])
 
 
 @dataclass(frozen=True)
@@ -194,21 +230,48 @@ class LimitPencil:
         return float(abs(self.b[-1]))
 
 
+def _limit_vectors(p, lam, bases, e):
+    # (G, a, b, screen mask) over the batch e with the unit a = G^{-*} e_last
+    # and b = G^{-1} e_last; a and b are NaN where the mask fails
+    g = _projected_perturbations(p, lam, bases, e)
+    ok = _passes_screen(g)
+    # right-hand sides as (k, d+1, 1) stacks, which solve reads alike on
+    # every supported numpy
+    screened = g[ok]
+    e_last = np.zeros((len(screened), g.shape[1], 1), dtype=complex)
+    e_last[:, -1] = 1.0
+    a = np.full(g.shape[:2], np.nan, dtype=complex)
+    b = np.full(g.shape[:2], np.nan, dtype=complex)
+    for out, lhs in ((a, screened.conj().transpose(0, 2, 1)), (b, screened)):
+        v = np.linalg.solve(lhs, e_last)[..., 0]
+        out[ok] = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return g, a, b, ok
+
+
 def limit_pencil(p, lam, bases, e):
     """Compute the limit pencil and its distinguished eigenvector pair.
 
     The pair is the one whose eigenvectors have a nonzero last component;
     in closed form ``a = G^{-*} e_last / ||.||`` and
-    ``b = G^{-1} e_last / ||.||``.
+    ``b = G^{-1} e_last / ||.||``.  Raises BadDirectionError when G is
+    numerically singular.
     """
-    g, xs, ys = _projected_perturbation(p, lam, bases, e)
-    _check_direction(g, "the projected perturbation block")
-    d = ys.conj().T @ p.derivative_at(lam) @ xs
-    e_last = np.zeros(g.shape[0], dtype=complex)
-    e_last[-1] = 1.0
-    a = np.linalg.solve(g.conj().T, e_last)
-    b = np.linalg.solve(g, e_last)
-    return LimitPencil(G=g, D=d, a=a / np.linalg.norm(a), b=b / np.linalg.norm(b))
+    g, a, b, ok = _limit_vectors(p, lam, bases, _batch_of_one(e))
+    _require_screened(ok, "the projected perturbation block")
+    d = bases.left.conj().T @ p.derivative_at(lam) @ bases.right
+    return LimitPencil(G=g[0], D=d, a=a[0], b=b[0])
+
+
+def limit_weights(p, lam, bases, e):
+    """Limit-pencil mixing weights of a (k, m+1, n, n) batch of perturbation stacks.
+
+    Returns ``(weights, ok)``: ``weights[i]`` is ``left_weight *
+    right_weight`` of ``limit_pencil`` along ``e[i]``, and ``ok[i]`` is
+    False where that direction fails the screen on the projected block,
+    whose weight is then NaN.
+    """
+    _, a, b, ok = _limit_vectors(p, lam, bases, e)
+    return np.abs(a[:, -1]) * np.abs(b[:, -1]), ok
 
 
 def sensitivity_tail(t, inv_cond, big_n, n, r):

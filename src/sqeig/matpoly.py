@@ -2,8 +2,9 @@
 
 A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
 ascending powers.  The module provides evaluation, derivative, reversal,
-the joint Frobenius norm of a coefficient stack, normalized random
-perturbation sampling, probabilistic normal-rank estimation, the
+the joint Frobenius norm of one coefficient stack or a batch of them,
+normalized random perturbation sampling (one stack or a batch),
+probabilistic normal-rank estimation, the
 two-norm scaling used to balance quadratic problems, the orthonormal
 kernel bases at an eigenvalue, and the known-truth record of benchmark
 problems.
@@ -12,7 +13,7 @@ problems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "normal_rank",
     "pad_to_square",
     "sample_perturbation",
+    "sample_perturbations",
     "scale_quadratic",
     "spectral_norm",
 ]
@@ -35,6 +37,13 @@ __all__ = [
 
 #: relative tolerance for matching a computed eigenvalue to a known one
 MATCH_TOL = 1e-4
+
+#: most standard normal entries ``sample_perturbations`` draws at once; a
+#: batch is drawn in pieces of whole stacks, which changes no sample
+DRAW_CHUNK_ENTRIES = 1 << 20
+
+#: largest distance of a normalized perturbation sample's joint norm from 1
+UNIT_NORM_TOL = 64 * np.finfo(float).eps
 
 
 class DegenerateProblemError(ValueError):
@@ -78,10 +87,13 @@ def _square(m):
     return out
 
 
-def _freeze(a):
-    a = np.array(a, dtype=complex)
+def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def _freeze(a):
+    return _read_only(np.array(a, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +117,16 @@ class MatrixPolynomial:
         if max(shape) == 0:
             raise ValueError("a matrix polynomial needs order at least 1, got order 0")
         object.__setattr__(self, "coeffs", tuple(_freeze(_square(c)) for c in raw))
+
+    @classmethod
+    def _derived(cls, coeffs):
+        # coefficients computed from those of a validated polynomial: already
+        # square complex arrays of one shape that nothing else holds, so they
+        # are only made read-only; a non-finite one is left to the input check
+        # of densela.generalized_eig
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(_read_only(c) for c in coeffs))
+        return p
 
     @classmethod
     def quadratic(cls, m, c, k):
@@ -146,13 +168,16 @@ class MatrixPolynomial:
         Satisfies ``reversed(P)(lam) == lam**m * P(1/lam)`` for ``lam != 0``
         and is an involution.
         """
-        return MatrixPolynomial(self.coeffs[::-1])
+        return MatrixPolynomial._derived(self.coeffs[::-1])
 
     def perturbed(self, e, epsilon):
         """``P + epsilon * E`` for a coefficient stack ``e`` of matching shape."""
         if len(e) != len(self.coeffs):
             raise ValueError("perturbation stack must match the polynomial degree")
-        return MatrixPolynomial(tuple(a + epsilon * d for a, d in zip(self.coeffs, e)))
+        coeffs = tuple(np.asarray(a + epsilon * d, dtype=complex) for a, d in zip(self.coeffs, e))
+        if any(c.shape != self.coeffs[0].shape for c in coeffs):
+            raise ValueError("perturbation coefficients must match the polynomial's shape")
+        return MatrixPolynomial._derived(coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,56 +185,92 @@ class KernelBases:
     """Orthonormal kernel bases at a simple eigenvalue.
 
     ``[X x]`` spans the right kernel with ``X`` spanning the right singular
-    space; ``[Y y]`` likewise on the left.  ``X`` and ``Y`` are stored as
-    read-only complex (n, d) arrays, with d = 0 for None or an empty array,
-    and ``x`` and ``y`` as complex (n,) vectors.  Raises ValueError unless
-    ``[X x]`` and ``[Y y]`` have the same shape and orthonormal columns.
+    space; ``[Y y]`` likewise on the left.  The blocks are stored once, as
+    the read-only complex (n, d+1) arrays ``right`` = ``[X x]`` and
+    ``left`` = ``[Y y]``; ``X`` and ``Y`` are their (n, d) leading columns,
+    with d = 0 for None or an empty array, and ``x`` and ``y`` their last
+    columns, all read-only views.  Raises ValueError unless ``[X x]`` and
+    ``[Y y]`` have the same shape and orthonormal columns.
     """
 
     X: np.ndarray
     x: np.ndarray
     Y: np.ndarray
     y: np.ndarray
+    right: np.ndarray = field(init=False, repr=False)
+    left: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for big, single in (("X", "x"), ("Y", "y")):
+        for big, single, both in (("X", "x", "right"), ("Y", "y", "left")):
             vec = np.asarray(getattr(self, single), dtype=complex).reshape(-1)
             block = getattr(self, big)
             if block is None or np.size(block) == 0:
                 block = np.zeros((vec.size, 0))
-            stack = np.column_stack([block, vec])
+            stack = _read_only(np.column_stack([block, vec]))
             if np.linalg.norm(stack.conj().T @ stack - np.eye(stack.shape[1])) > 1e-6:
                 raise ValueError(f"[{big} {single}] must have orthonormal columns")
-            object.__setattr__(self, big, _freeze(stack[:, :-1]))
-            object.__setattr__(self, single, _freeze(stack[:, -1]))
+            object.__setattr__(self, both, stack)
+            object.__setattr__(self, big, stack[:, :-1])
+            object.__setattr__(self, single, stack[:, -1])
         if self.X.shape != self.Y.shape:
             raise ValueError(f"[X x] and [Y y] differ in shape: X {self.X.shape}, Y {self.Y.shape}")
 
 
 def joint_norm(coeffs):
-    """Frobenius norm of the stacked coefficients ``[E_0 E_1 ... E_m]``."""
-    return math.sqrt(sum(float(np.linalg.norm(c, "fro")) ** 2 for c in coeffs))
+    """Frobenius norm of the stacked coefficients ``[E_0 E_1 ... E_m]``.
+
+    ``coeffs`` is one stack of m+1 matrices, giving a float, or a
+    (count, m+1, n, n) batch of stacks, giving the count norms as an array.
+    Each norm is ``math.sqrt(sum(float(np.linalg.norm(c, "fro")) ** 2 for c
+    in stack))`` to the last bit, for a stack alone and inside any batch.
+    """
+    e = np.asarray(coeffs, dtype=complex)
+    # np.linalg.norm(c, "fro") is the square root of one BLAS dot of the real
+    # parts plus one of the imaginary parts; one stacked matmul of those
+    # parts, as (1, n*n) rows by (n*n, 1) columns, makes the same dot calls
+    parts = e.reshape(-1, e.shape[-2] * e.shape[-1], 1).view(float).transpose(0, 2, 1)
+    dots = (parts[:, :, None] @ parts[:, :, :, None]).reshape(-1, 2).tolist()
+    # squared with Python's float power (numpy's vectorized power differs from
+    # it in the last bit on some hosts) and summed left to right
+    squares = [math.sqrt(re + im) ** 2 for re, im in dots]
+    terms = e.shape[-3]
+    norms = [math.sqrt(sum(squares[i : i + terms])) for i in range(0, len(squares), terms)]
+    return np.array(norms) if e.ndim == 4 else norms[0]
+
+
+def sample_perturbations(n, m, count, rng):
+    """Draw ``count`` random perturbation stacks of m+1 complex n-by-n coefficients.
+
+    Every real and imaginary entry is an independent standard normal; each
+    stack is then divided once by its joint norm (and once more to absorb
+    rounding), making the vectorized stack exactly uniform on the unit
+    sphere of real dimension 2*n**2*(m+1).  The generator is consumed as by
+    ``count`` single draws, stack after stack, each in the order of m+1
+    (real part, imaginary part) pairs of n-by-n draws.  Returns a read-only
+    complex (count, m+1, n, n) array.
+    """
+    rng = np.random.default_rng(rng)
+    e = np.empty((count, m + 1, n, n), dtype=complex)
+    # the real and imaginary parts of e as the last axis of a float view
+    parts = e.view(float).reshape(count, m + 1, n, n, 2)
+    step = max(1, DRAW_CHUNK_ENTRIES // (2 * (m + 1) * n * n))
+    for start in range(0, count, step):
+        raw = rng.standard_normal((min(step, count - start), m + 1, 2, n, n))
+        parts[start : start + len(raw)] = raw.transpose(0, 1, 3, 4, 2)
+    for _ in range(2):
+        e /= joint_norm(e).reshape(-1, 1, 1, 1)
+    if (np.abs(joint_norm(e) - 1.0) > UNIT_NORM_TOL).any():
+        raise ValueError("perturbation sample must have unit joint norm")
+    return _read_only(e)
 
 
 def sample_perturbation(n, m, rng):
-    """Draw a random perturbation stack of m+1 complex n-by-n coefficients.
+    """Draw one random perturbation stack of m+1 complex n-by-n coefficients.
 
-    Every real and imaginary entry is an independent standard normal; the
-    stack is then divided once by its joint norm (and once more to absorb
-    rounding), making the vectorized stack exactly uniform on the unit
-    sphere of real dimension 2*n**2*(m+1).  Returns the tuple of read-only
-    coefficients.
+    The single-stack case of ``sample_perturbations``; returns the tuple of
+    read-only coefficients.
     """
-    # one draw in the order of m+1 (real part, imaginary part) pairs of
-    # n-by-n draws, so the samples are those of per-coefficient draws
-    raw = np.random.default_rng(rng).standard_normal((m + 1, 2, n, n))
-    e = raw[:, 0] + 1j * raw[:, 1]
-    for _ in range(2):
-        e = e / joint_norm(e)
-    if abs(joint_norm(e) - 1.0) > 64 * np.finfo(float).eps:
-        raise ValueError("perturbation sample must have unit joint norm")
-    e.setflags(write=False)
-    return tuple(e)
+    return tuple(sample_perturbations(n, m, 1, rng)[0])
 
 
 def normal_rank(p, rng=None):
@@ -250,4 +311,4 @@ def scale_quadratic(p):
         raise DegenerateProblemError("scaling requires nonzero leading and trailing coefficients")
     gamma = math.sqrt(nk / nm)
     omega = 1.0 / nk
-    return MatrixPolynomial((omega * k, omega * gamma * c, omega * gamma**2 * m)), gamma
+    return MatrixPolynomial._derived((omega * k, omega * gamma * c, omega * gamma**2 * m)), gamma

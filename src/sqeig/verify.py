@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,10 @@ import scipy.stats
 
 from .condition import (
     BadDirectionError,
+    directional_sensitivities,
     first_order_coefficient,
     inverse_condition,
-    limit_pencil,
+    limit_weights,
     pencil_condition,
     spurious_condition_bound,
 )
@@ -39,10 +41,13 @@ from .matpoly import (
     MatrixPolynomial,
     TruthSpec,
     normal_rank,
-    sample_perturbation,
+    sample_perturbations,
     scale_quadratic,
 )
 from .solver import SOURCE_C1, SolverConfig, solve_polynomial
+
+# unused here; perfbench/tracing.py patches this verify attribute by name
+from .matpoly import sample_perturbation  # noqa: F401
 
 __all__ = [
     "ExpansionReport",
@@ -66,7 +71,7 @@ __all__ = [
 ]
 
 
-#: redraws allowed per sampling call for directions raising BadDirectionError
+#: redraws allowed per sampling call for directions failing the bad-direction screen
 MAX_RETRIES = 100
 
 
@@ -166,31 +171,38 @@ def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     return TrialReport(n_t=n_t, n_s=n_s, trials=tuple(outcomes) if keep_trials else None)
 
 
-def _per_direction(statistic, poly, lam0, bases, n_samples, rng):
-    # statistic(poly, lam0, bases, e) for n_samples independent uniform
-    # directions e; a direction raising BadDirectionError is redrawn, at most
-    # MAX_RETRIES times over the whole call
-    out = []
+def _screened_samples(statistic, poly, lam0, bases, n_samples, rng):
+    # statistic(poly, lam0, bases, batch) -> (values, ok) over n_samples
+    # independent uniform directions drawn as one batch; the directions ok
+    # flags as bad are redrawn in place, in order, at most MAX_RETRIES times
+    # over the whole call
+    count = operator.index(n_samples)
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
+    rng = np.random.default_rng(rng)
+    values, ok = statistic(poly, lam0, bases, sample_perturbations(poly.n, poly.degree, count, rng))
     bad = 0
-    while len(out) < n_samples:
-        e = sample_perturbation(poly.n, poly.degree, rng)
-        try:
-            out.append(statistic(poly, lam0, bases, e))
-        except BadDirectionError:
-            bad += 1
-            if bad > MAX_RETRIES:
-                raise
-    return out
+    while not ok.all():
+        redo = np.flatnonzero(~ok)
+        bad += len(redo)
+        if bad > MAX_RETRIES:
+            raise BadDirectionError(
+                f"more than {MAX_RETRIES} perturbation directions failed the bad-direction screen"
+            )
+        batch = sample_perturbations(poly.n, poly.degree, len(redo), rng)
+        values[redo], ok[redo] = statistic(poly, lam0, bases, batch)
+    return values
 
 
 def sensitivity_samples(poly, lam0, bases, n_samples, rng):
-    """Directional sensitivities under independent uniform perturbations."""
-    from .condition import directional_sensitivity
+    """Directional sensitivities under independent uniform perturbations.
 
-    rng = np.random.default_rng(rng)
-    return np.array(
-        _per_direction(directional_sensitivity, poly, lam0, bases, n_samples, rng), dtype=float
-    )
+    The directions are drawn as one batch; a direction failing the
+    bad-direction screen is redrawn in its place, at most ``MAX_RETRIES``
+    times per call, else BadDirectionError is raised.  ``n_samples`` must
+    be a nonnegative integer.
+    """
+    return _screened_samples(directional_sensitivities, poly, lam0, bases, n_samples, rng)
 
 
 def model_sensitivity_samples(big_n, n, r, size, rng):
@@ -336,12 +348,11 @@ def limit_mixing_samples(poly, lam0, bases, n_samples, rng):
     induced reciprocal-condition estimates.
 
     gamma_bar = gamma * weight is the reciprocal condition number seen through
-    the perturbed eigenvectors.  Returns ``(weights, gamma_bars, gamma)``.
+    the perturbed eigenvectors.  Directions are drawn and redrawn as by
+    ``sensitivity_samples``.  Returns ``(weights, gamma_bars, gamma)``.
     """
-    rng = np.random.default_rng(rng)
     gamma = inverse_condition(poly, lam0, bases.x, bases.y)
-    pencils = _per_direction(limit_pencil, poly, lam0, bases, n_samples, rng)
-    weights = np.array([lp.left_weight * lp.right_weight for lp in pencils], dtype=float)
+    weights = _screened_samples(limit_weights, poly, lam0, bases, n_samples, rng)
     return weights, gamma * weights, gamma
 
 

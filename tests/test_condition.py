@@ -1,6 +1,7 @@
 """Condition formulas, sensitivity model, probabilistic bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import scipy.stats
 from sqeig.condition import (
     BadDirectionError,
     beta_ratio_lower_tail_bound,
+    directional_sensitivities,
     directional_sensitivity,
     first_order_coefficient,
     inverse_condition,
     limit_pencil,
+    limit_weights,
     lower_bound_validity,
     pencil_condition,
     quadratic_condition,
@@ -23,7 +26,13 @@ from sqeig.condition import (
     weak_condition_upper,
 )
 from sqeig.construct import chain_quadratic
-from sqeig.matpoly import KernelBases, MatrixPolynomial, joint_norm, sample_perturbation
+from sqeig.matpoly import (
+    KernelBases,
+    MatrixPolynomial,
+    joint_norm,
+    sample_perturbation,
+    sample_perturbations,
+)
 from sqeig.verify import limit_mixing_samples
 
 
@@ -128,6 +137,32 @@ class TestDirectionalSensitivity:
         e = (u + 0.0 * u, np.zeros_like(u), np.zeros_like(u))
         with pytest.raises(BadDirectionError):
             directional_sensitivity(inst.polynomial(), 1.0, b, e)
+
+
+class TestBatchedKernel:
+    def test_flags_bad_directions_without_raising(self):
+        inst = chain_quadratic([1.0, 0.5], 3, rng=5)
+        b = inst.bases(1.0)
+        batch = np.array(sample_perturbations(3, 2, 4, np.random.default_rng(6)))
+        batch[2] = 0.0  # a zero direction makes every projected block singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ok = directional_sensitivities(inst.polynomial(), 1.0, b, batch)
+            weights, ok_limit = limit_weights(inst.polynomial(), 1.0, b, batch)
+        np.testing.assert_array_equal(ok, [True, True, False, True])
+        np.testing.assert_array_equal(ok_limit, [True, True, False, True])
+        assert np.isnan(weights[2]) and np.all(np.isfinite(weights[ok_limit]))
+
+    def test_zero_anchor_gives_infinite_sensitivity(self):
+        # p(lam) = (lam - 1)**2 has p'(1) = 0
+        p = MatrixPolynomial((np.array([[1.0]]), np.array([[-2.0]]), np.array([[1.0]])))
+        empty = np.zeros((1, 0))
+        b = KernelBases(empty, ONE, empty, ONE)
+        batch = sample_perturbations(1, 2, 3, np.random.default_rng(7))
+        values, ok = directional_sensitivities(p, 1.0, b, batch)
+        assert ok.all() and np.all(values == math.inf)
+        assert directional_sensitivity(p, 1.0, b, batch[0]) == math.inf
+        assert first_order_coefficient(p, 1.0, b, batch[0]) == complex(math.inf)
 
 
 class TestFirstOrderCoefficient:

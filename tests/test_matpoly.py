@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_multiset_close
 from sqeig.densela import UNIT_ROUNDOFF, generalized_eig
+from sqeig import matpoly
 from sqeig.matpoly import (
     DegenerateProblemError,
     KernelBases,
@@ -16,6 +17,7 @@ from sqeig.matpoly import (
     joint_norm,
     normal_rank,
     sample_perturbation,
+    sample_perturbations,
     scale_quadratic,
     spectral_norm,
 )
@@ -109,6 +111,18 @@ class TestJointNorm:
         s = sample_perturbation(3, 2, np.random.default_rng(0))
         assert abs(joint_norm(s) - 1.0) <= 10 * 2 * UNIT_ROUNDOFF
 
+    def test_batch_matches_per_coefficient_formula_bitwise(self):
+        # reference: the per-stack sum of squared per-coefficient norms
+        rng = np.random.default_rng(3)
+        for n, m, count in ((1, 0, 4), (3, 2, 1), (5, 2, 17), (11, 3, 6), (4, 1, 0)):
+            e = rng.standard_normal((count, m + 1, n, n)) + 1j * rng.standard_normal((count, m + 1, n, n))
+            ref = [math.sqrt(sum(float(np.linalg.norm(c, "fro")) ** 2 for c in stack)) for stack in e]
+            got = joint_norm(e)
+            assert got.shape == (count,)
+            np.testing.assert_array_equal(got, ref)
+            for stack, want in zip(e, ref):
+                assert joint_norm(tuple(stack)) == want
+
 
 class TestSamplePerturbation:
     def test_entry_mean(self):
@@ -160,12 +174,67 @@ class TestSamplePerturbation:
         for a, b, d in zip(p.perturbed(e, 0.5).coeffs, p.coeffs, e):
             np.testing.assert_array_equal(a, b + 0.5 * d)
 
+    @pytest.mark.parametrize("n,m", [(1, 0), (3, 2), (5, 2), (11, 1)])
+    def test_batch_stacks_equal_single_draws_bitwise(self, n, m):
+        # stack i of a batch is the i-th of as many single draws, and the
+        # generator ends in the same state
+        batch_rng, single_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batch = sample_perturbations(n, m, 12, batch_rng)
+        assert batch.shape == (12, m + 1, n, n) and not batch.flags.writeable
+        for stack in batch:
+            for got, want in zip(stack, sample_perturbation(n, m, single_rng)):
+                np.testing.assert_array_equal(got, want)
+        assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+    def test_chunked_draw_changes_no_sample(self, monkeypatch):
+        whole_rng, chunked_rng = np.random.default_rng(10), np.random.default_rng(10)
+        whole = sample_perturbations(3, 2, 20, whole_rng)
+        # three stacks of 2*3*3*3 entries per chunk
+        monkeypatch.setattr(matpoly, "DRAW_CHUNK_ENTRIES", 3 * 54 + 1)
+        chunked = sample_perturbations(3, 2, 20, chunked_rng)
+        np.testing.assert_array_equal(chunked, whole)
+        assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        assert sample_perturbations(3, 2, 0, rng).shape == (0, 3, 3, 3)
+        assert rng.bit_generator.state == state
+
     def test_joint_norm_invariant_across_sizes(self):
         rng = np.random.default_rng(8)
         u = 2 * UNIT_ROUNDOFF
         for n, m in ((1, 0), (4, 1), (8, 2), (12, 3)):
             s = sample_perturbation(n, m, rng)
             assert abs(joint_norm(s) - 1.0) <= 10 * u
+
+
+class TestDerivedPolynomials:
+    def _checked(self, p):
+        # the derived coefficients are read-only and bitwise what the
+        # validating constructor makes of them
+        for c in p.coeffs:
+            assert not c.flags.writeable
+        for got, want in zip(p.coeffs, MatrixPolynomial(p.coeffs).coeffs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_perturbed(self):
+        p = _random_poly(np.random.default_rng(12), 4, 2)
+        e = sample_perturbation(4, 2, np.random.default_rng(13))
+        self._checked(p.perturbed(e, 1e-3))
+        # a real perturbation stack still gives complex coefficients
+        self._checked(p.perturbed([np.eye(4)] * 3, 0.5))
+
+    def test_reversed_and_balanced(self):
+        p = _random_poly(np.random.default_rng(14), 3, 2)
+        self._checked(p.reversed())
+        self._checked(scale_quadratic(p)[0])
+
+    def test_perturbed_rejects_mismatched_shape(self):
+        p = _random_poly(np.random.default_rng(15), 3, 1)
+        with pytest.raises(ValueError, match="shape"):
+            p.perturbed((np.zeros((1, 3, 3)), np.zeros((3, 3))), 1.0)
 
 
 class TestNormalRank:
@@ -302,6 +371,16 @@ class TestKernelBases:
         e = self.E
         with pytest.raises(ValueError, match="shape"):
             KernelBases(X=e[:, :2], x=e[:, 2], Y=e[:, :1], y=e[:, 2])
+
+    def test_blocks_stored_once(self):
+        e = self.E
+        b = KernelBases(X=e[:, :2], x=e[:, 2], Y=e[:, 1:3], y=e[:, 3])
+        np.testing.assert_array_equal(b.right, e[:, :3])
+        np.testing.assert_array_equal(b.left, e[:, 1:])
+        for block, parts in ((b.right, (b.X, b.x)), (b.left, (b.Y, b.y))):
+            assert not block.flags.writeable
+            for part in parts:
+                assert np.shares_memory(part, block) and not part.flags.writeable
 
     @pytest.mark.parametrize("empty", [None, np.zeros((4, 0)), np.zeros(0)])
     def test_empty_singular_block(self, empty):

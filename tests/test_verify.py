@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from sqeig import condition
+from sqeig.condition import BadDirectionError, directional_sensitivity, limit_pencil
 from sqeig.construct import KernelBases, chain_quadratic
 from sqeig.matpoly import MatrixPolynomial, sample_perturbation
 from sqeig.solver import SolverConfig
 from sqeig.verify import (
+    MAX_RETRIES,
     ProbeFailureError,
     TrialReport,
     TruthSpec,
@@ -121,6 +124,107 @@ class TestSensitivityDistribution:
     def test_model_regular_degenerate_denominator(self):
         draws = model_sensitivity_samples(8, 2, 2, 1000, np.random.default_rng(25))
         assert np.all(draws <= 1.0 + 1e-12)
+
+
+def _scalar_instance():
+    # p(lam) = lam - 1, the regular 1x1 case (empty singular block)
+    p = MatrixPolynomial((np.array([[-1.0]]), np.array([[1.0]])))
+    one, empty = np.ones(1), np.zeros((1, 0))
+    return p, 1.0, KernelBases(empty, one, empty, one)
+
+
+def _chain(lams, n):
+    inst = chain_quadratic(lams, n, rng=40)
+    return inst.polynomial(), 1.0, inst.bases(1.0)
+
+
+BATCH_CASES = {
+    "regular 1x1 (d=0)": _scalar_instance,
+    "chain3 (d=1)": lambda: _chain([1.0, 0.5], 3),
+    "chain5 (d=2)": lambda: _chain([1.0, 0.5, 2.0], 5),
+}
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_matches_per_direction_reference(self, case):
+        poly, lam, b = BATCH_CASES[case]()
+        k = 40
+        ref_rng = np.random.default_rng(41)
+        draws = [sample_perturbation(poly.n, poly.degree, ref_rng) for _ in range(k)]
+        sens_rng = np.random.default_rng(41)
+        got = sensitivity_samples(poly, lam, b, k, sens_rng)
+        want = [directional_sensitivity(poly, lam, b, e) for e in draws]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # nothing was redrawn: the generator ends as after k single draws
+        assert sens_rng.bit_generator.state == ref_rng.bit_generator.state
+        weights, _, _ = limit_mixing_samples(poly, lam, b, k, np.random.default_rng(41))
+        pencils = [limit_pencil(poly, lam, b, e) for e in draws]
+        want = [lp.left_weight * lp.right_weight for lp in pencils]
+        np.testing.assert_allclose(weights, want, rtol=0.0, atol=1e-12)
+
+    def test_redraws_only_flagged_positions_in_order(self, monkeypatch):
+        poly, lam, b = BATCH_CASES["chain5 (d=2)"]()
+        k = 30
+        ref_rng = np.random.default_rng(42)
+        draws = [sample_perturbation(poly.n, poly.degree, ref_rng) for _ in range(3 * k)]
+        inner = [
+            np.linalg.cond((b.left.conj().T @ sum(lam**j * c for j, c in enumerate(e)) @ b.right)[:-1, :-1])
+            for e in draws
+        ]
+        # flag the directions whose inner block is worse than the 80th percentile
+        cutoff = float(np.quantile(inner, 0.8))
+        monkeypatch.setattr(condition, "BAD_DIRECTION_COND", cutoff)
+        # reference: the flagged slots of each round take the next draws in order
+        slots = list(range(k))
+        chosen = [None] * k
+        pending = iter(range(3 * k))
+        while slots:
+            for slot in slots:
+                chosen[slot] = next(pending)
+            slots = [slot for slot in slots if inner[chosen[slot]] > cutoff]
+        assert any(i >= k for i in chosen), "the cutoff must flag some first-round draws"
+        got = sensitivity_samples(poly, lam, b, k, np.random.default_rng(42))
+        want = [directional_sensitivity(poly, lam, b, draws[i]) for i in chosen]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_too_many_bad_directions_raise(self, monkeypatch):
+        poly, lam, b = BATCH_CASES["chain3 (d=1)"]()
+        # a 1x1 inner block has condition number 1, so every direction fails
+        monkeypatch.setattr(condition, "BAD_DIRECTION_COND", 0.5)
+        with pytest.raises(BadDirectionError, match=str(MAX_RETRIES)):
+            sensitivity_samples(poly, lam, b, 3, np.random.default_rng(43))
+        with pytest.raises(BadDirectionError):
+            limit_mixing_samples(poly, lam, b, 3, np.random.default_rng(43))
+
+    def test_zero_anchor_gives_infinite_samples(self):
+        # p(lam) = (lam - 1)**2 has p'(1) = 0
+        p = MatrixPolynomial((np.array([[1.0]]), np.array([[-2.0]]), np.array([[1.0]])))
+        _, lam, b = _scalar_instance()
+        got = sensitivity_samples(p, lam, b, 5, np.random.default_rng(44))
+        assert got.shape == (5,) and np.all(got == math.inf)
+
+    @pytest.mark.parametrize("count", [-3, -1])
+    def test_negative_count_rejected(self, count):
+        poly, lam, b = BATCH_CASES["chain3 (d=1)"]()
+        with pytest.raises(ValueError, match=str(count)):
+            sensitivity_samples(poly, lam, b, count, 0)
+        with pytest.raises(ValueError, match=str(count)):
+            limit_mixing_samples(poly, lam, b, count, 0)
+
+    def test_non_integer_count_rejected(self):
+        poly, lam, b = BATCH_CASES["chain3 (d=1)"]()
+        with pytest.raises(TypeError):
+            sensitivity_samples(poly, lam, b, 2.5, 0)
+        with pytest.raises(TypeError):
+            limit_mixing_samples(poly, lam, b, 2.5, 0)
+
+    def test_zero_and_numpy_integer_counts(self):
+        poly, lam, b = BATCH_CASES["chain3 (d=1)"]()
+        assert sensitivity_samples(poly, lam, b, 0, 0).shape == (0,)
+        weights, gamma_bars, _ = limit_mixing_samples(poly, lam, b, 0, 0)
+        assert weights.shape == gamma_bars.shape == (0,)
+        assert sensitivity_samples(poly, lam, b, np.int64(3), 0).shape == (3,)
 
 
 class TestExpansionOrder:
