@@ -32,8 +32,7 @@ from .condition import (
     weak_condition_upper,
 )
 from .construct import (
-    SingularPencil,
-    SingularQuadratic,
+    SingularProblem,
     chain_quadratic,
     diagonal_pencil,
     diagonal_quadratic,

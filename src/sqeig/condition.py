@@ -274,6 +274,12 @@ def limit_weights(p, lam, bases, e):
     return np.abs(a[:, -1]) * np.abs(b[:, -1]), ok
 
 
+def _check_inv_cond(inv_cond):
+    # written so that NaN fails, as the checks of solver.SolverConfig are
+    if not 0.0 < inv_cond < math.inf:
+        raise ValueError("inv_cond must be positive and finite")
+
+
 def sensitivity_tail(t, inv_cond, big_n, n, r):
     """Model tail probability ``P(sensitivity >= t)`` under random perturbations.
 
@@ -283,8 +289,9 @@ def sensitivity_tail(t, inv_cond, big_n, n, r):
     <= 1``.  Otherwise the tail is evaluated by adaptive quadrature to
     absolute tolerance 1e-10.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValueError("t must be nonnegative")
+    _check_inv_cond(inv_cond)
     if t == 0:
         return 1.0
     s = (inv_cond * t) ** 2
@@ -308,8 +315,7 @@ def weak_condition_upper(delta, inv_cond, big_n, n, r):
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if inv_cond <= 0.0:
-        raise ValueError("inv_cond must be positive")
+    _check_inv_cond(inv_cond)
     return max(1.0, math.sqrt((n - r) / (delta * big_n))) / inv_cond
 
 
@@ -328,8 +334,7 @@ def weak_condition_lower(delta, inv_cond, big_n, n, r):
     """
     if r >= n:
         raise ValueError("lower bound requires a singular problem (r < n)")
-    if inv_cond <= 0.0:
-        raise ValueError("inv_cond must be positive")
+    _check_inv_cond(inv_cond)
     vmax = lower_bound_validity(big_n, n, r)
     if not 0.0 < delta <= vmax:
         raise ValueError(f"delta must lie in (0, {vmax:.6g}] for the lower bound")
@@ -341,6 +346,7 @@ def weak_condition_lower_simple(delta, inv_cond, big_n):
     """Simplified lower bound ``1 / (sqrt(N*delta) * inv_cond)``."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    _check_inv_cond(inv_cond)
     return 1.0 / (math.sqrt(big_n * delta) * inv_cond)
 
 

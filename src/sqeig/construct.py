@@ -12,7 +12,8 @@ rows and optionally conjugated with random orthonormal factors:
 * ``diagonal_pencil``: diagonal pencil entries ``lam - lam_i`` padded with
   zero rows.
 
-Every instance builds, on request through ``bases(lam)``, orthonormal bases
+Every recipe returns a ``SingularProblem`` holding its checked polynomial,
+which builds, on request through ``bases(lam)``, orthonormal bases
 ``[X x]`` / ``[Y y]`` of the kernels at a designed eigenvalue, with the
 leading blocks spanning the right/left singular spaces, transformed
 consistently with the conjugation.
@@ -30,8 +31,7 @@ from .matpoly import KernelBases, MatrixPolynomial, scale_quadratic
 
 __all__ = [
     "KernelBases",
-    "SingularPencil",
-    "SingularQuadratic",
+    "SingularProblem",
     "chain_quadratic",
     "diagonal_pencil",
     "diagonal_quadratic",
@@ -75,17 +75,27 @@ def _conjugated(mats, rng, rotate):
 
 
 @dataclass(frozen=True, eq=False)
-class _DesignedSpectrum:
-    """Designed eigenvalues and normal rank, with kernel bases on request.
+class SingularProblem:
+    """Singular quadratic or pencil with designed eigenvalues and normal rank.
 
-    ``conjugation`` is the ``(U, V)`` pair of ``random_conjugation``, or
-    None; ``index_bases(i)`` builds the unconjugated bases at eigenvalue i.
+    ``polynomial()`` returns the ``MatrixPolynomial`` its builder checked
+    once.  ``conjugation`` is the ``(U, V)`` pair of ``random_conjugation``,
+    or None; ``index_bases(i)`` builds the unconjugated kernel bases at
+    eigenvalue i.
     """
 
+    _polynomial: MatrixPolynomial
     eigenvalues: tuple
     normal_rank: int
     conjugation: tuple | None
     index_bases: Callable[[int], KernelBases]
+
+    @property
+    def n(self):
+        return self._polynomial.n
+
+    def polynomial(self):
+        return self._polynomial
 
     def bases(self, lam0):
         """Orthonormal ``KernelBases`` at the designed eigenvalue ``lam0``."""
@@ -98,47 +108,16 @@ class _DesignedSpectrum:
         u, v = self.conjugation
         return KernelBases(X=v.T @ b.X, x=v.T @ b.x, Y=u.T @ b.Y, y=u.T @ b.y)
 
-
-@dataclass(frozen=True, eq=False)
-class SingularQuadratic(_DesignedSpectrum):
-    """Constructed singular quadratic with known spectral structure."""
-
-    M: np.ndarray
-    C: np.ndarray
-    K: np.ndarray
-
-    @property
-    def n(self):
-        return self.M.shape[0]
-
-    def polynomial(self):
-        return MatrixPolynomial.quadratic(self.M, self.C, self.K)
-
     def scaled(self):
-        """Rescaled instance with unit-norm leading and trailing coefficients.
+        """Rescaled quadratic with unit-norm leading and trailing coefficients.
 
         Returns ``(instance, gamma)``; eigenvalues divide by the scale
-        factor ``gamma`` and kernels are unchanged.
+        factor ``gamma`` and kernels are unchanged.  A pencil raises the
+        ValueError of ``scale_quadratic``.
         """
-        balanced, gamma = scale_quadratic(self.polynomial())
-        k, c, m = balanced.coeffs
+        balanced, gamma = scale_quadratic(self._polynomial)
         eigenvalues = tuple(ev / gamma for ev in self.eigenvalues)
-        return dataclasses.replace(self, M=m, C=c, K=k, eigenvalues=eigenvalues), gamma
-
-
-@dataclass(frozen=True, eq=False)
-class SingularPencil(_DesignedSpectrum):
-    """Constructed singular pencil ``A - lam*B`` with known structure."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    def polynomial(self):
-        return MatrixPolynomial.pencil(self.A, self.B)
+        return dataclasses.replace(self, _polynomial=balanced, eigenvalues=eigenvalues), gamma
 
 
 def chain_coefficients(eigenvalues, n):
@@ -199,10 +178,8 @@ def chain_quadratic(eigenvalues, n, rng=None, rotate=True):
     if len(set(eigenvalues)) != len(eigenvalues):
         raise ValueError("designed eigenvalues must be distinct")
     (m, c, kk), conj = _conjugated(chain_coefficients(eigenvalues, n), rng, rotate)
-    return SingularQuadratic(
-        M=m,
-        C=c,
-        K=kk,
+    return SingularProblem(
+        MatrixPolynomial.quadratic(m, c, kk),
         eigenvalues=eigenvalues,
         normal_rank=len(eigenvalues),
         conjugation=conj,
@@ -238,10 +215,8 @@ def diagonal_quadratic(root_pairs, n, rng=None, rotate=True):
         c[i, i] = -(a + b)
         kk[i, i] = a * b
     (m, c, kk), conj = _conjugated((m, c, kk), rng, rotate)
-    return SingularQuadratic(
-        M=m,
-        C=c,
-        K=kk,
+    return SingularProblem(
+        MatrixPolynomial.quadratic(m, c, kk),
         eigenvalues=tuple(roots),
         normal_rank=k,
         conjugation=conj,
@@ -265,9 +240,8 @@ def diagonal_pencil(eigenvalues, n, rng=None, rotate=True):
         b[i, i] = 1.0
     # pencil value is A - lam*B, conjugated the same way as the quadratic
     (a, b), conj = _conjugated((a, b), rng, rotate)
-    return SingularPencil(
-        A=a,
-        B=b,
+    return SingularProblem(
+        MatrixPolynomial.pencil(a, b),
         eigenvalues=eigenvalues,
         normal_rank=k,
         conjugation=conj,

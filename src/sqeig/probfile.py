@@ -17,6 +17,7 @@ the offending element.  ``parse(serialize(pf))`` reproduces ``pf`` exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -46,11 +47,19 @@ class ProblemFile:
         shape = coeffs[0].shape
         if len(shape) != 2 or any(c.shape != shape for c in coeffs):
             raise ProblemFormatError("coefficients: matrices must share one 2-D shape")
+        if 0 in shape:
+            raise ProblemFormatError("coefficients: matrices need at least one row and one column")
         if any(not np.all(np.isfinite(c)) for c in coeffs):
             raise ProblemFormatError("coefficients: entries must be finite")
         object.__setattr__(self, "coefficients", coeffs)
         if self.truth is not None:
-            object.__setattr__(self, "truth", tuple(complex(t) for t in self.truth))
+            truth = tuple(complex(t) for t in self.truth)
+            if not all(cmath.isfinite(t) for t in truth):
+                raise ProblemFormatError("truth: entries must be finite")
+            object.__setattr__(self, "truth", truth)
+        for key in ("name", "source"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ProblemFormatError(f"metadata.{key}: expected a string")
 
     @property
     def n(self):
@@ -161,6 +170,10 @@ def parse(text):
         ]
         coeffs.append(np.array(entries, dtype=complex))
 
+    for key in ("n", "degree"):
+        # bool is an int subclass, and true == 1, so it is excluded by name
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise ProblemFormatError(f"{key}: expected an integer, got {doc[key]!r}")
     if doc["degree"] != len(coeffs) - 1:
         raise ProblemFormatError(
             f"degree: value {doc['degree']!r} does not match {len(coeffs) - 1} from coefficients"

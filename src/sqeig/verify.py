@@ -38,7 +38,6 @@ from .linearize import (
 from .matpoly import (
     MATCH_TOL,
     KernelBases,
-    MatrixPolynomial,
     TruthSpec,
     normal_rank,
     sample_perturbations,
@@ -379,8 +378,9 @@ def singular_space_estimate(poly, lam0, h, rng=None, expected_nullity=None):
     probes in all.  The expected dimension defaults to order minus
     estimated normal rank.
     """
-    if h <= 0:
-        raise ValueError("probe radius h must be positive")
+    # written so that NaN fails, as the checks of SolverConfig are
+    if not 0 < h < math.inf:
+        raise ValueError("probe radius h must be positive and finite")
     rng = np.random.default_rng(rng)
     if expected_nullity is None:
         expected_nullity = poly.n - normal_rank(poly, rng=rng)
@@ -394,18 +394,17 @@ def singular_space_estimate(poly, lam0, h, rng=None, expected_nullity=None):
     )
 
 
-def spurious_bound_records(m, c, k, cfg, n_runs, truth=()):
+def spurious_bound_records(poly, cfg, n_runs, truth=()):
     """Measured condition numbers vs. certified bounds for spurious output.
 
-    Runs the quadratic solver repeatedly; every finite candidate not close
-    to a truth eigenvalue is treated as spurious, and whenever the bound's
-    precondition holds the pair (measured kappa_bar, certified lower bound)
-    is recorded.  A candidate is close to a truth eigenvalue under the
+    Runs the solver repeatedly on the quadratic ``poly``; every finite
+    candidate not close to a truth eigenvalue is treated as spurious, and
+    whenever the bound's precondition holds the pair (measured kappa_bar,
+    certified lower bound) is recorded.  A candidate is close to a truth eigenvalue under the
     matching rule of ``match_accepted`` with tolerance ``MATCH_TOL``.
     Quantities are evaluated on the balanced problem, whose normal rank is
     estimated with the rank cutoff ``densela.RANK_TOL``.
     """
-    poly = MatrixPolynomial.quadratic(m, c, k)
     scaled_poly, gamma = scale_quadratic(poly)
     children = _seed_sequence(cfg.seed).spawn(n_runs)
     rank = normal_rank(scaled_poly, rng=np.random.default_rng(0))

@@ -190,7 +190,7 @@ def test_criterion_5_linearization_ratio_bounds():
     checked = 0
     worst = {"c1_big": 0.0, "c1_small": 0.0, "c1hat_small": 0.0, "c1hat_big": 0.0}
     for inst in _ratio_instances():
-        c_norm = float(np.linalg.norm(inst.C, 2))
+        c_norm = float(np.linalg.norm(inst.polynomial().coeffs[1], 2))
         for lam0 in inst.eigenvalues:
             rep = linearization_ratios(inst, lam0)
             mag = abs(lam0)

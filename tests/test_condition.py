@@ -21,6 +21,7 @@ from sqeig.condition import (
     quadratic_condition,
     sensitivity_tail,
     spurious_condition_bound,
+    weak_condition_bounds,
     weak_condition_lower,
     weak_condition_lower_simple,
     weak_condition_upper,
@@ -280,6 +281,35 @@ class TestWeakBounds:
         assert out_of_range.lower is None
         regular = weak_condition_bounds(0.01, 1.5, 3, 2, 3)
         assert regular.lower is None
+
+
+BAD_INV_CONDS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+class TestBoundArguments:
+    # each bound needs 0 < inv_cond < inf and the tail t >= 0; a NaN must
+    # fail the check rather than slip past it into a NaN or zero result
+    @pytest.mark.parametrize("inv_cond", BAD_INV_CONDS)
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda g: weak_condition_upper(0.01, g, 27, 3, 2),
+            lambda g: weak_condition_lower(0.01, g, 27, 3, 2),
+            lambda g: weak_condition_lower_simple(0.01, g, 27),
+            lambda g: weak_condition_bounds(0.01, g, 3, 2, 2),
+            lambda g: sensitivity_tail(0.5, g, 18, 3, 2),
+            lambda g: sensitivity_tail(0.0, g, 18, 3, 2),
+        ],
+        ids=["upper", "lower", "lower_simple", "bounds", "tail", "tail_at_zero"],
+    )
+    def test_bad_inv_cond_rejected(self, bound, inv_cond):
+        with pytest.raises(ValueError, match="inv_cond must be positive and finite"):
+            bound(inv_cond)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
+    def test_bad_tail_point_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            sensitivity_tail(t, 0.5, 18, 3, 2)
 
 
 class TestBetaRatioBound:

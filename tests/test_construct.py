@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sqeig
 from sqeig import construct
 from sqeig.construct import chain_quadratic, diagonal_pencil, diagonal_quadratic
 from sqeig.densela import rank_with_tol
@@ -40,8 +41,8 @@ def test_chain_zero_eigenvalue():
 def test_chain_scaled_keeps_structure():
     inst = chain_quadratic([2.0, 0.5], 4, rng=5)
     scaled, gamma = inst.scaled()
-    assert abs(np.linalg.norm(scaled.M, 2) - 1.0) <= 1e-12
-    assert abs(np.linalg.norm(scaled.K, 2) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(scaled.polynomial().coeffs[2], 2) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(scaled.polynomial().coeffs[0], 2) - 1.0) <= 1e-12
     for lam_orig, lam_scaled in zip(inst.eigenvalues, scaled.eigenvalues):
         assert abs(lam_orig - gamma * lam_scaled) <= 1e-12
         _bases_are_kernels(scaled.polynomial(), lam_scaled, scaled.bases(lam_scaled))
@@ -79,6 +80,35 @@ def test_unknown_eigenvalue_lookup():
     inst = chain_quadratic([1.0, 0.5], 3, rng=8)
     with pytest.raises(ValueError, match="designed"):
         inst.bases(3.33)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: chain_quadratic([1.0, 0.5], 3, rng=0),
+        lambda: chain_quadratic([1.0, 0.5], 3, rng=0).scaled()[0],
+        lambda: diagonal_quadratic([(1.0, -0.7)], 3, rng=1),
+        lambda: diagonal_pencil([1.0, -2.0], 4, rng=7),
+    ],
+)
+def test_polynomial_is_held_once(make):
+    # the builder checks the polynomial once; every call hands back that object
+    inst = make()
+    assert isinstance(inst, construct.SingularProblem)
+    assert inst.polynomial() is inst.polynomial()
+    assert inst.n == inst.polynomial().n
+
+
+def test_scaled_rejects_a_pencil():
+    with pytest.raises(ValueError, match="degree 1"):
+        diagonal_pencil([1.0, -2.0], 4, rng=7).scaled()
+
+
+def test_designed_types_merged():
+    for gone in ("SingularQuadratic", "SingularPencil", "_DesignedSpectrum"):
+        assert not hasattr(construct, gone)
+        assert not hasattr(sqeig, gone)
+    assert sqeig.SingularProblem is construct.SingularProblem
 
 
 def _annulus_eigenvalues(count, rng):

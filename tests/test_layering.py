@@ -37,6 +37,32 @@ def test_data_model_imports_no_upper_layer(module):
     assert not _imported_modules(SRC / f"{module}.py") & {"solver", "verify", "cli"}
 
 
+#: the package's modules from the bottom layer up
+LAYERS = [
+    "densela",
+    "matpoly",
+    "construct",
+    "corpus",
+    "probfile",
+    "linearize",
+    "condition",
+    "solver",
+    "verify",
+    "cli",
+]
+
+
+def test_imports_point_down_the_layer_order():
+    # each module imports only modules listed before it, so imports point
+    # one way; a new module has to take a place in the order
+    assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    upward = {
+        module: sorted(_imported_modules(SRC / f"{module}.py") - set(LAYERS[:i]))
+        for i, module in enumerate(LAYERS)
+    }
+    assert {m: up for m, up in upward.items() if up} == {}
+
+
 def test_no_private_cross_module_import():
     # an underscore-prefixed name belongs to its module; the rest of the
     # package reaches it through a public function

@@ -282,7 +282,7 @@ class TestLeftKernelBasis:
                     continue
                 b = inst.bases(lam0)
                 _, _, beta = left_kernel_basis_first(inst.polynomial(), lam0, b)
-                c2 = np.linalg.norm(inst.C, 2)
+                c2 = np.linalg.norm(inst.polynomial().coeffs[1], 2)
                 bound = min(
                     math.sqrt(1 + (abs(lam0) + c2) ** 2),
                     math.sqrt(1 + abs(lam0) ** -2),

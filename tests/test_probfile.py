@@ -92,3 +92,40 @@ def test_truth_spec_requires_truth():
     pf = probfile.ProblemFile(coefficients=(np.eye(2),))
     with pytest.raises(ValueError, match="truth"):
         pf.truth_spec()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_zero_dimension_rejected(shape):
+    # serialize could write such a file, but parse would reject it
+    with pytest.raises(probfile.ProblemFormatError, match="at least one row and one column"):
+        probfile.ProblemFile(coefficients=(np.zeros(shape),))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_non_finite_truth_rejected(bad):
+    # serialize could not write such a file
+    with pytest.raises(probfile.ProblemFormatError, match="truth: entries must be finite"):
+        probfile.ProblemFile(coefficients=(np.eye(1),), truth=(1.0, bad))
+
+
+@pytest.mark.parametrize(
+    "key,value", [("n", "true"), ("degree", "false"), ("n", "2.0"), ("degree", '"1"')]
+)
+def test_header_must_be_integer(key, value):
+    good = probfile.serialize(probfile.ProblemFile(coefficients=(np.eye(2), np.eye(2))))
+    header = {"n": '"n": 2', "degree": '"degree": 1'}[key]
+    with pytest.raises(probfile.ProblemFormatError, match=f"{key}: expected an integer"):
+        probfile.parse(good.replace(header, f'"{key}": {value}'))
+
+
+@pytest.mark.parametrize("key", ["name", "source"])
+@pytest.mark.parametrize("value", ["[1, 2]", "3", "true", '{"a": "b"}'])
+def test_metadata_fields_must_be_strings(key, value):
+    text = (
+        '{"n": 1, "degree": 0, "coefficients": [[[[1.0, 0.0]]]], '
+        f'"metadata": {{"{key}": {value}}}}}'
+    )
+    with pytest.raises(probfile.ProblemFormatError, match=f"metadata.{key}: expected a string"):
+        probfile.parse(text)
+    with pytest.raises(probfile.ProblemFormatError, match=f"metadata.{key}"):
+        probfile.ProblemFile(coefficients=(np.eye(1),), **{key: [1, 2]})

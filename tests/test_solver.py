@@ -177,7 +177,8 @@ class TestQuadraticSolver:
         from sqeig.construct import chain_quadratic
 
         inst = chain_quadratic([1.0 + 1.0j, 0.4 - 0.2j], 4, rng=3)
-        res = solve_singular_quadratic(inst.M, inst.C, inst.K, SolverConfig(seed=5))
+        k, c, m = inst.polynomial().coeffs
+        res = solve_singular_quadratic(m, c, k, SolverConfig(seed=5))
         assert_multiset_close(_accepted_values(res), inst.eigenvalues, rtol=1e-5)
 
     def test_rectangular_quadratic_padded(self):

@@ -345,6 +345,12 @@ class TestSingularSpaceEstimate:
         assert 0.05 * angles[0] <= angles[1] <= 0.2 * angles[0]
         assert 0.05 * angles[1] <= angles[2] <= 0.2 * angles[1]
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_probe_radius_rejected(self, h):
+        poly = MatrixPolynomial.pencil(np.diag([1.0, 2.0]), np.eye(2))
+        with pytest.raises(ValueError, match="probe radius h must be positive and finite"):
+            singular_space_estimate(poly, 1.0, h, rng=35)
+
     def test_probe_failure_reported(self):
         poly = MatrixPolynomial.pencil(np.diag([1.0, 2.0]), np.eye(2))
         with pytest.raises(ProbeFailureError):
@@ -360,7 +366,7 @@ class TestSpuriousBound:
 
         inst = diagonal_quadratic([(1.0, -0.7)], 3, rng=1)
         records = spurious_bound_records(
-            inst.M, inst.C, inst.K, SolverConfig(seed=7), 25, truth=inst.eigenvalues
+            inst.polynomial(), SolverConfig(seed=7), 25, truth=inst.eigenvalues
         )
         assert records, "expected applicable spurious-bound records"
         for kappa, bound in records:
@@ -378,7 +384,9 @@ class TestSpuriousBound:
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
         c = np.array([[1.0, 0.0], [0.0, 0.0]])
         k = np.array([[0.0, 0.0], [1.0, 0.0]])
-        records = spurious_bound_records(m, c, k, SolverConfig(seed=42), 25)
+        records = spurious_bound_records(
+            MatrixPolynomial.quadratic(m, c, k), SolverConfig(seed=42), 25
+        )
         assert records, "expected applicable spurious-bound records"
         for kappa, bound in records:
             assert kappa >= bound
@@ -389,7 +397,9 @@ class TestSpuriousBound:
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
         c = np.array([[1.0, 0.0], [0.0, 0.0]])
         k = np.array([[0.0, 0.0], [1.0, 0.0]])
-        records = spurious_bound_records(m, c, k, SolverConfig(seed=42), 25)
+        records = spurious_bound_records(
+            MatrixPolynomial.quadratic(m, c, k), SolverConfig(seed=42), 25
+        )
         assert records
         for kappa, _ in records:
             assert kappa >= 1e7
