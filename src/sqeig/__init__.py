@@ -17,6 +17,7 @@ from .condition import (
     LimitPencil,
     WeakConditionBounds,
     beta_ratio_lower_tail_bound,
+    condition_numbers,
     directional_sensitivity,
     first_order_coefficient,
     inverse_condition,
@@ -45,6 +46,7 @@ from .densela import (
     generalized_eig,
     nullspace_basis,
     rank_with_tol,
+    singular_values,
     svd,
 )
 from .linearize import (
@@ -54,6 +56,7 @@ from .linearize import (
     left_kernel_basis_first,
     recover_from_alternate,
     recover_from_first,
+    recover_vectors,
     right_kernel_basis,
 )
 from .matpoly import (
@@ -68,6 +71,7 @@ from .matpoly import (
 from .probfile import ProblemFile, ProblemFormatError
 from .solver import (
     ClassifiedEigenvalue,
+    SolveResult,
     SolverConfig,
     solve_polynomial,
     solve_singular_pencil,

@@ -33,6 +33,7 @@ __all__ = [
     "LimitPencil",
     "WeakConditionBounds",
     "beta_ratio_lower_tail_bound",
+    "condition_numbers",
     "directional_sensitivities",
     "directional_sensitivity",
     "first_order_coefficient",
@@ -79,7 +80,7 @@ def _condition(coeffs, lam, x, y):
     for j in range(degree - 1, 0, -1):
         dx = dx * lam + j * (coeffs[j] @ x)
     with np.errstate(divide="ignore"):
-        kappa = np.sqrt(power_sum(lam, degree)) / np.abs(np.sum(y.conj() * dx, axis=0))
+        kappa = np.sqrt(power_sum(lam, degree)) / np.abs((y.conj() * dx).sum(axis=0))
     return float(kappa) if kappa.ndim == 0 else kappa
 
 
@@ -90,6 +91,20 @@ def inverse_condition(p, lam, x, y):
     (or spurious) eigenvalue.
     """
     return 1.0 / _condition(p.coeffs, lam, np.ravel(x), np.ravel(y))
+
+
+def condition_numbers(p, lam, x, y):
+    """Condition numbers of eigentriples of the matrix polynomial ``p``.
+
+    ``sqrt(sum_j |lam|**(2j)) / |y* P'(lam) x|`` for unit vectors ``x``
+    and ``y``, or column stacks of them with one ``lam`` per column, +inf
+    where the inner product vanishes.  The coefficients are read as ``p``
+    stores them, already checked.  ``pencil_condition`` and
+    ``quadratic_condition`` give the same numbers from loose matrices: a
+    pencil ``A - lam*B`` stores ``-B``, and ``|y* (-B) x|`` equals
+    ``|y* B x|`` exactly.
+    """
+    return _condition(p.coeffs, lam, x, y)
 
 
 def pencil_condition(b, lam, x, y):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matpoly import KernelBases, MatrixPolynomial, scale_quadratic
+from .matpoly import KernelBases, MatrixPolynomial
 
 __all__ = [
     "KernelBases",
@@ -115,7 +115,7 @@ class SingularProblem:
         factor ``gamma`` and kernels are unchanged.  A pencil raises the
         ValueError of ``scale_quadratic``.
         """
-        balanced, gamma = scale_quadratic(self._polynomial)
+        balanced, gamma = self._polynomial.balancing
         eigenvalues = tuple(ev / gamma for ev in self.eigenvalues)
         return dataclasses.replace(self, _polynomial=balanced, eigenvalues=eigenvalues), gamma
 

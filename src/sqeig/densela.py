@@ -25,10 +25,12 @@ __all__ = [
     "Svd",
     "UNIT_ROUNDOFF",
     "as_matrix",
+    "column_norms",
     "generalized_eig",
     "nullspace_basis",
     "rank_with_tol",
     "residual_tolerance",
+    "singular_values",
     "svd",
 ]
 
@@ -65,9 +67,18 @@ def as_matrix(a, name="matrix"):
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
+
+
+def column_norms(v):
+    """2-norms of the columns of ``v``, as ``np.linalg.norm(v, axis=0)`` gives them.
+
+    The same reduction in the same order, so the same bits, without the
+    wrapper's argument handling.
+    """
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))
 
 
 def residual_tolerance(order):
@@ -98,16 +109,28 @@ class Svd:
         return self.left_vectors @ sigma @ self.right_vectors.conj().T
 
 
-def svd(m):
-    """Full SVD of a complex matrix."""
+def _checked_svd(m, compute_uv):
     m = as_matrix(m)
     try:
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
+        return np.linalg.svd(m, full_matrices=True, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"SVD did not converge for input of shape {m.shape}"
         ) from exc
+
+
+def svd(m):
+    """Full SVD of a complex matrix."""
+    u, s, vh = _checked_svd(m, compute_uv=True)
     return Svd(u, s, vh.conj().T)
+
+
+def singular_values(m):
+    """Singular values of a complex matrix in nonincreasing order.
+
+    The values alone, without the singular vectors ``svd`` also computes.
+    """
+    return _checked_svd(m, compute_uv=False)
 
 
 def _rank_from_singular_values(s):
@@ -121,7 +144,7 @@ def rank_with_tol(m):
 
     The zero matrix has rank 0.
     """
-    return _rank_from_singular_values(svd(m).singular_values)
+    return _rank_from_singular_values(singular_values(m))
 
 
 def nullspace_basis(m):
@@ -135,16 +158,20 @@ def nullspace_basis(m):
     return dec.right_vectors[:, _rank_from_singular_values(dec.singular_values):]
 
 
-def _finite(alphas, betas, cutoff=DEFAULT_INF_CUTOFF):
-    return np.abs(betas) > cutoff * (np.abs(alphas) + np.abs(betas))
+def _finite(abs_alphas, abs_betas, cutoff=DEFAULT_INF_CUTOFF):
+    # from the moduli of the (alpha, beta) pairs
+    return abs_betas > cutoff * (abs_alphas + abs_betas)
 
 
-def _fix_phases(vectors):
-    # Make the entry of largest modulus in each column real positive so that
-    # eigenvector output is deterministic up to the solver itself.  Columns
-    # have unit norm, so that entry is nonzero.
-    a = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    return vectors * (np.conj(a) / np.abs(a))
+def _unit_phased(vectors):
+    # Scale each column to unit 2-norm (LAPACK scales it to largest
+    # |re| + |im| = 1), then make its entry of largest modulus real positive
+    # so that eigenvector output is deterministic up to the solver itself.
+    # Columns are nonzero, so that entry is nonzero.
+    vectors = vectors / column_norms(vectors)
+    a = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    vectors *= a.conj() / np.abs(a)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -168,7 +195,7 @@ class GeneralizedEigenDecomposition:
         return self.alphas.size
 
     def finite_mask(self, cutoff=DEFAULT_INF_CUTOFF):
-        return _finite(self.alphas, self.betas, cutoff)
+        return _finite(np.abs(self.alphas), np.abs(self.betas), cutoff)
 
     def eigenvalues(self):
         """Eigenvalues with infinite ones reported as complex infinity."""
@@ -199,22 +226,20 @@ def generalized_eig(a, b, want_left=True):
     )
     if info != 0:
         raise EigensolverError(f"QZ iteration failed for pencil of order {n} (zggev info={info})")
-    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))):
+    if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
         raise EigensolverError("eigensolver returned non-finite (alpha, beta) pairs")
-    if np.any((np.abs(alphas) + np.abs(betas)) == 0.0):
+    abs_alphas, abs_betas = np.abs(alphas), np.abs(betas)
+    if (abs_alphas + abs_betas == 0.0).any():
         raise EigensolverError("indeterminate eigenvalue (alpha = beta = 0); pencil is singular")
 
-    finite = _finite(alphas, betas)
-    lam = np.zeros_like(alphas)
-    lam[finite] = alphas[finite] / betas[finite]
-    key_mod = np.where(finite, -np.abs(lam), 0.0)
-    key_ang = np.where(finite, np.angle(lam), 0.0)
+    finite = _finite(abs_alphas, abs_betas)
+    # infinite eigenvalues keep lam = 0, so both sort keys read 0 for them
+    lam = np.divide(alphas, betas, out=np.zeros(n, dtype=complex), where=finite)
     # lexsort orders by the last key first: finite block, then |lam| desc, then phase
-    order = np.lexsort((key_ang, key_mod, np.where(finite, 0, 1)))
+    order = np.lexsort((np.arctan2(lam.imag, lam.real), -np.abs(lam), ~finite))
 
-    # LAPACK scales each vector to largest |re| + |im| = 1; make it unit 2-norm
-    vr = _fix_phases(vr / np.linalg.norm(vr, axis=0, keepdims=True))[:, order]
-    vl = _fix_phases(vl / np.linalg.norm(vl, axis=0, keepdims=True))[:, order] if want_left else None
+    vr = _unit_phased(vr)[:, order]
+    vl = _unit_phased(vl)[:, order] if want_left else None
     return GeneralizedEigenDecomposition(
         alphas=alphas[order], betas=betas[order], right_vectors=vr, left_vectors=vl
     )

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .densela import column_norms
+
 __all__ = [
     "KernelDegenerateError",
     "alternate_companion",
@@ -23,6 +25,7 @@ __all__ = [
     "left_kernel_basis_first",
     "recover_from_alternate",
     "recover_from_first",
+    "recover_vectors",
     "right_kernel_basis",
 ]
 
@@ -79,20 +82,37 @@ def alternate_companion(q):
     return a, b
 
 
-def _unit_block(block, full):
-    # unit-norm columns, and whether each block holds at least 1e-8 of its
-    # column's norm (a smaller block carries no direction information)
-    nb = np.linalg.norm(block, axis=0)
-    return block / np.where(nb > 0, nb, 1.0), nb >= 1e-8 * np.linalg.norm(full, axis=0)
+def recover_vectors(v, w, first):
+    """Quadratic eigenvectors from companion eigenvectors, read by either form.
+
+    ``v`` and ``w`` are (2n, k) column stacks of right/left eigenvectors of
+    an order-2n companion pencil.  The left quadratic eigenvector is the
+    leading n entries of each column of ``w``.  The right one is the
+    leading n entries of the first ``first`` columns of ``v``, as the first
+    companion form holds it, and the trailing n entries of the others, as
+    the alternate form holds it.  Each block is renormalized to unit norm.
+    Returns ``(x, y, ok)``; ``ok`` is False where either block holds less
+    than 1e-8 of its column's norm, so that the pair carries no
+    eigenvector information.
+    """
+    n, k = v.shape[0] // 2, v.shape[1]
+    # the x and y blocks side by side, [x y], so that each column norm is
+    # taken once
+    blocks = np.concatenate((v[:n, :first], v[n:, first:], w[:n]), axis=1)
+    nb = column_norms(blocks)
+    holds = nb >= 1e-8 * np.concatenate((column_norms(v), column_norms(w)))
+    unit = blocks / np.where(nb > 0, nb, 1.0)
+    return unit[:, :k], unit[:, k:], holds[:k] & holds[k:]
 
 
 def _recover(v, w, right_on_top):
+    # one form's reading of a single eigenvector pair or of column stacks
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    n = v.shape[0] // 2
-    x, x_ok = _unit_block(v[:n] if right_on_top else v[n:], v)
-    y, y_ok = _unit_block(w[:n], w)
-    return x, y, x_ok & y_ok
+    if v.ndim == 1:
+        x, y, ok = recover_vectors(v[:, None], w[:, None], int(right_on_top))
+        return x[:, 0], y[:, 0], ok[0]
+    return recover_vectors(v, w, v.shape[1] if right_on_top else 0)
 
 
 def recover_from_first(v, w):
@@ -102,7 +122,8 @@ def recover_from_first(v, w):
     column stacks of them; the right and left quadratic eigenvectors are
     the leading n entries of each, renormalized to unit norm.  Returns
     ``(x, y, ok)``; ``ok`` is False where either block is numerically
-    zero, so that the pair carries no eigenvector information.
+    zero, so that the pair carries no eigenvector information.  The
+    all-first case of ``recover_vectors``.
     """
     return _recover(v, w, right_on_top=True)
 
@@ -112,7 +133,8 @@ def recover_from_alternate(v, w):
 
     As ``recover_from_first``, except that the right eigenvector sits in
     the trailing n entries.  Eigenvectors of the first companion form give
-    the same result, up to a unit phase.
+    the same result, up to a unit phase.  The all-alternate case of
+    ``recover_vectors``.
     """
     return _recover(v, w, right_on_top=False)
 

@@ -12,6 +12,7 @@ problems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,7 +103,8 @@ class MatrixPolynomial:
 
     Rectangular coefficient input is zero-padded to square before storage.
     Coefficient arrays are read-only after construction.  Instances compare
-    and hash by identity, as the array-holding types of this package do.
+    and hash by identity, as the array-holding types of this package do, so
+    a quadratic's balancing is computed once and kept (``balancing``).
     """
 
     coeffs: tuple
@@ -145,6 +147,15 @@ class MatrixPolynomial:
     @property
     def degree(self):
         return len(self.coeffs) - 1
+
+    @functools.cached_property
+    def balancing(self):
+        """``scale_quadratic(self)``, the pair ``(balanced, gamma)``, computed once.
+
+        A polynomial of degree other than 2 raises the ValueError of
+        ``scale_quadratic`` on every access.
+        """
+        return scale_quadratic(self)
 
     def evaluate(self, lam):
         """Value ``P(lam)`` by Horner's rule."""

@@ -9,35 +9,45 @@ eigenvalues of the original problem; eigenvalues created from the
 perturbed singular part come out violently ill conditioned and are
 rejected by the threshold.
 
-A quadratic is balanced first and solved by one QZ call on its first
+A quadratic is balanced first (once per polynomial, see
+``MatrixPolynomial.balancing``) and solved by one QZ call on its first
 companion form C1.  The alternate form C1hat = L * C1, with the unimodular
 L = [[I, C], [0, I]], has the same eigenvalues and right eigenvectors, and
 left eigenvectors with the same top block, so both forms' eigenvector
 recovery reads the eigenvectors of C1: large-modulus candidates as the
 first form would, small-modulus ones as the alternate form would.  Values
 are rescaled to the original units.  A pencil is its own linearization.
+
+A solve returns one ``SolveResult``: read-only arrays with one entry (or
+column) per finite candidate.  It is also a sequence of
+``ClassifiedEigenvalue`` records, built on demand, one per candidate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import pencil_condition, quadratic_condition
+from .condition import condition_numbers
 from .densela import EigensolverError, generalized_eig
-from .linearize import first_companion, recover_from_alternate, recover_from_first
-from .matpoly import MatrixPolynomial, sample_perturbation, scale_quadratic
+from .linearize import first_companion, recover_vectors
+from .matpoly import MatrixPolynomial, sample_perturbation
 
 # unused here; perfbench/tracing.py patches these solver attributes by name
+from .condition import pencil_condition, quadratic_condition  # noqa: F401
 from .densela import as_matrix  # noqa: F401
-from .linearize import alternate_companion  # noqa: F401
-from .matpoly import pad_to_square  # noqa: F401
+from .linearize import alternate_companion, recover_from_alternate, recover_from_first  # noqa: F401
+from .matpoly import pad_to_square, scale_quadratic  # noqa: F401
 
 __all__ = [
     "ClassifiedEigenvalue",
+    "SOURCES",
+    "SolveResult",
     "SolverConfig",
     "solve_polynomial",
     "solve_singular_pencil",
@@ -47,6 +57,10 @@ __all__ = [
 SOURCE_PENCIL = "pencil"
 SOURCE_C1 = "C1"
 SOURCE_C1HAT = "C1hat"
+
+#: the source names; ``SolveResult.source_codes`` holds indices into it
+SOURCES = (SOURCE_PENCIL, SOURCE_C1, SOURCE_C1HAT)
+_PENCIL_CODE, _C1_CODE, _C1HAT_CODE = range(len(SOURCES))
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,53 @@ class ClassifiedEigenvalue:
     left_vector: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class SolveResult(Sequence):
+    """The classified finite candidates of one solve, as read-only arrays.
+
+    Entry i of ``values`` (original units), ``kappa_bar``, ``accepted``
+    and ``source_codes`` (indices into ``SOURCES``), and column i of
+    ``right_vectors`` and ``left_vectors``, describe candidate i, as the
+    fields of ``ClassifiedEigenvalue`` do.  Candidates are in the
+    eigensolver's order.  The constructor marks the arrays read-only.  The
+    result is also a sequence of ``ClassifiedEigenvalue`` records, built
+    on demand; a record's vectors are read-only views of the columns.
+    Compares by identity.
+    """
+
+    values: np.ndarray
+    kappa_bar: np.ndarray
+    accepted: np.ndarray
+    source_codes: np.ndarray
+    right_vectors: np.ndarray
+    left_vectors: np.ndarray
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    def __len__(self):
+        return self.values.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"candidate index {i} out of range for {len(self)} candidates")
+        return ClassifiedEigenvalue(
+            value=complex(self.values[i]),
+            kappa_bar=float(self.kappa_bar[i]),
+            accepted=bool(self.accepted[i]),
+            source=SOURCES[self.source_codes[i]],
+            right_vector=self.right_vectors[:, i],
+            left_vector=self.left_vectors[:, i],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def solve_singular_pencil(a, b, cfg=None):
     """Classified finite eigenvalues of the (possibly singular) pencil ``A - lam*B``."""
     return solve_polynomial(MatrixPolynomial.pencil(a, b), cfg)
@@ -115,15 +176,16 @@ def solve_polynomial(p, cfg=None):
     All finite candidates are classified at once, with the balanced,
     unperturbed coefficients; a candidate whose recovered eigenvector
     block is numerically zero gets ``kappa_bar = inf``.
-    Returns every finite candidate in the eigensolver's order: modulus
-    (descending), then phase.  For a quadratic the |lam| >= 1 candidates
-    of the balanced problem are a prefix of that order, so every ``C1``
-    candidate precedes every ``C1hat`` one.
+    Returns a ``SolveResult`` holding every finite candidate in the
+    eigensolver's order: modulus (descending), then phase.  For a
+    quadratic the |lam| >= 1 candidates of the balanced problem are a
+    prefix of that order, so every ``C1`` candidate precedes every
+    ``C1hat`` one.
     """
     if p.degree not in (1, 2):
         raise ValueError(f"no solver for degree {p.degree}; supported degrees are 1 and 2")
     cfg = cfg or SolverConfig()
-    balanced, gamma = (p, 1.0) if p.degree == 1 else scale_quadratic(p)
+    balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
     e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
     perturbed = balanced.perturbed(e, cfg.epsilon)
 
@@ -142,28 +204,22 @@ def solve_polynomial(p, cfg=None):
     lam = dec.alphas[finite] / dec.betas[finite]
     v, w = dec.right_vectors[:, finite], dec.left_vectors[:, finite]
     if p.degree == 1:
-        x, y = v, w
-        sources = [SOURCE_PENCIL] * lam.size
-        kappa = pencil_condition(-balanced.coeffs[1], lam, x, y)
+        x, y, ok = v, w, True
+        codes = np.full(lam.size, _PENCIL_CODE, dtype=np.int8)
     else:
         # the eigenvector block each form reads, chosen by modulus as the
-        # paper chooses the form; both read the eigenvectors of C1
-        large = np.abs(lam) >= 1.0
-        x1, y1, ok1 = recover_from_first(v[:, large], w[:, large])
-        x2, y2, ok2 = recover_from_alternate(v[:, ~large], w[:, ~large])
-        x, y, ok = np.hstack([x1, x2]), np.hstack([y1, y2]), np.concatenate([ok1, ok2])
-        sources = [SOURCE_C1] * ok1.size + [SOURCE_C1HAT] * ok2.size
-        m, c = balanced.coeffs[2], balanced.coeffs[1]
-        kappa = np.where(ok, quadratic_condition(m, c, lam, x, y), np.inf)
-    values = gamma * lam
-    return tuple(
-        ClassifiedEigenvalue(
-            value=complex(values[i]),
-            kappa_bar=float(kappa[i]),
-            accepted=bool(kappa[i] <= cfg.tol),
-            source=sources[i],
-            right_vector=x[:, i],
-            left_vector=y[:, i],
-        )
-        for i in range(lam.size)
+        # paper chooses the form; both read the eigenvectors of C1, and the
+        # large-modulus (C1) candidates are a prefix of the order
+        first = int(np.count_nonzero(np.abs(lam) >= 1.0))
+        x, y, ok = recover_vectors(v, w, first)
+        codes = np.full(lam.size, _C1HAT_CODE, dtype=np.int8)
+        codes[:first] = _C1_CODE
+    kappa = np.where(ok, condition_numbers(balanced, lam, x, y), np.inf)
+    return SolveResult(
+        values=gamma * lam,
+        kappa_bar=kappa,
+        accepted=kappa <= cfg.tol,
+        source_codes=codes,
+        right_vectors=x,
+        left_vectors=y,
     )

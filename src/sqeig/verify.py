@@ -27,7 +27,7 @@ from .condition import (
     pencil_condition,
     spurious_condition_bound,
 )
-from .densela import generalized_eig, nullspace_basis, svd
+from .densela import generalized_eig, nullspace_basis, singular_values
 from .linearize import (
     alternate_companion,
     first_companion,
@@ -41,7 +41,6 @@ from .matpoly import (
     TruthSpec,
     normal_rank,
     sample_perturbations,
-    scale_quadratic,
 )
 from .solver import SOURCE_C1, SolverConfig, solve_polynomial
 
@@ -153,9 +152,10 @@ def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     outcomes = []
     for child in children:
         results = solve_polynomial(problem, cfg.with_seed(child))
-        accepted = tuple(r for r in results if r.accepted)
+        # per-candidate records only for the accepted ones, and only when kept
+        accepted = np.flatnonzero(results.accepted)
         matched = match_accepted(
-            [r.value for r in accepted], truth.finite_eigenvalues, truth.match_tol
+            results.values[accepted].tolist(), truth.finite_eigenvalues, truth.match_tol
         )
         success = matched is not None
         n_s += success
@@ -163,7 +163,7 @@ def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
             outcomes.append(
                 TrialOutcome(
                     success=success,
-                    accepted=accepted,
+                    accepted=tuple(results[i] for i in accepted),
                     matched_truth=tuple(matched) if success else None,
                 )
             )
@@ -327,7 +327,7 @@ def end_to_end_condition_ratios(instance, cfg):
     unperturbed companion form named by ``source``.
     """
     q = instance.polynomial()
-    balanced, gamma = scale_quadratic(q)
+    balanced, gamma = q.balancing
     records = []
     for r in solve_polynomial(q, cfg):
         if not r.accepted:
@@ -405,7 +405,7 @@ def spurious_bound_records(poly, cfg, n_runs, truth=()):
     Quantities are evaluated on the balanced problem, whose normal rank is
     estimated with the rank cutoff ``densela.RANK_TOL``.
     """
-    scaled_poly, gamma = scale_quadratic(poly)
+    scaled_poly, gamma = poly.balancing
     children = _seed_sequence(cfg.seed).spawn(n_runs)
     rank = normal_rank(scaled_poly, rng=np.random.default_rng(0))
     records = []
@@ -414,7 +414,7 @@ def spurious_bound_records(poly, cfg, n_runs, truth=()):
             lam_scaled = cand.value / gamma
             if any(_matches(cand.value, t, MATCH_TOL) for t in truth):
                 continue
-            s = svd(scaled_poly.evaluate(lam_scaled)).singular_values
+            s = singular_values(scaled_poly.evaluate(lam_scaled))
             tau = float(s[rank - 1])
             dp_norm = float(
                 np.linalg.norm(scaled_poly.derivative_at(lam_scaled), 2)

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.densela import (
+    RANK_TOL,
     UNIT_ROUNDOFF,
     EigensolverError,
+    column_norms,
     generalized_eig,
     nullspace_basis,
     rank_with_tol,
     residual_tolerance,
+    singular_values,
     svd,
 )
 
@@ -87,6 +91,53 @@ class TestRankAndNullspace:
         assert basis.shape == (6, 3)
         smax = svd(m).singular_values[0]
         assert np.linalg.norm(m @ basis, "fro") <= 1e-10 * smax * np.sqrt(6)
+
+
+def _full_svd_rank(m):
+    # the rank decision read off the full SVD, vectors and all
+    s = svd(m).singular_values
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > RANK_TOL * s[0]))
+
+
+class TestSingularValuesAlone:
+    def test_match_full_svd(self):
+        rng = np.random.default_rng(5)
+        for rows, cols in ((1, 1), (3, 3), (4, 7), (9, 2)):
+            m = _random_complex(rng, rows, cols)
+            s = singular_values(m)
+            assert s.shape == (min(rows, cols),)
+            np.testing.assert_allclose(s, svd(m).singular_values, rtol=0, atol=1e2 * UNIT_ROUNDOFF * s[0])
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            singular_values(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_rank_decisions_match_full_svd_on_corpus(self, name):
+        # at the points normal_rank probes (unit circle) and at the true
+        # eigenvalues, where the rank drops, values alone decide as before
+        rng = np.random.default_rng(0)
+        dropped = with_truth = 0
+        for seed in range(5):
+            p, truth = builtin(name, seed=seed)
+            circle = [np.exp(2j * np.pi * rng.random()) for _ in range(3)]
+            ranks = {}
+            for lam in circle + list(truth.finite_eigenvalues) + [0.0]:
+                m = p.evaluate(lam)
+                ranks[lam] = rank_with_tol(m)
+                assert ranks[lam] == _full_svd_rank(m), (seed, lam)
+            with_truth += bool(truth.finite_eigenvalues)
+            dropped += any(ranks[lam] < max(ranks.values()) for lam in truth.finite_eigenvalues)
+        assert dropped == with_truth
+
+
+class TestColumnNorms:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (22, 22), (40, 9)])
+    def test_bits_of_linalg_norm(self, order, shape):
+        v = np.asarray(_random_complex(np.random.default_rng(7), *shape), order=order)
+        for block in (v, v[: shape[0] // 2 + 1], v[:, 1:]):
+            assert column_norms(block).tobytes() == np.linalg.norm(block, axis=0).tobytes()
 
 
 class TestGeneralizedEig:

@@ -18,6 +18,7 @@ from sqeig.linearize import (
     left_kernel_basis_first,
     recover_from_alternate,
     recover_from_first,
+    recover_vectors,
     right_kernel_basis,
 )
 from sqeig.matpoly import KernelBases, MatrixPolynomial
@@ -217,6 +218,30 @@ class TestRecovery:
             scale = np.linalg.norm(q) + 1.0
             assert np.linalg.norm(q @ x) <= 1e-8 * scale
             assert np.linalg.norm(y.conj() @ q) <= 1e-8 * scale
+
+
+class TestRecoverVectors:
+    @pytest.mark.parametrize("first", [0, 2, 5])
+    def test_one_pass_reads_each_form(self, first):
+        # the leading columns as the first form reads them, the rest as the
+        # alternate form does, each block renormalized as np.linalg.norm does
+        rng = np.random.default_rng(9)
+        v, w = (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)) for _ in range(2))
+        v[4:, 1] = 1e-9 * v[4:, 1]  # an alternate-form x block too small to read
+        x, y, ok = recover_vectors(v, w, first)
+        blocks = np.hstack([v[:4, :first], v[4:, first:]])
+        want_x = blocks / np.linalg.norm(blocks, axis=0)
+        want_y = w[:4] / np.linalg.norm(w[:4], axis=0)
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+        assert ok.tolist() == [j != 1 or j < first for j in range(5)]
+        for got, want in zip(
+            (x, y, ok),
+            (np.hstack(parts) for parts in zip(
+                recover_from_first(v[:, :first], w[:, :first]),
+                recover_from_alternate(v[:, first:], w[:, first:]),
+            )),
+        ):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRightKernelBasis:
