@@ -100,7 +100,8 @@ class SingularProblem:
     def bases(self, lam0):
         """Orthonormal ``KernelBases`` at the designed eigenvalue ``lam0``."""
         i = int(np.argmin([abs(lam0 - ev) for ev in self.eigenvalues]))
-        if abs(self.eigenvalues[i] - lam0) > 1e-12 * max(1.0, abs(lam0)):
+        # scaled by the designed eigenvalue so that NaN and infinite lam0 fail
+        if not abs(self.eigenvalues[i] - lam0) <= 1e-12 * max(1.0, abs(self.eigenvalues[i])):
             raise ValueError(f"{lam0} is not a designed eigenvalue of this instance")
         b = self.index_bases(i)
         if self.conjugation is None:

@@ -1,12 +1,12 @@
-"""Companion linearizations of quadratic matrix polynomials.
+"""Companion linearizations of matrix polynomials.
 
-Provides the two strong linearizations of the method (one reliable for
-eigenvalues of large modulus, one for small modulus), eigenvector recovery
-from the linearization's eigenvectors, and structured orthonormal bases of
-the linearization kernels built from kernel bases of the quadratic.  The
-alternate form is the first form times the unimodular [[I, C], [0, I]],
-so the solver runs QZ on the first form only and applies either recovery
-to its eigenvectors; the study functions use both forms.
+Provides the first companion form of any degree (a pencil is its own), a
+quadratic's alternate form (the first is reliable for eigenvalues of large
+modulus, the alternate for small), eigenvector recovery, and orthonormal
+bases of the linearization kernels built from kernel bases of the
+quadratic.  The alternate form is the first form times the unimodular
+[[I, C], [0, I]], so the solver runs QZ on the first form only and applies
+either recovery to its eigenvectors; the study functions use both forms.
 """
 
 from __future__ import annotations
@@ -40,34 +40,34 @@ class KernelDegenerateError(RuntimeError):
     """Left kernel construction degenerated (non-simple eigenvalue or bad bases)."""
 
 
-def _companion_parts(q):
-    # (K, C, M, I) of a degree-2 polynomial, the blocks of both forms
-    if q.degree != 2:
-        raise ValueError(f"companion forms need a quadratic, got degree {q.degree}")
-    return (*q.coeffs, np.eye(q.n, dtype=complex))
-
-
-def _block_pencil(n, blocks):
-    # the order-2n matrix with the n-by-n blocks {(row, col): block}, zero
-    # elsewhere; slice assignment is cheaper than np.block at small n and
-    # copies the same entries, signed zeros included
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
+def _block_pencil(n, order, blocks):
+    # the order-(order*n) matrix with the n-by-n blocks {(row, col): block},
+    # zero elsewhere; slice assignment is cheaper than np.block at small n
+    # and copies the same entries, signed zeros included
+    out = np.zeros((order * n, order * n), dtype=complex)
     for (i, j), block in blocks.items():
         out[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
     return out
 
 
-def first_companion(q):
-    """First companion linearization of the quadratic ``lam**2 M + lam C + K``.
+def first_companion(p):
+    """First companion linearization of a matrix polynomial of degree m >= 1.
 
-    ``q`` is a degree-2 ``MatrixPolynomial``.  The pencil is
-    ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` of order 2n, returned as
-    the pair ``(A, B)`` of ``A - lam*B``.
+    For ``P(lam) = sum_j lam**j A_j`` the pencil ``A - lam*B`` of order mn
+    has ``A_{m-1} ... A_0`` in the first block row of ``A`` and ``-I`` on
+    its block subdiagonal, and ``B = -diag(A_m, I, ..., I)``; it is
+    returned as the pair ``(A, B)``.  A quadratic gives
+    ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` and a pencil ``A0 + lam*A1``
+    its own ``(A0, -A1)``.  Degree 0 raises ValueError.
     """
-    k, c, m, eye = _companion_parts(q)
-    a = _block_pencil(q.n, {(0, 0): c, (0, 1): k, (1, 0): -eye})
-    b = _block_pencil(q.n, {(0, 0): -m, (1, 1): -eye})
-    return a, b
+    m, n = p.degree, p.n
+    if m < 1:
+        raise ValueError(f"a companion form needs degree at least 1, got degree {m}")
+    a = {(0, j): c for j, c in enumerate(p.coeffs[-2::-1])}
+    b = {(0, 0): -p.coeffs[-1]}
+    for i in range(1, m):
+        a[i, i - 1] = b[i, i] = -np.eye(n, dtype=complex)
+    return _block_pencil(n, m, a), _block_pencil(n, m, b)
 
 
 def alternate_companion(q):
@@ -76,29 +76,35 @@ def alternate_companion(q):
     Preferable to the first companion form for eigenvalues of small modulus.
     Takes the degree-2 ``q`` and returns the pair ``(A, B)`` of ``A - lam*B``.
     """
-    k, c, m, eye = _companion_parts(q)
-    a = _block_pencil(q.n, {(0, 1): k, (1, 0): -eye})
-    b = _block_pencil(q.n, {(0, 0): -m, (0, 1): -c, (1, 1): -eye})
+    if q.degree != 2:
+        raise ValueError(f"the alternate form needs a quadratic, got degree {q.degree}")
+    k, c, m = q.coeffs
+    minus_eye = -np.eye(q.n, dtype=complex)
+    a = _block_pencil(q.n, 2, {(0, 1): k, (1, 0): minus_eye})
+    b = _block_pencil(q.n, 2, {(0, 0): -m, (0, 1): -c, (1, 1): minus_eye})
     return a, b
 
 
-def recover_vectors(v, w, first):
-    """Quadratic eigenvectors from companion eigenvectors, read by either form.
+def recover_vectors(v, w, first, n):
+    """Polynomial eigenvectors from companion eigenvectors, read by either form.
 
-    ``v`` and ``w`` are (2n, k) column stacks of right/left eigenvectors of
-    an order-2n companion pencil.  The left quadratic eigenvector is the
-    leading n entries of each column of ``w``.  The right one is the
-    leading n entries of the first ``first`` columns of ``v``, as the first
-    companion form holds it, and the trailing n entries of the others, as
-    the alternate form holds it.  Each block is renormalized to unit norm.
+    ``v`` and ``w`` are column stacks of right/left eigenvectors of a
+    companion pencil with blocks of height ``n``.  The left eigenvector is
+    the top n entries of each column of ``w``.  The right one is the top n
+    entries of the first ``first`` columns of ``v``, as the first companion
+    form holds it, and the bottom n entries of the others, as the
+    alternate form holds it.  Each block is renormalized to unit norm.
     Returns ``(x, y, ok)``; ``ok`` is False where either block holds less
     than 1e-8 of its column's norm, so that the pair carries no
-    eigenvector information.
+    eigenvector information.  With ``n`` the column height (a pencil),
+    ``v``, ``w`` and an all-True ``ok`` come back unchanged.
     """
-    n, k = v.shape[0] // 2, v.shape[1]
+    k = v.shape[1]
+    if n == v.shape[0]:
+        return v, w, np.ones(k, dtype=bool)
     # the x and y blocks side by side, [x y], so that each column norm is
     # taken once
-    blocks = np.concatenate((v[:n, :first], v[n:, first:], w[:n]), axis=1)
+    blocks = np.concatenate((v[:n, :first], v[-n:, first:], w[:n]), axis=1)
     nb = column_norms(blocks)
     holds = nb >= 1e-8 * np.concatenate((column_norms(v), column_norms(w)))
     unit = blocks / np.where(nb > 0, nb, 1.0)
@@ -107,12 +113,11 @@ def recover_vectors(v, w, first):
 
 def _recover(v, w, right_on_top):
     # one form's reading of a single eigenvector pair or of column stacks
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
     if v.ndim == 1:
-        x, y, ok = recover_vectors(v[:, None], w[:, None], int(right_on_top))
+        x, y, ok = _recover(v[:, None], w[:, None], right_on_top)
         return x[:, 0], y[:, 0], ok[0]
-    return recover_vectors(v, w, v.shape[1] if right_on_top else 0)
+    return recover_vectors(v, w, v.shape[1] if right_on_top else 0, len(v) // 2)
 
 
 def recover_from_first(v, w):

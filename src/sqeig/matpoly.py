@@ -68,6 +68,9 @@ class TruthSpec:
         if len({(v.real, v.imag) for v in evs}) != len(evs):
             raise ValueError("truth eigenvalues must be distinct")
         object.__setattr__(self, "finite_eigenvalues", evs)
+        # written so that NaN fails
+        if not 0 < self.match_tol < math.inf:
+            raise ValueError(f"match_tol must be positive and finite, got {self.match_tol!r}")
 
     def with_match_tol(self, match_tol):
         return TruthSpec(self.finite_eigenvalues, match_tol)
@@ -185,9 +188,10 @@ class MatrixPolynomial:
         """``P + epsilon * E`` for a coefficient stack ``e`` of matching shape."""
         if len(e) != len(self.coeffs):
             raise ValueError("perturbation stack must match the polynomial degree")
-        coeffs = tuple(np.asarray(a + epsilon * d, dtype=complex) for a, d in zip(self.coeffs, e))
-        if any(c.shape != self.coeffs[0].shape for c in coeffs):
+        # checked before the arithmetic, which would broadcast a scalar or a row
+        if any(np.shape(d) != self.coeffs[0].shape for d in e):
             raise ValueError("perturbation coefficients must match the polynomial's shape")
+        coeffs = tuple(np.asarray(a + epsilon * d, dtype=complex) for a, d in zip(self.coeffs, e))
         return MatrixPolynomial._derived(coeffs)
 
 
@@ -218,7 +222,8 @@ class KernelBases:
             if block is None or np.size(block) == 0:
                 block = np.zeros((vec.size, 0))
             stack = _read_only(np.column_stack([block, vec]))
-            if np.linalg.norm(stack.conj().T @ stack - np.eye(stack.shape[1])) > 1e-6:
+            # written so that NaN fails
+            if not np.linalg.norm(stack.conj().T @ stack - np.eye(stack.shape[1])) <= 1e-6:
                 raise ValueError(f"[{big} {single}] must have orthonormal columns")
             object.__setattr__(self, both, stack)
             object.__setattr__(self, big, stack[:, :-1])

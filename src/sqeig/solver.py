@@ -16,7 +16,8 @@ L = [[I, C], [0, I]], has the same eigenvalues and right eigenvectors, and
 left eigenvectors with the same top block, so both forms' eigenvector
 recovery reads the eigenvectors of C1: large-modulus candidates as the
 first form would, small-modulus ones as the alternate form would.  Values
-are rescaled to the original units.  A pencil is its own linearization.
+are rescaled to the original units.  A pencil is not balanced and is its
+own first companion form, whose eigenvectors are read back unchanged.
 
 A solve returns one ``SolveResult``: read-only arrays with one entry (or
 column) per finite candidate.  It is also a sequence of
@@ -188,31 +189,23 @@ def solve_polynomial(p, cfg=None):
     balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
     e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
     perturbed = balanced.perturbed(e, cfg.epsilon)
-
-    if p.degree == 1:
-        a, b = perturbed.coeffs[0], -perturbed.coeffs[1]
-    else:
-        a, b = first_companion(perturbed)
     try:
-        dec = generalized_eig(a, b, want_left=True)
+        dec = generalized_eig(*first_companion(perturbed), want_left=True)
     except EigensolverError as exc:
-        kind = "pencil" if p.degree == 1 else "quadratic"
         raise EigensolverError(
-            f"{kind} solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
+            f"degree-{p.degree} solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
         ) from exc
     finite = dec.finite_mask()
     lam = dec.alphas[finite] / dec.betas[finite]
-    v, w = dec.right_vectors[:, finite], dec.left_vectors[:, finite]
-    if p.degree == 1:
-        x, y, ok = v, w, True
-        codes = np.full(lam.size, _PENCIL_CODE, dtype=np.int8)
-    else:
-        # the eigenvector block each form reads, chosen by modulus as the
-        # paper chooses the form; both read the eigenvectors of C1, and the
-        # large-modulus (C1) candidates are a prefix of the order
-        first = int(np.count_nonzero(np.abs(lam) >= 1.0))
-        x, y, ok = recover_vectors(v, w, first)
-        codes = np.full(lam.size, _C1HAT_CODE, dtype=np.int8)
+    # the eigenvector block each form reads, chosen by modulus as the paper
+    # chooses the form; both read the eigenvectors of C1, and the
+    # large-modulus (C1) candidates are a prefix of the order
+    first = int(np.count_nonzero(np.abs(lam) >= 1.0))
+    x, y, ok = recover_vectors(
+        dec.right_vectors[:, finite], dec.left_vectors[:, finite], first, p.n
+    )
+    codes = np.full(lam.size, _PENCIL_CODE if p.degree == 1 else _C1HAT_CODE, dtype=np.int8)
+    if p.degree == 2:
         codes[:first] = _C1_CODE
     kappa = np.where(ok, condition_numbers(balanced, lam, x, y), np.inf)
     return SolveResult(

@@ -234,14 +234,6 @@ def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10
     return float(scipy.stats.ks_2samp(emp, model).statistic), emp, model
 
 
-def _finite_eigenvalues(poly):
-    # any degree but 1 reaches first_companion, which rejects all but 2
-    a, b = (poly.coeffs[0], -poly.coeffs[1]) if poly.degree == 1 else first_companion(poly)
-    dec = generalized_eig(a, b, want_left=False)
-    mask = dec.finite_mask()
-    return dec.alphas[mask] / dec.betas[mask]
-
-
 @dataclass(frozen=True)
 class ExpansionReport:
     exponent: float
@@ -262,7 +254,9 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     remainders = np.empty_like(eps)
     for i, ep in enumerate(eps):
-        lams = _finite_eigenvalues(poly.perturbed(e, ep))
+        dec = generalized_eig(*first_companion(poly.perturbed(e, ep)), want_left=False)
+        finite = dec.finite_mask()
+        lams = dec.alphas[finite] / dec.betas[finite]
         predicted = lam0 - coeff * ep
         lam = lams[np.argmin(np.abs(lams - predicted))]
         remainders[i] = max(abs(lam - predicted), 1e-300)

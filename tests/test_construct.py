@@ -82,6 +82,14 @@ def test_unknown_eigenvalue_lookup():
         inst.bases(3.33)
 
 
+@pytest.mark.parametrize("lam0", [np.nan, complex(0.0, np.nan), np.inf, -np.inf])
+def test_non_finite_eigenvalue_lookup(lam0):
+    # NaN would otherwise pick the first designed eigenvalue, 0 here
+    inst = chain_quadratic([0.0, 0.5], 3, rng=8)
+    with pytest.raises(ValueError, match="designed"):
+        inst.bases(lam0)
+
+
 @pytest.mark.parametrize(
     "make",
     [

@@ -100,8 +100,35 @@ class TestCompanionForms:
 
     @pytest.mark.parametrize("form", [first_companion, alternate_companion])
     def test_rejects_other_degrees(self, form):
-        with pytest.raises(ValueError, match="quadratic"):
-            form(MatrixPolynomial.pencil(np.eye(2), np.eye(2)))
+        if form is first_companion:
+            with pytest.raises(ValueError, match="degree"):
+                form(MatrixPolynomial((np.eye(2),)))
+        else:
+            with pytest.raises(ValueError, match="quadratic"):
+                form(MatrixPolynomial.pencil(np.eye(2), np.eye(2)))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_first_form_embedding_any_degree(self, degree):
+        # (A - lam*B) @ [lam**(m-1) I; ...; lam I; I] stacks P(lam) over zeros,
+        # and det(A - lam*B) = det P(lam)
+        rng = np.random.default_rng(20 + degree)
+        n = 3
+        p = MatrixPolynomial(tuple(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(degree + 1)
+        ))
+        pa, pb = first_companion(p)
+        assert pa.shape == pb.shape == (degree * n, degree * n)
+        scale = sum(np.linalg.norm(c) for c in p.coeffs)
+        for _ in range(5):
+            lam = rng.standard_normal() + 1j * rng.standard_normal()
+            emb = np.vstack([lam ** (degree - 1 - i) * np.eye(n) for i in range(degree)])
+            out = (pa - lam * pb) @ emb
+            lim = 1e3 * UNIT_ROUNDOFF * scale * max(1.0, abs(lam)) ** degree
+            assert np.linalg.norm(out[:n] - p.evaluate(lam)) <= lim
+            assert np.linalg.norm(out[n:]) <= lim
+            dp = np.linalg.det(p.evaluate(lam))
+            assert abs(np.linalg.det(pa - lam * pb) - dp) <= 1e-10 * max(1.0, abs(dp))
 
     @pytest.mark.parametrize("form", ["first", "alternate"])
     @pytest.mark.parametrize("n", [1, 2, 5, 11])
@@ -113,6 +140,17 @@ class TestCompanionForms:
         quadratics = [builtin(name, seed=1)[0] for name in BUILTIN_NAMES]
         quadratics = [q for q in quadratics if q.degree == 2 and q.n == n]
         quadratics.append(MatrixPolynomial((*_random_quadratic(np.random.default_rng(n), n),)))
+        if form == "first":
+            # a pencil is its own first companion form, (A0, -A1)
+            pencils = [builtin(name, seed=1)[0] for name in BUILTIN_NAMES]
+            pencils = [p for p in pencils if p.degree == 1 and p.n == n]
+            pencils.append(MatrixPolynomial(_random_quadratic(np.random.default_rng(n), n)[:2]))
+            for p in pencils:
+                for g, w in zip(first_companion(p), (p.coeffs[0], -p.coeffs[1])):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    np.testing.assert_array_equal(g, w)
+                    for part in (np.real, np.imag):
+                        np.testing.assert_array_equal(np.signbit(part(g)), np.signbit(part(w)))
         for q in quadratics:
             k, c, m = q.coeffs
             eye, zero = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
@@ -228,7 +266,7 @@ class TestRecoverVectors:
         rng = np.random.default_rng(9)
         v, w = (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)) for _ in range(2))
         v[4:, 1] = 1e-9 * v[4:, 1]  # an alternate-form x block too small to read
-        x, y, ok = recover_vectors(v, w, first)
+        x, y, ok = recover_vectors(v, w, first, 4)
         blocks = np.hstack([v[:4, :first], v[4:, first:]])
         want_x = blocks / np.linalg.norm(blocks, axis=0)
         want_y = w[:4] / np.linalg.norm(w[:4], axis=0)
@@ -242,6 +280,16 @@ class TestRecoverVectors:
             )),
         ):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first", [0, 2, 5])
+    def test_pencil_vectors_come_back_unchanged(self, first):
+        # block height equal to the column height: a pencil is its own
+        # linearization, so there is nothing to read out or renormalize
+        rng = np.random.default_rng(10)
+        v, w = (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)) for _ in range(2))
+        x, y, ok = recover_vectors(v, w, first, 4)
+        assert x is v and y is w
+        assert ok.dtype == bool and ok.tolist() == [True] * 5
 
 
 class TestRightKernelBasis:

@@ -236,6 +236,20 @@ class TestDerivedPolynomials:
         with pytest.raises(ValueError, match="shape"):
             p.perturbed((np.zeros((1, 3, 3)), np.zeros((3, 3))), 1.0)
 
+    @pytest.mark.parametrize(
+        "bad", [1.0, np.ones(3), np.ones((1, 3)), np.ones((3, 1)), np.ones((2, 2))],
+        ids=["scalar", "vector", "row", "column", "wrong_n"],
+    )
+    def test_perturbed_rejects_broadcastable_coefficient(self, bad):
+        # each of these broadcasts against a 3x3 coefficient, so the shape
+        # is checked before the arithmetic
+        q = _random_poly(np.random.default_rng(16), 3, 2)
+        for i in range(3):
+            e = [np.ones((3, 3))] * 3
+            e[i] = bad
+            with pytest.raises(ValueError, match="shape"):
+                q.perturbed(tuple(e), 0.1)
+
 
 class TestNormalRank:
     def test_identity_pencil(self):
@@ -371,6 +385,18 @@ class TestKernelBases:
         e = self.E
         with pytest.raises(ValueError, match="shape"):
             KernelBases(X=e[:, :2], x=e[:, 2], Y=e[:, :1], y=e[:, 2])
+
+    @pytest.mark.parametrize("side", ["x", "y", "X", "Y"])
+    def test_rejects_nan_entry(self, side):
+        e = self.E.astype(complex)
+        parts = {"X": e[:, :1].copy(), "x": e[:, 1].copy(), "Y": e[:, :1].copy(), "y": e[:, 1].copy()}
+        parts[side][0] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            KernelBases(**parts)
+
+    def test_rejects_nan_vector_without_singular_block(self):
+        with pytest.raises(ValueError, match=r"\[X x\].*orthonormal"):
+            KernelBases(X=None, x=[np.nan, 0.0], Y=None, y=[1.0, 0.0])
 
     def test_blocks_stored_once(self):
         e = self.E

@@ -489,12 +489,24 @@ def _per_block_classification(p, cfg):
     return gamma * lam, kappa, x, y
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def _one_pass_input(name, seed):
+    # a built-in, or a larger pencil or quadratic from the generators
+    from sqeig.construct import chain_quadratic
+    from sqeig.corpus import synth_pencil
+
+    if name == "synth_pencil":
+        return synth_pencil(12, 6, seed=seed)[0]
+    if name == "chain_quadratic":
+        return chain_quadratic([3.0, 0.5, -1 + 2j, 0.2j], 9, rng=seed).polynomial()
+    return builtin(name, seed=seed)[0]
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "synth_pencil", "chain_quadratic"])
 def test_one_pass_classification_matches_per_block(name):
     # recovering both forms' blocks in one pass and classifying with one
     # condition call on the polynomial gives the per-block results bit for bit
     for seed in range(5):
-        p, _ = builtin(name, seed=seed)
+        p = _one_pass_input(name, seed)
         cfg = SolverConfig(seed=seed)
         res = solve_polynomial(p, cfg)
         values, kappa, x, y = _per_block_classification(p, cfg)

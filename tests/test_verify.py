@@ -59,6 +59,13 @@ class TestTruthSpec:
         with pytest.raises(ValueError):
             TruthSpec((1.0, 1.0))
 
+    @pytest.mark.parametrize("match_tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_match_tol_positive_and_finite(self, match_tol):
+        with pytest.raises(ValueError, match="match_tol"):
+            TruthSpec((1.0,), match_tol)
+        with pytest.raises(ValueError, match="match_tol"):
+            TruthSpec((1.0,)).with_match_tol(match_tol)
+
     def test_report_bounds(self):
         with pytest.raises(ValueError):
             TrialReport(n_t=5, n_s=6)
