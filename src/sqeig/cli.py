@@ -162,12 +162,10 @@ def _cmd_synth_pencil(args):
         name=f"synth-pencil-{args.size}-{args.rank}",
         source="synthetic singular pencil with known regular part",
     )
-    text = probfile.serialize(pf)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        probfile.dump(pf, args.output)
     else:
-        print(text)
+        print(probfile.serialize(pf))
     return 0
 
 

@@ -218,7 +218,7 @@ def directional_sensitivity(p, lam, bases, e):
     return float(values[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitPencil:
     """Projected pencil governing the zero-perturbation limit of eigenvectors.
 
@@ -295,6 +295,19 @@ def _check_inv_cond(inv_cond):
         raise ValueError("inv_cond must be positive and finite")
 
 
+def _check_model(big_n, n=None, r=None):
+    # N = n**2 * (m + 1) perturbation entries of an order-n, degree-m >= 1
+    # problem of normal rank r; without n, N >= 2 alone.  NaN fails.
+    if n is None:
+        if not big_n >= 2:
+            raise ValueError(f"need N >= 2, got N={big_n!r}")
+    elif not (n >= 1 and 0 <= r <= n and big_n >= 2 * n**2 and big_n % n**2 == 0):
+        raise ValueError(
+            "need N = n**2 * (m + 1) with n >= 1, an integer m >= 1 and 0 <= r <= n,"
+            f" got N={big_n!r}, n={n!r}, r={r!r}"
+        )
+
+
 def sensitivity_tail(t, inv_cond, big_n, n, r):
     """Model tail probability ``P(sensitivity >= t)`` under random perturbations.
 
@@ -307,6 +320,7 @@ def sensitivity_tail(t, inv_cond, big_n, n, r):
     if not t >= 0:  # NaN fails too
         raise ValueError("t must be nonnegative")
     _check_inv_cond(inv_cond)
+    _check_model(big_n, n, r)
     if t == 0:
         return 1.0
     s = (inv_cond * t) ** 2
@@ -331,11 +345,13 @@ def weak_condition_upper(delta, inv_cond, big_n, n, r):
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     _check_inv_cond(inv_cond)
+    _check_model(big_n, n, r)
     return max(1.0, math.sqrt((n - r) / (delta * big_n))) / inv_cond
 
 
 def lower_bound_validity(big_n, n, r):
     """Largest delta for which the weak-condition lower bound applies."""
+    _check_model(big_n, n, r)
     d = n - r
     return (big_n - 1) * d / ((big_n + d - 2) * (big_n + d - 1))
 
@@ -347,6 +363,7 @@ def weak_condition_lower(delta, inv_cond, big_n, n, r):
     range a ValueError is raised.  The bound never falls below the simple
     variant ``1 / (sqrt(N*delta) * inv_cond)``.
     """
+    _check_model(big_n, n, r)
     if r >= n:
         raise ValueError("lower bound requires a singular problem (r < n)")
     _check_inv_cond(inv_cond)
@@ -362,6 +379,7 @@ def weak_condition_lower_simple(delta, inv_cond, big_n):
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     _check_inv_cond(inv_cond)
+    _check_model(big_n)
     return 1.0 / (math.sqrt(big_n * delta) * inv_cond)
 
 

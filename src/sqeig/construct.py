@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matpoly import KernelBases, MatrixPolynomial
+from .matpoly import KernelBases, MatrixPolynomial, TruthSpec
 
 __all__ = [
     "KernelBases",
@@ -79,9 +79,10 @@ class SingularProblem:
     """Singular quadratic or pencil with designed eigenvalues and normal rank.
 
     ``polynomial()`` returns the ``MatrixPolynomial`` its builder checked
-    once.  ``conjugation`` is the ``(U, V)`` pair of ``random_conjugation``,
-    or None; ``index_bases(i)`` builds the unconjugated kernel bases at
-    eigenvalue i.
+    once.  ``eigenvalues`` pass through ``TruthSpec``, which requires them
+    distinct, and are kept as its complex tuple.  ``conjugation`` is the
+    ``(U, V)`` pair of ``random_conjugation``, or None; ``index_bases(i)``
+    builds the unconjugated kernel bases at eigenvalue i.
     """
 
     _polynomial: MatrixPolynomial
@@ -89,6 +90,9 @@ class SingularProblem:
     normal_rank: int
     conjugation: tuple | None
     index_bases: Callable[[int], KernelBases]
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", TruthSpec(self.eigenvalues).finite_eigenvalues)
 
     @property
     def n(self):
@@ -176,8 +180,6 @@ def chain_quadratic(eigenvalues, n, rng=None, rotate=True):
     factors drawn from ``rng``.
     """
     eigenvalues = tuple(complex(ev) for ev in eigenvalues)
-    if len(set(eigenvalues)) != len(eigenvalues):
-        raise ValueError("designed eigenvalues must be distinct")
     (m, c, kk), conj = _conjugated(chain_coefficients(eigenvalues, n), rng, rotate)
     return SingularProblem(
         MatrixPolynomial.quadratic(m, c, kk),
@@ -206,8 +208,6 @@ def diagonal_quadratic(root_pairs, n, rng=None, rotate=True):
     if k + 1 > n:
         raise ValueError("need n >= number of diagonal entries + 1")
     roots = [r for pair in root_pairs for r in pair]
-    if len(set(roots)) != len(roots):
-        raise ValueError("roots must be distinct for simple eigenvalues")
     m = np.zeros((n, n), dtype=complex)
     c = np.zeros((n, n), dtype=complex)
     kk = np.zeros((n, n), dtype=complex)
@@ -232,8 +232,6 @@ def diagonal_pencil(eigenvalues, n, rng=None, rotate=True):
     k = len(eigenvalues)
     if k + 1 > n:
         raise ValueError("need n >= number of eigenvalues + 1")
-    if len(set(eigenvalues)) != k:
-        raise ValueError("designed eigenvalues must be distinct")
     a = np.zeros((n, n), dtype=complex)
     b = np.zeros((n, n), dtype=complex)
     for i, lam in enumerate(eigenvalues):

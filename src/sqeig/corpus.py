@@ -17,19 +17,6 @@ from .matpoly import MatrixPolynomial, TruthSpec
 
 __all__ = ["BUILTIN_NAMES", "BUILTIN_NOTES", "builtin", "synth_pencil"]
 
-BUILTIN_NAMES = (
-    "ex1",
-    "ex2",
-    "ex3",
-    "ex4",
-    "ex5",
-    "ex6",
-    "ex7",
-    "ex8",
-    "ex10",
-    "kagstrom2x2",
-)
-
 #: quirks worth knowing before comparing detection counts across problems
 BUILTIN_NOTES = {
     "ex7": "reversal of ex6; the zero eigenvalue of ex6 maps to an infinite one,"
@@ -41,38 +28,32 @@ BUILTIN_NOTES = {
 }
 
 
-def _quad(m, c, k):
-    return MatrixPolynomial.quadratic(
-        np.array(m, dtype=complex), np.array(c, dtype=complex), np.array(k, dtype=complex)
-    )
-
-
-def _ex1():
+def _ex1(_rng):
     m = [[1, 4, 2], [0, 0, 0], [1, 4, 2]]
     c = [[1, 3, 0], [1, 4, 2], [0, -1, -2]]
     k = [[1, 2, -2], [0, -1, -2], [0, 0, 0]]
-    return _quad(m, c, k), TruthSpec((1.0,))
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec((1.0,))
 
 
-def _ex2():
+def _ex2(_rng):
     m = [[1, 0], [0, 0]]
     c = [[1, 0], [0, 0]]
     k = [[0, 0], [1, 0]]
-    return _quad(m, c, k), TruthSpec(())
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec(())
 
 
-def _ex3():
+def _ex3(_rng):
     m = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     c = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0]]
     k = [[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]]
-    return _quad(m, c, k), TruthSpec((0.0,))
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec((0.0,))
 
 
-def _ex4():
+def _ex4(_rng):
     m = [[0, 1, 0], [0, 0, 1], [0, 1, 1]]
     c = [[1, -1, 0], [0, 1, -2], [1, 0, -2]]
     k = [[-1, 0, 0], [0, -2, 0], [-1, -2, 0]]
-    return _quad(m, c, k), TruthSpec((1.0, 2.0))
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec((1.0, 2.0))
 
 
 def _rotated_chain(lambdas, n, rng):
@@ -82,13 +63,13 @@ def _rotated_chain(lambdas, n, rng):
 def _ex5(rng):
     lambdas = [1.0 + 1e-5 * i for i in range(1, 6)]
     m, c, k = _rotated_chain(lambdas, 8, rng)
-    return _quad(m, c, k), TruthSpec(tuple(lambdas))
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec(tuple(lambdas))
 
 
 def _ex6(rng):
     lambdas = [0.0] + [1.0 / i for i in range(2, 9)]
     m, c, k = _rotated_chain(lambdas, 11, rng)
-    return _quad(m, c, k), TruthSpec(tuple(lambdas))
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec(tuple(lambdas))
 
 
 def _ex7(rng):
@@ -108,10 +89,10 @@ def _ex8(rng):
     m = u @ d @ m7 @ d @ v
     c = u @ d @ c7 @ d @ v
     k = u @ d @ k7 @ d @ v
-    return _quad(m, c, k), TruthSpec(tuple(float(i) for i in range(2, 9)))
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec(tuple(float(i) for i in range(2, 9)))
 
 
-def _ex10():
+def _ex10(_rng):
     a = np.array(
         [
             [1, -2, 100, 0, 0],
@@ -133,11 +114,29 @@ def _ex10():
     return MatrixPolynomial.pencil(a, b), TruthSpec((1.0, 2.0))
 
 
-def _kagstrom2x2():
+def _kagstrom2x2(_rng):
     m = [[1, 0], [0, 0]]
     c = [[-3, 0], [0, 0]]
     k = [[2, 0], [0, 0]]
-    return _quad(m, c, k), TruthSpec((1.0, 2.0))
+    return MatrixPolynomial.quadratic(m, c, k), TruthSpec((1.0, 2.0))
+
+
+#: every built-in by name, in the order of BUILTIN_NAMES; each builder takes
+#: the seeded generator, which the fixed problems ignore
+_BUILDERS = {
+    "ex1": _ex1,
+    "ex2": _ex2,
+    "ex3": _ex3,
+    "ex4": _ex4,
+    "ex5": _ex5,
+    "ex6": _ex6,
+    "ex7": _ex7,
+    "ex8": _ex8,
+    "ex10": _ex10,
+    "kagstrom2x2": _kagstrom2x2,
+}
+
+BUILTIN_NAMES = tuple(_BUILDERS)
 
 
 def builtin(name, seed=0):
@@ -145,21 +144,10 @@ def builtin(name, seed=0):
 
     ``seed`` only matters for the randomly conjugated problems ex5-ex8.
     """
-    if name not in BUILTIN_NAMES:
-        raise KeyError(f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
     rng = np.random.default_rng(seed)
-    fixed = {
-        "ex1": _ex1,
-        "ex2": _ex2,
-        "ex3": _ex3,
-        "ex4": _ex4,
-        "ex10": _ex10,
-        "kagstrom2x2": _kagstrom2x2,
-    }
-    if name in fixed:
-        return fixed[name]()
-    seeded = {"ex5": _ex5, "ex6": _ex6, "ex7": _ex7, "ex8": _ex8}
-    return seeded[name](rng)
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+    return _BUILDERS[name](rng)
 
 
 def synth_pencil(size, rank, n_finite=None, seed=0):

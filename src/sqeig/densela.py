@@ -86,7 +86,7 @@ def residual_tolerance(order):
     return 1e4 * UNIT_ROUNDOFF * order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Svd:
     """Full singular value decomposition ``M = U @ diag(s) @ V*``.
 
@@ -174,7 +174,7 @@ def _unit_phased(vectors):
     return vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedEigenDecomposition:
     """Eigenvalues of a regular pencil ``A - lam*B`` as (alpha, beta) pairs.
 

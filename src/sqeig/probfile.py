@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,25 +33,34 @@ class ProblemFormatError(ValueError):
     """Malformed problem file; the message carries the offending location."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemFile:
+    """A problem file's coefficients, known truth and metadata.
+
+    The constructor checks the coefficients once, by building the
+    zero-padded ``MatrixPolynomial`` that ``to_polynomial()`` returns on
+    every call; ``coefficients`` keeps the stored, possibly rectangular,
+    shape as read-only views of it.  Instances compare and hash by identity.
+    """
+
     coefficients: tuple
     truth: tuple | None = None
     name: str | None = None
     source: str | None = None
+    _polynomial: MatrixPolynomial = field(init=False, repr=False)
 
     def __post_init__(self):
-        coeffs = tuple(np.array(c, dtype=complex) for c in self.coefficients)
-        if not coeffs:
-            raise ProblemFormatError("coefficients: must contain at least one matrix")
-        shape = coeffs[0].shape
-        if len(shape) != 2 or any(c.shape != shape for c in coeffs):
-            raise ProblemFormatError("coefficients: matrices must share one 2-D shape")
-        if 0 in shape:
+        coeffs = tuple(np.asarray(c, dtype=complex) for c in self.coefficients)
+        # checked first: MatrixPolynomial would pad a (0, k) matrix, which parse rejects
+        if any(0 in c.shape for c in coeffs):
             raise ProblemFormatError("coefficients: matrices need at least one row and one column")
-        if any(not np.all(np.isfinite(c)) for c in coeffs):
-            raise ProblemFormatError("coefficients: entries must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
+        try:
+            poly = MatrixPolynomial(coeffs)
+        except ValueError as exc:
+            raise ProblemFormatError(f"coefficients: {exc}") from exc
+        rows, cols = coeffs[0].shape
+        object.__setattr__(self, "_polynomial", poly)
+        object.__setattr__(self, "coefficients", tuple(c[:rows, :cols] for c in poly.coeffs))
         if self.truth is not None:
             truth = tuple(complex(t) for t in self.truth)
             if not all(cmath.isfinite(t) for t in truth):
@@ -63,14 +72,14 @@ class ProblemFile:
 
     @property
     def n(self):
-        return max(self.coefficients[0].shape)
+        return self._polynomial.n
 
     @property
     def degree(self):
-        return len(self.coefficients) - 1
+        return self._polynomial.degree
 
     def to_polynomial(self):
-        return MatrixPolynomial(self.coefficients)
+        return self._polynomial
 
     def truth_spec(self):
         if self.truth is None:
@@ -88,32 +97,17 @@ def _render_row(row):
 
 def serialize(pf):
     """Render a ProblemFile as a JSON string, one matrix row per line."""
-    lines = ["{"]
-    lines.append(f'  "n": {pf.n},')
-    lines.append(f'  "degree": {pf.degree},')
-    lines.append('  "coefficients": [')
-    for ci, coef in enumerate(pf.coefficients):
-        lines.append("    [")
-        rows = list(np.asarray(coef))
-        for ri, row in enumerate(rows):
-            comma = "," if ri + 1 < len(rows) else ""
-            lines.append(f"      {_render_row(row)}{comma}")
-        lines.append("    ]," if ci + 1 < len(pf.coefficients) else "    ]")
-    tail_items = []
+    matrices = ",\n".join(
+        "    [\n" + ",\n".join(f"      {_render_row(row)}" for row in coef) + "\n    ]"
+        for coef in pf.coefficients
+    )
+    items = [f'  "n": {pf.n}', f'  "degree": {pf.degree}', f'  "coefficients": [\n{matrices}\n  ]']
     if pf.truth is not None:
-        tail_items.append(f'  "truth": {_render_row(pf.truth)}')
-    metadata = {}
-    if pf.name is not None:
-        metadata["name"] = pf.name
-    if pf.source is not None:
-        metadata["source"] = pf.source
+        items.append(f'  "truth": {_render_row(pf.truth)}')
+    metadata = {key: getattr(pf, key) for key in ("name", "source") if getattr(pf, key) is not None}
     if metadata:
-        tail_items.append(f'  "metadata": {json.dumps(metadata, allow_nan=False)}')
-    lines.append("  ]," if tail_items else "  ]")
-    for i, item in enumerate(tail_items):
-        lines.append(item + ("," if i + 1 < len(tail_items) else ""))
-    lines.append("}")
-    return "\n".join(lines)
+        items.append(f'  "metadata": {json.dumps(metadata, allow_nan=False)}')
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def _reject_constant(token):

@@ -88,7 +88,7 @@ class SolverConfig:
         return dataclasses.replace(self, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassifiedEigenvalue:
     """A finite computed eigenvalue with its classification.
 

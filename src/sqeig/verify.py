@@ -77,14 +77,14 @@ class ProbeFailureError(RuntimeError):
     """A nullspace probe did not see the expected kernel dimension."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialOutcome:
     success: bool
     accepted: tuple
     matched_truth: tuple | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialReport:
     """Aggregated success count over independent randomized runs."""
 
@@ -93,8 +93,8 @@ class TrialReport:
     trials: tuple | None = None
 
     def __post_init__(self):
-        if not 0 <= self.n_s <= self.n_t:
-            raise ValueError("need 0 <= n_s <= n_t")
+        if not (self.n_t >= 1 and 0 <= self.n_s <= self.n_t):
+            raise ValueError(f"need n_t >= 1 and 0 <= n_s <= n_t, got {self.n_t} and {self.n_s}")
 
     @property
     def p(self):
@@ -234,7 +234,7 @@ def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10
     return float(scipy.stats.ks_2samp(emp, model).statistic), emp, model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionReport:
     exponent: float
     coefficient: complex
@@ -248,10 +248,13 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
     For each eps, the perturbed problem's eigenvalue nearest the first-order
     prediction ``lam0 - coeff*eps`` is tracked and the deviation from that
     prediction recorded; the fitted log-log slope is about 2 when the
-    expansion holds.
+    expansion holds.  Needs at least two distinct steps, all positive and
+    finite.
     """
-    coeff = first_order_coefficient(poly, lam0, bases, e)
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
+    if not ((eps > 0) & (eps < math.inf)).all() or np.unique(eps).size < 2:
+        raise ValueError(f"need at least two distinct positive finite steps, got {list(eps_list)}")
+    coeff = first_order_coefficient(poly, lam0, bases, e)
     remainders = np.empty_like(eps)
     for i, ep in enumerate(eps):
         dec = generalized_eig(*first_companion(poly.perturbed(e, ep)), want_left=False)

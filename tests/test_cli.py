@@ -231,6 +231,15 @@ class TestSynthPencil:
         for g, e in zip(got, expected):
             assert abs(g - e) < 1e-4 * max(1.0, abs(e))
 
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        argv = ["synth-pencil", "--size", "6", "--rank", "3", "--finite", "2", "--seed", "4"]
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and err == ""
+        path = tmp_path / "p.json"
+        code, _, _ = _run(capsys, *argv, "--output", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
     def test_directory_output_usage_error(self, capsys, tmp_path):
         code, out, err = _run(
             capsys, "synth-pencil", "--size", "5", "--rank", "2", "--output", str(tmp_path)

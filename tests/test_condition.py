@@ -311,6 +311,40 @@ class TestBoundArguments:
         with pytest.raises(ValueError, match="t must be nonnegative"):
             sensitivity_tail(t, 0.5, 18, 3, 2)
 
+    # N = n**2 * (m + 1) with n >= 1, m >= 1 and 0 <= r <= n; these ran into
+    # a ZeroDivisionError, a math domain error or a meaningless number
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda: weak_condition_bounds(0.01, 1.0, 0, 2, 0),
+            lambda: weak_condition_bounds(0.01, 1.0, 3, -1, 0),
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 0, 2),
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 2, 5),
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 2, -1),
+            lambda: weak_condition_upper(0.01, 1.0, 27, 3, -1),
+            lambda: weak_condition_upper(0.01, 1.0, 26, 3, 2),
+            lambda: weak_condition_lower(0.01, 1.0, 27, 3, 5),
+            lambda: weak_condition_lower(0.01, 1.0, 27, 0, 0),
+            lambda: lower_bound_validity(27, 3, 5),
+            lambda: lower_bound_validity(9, 3, 2),
+            lambda: sensitivity_tail(1.0, 0.5, 27, 3, 5),
+            lambda: sensitivity_tail(1.0, 0.5, 0, 3, 2),
+            lambda: sensitivity_tail(0.0, 0.5, math.nan, 3, 2),
+            lambda: weak_condition_lower_simple(0.5, 1.0, 0),
+            lambda: weak_condition_lower_simple(0.5, 1.0, 1),
+            lambda: weak_condition_lower_simple(0.5, 1.0, math.nan),
+        ],
+        ids=[
+            "bounds-n0", "bounds-m-1", "bounds-m0", "bounds-r>n", "bounds-r<0",
+            "upper-r<0", "upper-N-not-n2(m+1)", "lower-r>n", "lower-n0",
+            "validity-r>n", "validity-m0", "tail-r>n", "tail-N0", "tail-N-nan",
+            "simple-N0", "simple-N1", "simple-N-nan",
+        ],
+    )
+    def test_bad_model_dimensions_rejected(self, bound):
+        with pytest.raises(ValueError, match=r"need N >= 2|need N = n\*\*2 \* \(m \+ 1\)"):
+            bound()
+
 
 class TestBetaRatioBound:
     def test_specialization_closed_form(self):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 import sqeig
-from sqeig import construct
+from sqeig import construct, probfile
+from sqeig.condition import limit_pencil
 from sqeig.construct import chain_quadratic, diagonal_pencil, diagonal_quadratic
-from sqeig.densela import rank_with_tol
-from sqeig.matpoly import normal_rank
+from sqeig.corpus import builtin
+from sqeig.densela import generalized_eig, rank_with_tol, svd
+from sqeig.matpoly import normal_rank, sample_perturbation
+from sqeig.solver import SolverConfig, solve_polynomial
+from sqeig.verify import empirical_probability, expansion_order_check
 
 
 def _bases_are_kernels(poly, lam0, b):
@@ -149,6 +153,17 @@ def test_chain_bases_built_on_demand(monkeypatch):
     assert len(calls) == 1
 
 
+def _study_inputs():
+    # a chain quadratic at a designed eigenvalue with one perturbation stack
+    inst = chain_quadratic([1.0, 0.5], 3, rng=0)
+    return inst.polynomial(), 1.0, inst.bases(1.0), sample_perturbation(3, 2, 0)
+
+
+def _kept_trials():
+    poly, truth = builtin("kagstrom2x2")
+    return empirical_probability(poly, truth, SolverConfig(seed=0), 2, keep_trials=True)
+
+
 def test_array_holding_types_compare_by_identity():
     # the generated field-wise __eq__ would compare ndarrays and raise
     for make in (
@@ -156,6 +171,14 @@ def test_array_holding_types_compare_by_identity():
         lambda: diagonal_pencil([1.0, -2.0], 4, rng=7),
         lambda: chain_quadratic([1.0, 0.5], 3, rng=0).polynomial(),
         lambda: chain_quadratic([1.0, 0.5], 3, rng=0).bases(1.0),
+        lambda: solve_polynomial(builtin("kagstrom2x2")[0], SolverConfig(seed=0))[0],
+        lambda: generalized_eig(np.eye(2), np.eye(2)),
+        lambda: svd(np.eye(2)),
+        lambda: limit_pencil(*_study_inputs()),
+        lambda: _kept_trials().trials[0],
+        _kept_trials,
+        lambda: expansion_order_check(*_study_inputs(), [1e-4, 1e-5]),
+        lambda: probfile.ProblemFile(coefficients=(np.eye(2),)),
     ):
         a, b = make(), make()
         assert a == a

@@ -17,6 +17,13 @@ def test_all_names_construct():
         assert truth.finite_eigenvalues is not None
 
 
+def test_names_keep_their_order():
+    # per-problem seeds in the benchmark follow this order
+    assert BUILTIN_NAMES == (
+        "ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7", "ex8", "ex10", "kagstrom2x2"
+    )
+
+
 def test_unknown_name():
     with pytest.raises(KeyError, match="unknown"):
         builtin("ex99")

@@ -22,6 +22,17 @@ def test_shipped_ex1_matches_builtin():
     assert pf.name == "ex1"
 
 
+def test_shipped_ex1_serializes_to_its_own_bytes():
+    path = REPO / "problems" / "ex1.json"
+    assert (probfile.serialize(probfile.load(path)) + "\n").encode("utf-8") == path.read_bytes()
+
+
+def test_polynomial_is_built_once():
+    pf = probfile.ProblemFile(coefficients=(np.ones((2, 3)), np.eye(2, 3)))
+    assert pf.to_polynomial() is pf.to_polynomial()
+    assert (pf.n, pf.degree) == (3, 1)
+
+
 @given(
     st.integers(1, 4),
     st.integers(1, 4),
@@ -50,6 +61,24 @@ def test_empty_coefficients_rejected():
         probfile.ProblemFile(coefficients=())
     with pytest.raises(probfile.ProblemFormatError, match="coefficients"):
         probfile.parse('{"n": 1, "degree": 0, "coefficients": []}')
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(np.eye(2), np.eye(3)), (np.array([[np.nan]]),), (np.array([[0.0, np.inf]]),), (np.ones(3),)],
+    ids=["shapes-differ", "nan", "inf", "not-2d"],
+)
+def test_coefficient_errors_are_format_errors(coeffs):
+    # the polynomial's own checks, reported under the file's key
+    with pytest.raises(probfile.ProblemFormatError, match="^coefficients: "):
+        probfile.ProblemFile(coefficients=coeffs)
+
+
+def test_repeated_truth_loads_but_has_no_truth_spec():
+    pf = probfile.parse(probfile.serialize(probfile.ProblemFile((np.eye(1),), truth=(1.0, 1.0))))
+    assert pf.truth == (1.0, 1.0)
+    with pytest.raises(ValueError, match="distinct"):
+        pf.truth_spec()
 
 
 def test_nan_rejected():

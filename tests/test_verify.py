@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sqeig import condition
+from sqeig import condition, verify
 from sqeig.condition import BadDirectionError, directional_sensitivity, limit_pencil
 from sqeig.construct import KernelBases, chain_quadratic
 from sqeig.matpoly import MatrixPolynomial, sample_perturbation
@@ -70,6 +70,11 @@ class TestTruthSpec:
         with pytest.raises(ValueError):
             TrialReport(n_t=5, n_s=6)
         assert TrialReport(n_t=4, n_s=1).p == 0.25
+
+    def test_report_needs_a_trial(self):
+        # p = n_s / n_t would divide by zero
+        with pytest.raises(ValueError, match="n_t >= 1"):
+            TrialReport(n_t=0, n_s=0)
 
 
 class TestEmpiricalProbability:
@@ -279,6 +284,18 @@ class TestExpansionOrder:
 
         with pytest.raises(BadDirectionError):
             expansion_order_check(poly, 1.0, bases, e, [1e-4, 1e-5])
+
+    @pytest.mark.parametrize(
+        "eps", [[], [1e-6], [1e-6, 1e-6], [1e-6, 0.0], [1e-5, -1e-6], [1e-5, math.nan], [1e-5, math.inf]]
+    )
+    def test_degenerate_steps_rejected_before_any_solve(self, eps, monkeypatch):
+        # one step, or a repeated one, gave a meaningless slope with only a
+        # RankWarning; a zero step reached LAPACK, which printed an error
+        poly, bases = self._kagstrom()
+        e = sample_perturbation(2, 2, np.random.default_rng(26))
+        monkeypatch.setattr(verify, "generalized_eig", None)
+        with pytest.raises(ValueError, match="two distinct positive finite steps"):
+            expansion_order_check(poly, 1.0, bases, e, eps)
 
 
 class TestRatios:
