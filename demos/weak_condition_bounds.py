@@ -11,36 +11,31 @@ Run:  python demos/weak_condition_bounds.py
 
 import numpy as np
 
-from sqeig.condition import (
-    inverse_condition,
-    lower_bound_validity,
-    weak_condition_lower,
-    weak_condition_upper,
-)
+from sqeig.condition import inverse_condition, lower_bound_validity, weak_condition_bounds
 from sqeig.construct import chain_quadratic
 from sqeig.verify import sensitivity_samples
 
 rng = np.random.default_rng(7)
 
 instance = chain_quadratic([1.0, 0.5], 3, rng=1)
-lam0, big_n, n, r = 1.0, 27, 3, 2
+lam0 = 1.0
 poly = instance.polynomial()
+n, m, r = poly.n, poly.degree, instance.normal_rank
 bases = instance.bases(lam0)
 gamma = inverse_condition(poly, lam0, bases.x, bases.y)
 sigmas = sensitivity_samples(poly, lam0, bases, 20_000, rng)
+deltas = (0.03, 0.02, 0.01, 0.005, 0.002)
+records = [weak_condition_bounds(delta, gamma, n, m, r) for delta in deltas]
+big_n = records[0].big_n
 
 print(f"gamma = {gamma:.4f}, N = {big_n}, corank = {n - r}")
 print(f"lower bound valid for delta <= {lower_bound_validity(big_n, n, r):.4f}\n")
 
 print(f"{'delta':>8s} {'lower':>9s} {'(1-d)-quantile':>15s} {'upper':>9s}")
-for delta in (0.03, 0.02, 0.01, 0.005, 0.002):
-    q = float(np.quantile(sigmas, 1 - delta))
-    upper = weak_condition_upper(delta, gamma, big_n, n, r)
-    if delta <= lower_bound_validity(big_n, n, r):
-        lower = f"{weak_condition_lower(delta, gamma, big_n, n, r):9.3f}"
-    else:
-        lower = "      n/a"
-    print(f"{delta:>8.3f} {lower} {q:>15.3f} {upper:>9.3f}")
+for rec in records:
+    q = float(np.quantile(sigmas, 1 - rec.delta))
+    lower = "      n/a" if rec.lower is None else f"{rec.lower:9.3f}"
+    print(f"{rec.delta:>8.3f} {lower} {q:>15.3f} {rec.upper:>9.3f}")
 
 print(f"\n{'t':>10s} {'P(sigma >= t)':>14s} {'tail bound':>11s}")
 for mult in (1.0, 2.0, 5.0, 10.0):

@@ -8,8 +8,9 @@ subcommands:
   bounds        weak-condition-number bounds for given parameters (JSON)
   synth-pencil  emit a random singular pencil with known eigenvalues
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.  All error
-messages go to standard error.
+Exit codes: 0 success (also when the reader closes standard output
+early), 1 usage error, 2 numerical failure.  All error messages go to
+standard error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -219,7 +221,13 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader is gone (``| head``): discard what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

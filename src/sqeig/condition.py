@@ -396,15 +396,17 @@ class WeakConditionBounds:
     n: int
     m: int
     r: int
-    big_n: int
     upper: float
     lower: float | None
 
     def __post_init__(self):
-        if self.big_n != self.n**2 * (self.m + 1):
-            raise ValueError("N must equal n**2 * (m + 1)")
         if self.lower is not None and self.lower > self.upper * (1 + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
+
+    @property
+    def big_n(self):
+        """Dimension N = n**2 * (m + 1) of the perturbation space."""
+        return self.n**2 * (self.m + 1)
 
 
 def weak_condition_bounds(delta, inv_cond, n, m, r):
@@ -414,9 +416,7 @@ def weak_condition_bounds(delta, inv_cond, n, m, r):
     lower = None
     if r < n and delta <= lower_bound_validity(big_n, n, r):
         lower = weak_condition_lower(delta, inv_cond, big_n, n, r)
-    return WeakConditionBounds(
-        delta=delta, n=n, m=m, r=r, big_n=big_n, upper=upper, lower=lower
-    )
+    return WeakConditionBounds(delta=delta, n=n, m=m, r=r, upper=upper, lower=lower)
 
 
 def beta_ratio_lower_tail_bound(a, b, c, d, k, t):

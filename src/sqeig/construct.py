@@ -1,7 +1,7 @@
 """Singular test problems with eigenvalues and kernel bases known by design.
 
 Two quadratic recipes and one pencil recipe, each built from structured
-rows and optionally conjugated with random orthonormal factors:
+rows and conjugated with random orthonormal factors drawn from a seed:
 
 * ``chain_quadratic``: row i of the quadratic is
   ``(lam - lam_i) * (e_i + lam*e_{i+1})^T``, so the designed eigenvalues are
@@ -33,6 +33,7 @@ __all__ = [
     "KernelBases",
     "SingularProblem",
     "chain_quadratic",
+    "diagonal",
     "diagonal_pencil",
     "diagonal_quadratic",
     "random_conjugation",
@@ -70,10 +71,6 @@ def random_conjugation(mats, rng, uniform=False):
     return tuple(u.T @ m @ v for m in mats), (u, v)
 
 
-def _conjugated(mats, rng, rotate):
-    return random_conjugation(mats, rng) if rotate else (mats, None)
-
-
 @dataclass(frozen=True, eq=False)
 class SingularProblem:
     """Singular quadratic or pencil with designed eigenvalues and normal rank.
@@ -81,14 +78,14 @@ class SingularProblem:
     ``polynomial()`` returns the ``MatrixPolynomial`` its builder checked
     once.  ``eigenvalues`` pass through ``TruthSpec``, which requires them
     distinct, and are kept as its complex tuple.  ``conjugation`` is the
-    ``(U, V)`` pair of ``random_conjugation``, or None; ``index_bases(i)``
-    builds the unconjugated kernel bases at eigenvalue i.
+    ``(U, V)`` pair of ``random_conjugation``; ``index_bases(i)`` builds the
+    unconjugated kernel bases at eigenvalue i.
     """
 
     _polynomial: MatrixPolynomial
     eigenvalues: tuple
     normal_rank: int
-    conjugation: tuple | None
+    conjugation: tuple
     index_bases: Callable[[int], KernelBases]
 
     def __post_init__(self):
@@ -108,8 +105,6 @@ class SingularProblem:
         if not abs(self.eigenvalues[i] - lam0) <= 1e-12 * max(1.0, abs(self.eigenvalues[i])):
             raise ValueError(f"{lam0} is not a designed eigenvalue of this instance")
         b = self.index_bases(i)
-        if self.conjugation is None:
-            return b
         u, v = self.conjugation
         return KernelBases(X=v.T @ b.X, x=v.T @ b.x, Y=u.T @ b.Y, y=u.T @ b.y)
 
@@ -123,6 +118,13 @@ class SingularProblem:
         balanced, gamma = self._polynomial.balancing
         eigenvalues = tuple(ev / gamma for ev in self.eigenvalues)
         return dataclasses.replace(self, _polynomial=balanced, eigenvalues=eigenvalues), gamma
+
+
+def diagonal(values, n):
+    """n-by-n complex matrix with ``values`` leading its diagonal, zero elsewhere."""
+    d = np.zeros(n, dtype=complex)
+    d[: len(values)] = values
+    return np.diag(d)
 
 
 def chain_coefficients(eigenvalues, n):
@@ -172,15 +174,15 @@ def _chain_bases(eigenvalues, n, i0):
     return KernelBases(X=big_x, x=x, Y=big_y, y=y)
 
 
-def chain_quadratic(eigenvalues, n, rng=None, rotate=True):
+def chain_quadratic(eigenvalues, n, rng):
     """Singular quadratic with the given simple eigenvalues (chain recipe).
 
-    Normal rank equals ``len(eigenvalues)``; ``n`` must exceed it.  With
-    ``rotate`` the coefficients are conjugated by random real orthonormal
-    factors drawn from ``rng``.
+    Normal rank equals ``len(eigenvalues)``; ``n`` must exceed it.  The
+    coefficients are conjugated by random real orthonormal factors drawn
+    from ``rng``.
     """
     eigenvalues = tuple(complex(ev) for ev in eigenvalues)
-    (m, c, kk), conj = _conjugated(chain_coefficients(eigenvalues, n), rng, rotate)
+    (m, c, kk), conj = random_conjugation(chain_coefficients(eigenvalues, n), rng)
     return SingularProblem(
         MatrixPolynomial.quadratic(m, c, kk),
         eigenvalues=eigenvalues,
@@ -197,7 +199,7 @@ def _axis_bases(n, k, i0):
     return KernelBases(X=free, x=e_i, Y=free, y=e_i)
 
 
-def diagonal_quadratic(root_pairs, n, rng=None, rotate=True):
+def diagonal_quadratic(root_pairs, n, rng):
     """Singular quadratic with diagonal entries ``(lam - a_i)(lam - b_i)``.
 
     All roots must be distinct across pairs so every eigenvalue is simple.
@@ -208,14 +210,10 @@ def diagonal_quadratic(root_pairs, n, rng=None, rotate=True):
     if k + 1 > n:
         raise ValueError("need n >= number of diagonal entries + 1")
     roots = [r for pair in root_pairs for r in pair]
-    m = np.zeros((n, n), dtype=complex)
-    c = np.zeros((n, n), dtype=complex)
-    kk = np.zeros((n, n), dtype=complex)
-    for i, (a, b) in enumerate(root_pairs):
-        m[i, i] = 1.0
-        c[i, i] = -(a + b)
-        kk[i, i] = a * b
-    (m, c, kk), conj = _conjugated((m, c, kk), rng, rotate)
+    m = diagonal(np.ones(k), n)
+    c = diagonal([-(a + b) for a, b in root_pairs], n)
+    kk = diagonal([a * b for a, b in root_pairs], n)
+    (m, c, kk), conj = random_conjugation((m, c, kk), rng)
     return SingularProblem(
         MatrixPolynomial.quadratic(m, c, kk),
         eigenvalues=tuple(roots),
@@ -226,19 +224,14 @@ def diagonal_quadratic(root_pairs, n, rng=None, rotate=True):
     )
 
 
-def diagonal_pencil(eigenvalues, n, rng=None, rotate=True):
+def diagonal_pencil(eigenvalues, n, rng):
     """Singular pencil with diagonal regular part ``diag(lam - lam_i)``."""
     eigenvalues = tuple(complex(ev) for ev in eigenvalues)
     k = len(eigenvalues)
     if k + 1 > n:
         raise ValueError("need n >= number of eigenvalues + 1")
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    for i, lam in enumerate(eigenvalues):
-        a[i, i] = lam
-        b[i, i] = 1.0
     # pencil value is A - lam*B, conjugated the same way as the quadratic
-    (a, b), conj = _conjugated((a, b), rng, rotate)
+    (a, b), conj = random_conjugation((diagonal(eigenvalues, n), diagonal(np.ones(k), n)), rng)
     return SingularProblem(
         MatrixPolynomial.pencil(a, b),
         eigenvalues=eigenvalues,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .construct import chain_coefficients, random_conjugation, random_orthonormal
+from .construct import chain_coefficients, diagonal, random_conjugation, random_orthonormal
 from .matpoly import MatrixPolynomial, TruthSpec
 
 __all__ = ["BUILTIN_NAMES", "BUILTIN_NOTES", "builtin", "synth_pencil"]
@@ -169,12 +169,7 @@ def synth_pencil(size, rank, n_finite=None, seed=0):
     moduli = rng.uniform(0.5, 2.0, size=n_finite)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_finite)
     eigenvalues = tuple(m * np.exp(1j * t) for m, t in zip(moduli, phases))
-    a = np.zeros((size, size), dtype=complex)
-    b = np.zeros((size, size), dtype=complex)
-    for i, lam in enumerate(eigenvalues):
-        a[i, i] = lam
-        b[i, i] = 1.0
-    for i in range(n_finite, rank):
-        a[i, i] = 1.0
-    (a, b), _ = random_conjugation((a, b), rng, uniform=True)
+    # unit entries of A past the finite eigenvalues, with B zero, are infinite ones
+    a = diagonal(eigenvalues + (1.0,) * (rank - n_finite), size)
+    (a, b), _ = random_conjugation((a, diagonal(np.ones(n_finite), size)), rng, uniform=True)
     return MatrixPolynomial.pencil(a, b), TruthSpec(eigenvalues)

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -109,6 +112,12 @@ class TestSolve:
 
 
 class TestMontecarlo:
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_no_runs_usage_error(self, capsys, runs):
+        code, out, err = _run(capsys, "montecarlo", "--builtin", "ex2", "--runs", runs)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_ex2_reports_certain_detection(self, capsys):
         code, out, _ = _run(
             capsys, "montecarlo", "--builtin", "ex2", "--runs", "25", "--seed", "1"
@@ -145,6 +154,27 @@ class TestBounds:
         assert doc["lower"] is None
         assert "lower bound requires" in doc["note"]
 
+
+    def test_regular_problem_has_no_lower_bound(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            "bounds", "--n", "3", "--m", "2", "--r", "3",
+            "--delta", "0.01", "--gamma", "1.5",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lower"] is None
+        assert "requires a singular problem" in doc["note"]
+
+    @pytest.mark.parametrize(
+        "n,r,delta", [("3", "2", "1.5"), ("3", "4", "0.01")], ids=["delta-above-one", "r-above-n"]
+    )
+    def test_out_of_range_usage_error(self, capsys, n, r, delta):
+        code, out, err = _run(
+            capsys, "bounds", "--n", n, "--m", "2", "--r", r, "--delta", delta, "--gamma", "1.5"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_nonfinite_gamma_usage_error(self, capsys, gamma):
@@ -200,6 +230,11 @@ class TestDist:
         assert "supports" in err
 
 
+    def test_full_rank_usage_error(self, capsys):
+        code, out, err = _run(capsys, "dist", "--n", "3", "--m", "2", "--r", "3")
+        assert code == 1 and out == ""
+        assert "0 < r < n" in err
+
     def test_zero_samples_usage_error(self, capsys):
         code, out, err = _run(
             capsys, "dist", "--n", "3", "--m", "2", "--r", "2", "--samples", "0"
@@ -246,6 +281,25 @@ class TestSynthPencil:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+
+class TestClosedStdout:
+    def test_reader_closing_after_one_line_is_not_an_error(self):
+        # the output is larger than a pipe buffer, so the write after the
+        # reader has gone fails inside the command rather than at exit
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sqeig.cli", "synth-pencil", "--size", "60", "--rank", "30"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestUsage:

@@ -306,6 +306,19 @@ class TestBoundArguments:
         with pytest.raises(ValueError, match="inv_cond must be positive and finite"):
             bound(inv_cond)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda d: weak_condition_upper(d, 1.0, 27, 3, 2),
+            lambda d: weak_condition_lower_simple(d, 1.0, 27),
+        ],
+        ids=["upper", "lower_simple"],
+    )
+    def test_bad_delta_rejected(self, bound, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            bound(delta)
+
     @pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
     def test_bad_tail_point_rejected(self, t):
         with pytest.raises(ValueError, match="t must be nonnegative"):
@@ -380,6 +393,13 @@ class TestBetaRatioBound:
     def test_requires_t_at_least_one(self):
         with pytest.raises(ValueError):
             beta_ratio_lower_tail_bound(1, 1, 1, 1, 2, 0.5)
+
+    @pytest.mark.parametrize(
+        "params", [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, -2)], ids=["a", "b", "c", "d"]
+    )
+    def test_requires_positive_parameters(self, params):
+        with pytest.raises(ValueError, match="beta parameters must be positive"):
+            beta_ratio_lower_tail_bound(*params, 2, 1.5)
 
 
 class TestSpuriousBound:

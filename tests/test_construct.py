@@ -1,5 +1,7 @@
 """Constructed singular instances: designed structure really holds."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,12 @@ def _bases_are_kernels(poly, lam0, b):
     np.testing.assert_allclose(left.conj().T @ left, np.eye(left.shape[1]), atol=1e-12)
 
 
-@pytest.mark.parametrize("rotate", [False, True])
+# recipes always conjugate, so True is the one case
+@pytest.mark.parametrize("rotate", [True])
 def test_chain_quadratic_structure(rotate):
     lams = [1.0, 0.5, -0.25]
-    inst = chain_quadratic(lams, 5, rng=3, rotate=rotate)
+    inst = chain_quadratic(lams, 5, rng=3)
+    assert (inst.conjugation is not None) is rotate
     poly = inst.polynomial()
     assert inst.normal_rank == 3
     assert normal_rank(poly, rng=0) == 3
@@ -73,11 +77,46 @@ def test_diagonal_pencil_structure():
 
 def test_rejects_bad_designs():
     with pytest.raises(ValueError, match="distinct"):
-        chain_quadratic([1.0, 1.0], 4)
+        chain_quadratic([1.0, 1.0], 4, rng=0)
     with pytest.raises(ValueError, match="n >="):
-        chain_quadratic([1.0, 2.0, 3.0], 3)
+        chain_quadratic([1.0, 2.0, 3.0], 3, rng=0)
     with pytest.raises(ValueError, match="distinct"):
-        diagonal_quadratic([(1.0, 1.0)], 3)
+        diagonal_quadratic([(1.0, 1.0)], 3, rng=0)
+    with pytest.raises(ValueError, match="n >="):
+        diagonal_quadratic([(1.0, 2.0), (3.0, 4.0)], 2, rng=0)
+    with pytest.raises(ValueError, match="n >="):
+        diagonal_pencil([1.0, 2.0, 3.0], 3, rng=0)
+
+
+def test_recipes_always_conjugate_from_a_required_seed():
+    assert not hasattr(construct, "_conjugated")
+    for recipe in (chain_quadratic, diagonal_quadratic, diagonal_pencil):
+        params = inspect.signature(recipe).parameters
+        assert list(params)[2:] == ["rng"]
+        assert params["rng"].default is inspect.Parameter.empty
+    for inst in (
+        chain_quadratic([1.0, 0.5], 3, rng=0),
+        diagonal_quadratic([(1.0, -0.7)], 3, rng=1),
+        diagonal_pencil([1.0, -2.0], 4, rng=7),
+    ):
+        u, v = inst.conjugation
+        np.testing.assert_allclose(u.T @ u, np.eye(inst.n), atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(inst.n), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "values,n,expected",
+    [
+        ([2.0, -1j], 3, np.diag([2.0, -1j, 0.0])),
+        ([], 2, np.zeros((2, 2))),
+        ((1.0, 2.0), 2, np.diag([1.0, 2.0])),
+    ],
+    ids=["padded", "empty", "full"],
+)
+def test_diagonal_builder(values, n, expected):
+    got = construct.diagonal(values, n)
+    assert got.dtype == complex
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_unknown_eigenvalue_lookup():

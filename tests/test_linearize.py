@@ -310,7 +310,7 @@ class TestRightKernelBasis:
         assert np.linalg.norm((pa - lam * pb) @ cols) <= 1e-12
 
     def test_zero_eigenvalue_block_form(self):
-        inst = chain_quadratic([0.0, 1.0], 3, rng=2, rotate=False)
+        inst = chain_quadratic([0.0, 1.0], 3, rng=2)
         b = inst.bases(0.0)
         cols = right_kernel_basis(0.0, b)
         n = 3
@@ -400,7 +400,7 @@ class TestConditionTransferIdentity:
     def test_broken_preconditions_detected(self):
         # a duplicated singular-space column breaks the orthonormal-input
         # precondition and must be rejected before any basis is produced
-        inst = chain_quadratic([1.0, 0.5], 4, rng=11, rotate=False)
+        inst = chain_quadratic([1.0, 0.5], 4, rng=11)
         b = inst.bases(1.0)
         with pytest.raises((ValueError, KernelDegenerateError)):
             KernelBases(X=b.X, x=b.x, Y=b.Y, y=b.Y[:, 0])

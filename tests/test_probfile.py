@@ -87,6 +87,40 @@ def test_nan_rejected():
         probfile.parse(text)
 
 
+_ONE = '"n": 1, "degree": 0, "coefficients": [[[[1.0, 0.0]]]]'
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("[1, 2]", "top level: expected a JSON object"),
+        ('{"n": 1, "degree": 0}', "top level: missing required key 'coefficients'"),
+        ('{"n": 1, "degree": 0, "coefficients": [[1.0]]}', r"coefficients\[0\]: expected a list of rows"),
+        (
+            '{"n": 2, "degree": 0, "coefficients": [[[[1, 0], [1, 0]], [[1, 0]]]]}',
+            r"coefficients\[0\]: rows must be non-empty and equal length",
+        ),
+        (
+            '{"n": 2, "degree": 1, "coefficients": [[[[1, 0]]], [[[1, 0], [1, 0]]]]}',
+            r"coefficients\[1\]: shape differs from coefficients\[0\]",
+        ),
+        (
+            '{"n": 1, "degree": 0, "coefficients": [[[[1e999, 0.0]]]]}',
+            r"coefficients\[0\]\[0\]\[0\]: entries must be finite",
+        ),
+        ("{" + _ONE + ', "truth": {"re": 1.0}}', "truth: expected a list"),
+        ("{" + _ONE + ', "metadata": "ex1"}', "metadata: expected an object"),
+    ],
+    ids=[
+        "not-object", "missing-key", "matrix-not-rows", "ragged-rows", "shape-differs",
+        "overflowing-entry", "truth-not-list", "metadata-not-object",
+    ],
+)
+def test_malformed_document_rejected(text, match):
+    with pytest.raises(probfile.ProblemFormatError, match=match):
+        probfile.parse(text)
+
+
 def test_malformed_json_position():
     with pytest.raises(probfile.ProblemFormatError, match="line 1"):
         probfile.parse('{"n": 1,,}')

@@ -489,6 +489,10 @@ class TestSubspaceAngle:
         e = np.eye(4)
         assert math.isclose(subspace_angle(e[:, :1], e[:, 1:2]), math.pi / 2, rel_tol=1e-12)
 
+    def test_empty_spans(self):
+        empty = np.zeros((3, 0))
+        assert subspace_angle(empty, empty) == 0.0
+
     def test_dimension_mismatch(self):
         e = np.eye(3)
         with pytest.raises(ValueError):
