@@ -11,7 +11,7 @@ Run:  python demos/weak_condition_bounds.py
 
 import numpy as np
 
-from sqeig.condition import inverse_condition, lower_bound_validity, weak_condition_bounds
+from sqeig.condition import inverse_condition, weak_condition_bounds
 from sqeig.construct import chain_quadratic
 from sqeig.verify import sensitivity_samples
 
@@ -26,10 +26,10 @@ gamma = inverse_condition(poly, lam0, bases.x, bases.y)
 sigmas = sensitivity_samples(poly, lam0, bases, 20_000, rng)
 deltas = (0.03, 0.02, 0.01, 0.005, 0.002)
 records = [weak_condition_bounds(delta, gamma, n, m, r) for delta in deltas]
-big_n = records[0].big_n
+big_n, validity = records[0].big_n, records[0].validity
 
 print(f"gamma = {gamma:.4f}, N = {big_n}, corank = {n - r}")
-print(f"lower bound valid for delta <= {lower_bound_validity(big_n, n, r):.4f}\n")
+print(f"lower bound valid for delta <= {validity:.4f}\n")
 
 print(f"{'delta':>8s} {'lower':>9s} {'(1-d)-quantile':>15s} {'upper':>9s}")
 for rec in records:

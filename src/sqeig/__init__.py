@@ -22,15 +22,11 @@ from .condition import (
     first_order_coefficient,
     inverse_condition,
     limit_pencil,
-    lower_bound_validity,
     pencil_condition,
     quadratic_condition,
     sensitivity_tail,
     spurious_condition_bound,
     weak_condition_bounds,
-    weak_condition_lower,
-    weak_condition_lower_simple,
-    weak_condition_upper,
 )
 from .construct import (
     SingularProblem,

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import corpus, probfile
-from .condition import BadDirectionError, lower_bound_validity, weak_condition_bounds
+from .condition import BadDirectionError, weak_condition_bounds
 from .construct import chain_quadratic, diagonal_pencil
 from .densela import EigensolverError
 from .matpoly import DegenerateProblemError
@@ -125,22 +125,12 @@ def _cmd_dist(args):
 
 
 def _cmd_bounds(args):
-    if not 0 < args.gamma < math.inf:
-        raise _UsageError("--gamma must be positive and finite")
-    if not 0 < args.delta < 1:
-        raise _UsageError("--delta must lie in (0, 1)")
-    if args.n < 1 or args.m < 1:
-        raise _UsageError("need n >= 1 and m >= 1")
-    if not 0 <= args.r <= args.n:
-        raise _UsageError("need 0 <= r <= n")
     bounds = weak_condition_bounds(args.delta, args.gamma, args.n, args.m, args.r)
     note = None
-    if bounds.lower is None:
-        if args.r >= args.n:
-            note = "lower bound requires a singular problem (r < n)"
-        else:
-            vmax = lower_bound_validity(bounds.big_n, args.n, args.r)
-            note = f"lower bound requires delta <= {vmax:.6g}"
+    if bounds.validity == 0.0:
+        note = "lower bound requires a singular problem (r < n)"
+    elif bounds.lower is None:
+        note = f"lower bound requires delta <= {bounds.validity:.6g}"
     doc = {
         "n": bounds.n,
         "m": bounds.m,

@@ -40,16 +40,12 @@ __all__ = [
     "inverse_condition",
     "limit_pencil",
     "limit_weights",
-    "lower_bound_validity",
     "pencil_condition",
     "power_sum",
     "quadratic_condition",
     "sensitivity_tail",
     "spurious_condition_bound",
     "weak_condition_bounds",
-    "weak_condition_lower",
-    "weak_condition_lower_simple",
-    "weak_condition_upper",
 ]
 
 #: condition threshold beyond which the inner perturbation block is treated
@@ -295,36 +291,31 @@ def _check_inv_cond(inv_cond):
         raise ValueError("inv_cond must be positive and finite")
 
 
-def _check_model(big_n, n=None, r=None):
-    # N = n**2 * (m + 1) perturbation entries of an order-n, degree-m >= 1
-    # problem of normal rank r; without n, N >= 2 alone.  NaN fails.
-    if n is None:
-        if not big_n >= 2:
-            raise ValueError(f"need N >= 2, got N={big_n!r}")
-    elif not (n >= 1 and 0 <= r <= n and big_n >= 2 * n**2 and big_n % n**2 == 0):
-        raise ValueError(
-            "need N = n**2 * (m + 1) with n >= 1, an integer m >= 1 and 0 <= r <= n,"
-            f" got N={big_n!r}, n={n!r}, r={r!r}"
-        )
+def _model_dims(n, m, r):
+    # (N, d): N = n**2 * (m + 1) perturbation entries and the corank d = n - r
+    # of an order-n, degree-m problem of normal rank r.  NaN fails.
+    if not (all(float(v).is_integer() for v in (n, m, r)) and n >= 1 and m >= 1 and 0 <= r <= n):
+        raise ValueError(f"need integers n >= 1, m >= 1 and 0 <= r <= n, got {n!r}, {m!r}, {r!r}")
+    return n**2 * (m + 1), n - r
 
 
-def sensitivity_tail(t, inv_cond, big_n, n, r):
+def sensitivity_tail(t, inv_cond, n, m, r):
     """Model tail probability ``P(sensitivity >= t)`` under random perturbations.
 
-    The model law is ``sqrt(Z_N / Z_{n-r+1}) / inv_cond`` with independent
-    ``Z_k ~ Beta(1, k-1)``; ``Z_1`` degenerates to the constant 1 (regular
-    case), giving the closed form ``(1 - s)**(N-1)`` for ``s = (inv_cond*t)**2
-    <= 1``.  Otherwise the tail is evaluated by adaptive quadrature to
-    absolute tolerance 1e-10.
+    For an order-n, degree-m problem of normal rank r, with N = n**2 * (m+1)
+    and d = n - r, the model law is ``sqrt(Z_N / Z_{d+1}) / inv_cond`` with
+    independent ``Z_k ~ Beta(1, k-1)``; ``Z_1`` degenerates to the constant 1
+    (regular case), giving the closed form ``(1 - s)**(N-1)`` for
+    ``s = (inv_cond*t)**2 <= 1``.  Otherwise the tail is evaluated by
+    adaptive quadrature to absolute tolerance 1e-10.
     """
     if not t >= 0:  # NaN fails too
         raise ValueError("t must be nonnegative")
     _check_inv_cond(inv_cond)
-    _check_model(big_n, n, r)
+    big_n, d = _model_dims(n, m, r)
     if t == 0:
         return 1.0
     s = (inv_cond * t) ** 2
-    d = n - r
     if d == 0:
         return float((1.0 - s) ** (big_n - 1)) if s < 1.0 else 0.0
     upper = min(1.0, 1.0 / s)
@@ -336,60 +327,20 @@ def sensitivity_tail(t, inv_cond, big_n, n, r):
     return float(min(1.0, max(0.0, val)))
 
 
-def weak_condition_upper(delta, inv_cond, big_n, n, r):
-    """Upper bound on the delta-weak condition number.
-
-    ``(1/inv_cond) * max(1, sqrt((n-r)/(delta*N)))``; for delta at least
-    (n-r)/N the bound is simply 1/inv_cond.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    _check_inv_cond(inv_cond)
-    _check_model(big_n, n, r)
-    return max(1.0, math.sqrt((n - r) / (delta * big_n))) / inv_cond
-
-
-def lower_bound_validity(big_n, n, r):
-    """Largest delta for which the weak-condition lower bound applies."""
-    _check_model(big_n, n, r)
-    d = n - r
-    return (big_n - 1) * d / ((big_n + d - 2) * (big_n + d - 1))
-
-
-def weak_condition_lower(delta, inv_cond, big_n, n, r):
-    """Lower bound on the delta-weak condition number (singular case).
-
-    Valid for ``delta <= (N-1)(n-r) / ((N+n-r-2)(N+n-r-1))``; outside that
-    range a ValueError is raised.  The bound never falls below the simple
-    variant ``1 / (sqrt(N*delta) * inv_cond)``.
-    """
-    _check_model(big_n, n, r)
-    if r >= n:
-        raise ValueError("lower bound requires a singular problem (r < n)")
-    _check_inv_cond(inv_cond)
-    vmax = lower_bound_validity(big_n, n, r)
-    if not 0.0 < delta <= vmax:
-        raise ValueError(f"delta must lie in (0, {vmax:.6g}] for the lower bound")
-    d = n - r
-    return math.sqrt((big_n - 1) * d / ((big_n + d - 2) * (big_n + d - 1) * delta)) / inv_cond
-
-
-def weak_condition_lower_simple(delta, inv_cond, big_n):
-    """Simplified lower bound ``1 / (sqrt(N*delta) * inv_cond)``."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    _check_inv_cond(inv_cond)
-    _check_model(big_n)
-    return 1.0 / (math.sqrt(big_n * delta) * inv_cond)
-
-
 @dataclass(frozen=True)
 class WeakConditionBounds:
-    """Upper and lower bounds on a delta-weak condition number.
+    """Bounds on the delta-weak condition number of one eigenvalue.
 
-    ``lower`` is None when ``delta`` lies outside the lower bound's
-    validity range (or the problem is regular); otherwise the two bounds
-    sandwich the weak condition number and satisfy ``lower <= upper``.
+    With N = n**2 * (m + 1) and d = n - r:
+
+    - ``upper = max(1, sqrt(d / (delta*N))) / inv_cond``;
+    - ``validity = (N-1) d / ((N+d-2)(N+d-1))`` is the largest delta for
+      which the lower bound applies, and 0.0 for a regular problem (d = 0);
+    - ``lower = sqrt(validity / delta) / inv_cond`` for ``delta <=
+      validity``, else None; the two bounds then sandwich the weak
+      condition number and satisfy ``lower <= upper``;
+    - ``lower_simple = 1 / (sqrt(N*delta) * inv_cond)``, which ``lower``
+      never falls below and equals at corank one.
     """
 
     delta: float
@@ -398,39 +349,62 @@ class WeakConditionBounds:
     r: int
     upper: float
     lower: float | None
+    lower_simple: float
+    validity: float
 
     def __post_init__(self):
+        if not math.isfinite(max(self.upper, self.lower_simple)):
+            raise ValueError("the bounds overflow; inv_cond is too small")
         if self.lower is not None and self.lower > self.upper * (1 + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
 
     @property
     def big_n(self):
         """Dimension N = n**2 * (m + 1) of the perturbation space."""
-        return self.n**2 * (self.m + 1)
+        return _model_dims(self.n, self.m, self.r)[0]
 
 
 def weak_condition_bounds(delta, inv_cond, n, m, r):
-    """Evaluate both weak-condition bounds, honoring validity ranges."""
-    big_n = n**2 * (m + 1)
-    upper = weak_condition_upper(delta, inv_cond, big_n, n, r)
-    lower = None
-    if r < n and delta <= lower_bound_validity(big_n, n, r):
-        lower = weak_condition_lower(delta, inv_cond, big_n, n, r)
-    return WeakConditionBounds(delta=delta, n=n, m=m, r=r, upper=upper, lower=lower)
+    """Bounds on the delta-weak condition number of a simple eigenvalue.
+
+    ``inv_cond`` is the eigenvalue's reciprocal condition number and the
+    problem has order n, degree m and normal rank r; see
+    ``WeakConditionBounds`` for the formulas.  Raises ValueError unless
+    ``0 < delta < 1``, ``0 < inv_cond < inf``, n, m and r are integers
+    with n >= 1, m >= 1 and 0 <= r <= n, and every bound is finite.
+    """
+    if not 0.0 < delta < 1.0:  # NaN fails too
+        raise ValueError("delta must lie in (0, 1)")
+    _check_inv_cond(inv_cond)
+    big_n, d = _model_dims(n, m, r)
+    # num / (den * delta) rounds once where validity / delta would round twice
+    num, den = (big_n - 1) * d, (big_n + d - 2) * (big_n + d - 1)
+    validity = num / den if d else 0.0
+    return WeakConditionBounds(
+        delta=delta,
+        n=n,
+        m=m,
+        r=r,
+        upper=max(1.0, math.sqrt(d / (delta * big_n))) / inv_cond,
+        lower=math.sqrt(num / (den * delta)) / inv_cond if delta <= validity else None,
+        lower_simple=1.0 / (math.sqrt(big_n * delta) * inv_cond),
+        validity=validity,
+    )
 
 
 def beta_ratio_lower_tail_bound(a, b, c, d, k, t):
     """Upper bound on ``P((X/Y)**(1/k) < t)`` for independent beta variables.
 
-    ``X ~ Beta(a, b)``, ``Y ~ Beta(c, d)`` and ``t >= 1``.  The bound is
+    ``X ~ Beta(a, b)``, ``Y ~ Beta(c, d)``, ``k > 0`` and ``t >= 1``.  The bound is
     ``1 - t**(-c*k) * B(a+c, b+d-1) / (c * B(a,b) * B(c,d))`` evaluated
     through log-beta values; it can legitimately approach 0 at t = 1 (a
     valid cdf bound).  Guaranteed only for ``d >= 1`` (the monotonicity step
     behind it reverses for d < 1) and ``b + d > 1``.
     """
-    if min(a, b, c, d) <= 0:
-        raise ValueError("beta parameters must be positive")
-    if t < 1.0:
+    # written so that NaN fails
+    if not all(v > 0 for v in (a, b, c, d, k)):
+        raise ValueError("beta parameters and k must be positive")
+    if not t >= 1.0:
         raise ValueError("the bound requires t >= 1")
     log_term = (
         betaln(a + c, b + d - 1.0)

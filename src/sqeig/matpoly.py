@@ -12,6 +12,7 @@ problems.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -65,6 +66,8 @@ class TruthSpec:
 
     def __post_init__(self):
         evs = tuple(complex(v) for v in self.finite_eigenvalues)
+        if not all(cmath.isfinite(v) for v in evs):
+            raise ValueError("truth eigenvalues must be finite")
         if len({(v.real, v.imag) for v in evs}) != len(evs):
             raise ValueError("truth eigenvalues must be distinct")
         object.__setattr__(self, "finite_eigenvalues", evs)

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_multiset_close
-from sqeig.condition import (
-    inverse_condition,
-    lower_bound_validity,
-    weak_condition_lower,
-    weak_condition_upper,
-)
+from sqeig.condition import inverse_condition, weak_condition_bounds
 from sqeig.construct import chain_quadratic, diagonal_quadratic
 from sqeig.corpus import builtin
 from sqeig.densela import UNIT_ROUNDOFF, generalized_eig, residual_tolerance, svd
@@ -133,15 +128,15 @@ def test_criterion_3_sensitivity_distribution(sigma_experiment):
 
 def test_criterion_4_bound_sandwich_and_tail(sigma_experiment):
     _, gamma, sigmas, _ = sigma_experiment
-    big_n, n, r = 27, 3, 2
+    n, m, r = 3, 2, 2
     samples = sigmas.size
     ok = True
     notes = []
     for delta in (0.05, 0.01):
         quantile = float(np.quantile(sigmas, 1.0 - delta))
-        upper = weak_condition_upper(delta, gamma, big_n, n, r)
-        if delta <= lower_bound_validity(big_n, n, r):
-            lower = weak_condition_lower(delta, gamma, big_n, n, r)
+        bounds = weak_condition_bounds(delta, gamma, n, m, r)
+        big_n, upper, lower = bounds.big_n, bounds.upper, bounds.lower
+        if lower is not None:
             # 3-sigma order-statistic band for a quantile of a ~t^-2 tail
             band = 1.5 * math.sqrt((1.0 - delta) / (delta * samples))
             hit = lower * (1 - band) <= quantile <= upper * (1 + band)

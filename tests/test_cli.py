@@ -176,9 +176,10 @@ class TestBounds:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "1e-310"])
     def test_nonfinite_gamma_usage_error(self, capsys, gamma):
-        # json.dumps would print NaN or Infinity, which is not JSON
+        # json.dumps would print NaN or Infinity, which is not JSON; a tiny
+        # gamma makes 1/gamma overflow to Infinity
         code, out, err = _run(
             capsys,
             "bounds", "--n", "3", "--m", "2", "--r", "2",

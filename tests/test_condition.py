@@ -16,15 +16,11 @@ from sqeig.condition import (
     inverse_condition,
     limit_pencil,
     limit_weights,
-    lower_bound_validity,
     pencil_condition,
     quadratic_condition,
     sensitivity_tail,
     spurious_condition_bound,
     weak_condition_bounds,
-    weak_condition_lower,
-    weak_condition_lower_simple,
-    weak_condition_upper,
 )
 from sqeig.construct import chain_quadratic
 from sqeig.matpoly import (
@@ -192,12 +188,12 @@ class TestFirstOrderCoefficient:
 
 class TestSensitivityTail:
     def test_t_zero_is_one(self):
-        assert sensitivity_tail(0.0, 2.0, 27, 3, 2) == 1.0
+        assert sensitivity_tail(0.0, 2.0, 3, 2, 2) == 1.0
 
     def test_regular_closed_form(self):
         gamma, big_n = 0.8, 12
         for t in (0.3, 0.9, 1.3):
-            got = sensitivity_tail(t, gamma, big_n, 2, 2)
+            got = sensitivity_tail(t, gamma, 2, 2, 2)
             s = (gamma * t) ** 2
             expected = (1 - s) ** (big_n - 1) if s < 1 else 0.0
             assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
@@ -207,17 +203,17 @@ class TestSensitivityTail:
         gamma, big_n = 1.7, 27
         for t in (1.0 / gamma, 2.0 / gamma, 5.0 / gamma):
             s = (gamma * t) ** 2
-            got = sensitivity_tail(t, gamma, big_n, 3, 2)
+            got = sensitivity_tail(t, gamma, 3, 2, 2)
             assert math.isclose(got, 1.0 / (big_n * s), rel_tol=1e-9)
 
     def test_model_sampling_oracle(self):
         # 1e5 Monte Carlo draws of the model variable against the tail model
         from sqeig.verify import model_sensitivity_samples
 
-        gamma, big_n, n, r = 1.0, 27, 3, 2
+        gamma, big_n, n, m, r = 1.0, 27, 3, 2, 2
         draws = model_sensitivity_samples(big_n, n, r, 10**5, np.random.default_rng(6))
         stat = scipy.stats.kstest(
-            draws, lambda t: 1.0 - np.array([sensitivity_tail(ti, gamma, big_n, n, r) for ti in np.atleast_1d(t)])
+            draws, lambda t: 1.0 - np.array([sensitivity_tail(ti, gamma, n, m, r) for ti in np.atleast_1d(t)])
         ).statistic
         assert stat <= 0.01
 
@@ -225,22 +221,19 @@ class TestSensitivityTail:
 class TestWeakBounds:
     def test_upper_saturates(self):
         # delta >= (n-r)/N makes the max attain 1
-        assert math.isclose(weak_condition_upper(0.5, 2.0, 12, 2, 0), 0.5)
+        assert math.isclose(weak_condition_bounds(0.5, 2.0, 2, 2, 0).upper, 0.5)
 
     def test_upper_arithmetic(self):
-        got = weak_condition_upper(1.0 / 16.0, 3.0, 12, 2, 0)
+        got = weak_condition_bounds(1.0 / 16.0, 3.0, 2, 2, 0).upper
         assert math.isclose(got, math.sqrt(8.0 / 3.0) / 3.0, rel_tol=1e-13)
 
     def test_upper_monotone_in_delta(self):
-        vals = [weak_condition_upper(d, 1.0, 27, 3, 2) for d in np.linspace(0.005, 0.9, 40)]
+        vals = [weak_condition_bounds(d, 1.0, 3, 2, 2).upper for d in np.linspace(0.005, 0.9, 40)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_lower_equals_simple_at_corank_one(self):
-        big_n, n, r = 27, 3, 2
-        delta = 0.01
-        full = weak_condition_lower(delta, 2.0, big_n, n, r)
-        simple = weak_condition_lower_simple(delta, 2.0, big_n)
-        assert math.isclose(full, simple, rel_tol=1e-13)
+        rec = weak_condition_bounds(0.01, 2.0, 3, 2, 2)
+        assert math.isclose(rec.lower, rec.lower_simple, rel_tol=1e-13)
 
     def test_full_bound_dominates_simple(self):
         rng = np.random.default_rng(7)
@@ -248,10 +241,12 @@ class TestWeakBounds:
             n = int(rng.integers(2, 8))
             r = int(rng.integers(0, n))
             m = int(rng.integers(1, 4))
-            big_n = n * n * (m + 1)
-            delta = lower_bound_validity(big_n, n, r) * rng.uniform(0.1, 1.0)
-            full = weak_condition_lower(delta, 1.0, big_n, n, r)
-            assert full >= weak_condition_lower_simple(delta, 1.0, big_n) - 1e-12
+            validity = weak_condition_bounds(0.5, 1.0, n, m, r).validity
+            rec = weak_condition_bounds(validity * rng.uniform(0.1, 1.0), 1.0, n, m, r)
+            assert rec.lower >= rec.lower_simple - 1e-12
+        # normal rank 0, the largest corank of an order-3 quadratic
+        rec = weak_condition_bounds(0.01, 1.0, 3, 2, 0)
+        assert rec.lower >= rec.lower_simple
 
     def test_lower_below_upper_in_validity_range(self):
         rng = np.random.default_rng(8)
@@ -259,46 +254,44 @@ class TestWeakBounds:
             n = int(rng.integers(2, 8))
             r = int(rng.integers(0, n))
             m = int(rng.integers(1, 4))
-            big_n = n * n * (m + 1)
-            delta = lower_bound_validity(big_n, n, r) * rng.uniform(0.05, 1.0)
-            lo = weak_condition_lower(delta, 1.3, big_n, n, r)
-            up = weak_condition_upper(delta, 1.3, big_n, n, r)
-            assert lo <= up * (1 + 1e-12)
+            validity = weak_condition_bounds(0.5, 1.3, n, m, r).validity
+            rec = weak_condition_bounds(validity * rng.uniform(0.05, 1.0), 1.3, n, m, r)
+            assert rec.lower <= rec.upper * (1 + 1e-12)
 
     def test_lower_domain_error(self):
-        with pytest.raises(ValueError, match="delta"):
-            weak_condition_lower(0.5, 1.0, 27, 3, 2)
-        with pytest.raises(ValueError, match="singular"):
-            weak_condition_lower(0.01, 1.0, 27, 3, 3)
+        # outside its range of delta, or for a regular problem, the lower
+        # bound does not apply and the record holds None
+        out_of_range = weak_condition_bounds(0.5, 1.0, 3, 2, 2)
+        assert out_of_range.lower is None and out_of_range.validity < 0.5
+        for n, m in ((3, 2), (1, 1)):  # n = m = 1 is the smallest model, N = 2
+            regular = weak_condition_bounds(0.01, 1.0, n, m, n)
+            assert regular.lower is None and regular.validity == 0.0
 
     def test_bounds_record(self):
-        from sqeig.condition import weak_condition_bounds
-
         rec = weak_condition_bounds(0.01, 1.5, 3, 2, 2)
         assert rec.big_n == 27
         assert rec.lower is not None and rec.lower <= rec.upper * (1 + 1e-12)
-        out_of_range = weak_condition_bounds(0.5, 1.5, 3, 2, 2)
-        assert out_of_range.lower is None
-        regular = weak_condition_bounds(0.01, 1.5, 3, 2, 3)
-        assert regular.lower is None
+        # (N-1) d / ((N+d-2)(N+d-1)) is 1/N at corank one
+        assert math.isclose(rec.validity, 1 / 27, rel_tol=1e-15)
 
 
 BAD_INV_CONDS = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
 
 class TestBoundArguments:
-    # each bound needs 0 < inv_cond < inf and the tail t >= 0; a NaN must
-    # fail the check rather than slip past it into a NaN or zero result
+    # the bounds need 0 < delta < 1 and 0 < inv_cond < inf and the tail
+    # t >= 0; a NaN must fail the check rather than slip past it into a NaN
+    # or zero result.  Each id names the field a caller asks for.
     @pytest.mark.parametrize("inv_cond", BAD_INV_CONDS)
     @pytest.mark.parametrize(
         "bound",
         [
-            lambda g: weak_condition_upper(0.01, g, 27, 3, 2),
-            lambda g: weak_condition_lower(0.01, g, 27, 3, 2),
-            lambda g: weak_condition_lower_simple(0.01, g, 27),
+            lambda g: weak_condition_bounds(0.01, g, 3, 2, 2).upper,
+            lambda g: weak_condition_bounds(0.01, g, 3, 2, 2).lower,
+            lambda g: weak_condition_bounds(0.01, g, 3, 2, 2).lower_simple,
             lambda g: weak_condition_bounds(0.01, g, 3, 2, 2),
-            lambda g: sensitivity_tail(0.5, g, 18, 3, 2),
-            lambda g: sensitivity_tail(0.0, g, 18, 3, 2),
+            lambda g: sensitivity_tail(0.5, g, 3, 1, 2),
+            lambda g: sensitivity_tail(0.0, g, 3, 1, 2),
         ],
         ids=["upper", "lower", "lower_simple", "bounds", "tail", "tail_at_zero"],
     )
@@ -310,8 +303,8 @@ class TestBoundArguments:
     @pytest.mark.parametrize(
         "bound",
         [
-            lambda d: weak_condition_upper(d, 1.0, 27, 3, 2),
-            lambda d: weak_condition_lower_simple(d, 1.0, 27),
+            lambda d: weak_condition_bounds(d, 1.0, 3, 2, 2).upper,
+            lambda d: weak_condition_bounds(d, 1.0, 3, 2, 2).lower_simple,
         ],
         ids=["upper", "lower_simple"],
     )
@@ -322,10 +315,15 @@ class TestBoundArguments:
     @pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
     def test_bad_tail_point_rejected(self, t):
         with pytest.raises(ValueError, match="t must be nonnegative"):
-            sensitivity_tail(t, 0.5, 18, 3, 2)
+            sensitivity_tail(t, 0.5, 3, 1, 2)
 
-    # N = n**2 * (m + 1) with n >= 1, m >= 1 and 0 <= r <= n; these ran into
-    # a ZeroDivisionError, a math domain error or a meaningless number
+    def test_overflowing_bounds_rejected(self):
+        # 1 / inv_cond overflows; a record of infinite bounds says nothing
+        with pytest.raises(ValueError, match="overflow"):
+            weak_condition_bounds(0.01, 1e-310, 3, 2, 2)
+
+    # N = n**2 * (m + 1) with integers n >= 1, m >= 1 and 0 <= r <= n; these
+    # ran into a ZeroDivisionError, a math domain error or a meaningless number
     @pytest.mark.parametrize(
         "bound",
         [
@@ -334,28 +332,34 @@ class TestBoundArguments:
             lambda: weak_condition_bounds(0.01, 1.0, 3, 0, 2),
             lambda: weak_condition_bounds(0.01, 1.0, 3, 2, 5),
             lambda: weak_condition_bounds(0.01, 1.0, 3, 2, -1),
-            lambda: weak_condition_upper(0.01, 1.0, 27, 3, -1),
-            lambda: weak_condition_upper(0.01, 1.0, 26, 3, 2),
-            lambda: weak_condition_lower(0.01, 1.0, 27, 3, 5),
-            lambda: weak_condition_lower(0.01, 1.0, 27, 0, 0),
-            lambda: lower_bound_validity(27, 3, 5),
-            lambda: lower_bound_validity(9, 3, 2),
-            lambda: sensitivity_tail(1.0, 0.5, 27, 3, 5),
-            lambda: sensitivity_tail(1.0, 0.5, 0, 3, 2),
-            lambda: sensitivity_tail(0.0, 0.5, math.nan, 3, 2),
-            lambda: weak_condition_lower_simple(0.5, 1.0, 0),
-            lambda: weak_condition_lower_simple(0.5, 1.0, 1),
-            lambda: weak_condition_lower_simple(0.5, 1.0, math.nan),
+            lambda: weak_condition_bounds(0.01, 1.0, 2.5, 2, 1),
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 2, math.nan),
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 2, 1.5),
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 2, -1).upper,
+            # N = 26 with n = 3 would need m = 17/9
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 17 / 9, 2).upper,
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 2, 5).lower,
+            lambda: weak_condition_bounds(0.01, 1.0, 0, 2, 0).lower,
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 2, 5).validity,
+            lambda: weak_condition_bounds(0.01, 1.0, 3, 0, 2).validity,
+            lambda: sensitivity_tail(1.0, 0.5, 3, 2, 5),
+            lambda: sensitivity_tail(1.0, 0.5, 0, 2, 0),
+            lambda: sensitivity_tail(0.0, 0.5, math.nan, 2, 2),
+            lambda: sensitivity_tail(1.0, 0.5, 3, math.inf, 2),
+            lambda: weak_condition_bounds(0.5, 1.0, 0, 1, 0).lower_simple,
+            lambda: weak_condition_bounds(0.5, 1.0, 1, 0, 0).lower_simple,
+            lambda: weak_condition_bounds(0.5, 1.0, 3, math.nan, 2).lower_simple,
         ],
         ids=[
             "bounds-n0", "bounds-m-1", "bounds-m0", "bounds-r>n", "bounds-r<0",
+            "bounds-n-fraction", "bounds-r-nan", "bounds-r-fraction",
             "upper-r<0", "upper-N-not-n2(m+1)", "lower-r>n", "lower-n0",
             "validity-r>n", "validity-m0", "tail-r>n", "tail-N0", "tail-N-nan",
-            "simple-N0", "simple-N1", "simple-N-nan",
+            "tail-m-inf", "simple-N0", "simple-N1", "simple-N-nan",
         ],
     )
     def test_bad_model_dimensions_rejected(self, bound):
-        with pytest.raises(ValueError, match=r"need N >= 2|need N = n\*\*2 \* \(m \+ 1\)"):
+        with pytest.raises(ValueError, match=r"need integers n >= 1, m >= 1 and 0 <= r <= n"):
             bound()
 
 
@@ -391,15 +395,28 @@ class TestBetaRatioBound:
             assert emp <= bound + 3 * math.sqrt(max(emp, 1e-6) * (1 - min(emp, 1 - 1e-9)) / 10**5)
 
     def test_requires_t_at_least_one(self):
-        with pytest.raises(ValueError):
-            beta_ratio_lower_tail_bound(1, 1, 1, 1, 2, 0.5)
+        for params in ((1, 1, 1, 1, 2, 0.5), (1, 26, 1, 1, 2, math.nan)):
+            with pytest.raises(ValueError, match="t >= 1"):
+                beta_ratio_lower_tail_bound(*params)
 
+    # written so that NaN fails; k = 0 returned 0.963 and a NaN returned NaN
     @pytest.mark.parametrize(
-        "params", [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, -2)], ids=["a", "b", "c", "d"]
+        "params",
+        [
+            (0, 1, 1, 1, 2),
+            (1, -1, 1, 1, 2),
+            (1, 1, 0, 1, 2),
+            (1, 1, 1, -2, 2),
+            (math.nan, 1, 1, 1, 2),
+            (1, 26, 1, 1, 0),
+            (1, 26, 1, 1, math.nan),
+            (1, 26, 1, math.nan, 2),
+        ],
+        ids=["a", "b", "c", "d", "a-nan", "k0", "k-nan", "d-nan"],
     )
     def test_requires_positive_parameters(self, params):
-        with pytest.raises(ValueError, match="beta parameters must be positive"):
-            beta_ratio_lower_tail_bound(*params, 2, 1.5)
+        with pytest.raises(ValueError, match="beta parameters and k must be positive"):
+            beta_ratio_lower_tail_bound(*params, 1.5)
 
 
 class TestSpuriousBound:

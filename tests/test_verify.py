@@ -59,6 +59,14 @@ class TestTruthSpec:
         with pytest.raises(ValueError):
             TruthSpec((1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "evs", [(np.nan,), (np.inf,), (1.0, complex(0.0, -np.inf)), (np.nan, np.nan)]
+    )
+    def test_finite_required(self, evs):
+        # two NaNs passed the distinctness check, since NaN != NaN
+        with pytest.raises(ValueError, match="finite"):
+            TruthSpec(evs)
+
     @pytest.mark.parametrize("match_tol", [np.nan, -1.0, 0.0, np.inf])
     def test_match_tol_positive_and_finite(self, match_tol):
         with pytest.raises(ValueError, match="match_tol"):
@@ -435,12 +443,7 @@ class TestBoundSandwich:
         [("pencil", 2, 1, 8), ("quad2", 3, 2, 27), ("quad1", 3, 1, 27)],
     )
     def test_quantile_inside_bounds(self, instance_kind, n, r, big_n):
-        from sqeig.condition import (
-            inverse_condition,
-            lower_bound_validity,
-            weak_condition_lower,
-            weak_condition_upper,
-        )
+        from sqeig.condition import inverse_condition, weak_condition_bounds
         from sqeig.construct import diagonal_pencil
 
         if instance_kind == "pencil":
@@ -457,13 +460,13 @@ class TestBoundSandwich:
         sig = sensitivity_samples(poly, lam0, b, samples, np.random.default_rng(5))
         for delta in (0.05, 0.01):
             q = float(np.quantile(sig, 1 - delta))
-            upper = weak_condition_upper(delta, gamma, big_n, n, r)
+            bounds = weak_condition_bounds(delta, gamma, n, poly.degree, r)
+            assert bounds.big_n == big_n
             band = 1.5 * math.sqrt((1 - delta) / (delta * samples))
-            if delta <= lower_bound_validity(big_n, n, r):
-                lower = weak_condition_lower(delta, gamma, big_n, n, r)
-                assert lower * (1 - band) <= q <= upper * (1 + band)
+            if bounds.lower is not None:
+                assert bounds.lower * (1 - band) <= q <= bounds.upper * (1 + band)
             else:
-                assert q <= upper * (1 + band)
+                assert q <= bounds.upper * (1 + band)
 
 
 class TestReportedProbabilityRegimes:
