@@ -14,14 +14,12 @@ on.
 
 from .condition import (
     BadDirectionError,
-    LimitPencil,
     WeakConditionBounds,
     beta_ratio_lower_tail_bound,
     condition_numbers,
     directional_sensitivity,
     first_order_coefficient,
     inverse_condition,
-    limit_pencil,
     pencil_condition,
     quadratic_condition,
     sensitivity_tail,

@@ -11,9 +11,10 @@ under a perturbation stack and the directional sensitivity it induces
 the sensitivity's exact distribution model under uniformly random
 perturbations (a ratio of beta variables), probabilistic upper/lower
 bounds on the delta-weak condition number, a beta-ratio tail estimate,
-the small "limit pencil" whose eigenvectors describe how perturbed
-eigenvectors mix kernel directions, and a lower bound certifying that
-spurious eigenvalues created from the singular part are ill conditioned.
+the mixing weights of the small "limit pencil" G + zeta*D, whose
+eigenvectors describe how perturbed eigenvectors mix kernel directions,
+and a lower bound certifying that spurious eigenvalues created from the
+singular part are ill conditioned.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .matpoly import joint_norm
 
 __all__ = [
     "BadDirectionError",
-    "LimitPencil",
     "WeakConditionBounds",
     "beta_ratio_lower_tail_bound",
     "condition_numbers",
@@ -38,7 +38,6 @@ __all__ = [
     "directional_sensitivity",
     "first_order_coefficient",
     "inverse_condition",
-    "limit_pencil",
     "limit_weights",
     "pencil_condition",
     "power_sum",
@@ -141,7 +140,7 @@ def _projected_perturbations(p, lam, bases, e):
 def _passes_screen(g):
     # True where the square block g[i] is numerically nonsingular, the
     # singular-value guard shared by the first-order coefficient (on the
-    # inner block) and the limit pencil (on the whole projected block);
+    # inner block) and the limit weights (on the whole projected block);
     # empty blocks pass
     if g.shape[-1] == 0:
         return np.ones(len(g), dtype=bool)
@@ -150,9 +149,9 @@ def _passes_screen(g):
         return s[:, 0] / s[:, -1] <= BAD_DIRECTION_COND
 
 
-def _require_screened(ok, what):
+def _require_screened(ok):
     if not ok[0]:
-        raise BadDirectionError(f"perturbation direction leaves {what} numerically singular")
+        raise BadDirectionError("perturbation direction leaves the inner block numerically singular")
 
 
 def _first_order_terms(p, lam, bases, e):
@@ -182,7 +181,7 @@ def first_order_coefficient(p, lam, bases, e):
     BadDirectionError when G11 is numerically singular.
     """
     phase, log_mag, anchor, ok = _first_order_terms(p, lam, bases, _batch_of_one(e))
-    _require_screened(ok, "the inner block")
+    _require_screened(ok)
     if anchor == 0.0:
         return complex(math.inf)
     return complex(phase[0]) * math.exp(log_mag[0]) / anchor
@@ -210,40 +209,23 @@ def directional_sensitivity(p, lam, bases, e):
     magnitudes without the phase.
     """
     values, ok = directional_sensitivities(p, lam, bases, _batch_of_one(e))
-    _require_screened(ok, "the inner block")
+    _require_screened(ok)
     return float(values[0])
 
 
-@dataclass(frozen=True, eq=False)
-class LimitPencil:
-    """Projected pencil governing the zero-perturbation limit of eigenvectors.
+def limit_weights(p, lam, bases, e):
+    """Limit-pencil mixing weights of a (k, m+1, n, n) batch of perturbation stacks.
 
-    ``G`` is the kernel-projected perturbation, ``D`` the projected
-    derivative (numerically rank one at a simple eigenvalue), and ``a``,
-    ``b`` the unit left/right eigenvectors of ``G + zeta*D`` associated with
-    the eigenvector-carrying eigenvalue.  The limits of the perturbed
-    eigenvectors are ``[Y y] a`` and ``[X x] b``.
+    Along each direction, G is the kernel-projected perturbation and D the
+    projected derivative ``[Y y]* P'(lam) [X x]``.  The limits of the
+    perturbed eigenvectors are ``[Y y] a`` and ``[X x] b``, where ``a`` and
+    ``b`` are the unit left/right eigenvectors of ``G + zeta*D`` whose last
+    entries are nonzero; in closed form ``a = G^{-*} e_last / ||.||`` and
+    ``b = G^{-1} e_last / ||.||``.  Returns ``(weights, ok)``:
+    ``weights[i]`` is ``|a[-1]| * |b[-1]|`` along ``e[i]`` (at most 1), and
+    ``ok[i]`` is False where that direction fails the screen on G, whose
+    weight is then NaN.
     """
-
-    G: np.ndarray
-    D: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def left_weight(self):
-        """|last entry of a|; at most 1."""
-        return float(abs(self.a[-1]))
-
-    @property
-    def right_weight(self):
-        """|last entry of b|; at most 1."""
-        return float(abs(self.b[-1]))
-
-
-def _limit_vectors(p, lam, bases, e):
-    # (G, a, b, screen mask) over the batch e with the unit a = G^{-*} e_last
-    # and b = G^{-1} e_last; a and b are NaN where the mask fails
     g = _projected_perturbations(p, lam, bases, e)
     ok = _passes_screen(g)
     # right-hand sides as (k, d+1, 1) stacks, which solve reads alike on
@@ -251,38 +233,12 @@ def _limit_vectors(p, lam, bases, e):
     screened = g[ok]
     e_last = np.zeros((len(screened), g.shape[1], 1), dtype=complex)
     e_last[:, -1] = 1.0
-    a = np.full(g.shape[:2], np.nan, dtype=complex)
-    b = np.full(g.shape[:2], np.nan, dtype=complex)
-    for out, lhs in ((a, screened.conj().transpose(0, 2, 1)), (b, screened)):
-        v = np.linalg.solve(lhs, e_last)[..., 0]
-        out[ok] = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return g, a, b, ok
-
-
-def limit_pencil(p, lam, bases, e):
-    """Compute the limit pencil and its distinguished eigenvector pair.
-
-    The pair is the one whose eigenvectors have a nonzero last component;
-    in closed form ``a = G^{-*} e_last / ||.||`` and
-    ``b = G^{-1} e_last / ||.||``.  Raises BadDirectionError when G is
-    numerically singular.
-    """
-    g, a, b, ok = _limit_vectors(p, lam, bases, _batch_of_one(e))
-    _require_screened(ok, "the projected perturbation block")
-    d = bases.left.conj().T @ p.derivative_at(lam) @ bases.right
-    return LimitPencil(G=g[0], D=d, a=a[0], b=b[0])
-
-
-def limit_weights(p, lam, bases, e):
-    """Limit-pencil mixing weights of a (k, m+1, n, n) batch of perturbation stacks.
-
-    Returns ``(weights, ok)``: ``weights[i]`` is ``left_weight *
-    right_weight`` of ``limit_pencil`` along ``e[i]``, and ``ok[i]`` is
-    False where that direction fails the screen on the projected block,
-    whose weight is then NaN.
-    """
-    _, a, b, ok = _limit_vectors(p, lam, bases, e)
-    return np.abs(a[:, -1]) * np.abs(b[:, -1]), ok
+    a = np.linalg.solve(screened.conj().transpose(0, 2, 1), e_last)[..., 0]
+    b = np.linalg.solve(screened, e_last)[..., 0]
+    a_last, b_last = ((v / np.linalg.norm(v, axis=1, keepdims=True))[:, -1] for v in (a, b))
+    weights = np.full(len(g), np.nan)
+    weights[ok] = np.abs(a_last) * np.abs(b_last)
+    return weights, ok
 
 
 def _check_inv_cond(inv_cond):

@@ -33,7 +33,6 @@ __all__ = [
     "sample_perturbation",
     "sample_perturbations",
     "scale_quadratic",
-    "spectral_norm",
 ]
 
 
@@ -171,9 +170,7 @@ class MatrixPolynomial:
         return acc
 
     def derivative_at(self, lam):
-        """Value ``P'(lam)``; the zero matrix for degree-0 polynomials."""
-        if self.degree == 0:
-            return np.zeros((self.n, self.n), dtype=complex)
+        """Value ``P'(lam)`` by Horner's rule; the zero matrix for degree 0."""
         acc = self.degree * np.array(self.coeffs[-1])
         for i in reversed(range(1, self.degree)):
             acc = acc * lam + i * self.coeffs[i]
@@ -292,12 +289,12 @@ def sample_perturbation(n, m, rng):
     return tuple(sample_perturbations(n, m, 1, rng)[0])
 
 
-def normal_rank(p, rng=None):
+def normal_rank(p, rng):
     """Estimate the normal rank of ``p`` (the maximal rank over all lam).
 
-    The rank is evaluated at three points drawn uniformly on the unit
-    circle, which avoids the finitely many rank-dropping points almost
-    surely; the maximum observed rank is returned.
+    The rank is evaluated at three points drawn from ``rng`` uniformly on
+    the unit circle, which avoids the finitely many rank-dropping points
+    almost surely; the maximum observed rank is returned.
     """
     rng = np.random.default_rng(rng)
     best = 0
@@ -305,11 +302,6 @@ def normal_rank(p, rng=None):
         mu = np.exp(2j * np.pi * rng.random())
         best = max(best, rank_with_tol(p.evaluate(mu)))
     return best
-
-
-def spectral_norm(m):
-    """Matrix 2-norm (largest singular value)."""
-    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 def scale_quadratic(p):
@@ -324,7 +316,7 @@ def scale_quadratic(p):
     if p.degree != 2:
         raise ValueError(f"balancing needs a quadratic, got degree {p.degree}")
     k, c, m = p.coeffs
-    # one stacked call; each slice runs the gesdd of spectral_norm
+    # one stacked call; each slice runs the gesdd of np.linalg.norm(., 2)
     nm, nk = (float(s) for s in np.linalg.svd(np.stack((m, k)), compute_uv=False)[:, 0])
     if nm == 0.0 or nk == 0.0:
         raise DegenerateProblemError("scaling requires nonzero leading and trailing coefficients")

@@ -69,8 +69,10 @@ class SolverConfig:
     """Knobs of the randomized solve.
 
     ``epsilon`` is the perturbation size, ``tol`` the condition-number
-    acceptance threshold, ``seed`` anything ``numpy.random.default_rng``
-    accepts.
+    acceptance threshold, ``seed`` an int, a sequence of ints, a
+    ``SeedSequence`` or None.  A ``Generator`` or ``BitGenerator`` is
+    rejected: it is a stream, not a seed, and a config holding one would
+    give a different result on every call.
     """
 
     epsilon: float = 1e-8
@@ -83,6 +85,10 @@ class SolverConfig:
             raise ValueError("epsilon must be positive and finite")
         if not self.tol > 1:
             raise ValueError("tol must exceed 1")
+        if isinstance(self.seed, (np.random.Generator, np.random.BitGenerator)):
+            raise ValueError(
+                "seed must be an int, a sequence of ints, a SeedSequence or None, not a generator"
+            )
 
     def with_seed(self, seed):
         return dataclasses.replace(self, seed=seed)

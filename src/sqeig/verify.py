@@ -364,13 +364,13 @@ def subspace_angle(u, v):
     return float(np.arccos(np.clip(s[-1], -1.0, 1.0)))
 
 
-def singular_space_estimate(poly, lam0, h, rng=None, expected_nullity=None):
+def singular_space_estimate(poly, lam0, h, rng, expected_nullity=None):
     """Estimate the right singular space at ``lam0`` by a nearby probe.
 
-    Evaluates the polynomial at ``lam0 + h*exp(i*theta)`` for a random
-    phase; away from the finitely many rank-dropping points the kernel
-    there equals the rational kernel evaluated at the probe, an O(h)
-    approximation of the singular space at ``lam0``.  A probe seeing an
+    Evaluates the polynomial at ``lam0 + h*exp(i*theta)`` for a phase
+    drawn from ``rng``; away from the finitely many rank-dropping points
+    the kernel there equals the rational kernel evaluated at the probe, an
+    O(h) approximation of the singular space at ``lam0``.  A probe seeing an
     unexpected kernel dimension is retried with a fresh phase, up to five
     probes in all.  The expected dimension defaults to order minus
     estimated normal rank.

@@ -7,7 +7,6 @@ import pytest
 
 import sqeig
 from sqeig import construct, probfile
-from sqeig.condition import limit_pencil
 from sqeig.construct import chain_quadratic, diagonal_pencil, diagonal_quadratic
 from sqeig.corpus import builtin
 from sqeig.densela import generalized_eig, rank_with_tol, svd
@@ -213,7 +212,6 @@ def test_array_holding_types_compare_by_identity():
         lambda: solve_polynomial(builtin("kagstrom2x2")[0], SolverConfig(seed=0))[0],
         lambda: generalized_eig(np.eye(2), np.eye(2)),
         lambda: svd(np.eye(2)),
-        lambda: limit_pencil(*_study_inputs()),
         lambda: _kept_trials().trials[0],
         _kept_trials,
         lambda: expansion_order_check(*_study_inputs(), [1e-4, 1e-5]),

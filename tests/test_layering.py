@@ -3,6 +3,7 @@ tracer's view of the package."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sqeig"
@@ -87,3 +88,31 @@ def test_tracer_patch_table_resolves(monkeypatch):
         if not hasattr(namespace, attr)
     ]
     assert missing == []
+
+
+def _public_functions():
+    # (qualified name, function) for each public function of the package's
+    # modules and each public method of their public classes
+    for stem in LAYERS:
+        module = importlib.import_module(f"sqeig.{stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{stem}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{stem}.{name}.{attr}", member
+
+
+def test_no_rng_defaults_to_fresh_entropy():
+    # rng=None would draw from the operating system's entropy and make the
+    # call irreproducible; every caller passes a generator or a seed
+    defaulted = [
+        qualname
+        for qualname, func in _public_functions()
+        if "rng" in (params := inspect.signature(func).parameters)
+        and params["rng"].default is None
+    ]
+    assert defaulted == []

@@ -52,6 +52,17 @@ class TestConfig:
         cfg = SolverConfig(seed=1).with_seed(2)
         assert cfg.seed == 2
 
+    @pytest.mark.parametrize(
+        "make", [np.random.default_rng, np.random.PCG64], ids=["Generator", "BitGenerator"]
+    )
+    def test_rejects_generator_seed(self, make):
+        # a generator is a stream, not a seed: a config holding one would
+        # give a different result on every call
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=make(0))
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig().with_seed(make(0))
+
 
 class TestPencilSolver:
     def test_regular_diagonal_hand_values(self):

@@ -7,8 +7,9 @@ import pytest
 import scipy.stats
 
 from sqeig import condition, verify
-from sqeig.condition import BadDirectionError, directional_sensitivity, limit_pencil
+from sqeig.condition import BadDirectionError, directional_sensitivity, limit_weights
 from sqeig.construct import KernelBases, chain_quadratic
+from sqeig.corpus import builtin
 from sqeig.matpoly import MatrixPolynomial, sample_perturbation
 from sqeig.solver import SolverConfig
 from sqeig.verify import (
@@ -108,6 +109,18 @@ class TestEmpiricalProbability:
             if tr.success:
                 assert len(tr.accepted) == len(tr.matched_truth) == 2
 
+    def test_seed_sequence_equals_its_int_seed(self):
+        # trials are spawned from SeedSequence(seed) either way; ex8 at the
+        # default tol fails some trials, so the count tells seeds apart
+        poly, truth = builtin("ex8")
+        got = [
+            empirical_probability(poly, truth, SolverConfig(seed=seed), 20, keep_trials=True)
+            for seed in (7, np.random.SeedSequence(7))
+        ]
+        assert got[0].n_s == got[1].n_s
+        values = [[[c.value for c in t.accepted] for t in rep.trials] for rep in got]
+        assert values[0] == values[1]
+
 
 class TestSensitivityDistribution:
     def test_regular_case_matches_sqrt_beta_law(self):
@@ -179,8 +192,8 @@ class TestBatchedSampling:
         # nothing was redrawn: the generator ends as after k single draws
         assert sens_rng.bit_generator.state == ref_rng.bit_generator.state
         weights, _, _ = limit_mixing_samples(poly, lam, b, k, np.random.default_rng(41))
-        pencils = [limit_pencil(poly, lam, b, e) for e in draws]
-        want = [lp.left_weight * lp.right_weight for lp in pencils]
+        # each direction as its own batch of one
+        want = [limit_weights(poly, lam, b, np.array([e]))[0][0] for e in draws]
         np.testing.assert_allclose(weights, want, rtol=0.0, atol=1e-12)
 
     def test_redraws_only_flagged_positions_in_order(self, monkeypatch):
