@@ -64,8 +64,9 @@ def _load_problem(args):
 
 
 def _cmd_solve(args):
-    poly = _load_problem(args)
+    # the config checks the seed before a built-in draws with it
     cfg = SolverConfig(epsilon=args.eps, tol=args.tol, seed=args.seed)
+    poly = _load_problem(args)
     rows = [
         {
             "re": _sig15(r.value.real),
@@ -88,8 +89,8 @@ def _cmd_solve(args):
 
 
 def _cmd_montecarlo(args):
-    poly, truth = corpus.builtin(args.builtin, seed=args.seed)
     cfg = SolverConfig(epsilon=args.eps, tol=args.tol, seed=args.seed)
+    poly, truth = corpus.builtin(args.builtin, seed=args.seed)
     report = empirical_probability(poly, truth, cfg, args.runs)
     print(json.dumps({"n_t": report.n_t, "n_s": report.n_s, "p": report.p}))
     return 0

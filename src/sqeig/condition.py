@@ -59,21 +59,33 @@ class BadDirectionError(RuntimeError):
 def power_sum(lam, degree):
     """``sum_{j=0}^{degree} |lam|**(2j)`` (the j = 0 term is always 1), elementwise."""
     a2 = np.abs(lam) ** 2
-    return sum(a2**j for j in range(degree + 1))
+    # summed left to right; the j = 0 and j = 1 terms are 1 and a2 exactly
+    total = a2**0 if degree == 0 else 1.0 + a2
+    for j in range(2, degree + 1):
+        total = total + a2**j
+    return total
 
 
 def _condition(coeffs, lam, x, y):
     # sqrt(sum_j |lam|**(2j)) / |y* P'(lam) x| for P = sum_j lam**j coeffs[j]
     # (coeffs[0] is never read), +inf where the inner product vanishes.  x and
     # y may be column stacks with one lam per column; P'(lam) x is evaluated
-    # by Horner's rule on coeffs[j] @ x.
+    # by Horner's rule on coeffs[j] @ x, in place.  A factor j = 1 is not
+    # applied: multiplying by 1 can only flip the sign of a zero component,
+    # which |y* P'(lam) x| does not see.
     lam = np.asarray(lam, dtype=complex)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     degree = len(coeffs) - 1
-    dx = degree * (coeffs[degree] @ x)
+    dx = coeffs[degree] @ x
+    if degree > 1:
+        dx *= degree
     for j in range(degree - 1, 0, -1):
-        dx = dx * lam + j * (coeffs[j] @ x)
+        dx *= lam
+        term = coeffs[j] @ x
+        if j > 1:
+            term *= j
+        dx += term
     with np.errstate(divide="ignore"):
         kappa = np.sqrt(power_sum(lam, degree)) / np.abs((y.conj() * dx).sum(axis=0))
     return float(kappa) if kappa.ndim == 0 else kappa

@@ -158,20 +158,19 @@ def nullspace_basis(m):
     return dec.right_vectors[:, _rank_from_singular_values(dec.singular_values):]
 
 
-def _finite(abs_alphas, abs_betas, cutoff=DEFAULT_INF_CUTOFF):
-    # from the moduli of the (alpha, beta) pairs
-    return abs_betas > cutoff * (abs_alphas + abs_betas)
+def _finite(abs_betas, moduli, cutoff=DEFAULT_INF_CUTOFF):
+    # from |beta| and |alpha| + |beta| of the (alpha, beta) pairs
+    return abs_betas > cutoff * moduli
 
 
 def _unit_phased(vectors):
-    # Scale each column to unit 2-norm (LAPACK scales it to largest
-    # |re| + |im| = 1), then make its entry of largest modulus real positive
-    # so that eigenvector output is deterministic up to the solver itself.
-    # Columns are nonzero, so that entry is nonzero.
-    vectors = vectors / column_norms(vectors)
+    # Scale each column of the array, in place, to unit 2-norm (LAPACK
+    # scales it to largest |re| + |im| = 1), then make its entry of largest
+    # modulus real positive so that eigenvector output is deterministic up
+    # to the solver itself.  Columns are nonzero, so that entry is nonzero.
+    vectors /= column_norms(vectors)
     a = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
     vectors *= a.conj() / np.abs(a)
-    return vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,26 +181,30 @@ class GeneralizedEigenDecomposition:
     ``beta[j] * A @ x = alpha[j] * B @ x`` and column j of ``left_vectors``
     satisfies ``beta[j] * y* A = alpha[j] * y* B``.  All vectors have unit
     2-norm.  ``left_vectors`` is None when left eigenvectors were not
-    requested.
+    requested.  The finite pairs lead the order, and ``finite_values``
+    holds their eigenvalues alpha/beta: entry j belongs to column j of the
+    vectors, so the finite pairs are read as ``finite_values`` and the
+    first ``finite_values.size`` columns.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray | None
+    finite_values: np.ndarray
 
     @property
     def order(self):
         return self.alphas.size
 
     def finite_mask(self, cutoff=DEFAULT_INF_CUTOFF):
-        return _finite(np.abs(self.alphas), np.abs(self.betas), cutoff)
+        abs_betas = np.abs(self.betas)
+        return _finite(abs_betas, np.abs(self.alphas) + abs_betas, cutoff)
 
     def eigenvalues(self):
         """Eigenvalues with infinite ones reported as complex infinity."""
-        finite = self.finite_mask()
         lam = np.full(self.order, np.inf + 0j, dtype=complex)
-        lam[finite] = self.alphas[finite] / self.betas[finite]
+        lam[: self.finite_values.size] = self.finite_values
         return lam
 
 
@@ -226,20 +229,33 @@ def generalized_eig(a, b, want_left=True):
     )
     if info != 0:
         raise EigensolverError(f"QZ iteration failed for pencil of order {n} (zggev info={info})")
-    if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
+    abs_betas = np.abs(betas)
+    moduli = np.abs(alphas) + abs_betas
+    # |alpha| + |beta| is NaN or infinite where alpha or beta is
+    if not np.isfinite(moduli).all():
         raise EigensolverError("eigensolver returned non-finite (alpha, beta) pairs")
-    abs_alphas, abs_betas = np.abs(alphas), np.abs(betas)
-    if (abs_alphas + abs_betas == 0.0).any():
+    if not moduli.all():
         raise EigensolverError("indeterminate eigenvalue (alpha = beta = 0); pencil is singular")
 
-    finite = _finite(abs_alphas, abs_betas)
+    finite = _finite(abs_betas, moduli)
     # infinite eigenvalues keep lam = 0, so both sort keys read 0 for them
     lam = np.divide(alphas, betas, out=np.zeros(n, dtype=complex), where=finite)
     # lexsort orders by the last key first: finite block, then |lam| desc, then phase
     order = np.lexsort((np.arctan2(lam.imag, lam.real), -np.abs(lam), ~finite))
 
-    vr = _unit_phased(vr)[:, order]
-    vl = _unit_phased(vl)[:, order] if want_left else None
+    # the vector sets side by side, columns in the eigenvalue order, in one
+    # Fortran-ordered array as LAPACK returns each, so that one pass
+    # normalizes every column with the same arithmetic
+    sets = (vr, vl) if want_left else (vr,)
+    vectors = np.empty((n, len(sets) * n), dtype=complex, order="F")
+    for i, v in enumerate(sets):
+        vectors[:, i * n : (i + 1) * n] = v[:, order]
+    _unit_phased(vectors)
+    vr, vl = vectors[:, :n], (vectors[:, n:] if want_left else None)
     return GeneralizedEigenDecomposition(
-        alphas=alphas[order], betas=betas[order], right_vectors=vr, left_vectors=vl
+        alphas=alphas[order],
+        betas=betas[order],
+        right_vectors=vr,
+        left_vectors=vl,
+        finite_values=lam[order[: np.count_nonzero(finite)]],
     )

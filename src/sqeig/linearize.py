@@ -50,8 +50,8 @@ def _block_pencil(n, order, blocks):
     return out
 
 
-def first_companion(p):
-    """First companion linearization of a matrix polynomial of degree m >= 1.
+def first_companion(p, e=None, epsilon=1.0):
+    """First companion linearization of ``P + epsilon*E``, of degree m >= 1.
 
     For ``P(lam) = sum_j lam**j A_j`` the pencil ``A - lam*B`` of order mn
     has ``A_{m-1} ... A_0`` in the first block row of ``A`` and ``-I`` on
@@ -59,15 +59,36 @@ def first_companion(p):
     returned as the pair ``(A, B)``.  A quadratic gives
     ``lam*[[M, 0], [0, I]] + [[C, K], [-I, 0]]`` and a pencil ``A0 + lam*A1``
     its own ``(A0, -A1)``.  Degree 0 raises ValueError.
+
+    ``e`` is a perturbation stack ``E_0 ... E_m`` of n-by-n matrices, or
+    None for ``P`` itself.  Each ``A_j + epsilon*E_j`` is computed straight
+    into its block, with the arithmetic of ``MatrixPolynomial.perturbed``,
+    so the pair equals, bit for bit, the first companion form of
+    ``P.perturbed(e, epsilon)``.
     """
     m, n = p.degree, p.n
     if m < 1:
         raise ValueError(f"a companion form needs degree at least 1, got degree {m}")
-    a = {(0, j): c for j, c in enumerate(p.coeffs[-2::-1])}
-    b = {(0, 0): -p.coeffs[-1]}
+    # checked before the arithmetic, which would broadcast a scalar or a row
+    if e is not None and (len(e) != m + 1 or any(np.shape(d) != (n, n) for d in e)):
+        raise ValueError(
+            f"perturbation stack must hold {m + 1} coefficients of shape {(n, n)}"
+        )
+    a = np.zeros((m * n, m * n), dtype=complex)
+    b = np.zeros((m * n, m * n), dtype=complex)
+    lead = b[:n, :n]
+    for j, c in enumerate(p.coeffs):
+        block = lead if j == m else a[:n, (m - 1 - j) * n : (m - j) * n]
+        if e is None:
+            block[...] = c
+        else:
+            np.add(c, epsilon * e[j], out=block)
+    np.negative(lead, out=lead)
+    minus_eye = -np.eye(n, dtype=complex)
     for i in range(1, m):
-        a[i, i - 1] = b[i, i] = -np.eye(n, dtype=complex)
-    return _block_pencil(n, m, a), _block_pencil(n, m, b)
+        a[i * n : (i + 1) * n, (i - 1) * n : i * n] = minus_eye
+        b[i * n : (i + 1) * n, i * n : (i + 1) * n] = minus_eye
+    return a, b
 
 
 def alternate_companion(q):
@@ -107,8 +128,9 @@ def recover_vectors(v, w, first, n):
     blocks = np.concatenate((v[:n, :first], v[-n:, first:], w[:n]), axis=1)
     nb = column_norms(blocks)
     holds = nb >= 1e-8 * np.concatenate((column_norms(v), column_norms(w)))
-    unit = blocks / np.where(nb > 0, nb, 1.0)
-    return unit[:, :k], unit[:, k:], holds[:k] & holds[k:]
+    # a zero block stays zero
+    np.divide(blocks, nb, out=blocks, where=nb > 0)
+    return blocks[:, :k], blocks[:, k:], holds[:k] & holds[k:]
 
 
 def _recover(v, w, right_on_top):

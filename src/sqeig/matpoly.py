@@ -43,7 +43,8 @@ MATCH_TOL = 1e-4
 #: batch is drawn in pieces of whole stacks, which changes no sample
 DRAW_CHUNK_ENTRIES = 1 << 20
 
-#: largest distance of a normalized perturbation sample's joint norm from 1
+#: largest distance from 1 of a perturbation sample's joint norm after its
+#: first normalizing pass, which the second pass divides by
 UNIT_NORM_TOL = 64 * np.finfo(float).eps
 
 
@@ -241,17 +242,29 @@ def joint_norm(coeffs):
     in stack))`` to the last bit, for a stack alone and inside any batch.
     """
     e = np.asarray(coeffs, dtype=complex)
+    norms = _norm_reader(e)()
+    return np.array(norms) if e.ndim == 4 else norms[0]
+
+
+def _norm_reader(e):
+    # a function giving joint_norm of each stack of the complex array e, which
+    # ends in the (m+1, n, n) axes of one stack, as a list of floats.  It reads
+    # e through views, so on a contiguous e it sees later in-place changes.
     # np.linalg.norm(c, "fro") is the square root of one BLAS dot of the real
     # parts plus one of the imaginary parts; one stacked matmul of those
     # parts, as (1, n*n) rows by (n*n, 1) columns, makes the same dot calls
     parts = e.reshape(-1, e.shape[-2] * e.shape[-1], 1).view(float).transpose(0, 2, 1)
-    dots = (parts[:, :, None] @ parts[:, :, :, None]).reshape(-1, 2).tolist()
-    # squared with Python's float power (numpy's vectorized power differs from
-    # it in the last bit on some hosts) and summed left to right
-    squares = [math.sqrt(re + im) ** 2 for re, im in dots]
+    rows, cols = parts[:, :, None], parts[:, :, :, None]
     terms = e.shape[-3]
-    norms = [math.sqrt(sum(squares[i : i + terms])) for i in range(0, len(squares), terms)]
-    return np.array(norms) if e.ndim == 4 else norms[0]
+
+    def norms():
+        dots = (rows @ cols).reshape(-1, 2).tolist()
+        # squared with Python's float power (numpy's vectorized power differs
+        # from it in the last bit on some hosts) and summed left to right
+        squares = [math.sqrt(re + im) ** 2 for re, im in dots]
+        return [math.sqrt(sum(squares[i : i + terms])) for i in range(0, len(squares), terms)]
+
+    return norms
 
 
 def sample_perturbations(n, m, count, rng):
@@ -273,10 +286,14 @@ def sample_perturbations(n, m, count, rng):
     for start in range(0, count, step):
         raw = rng.standard_normal((min(step, count - start), m + 1, 2, n, n))
         parts[start : start + len(raw)] = raw.transpose(0, 1, 3, 4, 2)
-    for _ in range(2):
-        e /= joint_norm(e).reshape(-1, 1, 1, 1)
-    if (np.abs(joint_norm(e) - 1.0) > UNIT_NORM_TOL).any():
+    norms_of = _norm_reader(e)
+    e /= np.array(norms_of()).reshape(-1, 1, 1, 1)
+    # the second pass divides by norms that must already be 1 up to
+    # rounding, so checking them checks the sample; written so that NaN fails
+    norms = norms_of()
+    if not all(abs(x - 1.0) <= UNIT_NORM_TOL for x in norms):
         raise ValueError("perturbation sample must have unit joint norm")
+    e /= np.array(norms).reshape(-1, 1, 1, 1)
     return _read_only(e)
 
 

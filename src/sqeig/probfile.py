@@ -126,6 +126,33 @@ def _complex_pair(node, where):
     return complex(node[0], node[1])
 
 
+def _matrix(mat, where, whole):
+    # one matrix of [re, im] pairs, already checked to be a list of
+    # equal-length rows, as a complex array.  With ``whole`` it is first
+    # converted in one step, kept when that gives finite numbers of the
+    # pair shape; otherwise each entry is checked in turn, which names the
+    # first bad one
+    if whole:
+        try:
+            arr = np.array(mat)
+        except ValueError:  # a ragged nest of lists
+            arr = None
+        if (
+            arr is not None
+            and arr.dtype.kind in "fi"
+            and arr.shape == (len(mat), len(mat[0]), 2)
+            and np.isfinite(arr).all()
+        ):
+            return arr.astype(float).view(complex)[..., 0]
+    return np.array(
+        [
+            [_complex_pair(entry, f"{where}[{ri}][{ci}]") for ci, entry in enumerate(row)]
+            for ri, row in enumerate(mat)
+        ],
+        dtype=complex,
+    )
+
+
 def parse(text):
     """Parse a JSON problem file string into a ProblemFile."""
     try:
@@ -143,6 +170,9 @@ def parse(text):
     raw = doc["coefficients"]
     if not isinstance(raw, list) or not raw:
         raise ProblemFormatError("coefficients: expected a non-empty list of matrices")
+    # JSON holds a bool only as the literal true or false, and np.array
+    # would read it as a number, so a text with neither converts whole
+    whole = "true" not in text and "false" not in text
     coeffs = []
     shape = None
     for i, mat in enumerate(raw):
@@ -155,14 +185,7 @@ def parse(text):
             shape = (len(mat), ncols)
         elif (len(mat), ncols) != shape:
             raise ProblemFormatError(f"coefficients[{i}]: shape differs from coefficients[0]")
-        entries = [
-            [
-                _complex_pair(mat[ri][ci], f"coefficients[{i}][{ri}][{ci}]")
-                for ci in range(ncols)
-            ]
-            for ri in range(len(mat))
-        ]
-        coeffs.append(np.array(entries, dtype=complex))
+        coeffs.append(_matrix(mat, f"coefficients[{i}]", whole))
 
     for key in ("n", "degree"):
         # bool is an int subclass, and true == 1, so it is excluded by name

@@ -108,14 +108,15 @@ def _matches(value, truth, tol):
 def match_accepted(accepted_values, truth_values, match_tol):
     """Match two eigenvalue multisets within a relative tolerance.
 
-    Returns the truth values aligned with the accepted ones, or None when
-    the counts differ or some pair exceeds the tolerance (an extra accepted
-    eigenvalue and a missed one both count as failure).
+    Both are sequences (or arrays) of numbers.  Returns the truth values
+    aligned with the accepted ones, or None when the counts differ or some
+    pair exceeds the tolerance (an extra accepted eigenvalue and a missed
+    one both count as failure).
     """
-    accepted_values = [complex(v) for v in accepted_values]
-    truth_values = [complex(v) for v in truth_values]
     if len(accepted_values) != len(truth_values):
         return None
+    accepted_values = [complex(v) for v in accepted_values]
+    truth_values = [complex(v) for v in truth_values]
     if not accepted_values:
         return []
     cost = np.array(
@@ -152,18 +153,17 @@ def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     outcomes = []
     for child in children:
         results = solve_polynomial(problem, cfg.with_seed(child))
-        # per-candidate records only for the accepted ones, and only when kept
-        accepted = np.flatnonzero(results.accepted)
         matched = match_accepted(
-            results.values[accepted].tolist(), truth.finite_eigenvalues, truth.match_tol
+            results.values[results.accepted], truth.finite_eigenvalues, truth.match_tol
         )
         success = matched is not None
         n_s += success
         if keep_trials:
+            # per-candidate records only for the accepted ones, and only when kept
             outcomes.append(
                 TrialOutcome(
                     success=success,
-                    accepted=tuple(results[i] for i in accepted),
+                    accepted=results.accepted_candidates(),
                     matched_truth=tuple(matched) if success else None,
                 )
             )
@@ -257,9 +257,7 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
     coeff = first_order_coefficient(poly, lam0, bases, e)
     remainders = np.empty_like(eps)
     for i, ep in enumerate(eps):
-        dec = generalized_eig(*first_companion(poly.perturbed(e, ep)), want_left=False)
-        finite = dec.finite_mask()
-        lams = dec.alphas[finite] / dec.betas[finite]
+        lams = generalized_eig(*first_companion(poly, e, ep), want_left=False).finite_values
         predicted = lam0 - coeff * ep
         lam = lams[np.argmin(np.abs(lams - predicted))]
         remainders[i] = max(abs(lam - predicted), 1e-300)
@@ -326,9 +324,7 @@ def end_to_end_condition_ratios(instance, cfg):
     q = instance.polynomial()
     balanced, gamma = q.balancing
     records = []
-    for r in solve_polynomial(q, cfg):
-        if not r.accepted:
-            continue
+    for r in solve_polynomial(q, cfg).accepted_candidates():
         nearest = min(instance.eigenvalues, key=lambda ev: abs(r.value - ev))
         if not _matches(r.value, nearest, MATCH_TOL):
             continue

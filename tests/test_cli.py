@@ -110,6 +110,14 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [["solve"], ["montecarlo", "--runs", "3"]])
+    def test_negative_seed_usage_error_names_seed(self, capsys, command):
+        # the seed is checked before a built-in draws with it, so the error
+        # names it instead of repeating numpy's message
+        code, out, err = _run(capsys, *command, "--builtin", "ex1", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: seed must be")
+
 
 class TestMontecarlo:
     @pytest.mark.parametrize("runs", ["0", "-1"])

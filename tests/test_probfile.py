@@ -192,3 +192,42 @@ def test_metadata_fields_must_be_strings(key, value):
         probfile.parse(text)
     with pytest.raises(probfile.ProblemFormatError, match=f"metadata.{key}"):
         probfile.ProblemFile(coefficients=(np.eye(1),), **{key: [1, 2]})
+
+
+@pytest.mark.parametrize(
+    "entry,problem",
+    [
+        ("[1.0, true]", "expected a [re, im] number pair"),
+        ("[false, 0]", "expected a [re, im] number pair"),
+        ('["1.5", 0]', "expected a [re, im] number pair"),
+        ("[null, 0]", "expected a [re, im] number pair"),
+        ("[1.0]", "expected a [re, im] number pair"),
+        ("[1.0, 2.0, 3.0]", "expected a [re, im] number pair"),
+        ("[[1.0, 2.0], 0]", "expected a [re, im] number pair"),
+        ("1.0", "expected a [re, im] number pair"),
+        ('{"re": 1.0}', "expected a [re, im] number pair"),
+        ("[1e999, 0]", "entries must be finite"),
+        ("[0, -1e999]", "entries must be finite"),
+    ],
+)
+def test_bad_entry_named_in_a_whole_matrix(entry, problem):
+    # a matrix is converted in one step when it can be; a bad entry still
+    # fails with the message that names it, whatever the entry is
+    rows = [["[1, 0]", "[2.5, -0.5]"], [entry, "[0, 1]"]]
+    matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    text = '{"n": 2, "degree": 1, "coefficients": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], ' + matrix + "]}"
+    with pytest.raises(probfile.ProblemFormatError) as info:
+        probfile.parse(text)
+    assert str(info.value) == f"coefficients[1][1][0]: {problem}"
+
+
+def test_whole_matrix_conversion_is_the_per_entry_one():
+    # ints, floats, signed zeros and large ints read as complex(re, im) does,
+    # also when a string elsewhere in the file holds the word true
+    pairs = [[[3, -0.0], [2**60 + 1, 1e-310]], [[-0.0, 0], [1.5, -2**53 - 1]]]
+    want = np.array([[complex(re, im) for re, im in row] for row in pairs])
+    coefficients = str(pairs).replace("'", "")
+    for metadata in ("", ', "metadata": {"name": "true story"}'):
+        text = '{"n": 2, "degree": 0, "coefficients": [' + coefficients + "]" + metadata + "}"
+        got = probfile.parse(text).coefficients[0]
+        assert got.tobytes() == want.tobytes()

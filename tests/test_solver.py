@@ -63,6 +63,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             SolverConfig().with_seed(make(0))
 
+    @pytest.mark.parametrize(
+        "seed",
+        [1.5, -1, "a", b"a", True, np.True_, [1, -2], [1, 2.0], [[1, 2]], [1, [2]], np.array(-3)],
+        ids=lambda s: repr(s),
+    )
+    def test_rejects_invalid_seed_when_built(self, seed):
+        # a bad seed fails when the config is built, naming the seed, and not
+        # later inside the solve with numpy's message
+        with pytest.raises(ValueError, match="^seed must be"):
+            SolverConfig(seed=seed)
+        with pytest.raises(ValueError, match="^seed must be"):
+            SolverConfig().with_seed(seed)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [None, 0, 2**70, np.int64(3), [1, 2], (4,), np.array([5, 6]), np.random.SeedSequence(7)],
+        ids=lambda s: repr(s),
+    )
+    def test_accepts_valid_seed(self, seed):
+        cfg = SolverConfig().with_seed(seed)
+        assert cfg.seed is seed
+        p, _ = builtin("ex1", seed=0)
+        solve_polynomial(p, cfg)
+
 
 class TestPencilSolver:
     def test_regular_diagonal_hand_values(self):
@@ -507,12 +531,20 @@ def _one_pass_input(name, seed):
 
     if name == "synth_pencil":
         return synth_pencil(12, 6, seed=seed)[0]
+    if name == "synth_pencil_40":
+        return synth_pencil(40, 20, seed=seed)[0]
     if name == "chain_quadratic":
         return chain_quadratic([3.0, 0.5, -1 + 2j, 0.2j], 9, rng=seed).polynomial()
+    if name == "chain_quadratic_30":
+        lams = [0.4 * k * np.exp(0.7j * k) for k in range(1, 11)]
+        return chain_quadratic(lams, 30, rng=seed).polynomial()
     return builtin(name, seed=seed)[0]
 
 
-@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "synth_pencil", "chain_quadratic"])
+@pytest.mark.parametrize(
+    "name",
+    [*BUILTIN_NAMES, "synth_pencil", "chain_quadratic", "synth_pencil_40", "chain_quadratic_30"],
+)
 def test_one_pass_classification_matches_per_block(name):
     # recovering both forms' blocks in one pass and classifying with one
     # condition call on the polynomial gives the per-block results bit for bit
