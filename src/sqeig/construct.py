@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matpoly import KernelBases, MatrixPolynomial, TruthSpec
+from .matpoly import KernelBases, MatrixPolynomial, TruthSpec, seeded_generator
 
 __all__ = [
     "KernelBases",
@@ -42,8 +42,11 @@ __all__ = [
 
 
 def random_orthonormal(n, rng, uniform=False):
-    """Random real orthonormal factor from QR of a random matrix."""
-    rng = np.random.default_rng(rng)
+    """Random real orthonormal factor from QR of a random matrix.
+
+    ``rng`` is a seed or a stream, as ``matpoly.seeded_generator`` takes it.
+    """
+    rng = seeded_generator(rng)
     raw = rng.random((n, n)) if uniform else rng.standard_normal((n, n))
     q, r = np.linalg.qr(raw)
     return q * np.sign(np.diag(r))
@@ -64,7 +67,7 @@ def random_conjugation(mats, rng, uniform=False):
     ``(matrices, (U, V))``; kernel vectors of the unconjugated problem map
     to the conjugated one through V^T on the right and U^T on the left.
     """
-    rng = np.random.default_rng(rng)
+    rng = seeded_generator(rng)
     n = mats[0].shape[0]
     u = random_orthonormal(n, rng, uniform)
     v = random_orthonormal(n, rng, uniform)

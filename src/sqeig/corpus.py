@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construct import chain_coefficients, diagonal, random_conjugation, random_orthonormal
-from .matpoly import MatrixPolynomial, TruthSpec
+from .matpoly import MatrixPolynomial, TruthSpec, seeded_generator
 
 __all__ = ["BUILTIN_NAMES", "BUILTIN_NOTES", "builtin", "synth_pencil"]
 
@@ -142,9 +142,11 @@ BUILTIN_NAMES = tuple(_BUILDERS)
 def builtin(name, seed=0):
     """Return ``(polynomial, truth)`` for a named built-in problem.
 
-    ``seed`` only matters for the randomly conjugated problems ex5-ex8.
+    ``seed`` only matters for the randomly conjugated problems ex5-ex8,
+    but is always checked: a bad one is the ValueError of
+    ``matpoly.seeded_generator``, which names it.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     if name not in _BUILDERS:
         raise KeyError(f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
     return _BUILDERS[name](rng)
@@ -158,14 +160,15 @@ def synth_pencil(size, rank, n_finite=None, seed=0):
     annulus), the remainder are constant entries contributing infinite
     eigenvalues; the rest of the pencil is identically zero before the
     random orthonormal conjugation.  Stands in for benchmark pencils whose
-    matrices are not reproducible here.
+    matrices are not reproducible here.  ``seed`` is checked as by
+    ``builtin``.
     """
     if not 0 < rank < size:
         raise ValueError("need 0 < rank < size for a singular pencil")
     n_finite = rank if n_finite is None else n_finite
     if not 0 <= n_finite <= rank:
         raise ValueError("need 0 <= n_finite <= rank")
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     moduli = rng.uniform(0.5, 2.0, size=n_finite)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_finite)
     eigenvalues = tuple(m * np.exp(1j * t) for m, t in zip(moduli, phases))

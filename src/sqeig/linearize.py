@@ -62,9 +62,9 @@ def first_companion(p, e=None, epsilon=1.0):
 
     ``e`` is a perturbation stack ``E_0 ... E_m`` of n-by-n matrices, or
     None for ``P`` itself.  Each ``A_j + epsilon*E_j`` is computed straight
-    into its block, with the arithmetic of ``MatrixPolynomial.perturbed``,
-    so the pair equals, bit for bit, the first companion form of
-    ``P.perturbed(e, epsilon)``.
+    into its block, so the pair equals, bit for bit, the first companion
+    form of the polynomial whose coefficients are those sums.  A stack of
+    another length or coefficient shape is a ValueError.
     """
     m, n = p.degree, p.n
     if m < 1:

@@ -6,8 +6,9 @@ the joint Frobenius norm of one coefficient stack or a batch of them,
 normalized random perturbation sampling (one stack or a batch),
 probabilistic normal-rank estimation, the
 two-norm scaling used to balance quadratic problems, the orthonormal
-kernel bases at an eigenvalue, and the known-truth record of benchmark
-problems.
+kernel bases at an eigenvalue, the known-truth record of benchmark
+problems, and the seed check that the problem builders and the solver
+share.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +29,14 @@ __all__ = [
     "MATCH_TOL",
     "MatrixPolynomial",
     "TruthSpec",
+    "check_seed",
     "joint_norm",
     "normal_rank",
     "pad_to_square",
     "sample_perturbation",
     "sample_perturbations",
     "scale_quadratic",
+    "seeded_generator",
 ]
 
 
@@ -46,6 +50,50 @@ DRAW_CHUNK_ENTRIES = 1 << 20
 #: largest distance from 1 of a perturbation sample's joint norm after its
 #: first normalizing pass, which the second pass divides by
 UNIT_NORM_TOL = 64 * np.finfo(float).eps
+
+
+def _is_seed(seed):
+    # None, a SeedSequence, a non-negative integer (not a bool) or a sequence
+    # of such integers; a SeedSequence, as every Monte Carlo trial holds,
+    # is recognized first
+    if seed is None or isinstance(seed, np.random.SeedSequence):
+        return True
+    if isinstance(seed, (str, bytes)):
+        return False
+    try:
+        entries = (seed,) if np.ndim(seed) == 0 else seed
+        # bool is an int subclass, so it is excluded by name
+        return all(
+            not isinstance(v, (bool, np.bool_)) and operator.index(v) >= 0 for v in entries
+        )
+    except (TypeError, ValueError):
+        # not an integer, or a nested sequence numpy cannot shape
+        return False
+
+
+def check_seed(seed):
+    """Raise a ValueError that names ``seed`` unless it is a repeatable seed.
+
+    A seed is None, a non-negative int (not a bool), a sequence of them or a
+    ``SeedSequence``.  A ``Generator`` is a stream, not a seed.
+    """
+    if not _is_seed(seed):
+        raise ValueError(
+            "seed must be a non-negative int, a sequence of them, a SeedSequence "
+            f"or None, got {seed!r}"
+        )
+
+
+def seeded_generator(seed):
+    """``np.random.default_rng(seed)`` for a stream or a seed ``check_seed`` accepts.
+
+    A ``Generator`` is returned as it is and a ``BitGenerator`` wrapped;
+    anything else that is not a seed raises the ValueError of
+    ``check_seed``, where numpy's own message would not name the seed.
+    """
+    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        check_seed(seed)
+    return np.random.default_rng(seed)
 
 
 class DegenerateProblemError(ValueError):
@@ -184,16 +232,6 @@ class MatrixPolynomial:
         and is an involution.
         """
         return MatrixPolynomial._derived(self.coeffs[::-1])
-
-    def perturbed(self, e, epsilon):
-        """``P + epsilon * E`` for a coefficient stack ``e`` of matching shape."""
-        if len(e) != len(self.coeffs):
-            raise ValueError("perturbation stack must match the polynomial degree")
-        # checked before the arithmetic, which would broadcast a scalar or a row
-        if any(np.shape(d) != self.coeffs[0].shape for d in e):
-            raise ValueError("perturbation coefficients must match the polynomial's shape")
-        coeffs = tuple(np.asarray(a + epsilon * d, dtype=complex) for a, d in zip(self.coeffs, e))
-        return MatrixPolynomial._derived(coeffs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,7 +51,7 @@ import numpy as np
 from .condition import condition_numbers
 from .densela import EigensolverError, generalized_eig
 from .linearize import first_companion, recover_vectors
-from .matpoly import MatrixPolynomial, sample_perturbation
+from .matpoly import MatrixPolynomial, check_seed, sample_perturbation
 
 # unused here; perfbench/tracing.py patches these solver attributes by name
 from .condition import pencil_condition, quadratic_condition  # noqa: F401
@@ -78,25 +78,6 @@ SOURCES = (SOURCE_PENCIL, SOURCE_C1, SOURCE_C1HAT)
 _PENCIL_CODE, _C1_CODE, _C1HAT_CODE = range(len(SOURCES))
 
 
-def _is_seed(seed):
-    # None, a SeedSequence, a non-negative integer (not a bool) or a sequence
-    # of such integers; a SeedSequence, as every Monte Carlo trial holds,
-    # is recognized first
-    if seed is None or isinstance(seed, np.random.SeedSequence):
-        return True
-    if isinstance(seed, (str, bytes)):
-        return False
-    try:
-        entries = (seed,) if np.ndim(seed) == 0 else seed
-        # bool is an int subclass, so it is excluded by name
-        return all(
-            not isinstance(v, (bool, np.bool_)) and operator.index(v) >= 0 for v in entries
-        )
-    except (TypeError, ValueError):
-        # not an integer, or a nested sequence numpy cannot shape
-        return False
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the randomized solve.
@@ -119,11 +100,7 @@ class SolverConfig:
             raise ValueError("epsilon must be positive and finite")
         if not self.tol > 1:
             raise ValueError("tol must exceed 1")
-        if not _is_seed(self.seed):
-            raise ValueError(
-                "seed must be a non-negative int, a sequence of them, a SeedSequence "
-                f"or None, got {self.seed!r}"
-            )
+        check_seed(self.seed)
 
     def with_seed(self, seed):
         return type(self)(self.epsilon, self.tol, seed)

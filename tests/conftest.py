@@ -1,6 +1,8 @@
 import numpy as np
 import scipy.optimize
 
+from sqeig.matpoly import MatrixPolynomial
+
 
 def assert_multiset_close(got, expected, rtol=0.0, atol=0.0):
     """Match two eigenvalue multisets by optimal assignment and compare."""
@@ -16,3 +18,14 @@ def assert_multiset_close(got, expected, rtol=0.0, atol=0.0):
         assert cost[i, j] <= tol, (
             f"no match within {tol:.3e}: got {got[i]} vs expected {expected[j]}"
         )
+
+
+def perturbed(p, e, epsilon):
+    """``P + epsilon*E`` one coefficient at a time, as a checked polynomial.
+
+    The per-block reference of ``first_companion(p, e, epsilon)``, which
+    computes the same sums straight into the companion blocks.
+    """
+    return MatrixPolynomial(
+        tuple(np.asarray(a + epsilon * d, dtype=complex) for a, d in zip(p.coeffs, e))
+    )

@@ -118,6 +118,21 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err.startswith("error: seed must be")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth-pencil", "--size", "4", "--rank", "2"],
+            ["dist", "--n", "3", "--m", "2", "--r", "2", "--samples", "10"],
+            ["dist", "--n", "3", "--m", "1", "--r", "2", "--samples", "10"],
+        ],
+        ids=["synth-pencil", "dist-quadratic", "dist-pencil"],
+    )
+    def test_negative_seed_of_a_generator_command_is_named(self, capsys, command):
+        # these commands seed only the problem builders, which check it too
+        code, out, err = _run(capsys, *command, "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: seed must be")
+
 
 class TestMontecarlo:
     @pytest.mark.parametrize("runs", ["0", "-1"])

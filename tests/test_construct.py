@@ -103,6 +103,17 @@ def test_recipes_always_conjugate_from_a_required_seed():
         np.testing.assert_allclose(v.T @ v, np.eye(inst.n), atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"], ids=repr)
+def test_recipes_name_a_bad_seed(seed):
+    for recipe, values, n in (
+        (chain_quadratic, [1.0, 0.5], 3),
+        (diagonal_quadratic, [(1.0, -0.7)], 3),
+        (diagonal_pencil, [1.0, -2.0], 4),
+    ):
+        with pytest.raises(ValueError, match="^seed must be"):
+            recipe(values, n, rng=seed)
+
+
 @pytest.mark.parametrize(
     "values,n,expected",
     [

@@ -121,6 +121,28 @@ def test_synth_pencil_validation():
         synth_pencil(4, 2, n_finite=3)
 
 
+BAD_SEEDS = [-1, 1.5, True, "1", [1, -2]]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_bad_seed_is_named(seed):
+    # the seed check SolverConfig makes, not numpy's "expected non-negative
+    # integer" or a TypeError from SeedSequence
+    with pytest.raises(ValueError, match="^seed must be"):
+        builtin("ex5", seed=seed)
+    with pytest.raises(ValueError, match="^seed must be"):
+        synth_pencil(4, 2, seed=seed)
+
+
+def test_seed_forms_draw_as_numpy_does():
+    # an int, its SeedSequence and a stream seeded with it build the same
+    # problem
+    for seed in (0, np.random.SeedSequence(0), np.random.PCG64(0), np.random.default_rng(0)):
+        p, _ = builtin("ex5", seed=seed)
+        for got, want in zip(p.coeffs, builtin("ex5", seed=0)[0].coeffs):
+            np.testing.assert_array_equal(got, want)
+
+
 # Frobenius norm of every coefficient, then entries [0, 1] and [-1, 0] of
 # every coefficient, in ascending powers.  The benchmark and the acceptance
 # suite solve these recipes, so a changed draw order or conjugation would

@@ -1,8 +1,11 @@
 """SVD, rank/nullspace, and generalized eigensolver contracts."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from sqeig import densela
 from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.densela import (
     RANK_TOL,
@@ -215,26 +218,30 @@ class TestGeneralizedEig:
             generalized_eig(np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_rejects_order_zero_before_lapack(self, monkeypatch):
-        from sqeig import densela
-
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK called for an order-0 pencil")
 
         monkeypatch.setattr(densela, "_zggev", no_lapack)
+        monkeypatch.setattr(densela, "_zggev3", no_lapack)
         with pytest.raises(ValueError, match="order 0"):
             generalized_eig(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        from sqeig import densela
+        # the handle that runs at each order reports info != 0, on both
+        # sides of the crossover
+        cases = [("_zggev", 2), ("_zggev", densela.ZGGEV3_FROM_ORDER - 1)]
+        if densela._ZGGEV3 is not None:
+            cases.append(("_zggev3", densela.ZGGEV3_FROM_ORDER))
+        for handle, order in cases:
+            real = getattr(densela, handle)
 
-        real = densela._zggev
+            def failing(*args, real=real, **kwargs):
+                return (*real(*args, **kwargs)[:-1], 1)
 
-        def failing(*args, **kwargs):
-            return (*real(*args, **kwargs)[:-1], 1)
-
-        monkeypatch.setattr(densela, "_zggev", failing)
-        with pytest.raises(EigensolverError, match="info=1"):
-            generalized_eig(np.diag([1.0, 2.0]), np.eye(2))
+            with monkeypatch.context() as patch:
+                patch.setattr(densela, handle, failing)
+                with pytest.raises(EigensolverError, match=f"{handle[1:]} info=1"):
+                    generalized_eig(np.diag(np.arange(1.0, order + 1)), np.eye(order))
 
 
 def _canonical(alphas, betas):
@@ -273,3 +280,86 @@ def test_direct_qz_matches_library_reference(order):
         assert right_only.left_vectors is None
         np.testing.assert_array_equal(right_only.alphas, dec.alphas)
         np.testing.assert_array_equal(right_only.betas, dec.betas)
+
+
+needs_zggev3 = pytest.mark.skipif(
+    densela._ZGGEV3 is None, reason="this LAPACK does not export zggev3"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="symbol lookup is checked on Linux")
+def test_zggev3_resolves():
+    # every Linux scipy wheel links an OpenBLAS that exports zggev3, so the
+    # large-order path is the one tested and timed
+    assert densela._ZGGEV3 is not None
+    assert densela.qz_routine(densela.ZGGEV3_FROM_ORDER - 1) == "zggev"
+    assert densela.qz_routine(densela.ZGGEV3_FROM_ORDER) == "zggev3"
+
+
+@needs_zggev3
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("want_left", [True, False])
+def test_zggev3_equals_zggev_bitwise_below_crossover(want_left, layout):
+    # below ZGGEV3_FROM_ORDER both routines return the same bits, so the
+    # crossover changes no output of a small solve
+    rng = np.random.default_rng(300)
+    for order in range(1, densela.ZGGEV3_FROM_ORDER):
+        a = np.asarray(_random_complex(rng, order, order), order=layout)
+        b = np.asarray(_random_complex(rng, order, order), order=layout)
+        old = densela._zggev(a, b, compute_vl=want_left, lwork=densela._zggev_lwork(order))
+        new = densela._zggev3(a, b, want_left)
+        assert old[-1] == new[-1] == 0
+        # alphas, betas, right vectors, and left vectors when computed
+        for i in (0, 1, 3, 2)[: 4 if want_left else 3]:
+            assert new[i].tobytes() == old[i].tobytes(), (order, i)
+
+
+def _backward_errors(a, b, alphas, betas, vectors, left):
+    # |beta A x - alpha B x| / ((|beta| |A| + |alpha| |B|) |x|) per column,
+    # or the same for y* A and y* B
+    if left:
+        a, b = a.conj().T, b.conj().T
+        alphas, betas = alphas.conj(), betas.conj()
+    res = np.linalg.norm(a @ vectors * betas - b @ vectors * alphas, axis=0)
+    scale = np.abs(betas) * np.linalg.norm(a, 2) + np.abs(alphas) * np.linalg.norm(b, 2)
+    return res / (scale * np.linalg.norm(vectors, axis=0))
+
+
+@needs_zggev3
+@pytest.mark.parametrize("order", [33, 48, 75, 100, 150])
+def test_zggev3_path_is_backward_stable(monkeypatch, order):
+    # from order 75 zggev3 runs the multishift QZ; every pair of both
+    # vector sets has a small backward error, the inputs are untouched and
+    # a repeated call gives the same bits
+    def no_zggev(*args, **kwargs):
+        raise AssertionError(f"zggev called at order {order}")
+
+    monkeypatch.setattr(densela, "_zggev", no_zggev)
+    rng = np.random.default_rng(400 + order)
+    a, b = _random_complex(rng, order, order), _random_complex(rng, order, order)
+    a0, b0 = a.copy(), b.copy()
+    dec = generalized_eig(a, b)
+    np.testing.assert_array_equal(a, a0)
+    np.testing.assert_array_equal(b, b0)
+    tol = residual_tolerance(order)
+    for vectors, left in ((dec.right_vectors, False), (dec.left_vectors, True)):
+        assert _backward_errors(a, b, dec.alphas, dec.betas, vectors, left).max() <= tol
+    again = generalized_eig(a, b)
+    for field in ("alphas", "betas", "right_vectors", "left_vectors", "finite_values"):
+        assert getattr(again, field).tobytes() == getattr(dec, field).tobytes(), field
+    right_only = generalized_eig(a, b, want_left=False)
+    assert right_only.left_vectors is None
+    assert right_only.alphas.tobytes() == dec.alphas.tobytes()
+
+
+def test_unresolved_zggev3_falls_back_to_zggev(monkeypatch):
+    # where the library lacks zggev3, a large order runs zggev as below
+    # the crossover
+    rng = np.random.default_rng(500)
+    order = densela.ZGGEV3_FROM_ORDER + 2
+    a, b = _random_complex(rng, order, order), _random_complex(rng, order, order)
+    monkeypatch.setattr(densela, "_ZGGEV3", None)
+    assert densela.qz_routine(order) == "zggev"
+    dec = generalized_eig(a, b)
+    alphas = densela._zggev(a, b, lwork=densela._zggev_lwork(order))[0]
+    np.testing.assert_array_equal(np.sort_complex(dec.alphas), np.sort_complex(alphas))

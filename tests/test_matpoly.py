@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, perturbed
 from sqeig.densela import UNIT_ROUNDOFF, generalized_eig
+from sqeig.linearize import first_companion
 from sqeig import matpoly
 from sqeig.matpoly import (
     DegenerateProblemError,
@@ -170,7 +171,7 @@ class TestSamplePerturbation:
         assert isinstance(e, tuple) and len(e) == 3
         assert all(c.shape == (3, 3) and not c.flags.writeable for c in e)
         p = _random_poly(np.random.default_rng(2), 3, 2)
-        for a, b, d in zip(p.perturbed(e, 0.5).coeffs, p.coeffs, e):
+        for a, b, d in zip(perturbed(p, e, 0.5).coeffs, p.coeffs, e):
             np.testing.assert_array_equal(a, b + 0.5 * d)
 
     @pytest.mark.parametrize("n,m", [(1, 0), (3, 2), (5, 2), (11, 1)])
@@ -219,11 +220,19 @@ class TestDerivedPolynomials:
             np.testing.assert_array_equal(got, want)
 
     def test_perturbed(self):
+        # the companion pair of P + eps*E carries, bit for bit, the
+        # coefficients the validating constructor makes of the sums, also
+        # complex ones for a real perturbation stack
         p = _random_poly(np.random.default_rng(12), 4, 2)
         e = sample_perturbation(4, 2, np.random.default_rng(13))
-        self._checked(p.perturbed(e, 1e-3))
-        # a real perturbation stack still gives complex coefficients
-        self._checked(p.perturbed([np.eye(4)] * 3, 0.5))
+        for stack, eps in ((e, 1e-3), ([np.eye(4)] * 3, 0.5)):
+            reference = perturbed(p, stack, eps)
+            self._checked(reference)
+            for got, want in zip(first_companion(p, stack, eps), first_companion(reference)):
+                assert got.dtype == want.dtype == complex
+                np.testing.assert_array_equal(got, want)
+                for part in (np.real, np.imag):
+                    np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
     def test_reversed_and_balanced(self):
         p = _random_poly(np.random.default_rng(14), 3, 2)
@@ -233,21 +242,21 @@ class TestDerivedPolynomials:
     def test_perturbed_rejects_mismatched_shape(self):
         p = _random_poly(np.random.default_rng(15), 3, 1)
         with pytest.raises(ValueError, match="shape"):
-            p.perturbed((np.zeros((1, 3, 3)), np.zeros((3, 3))), 1.0)
+            first_companion(p, (np.zeros((1, 3, 3)), np.zeros((3, 3))), 1.0)
 
     @pytest.mark.parametrize(
         "bad", [1.0, np.ones(3), np.ones((1, 3)), np.ones((3, 1)), np.ones((2, 2))],
         ids=["scalar", "vector", "row", "column", "wrong_n"],
     )
     def test_perturbed_rejects_broadcastable_coefficient(self, bad):
-        # each of these broadcasts against a 3x3 coefficient, so the shape
-        # is checked before the arithmetic
+        # each of these broadcasts against a 3x3 coefficient, so the
+        # companion builder checks the shape before the arithmetic
         q = _random_poly(np.random.default_rng(16), 3, 2)
         for i in range(3):
             e = [np.ones((3, 3))] * 3
             e[i] = bad
             with pytest.raises(ValueError, match="shape"):
-                q.perturbed(tuple(e), 0.1)
+                first_companion(q, tuple(e), 0.1)
 
 
 class TestNormalRank:
@@ -323,8 +332,6 @@ class TestScaleQuadratic:
 
     def test_eigenvalue_rescaling_consistency(self):
         # eigenvalues of the scaled problem times gamma match the originals
-        from sqeig.linearize import first_companion
-
         rng = np.random.default_rng(9)
         for _ in range(5):
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, perturbed
 from sqeig.condition import inverse_condition
 from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.matpoly import DegenerateProblemError, MatrixPolynomial, scale_quadratic
@@ -503,11 +503,11 @@ def _per_block_classification(p, cfg):
 
     balanced, gamma = (p, 1.0) if p.degree == 1 else scale_quadratic(p)
     e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
-    perturbed = balanced.perturbed(e, cfg.epsilon)
+    pert = perturbed(balanced, e, cfg.epsilon)
     if p.degree == 1:
-        dec = generalized_eig(perturbed.coeffs[0], -perturbed.coeffs[1])
+        dec = generalized_eig(pert.coeffs[0], -pert.coeffs[1])
     else:
-        dec = generalized_eig(*first_companion(perturbed))
+        dec = generalized_eig(*first_companion(pert))
     finite = dec.finite_mask()
     lam = dec.alphas[finite] / dec.betas[finite]
     v, w = dec.right_vectors[:, finite], dec.left_vectors[:, finite]
