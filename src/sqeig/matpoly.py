@@ -4,7 +4,8 @@ A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
 ascending powers.  The module provides evaluation, derivative, reversal,
 the joint Frobenius norm of one coefficient stack or a batch of them,
 normalized random perturbation sampling (one stack or a batch),
-probabilistic normal-rank estimation, the
+probabilistic normal-rank estimation (kept per polynomial), the two-sided
+backward errors of approximate eigentriples, the
 two-norm scaling used to balance quadratic problems, the orthonormal
 kernel bases at an eigenvalue, the known-truth record of benchmark
 problems, and the seed check that the problem builders and the solver
@@ -21,14 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import as_matrix, rank_with_tol
+from .densela import as_matrix, column_norms, rank_with_tol
 
 __all__ = [
     "DegenerateProblemError",
     "KernelBases",
     "MATCH_TOL",
     "MatrixPolynomial",
+    "RANK_SEED",
     "TruthSpec",
+    "backward_errors",
     "check_seed",
     "joint_norm",
     "normal_rank",
@@ -50,6 +53,10 @@ DRAW_CHUNK_ENTRIES = 1 << 20
 #: largest distance from 1 of a perturbation sample's joint norm after its
 #: first normalizing pass, which the second pass divides by
 UNIT_NORM_TOL = 64 * np.finfo(float).eps
+
+#: seed of the points at which ``MatrixPolynomial.normal_rank`` evaluates
+#: the polynomial, fixed so that every read of one polynomial's rank agrees
+RANK_SEED = 0
 
 
 def _is_seed(seed):
@@ -158,7 +165,8 @@ class MatrixPolynomial:
     Rectangular coefficient input is zero-padded to square before storage.
     Coefficient arrays are read-only after construction.  Instances compare
     and hash by identity, as the array-holding types of this package do, so
-    a quadratic's balancing is computed once and kept (``balancing``).
+    a quadratic's balancing (``balancing``) and the normal rank
+    (``normal_rank``) are computed once and kept.
     """
 
     coeffs: tuple
@@ -210,6 +218,11 @@ class MatrixPolynomial:
         ``scale_quadratic`` on every access.
         """
         return scale_quadratic(self)
+
+    @functools.cached_property
+    def normal_rank(self):
+        """The module's ``normal_rank(self, RANK_SEED)``, computed once."""
+        return normal_rank(self, RANK_SEED)
 
     def evaluate(self, lam):
         """Value ``P(lam)`` by Horner's rule."""
@@ -314,9 +327,10 @@ def sample_perturbations(n, m, count, rng):
     sphere of real dimension 2*n**2*(m+1).  The generator is consumed as by
     ``count`` single draws, stack after stack, each in the order of m+1
     (real part, imaginary part) pairs of n-by-n draws.  Returns a read-only
-    complex (count, m+1, n, n) array.
+    complex (count, m+1, n, n) array.  ``rng`` is a seed or a stream, as
+    ``seeded_generator`` takes it.
     """
-    rng = np.random.default_rng(rng)
+    rng = seeded_generator(rng)
     e = np.empty((count, m + 1, n, n), dtype=complex)
     # the real and imaginary parts of e as the last axis of a float view
     parts = e.view(float).reshape(count, m + 1, n, n, 2)
@@ -349,14 +363,36 @@ def normal_rank(p, rng):
 
     The rank is evaluated at three points drawn from ``rng`` uniformly on
     the unit circle, which avoids the finitely many rank-dropping points
-    almost surely; the maximum observed rank is returned.
+    almost surely; the maximum observed rank is returned.  ``rng`` is a seed
+    or a stream, as ``seeded_generator`` takes it.
     """
-    rng = np.random.default_rng(rng)
+    rng = seeded_generator(rng)
     best = 0
     for _ in range(3):
         mu = np.exp(2j * np.pi * rng.random())
         best = max(best, rank_with_tol(p.evaluate(mu)))
     return best
+
+
+def backward_errors(p, lam, x, y):
+    """Two-sided relative backward errors of approximate eigentriples of ``p``.
+
+    ``max(||P(lam) x||, ||y* P(lam)||) / sum_j |lam|**j ||A_j||_F`` for
+    unit vectors ``x`` and ``y``, or column stacks of them with one ``lam``
+    per column (the result is then an array).  Both products are evaluated
+    by Horner's rule on ``A_j @ x`` and ``A_j* @ y``.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    right = p.coeffs[-1] @ x
+    left = p.coeffs[-1].conj().T @ y
+    for c in reversed(p.coeffs[:-1]):
+        right *= lam
+        right += c @ x
+        left *= lam.conj()
+        left += c.conj().T @ y
+    moduli = np.abs(lam)
+    scale = sum(moduli**j * np.linalg.norm(c) for j, c in enumerate(p.coeffs))
+    return np.maximum(column_norms(right), column_norms(left)) / scale
 
 
 def scale_quadratic(p):

@@ -9,6 +9,29 @@ eigenvalues of the original problem; eigenvalues created from the
 perturbed singular part come out violently ill conditioned and are
 rejected by the threshold.
 
+From companion order ``PROJECT_FROM_ORDER`` (33) on, ``solve_polynomial``
+projects instead of perturbing (Hochstenbach, Mehl and Plestenjak,
+"Solving singular generalized eigenvalue problems. Part II: projection
+and augmentation", SIMAX 2023).  The first companion pair, of normal rank
+k = m*n - (n - r) for a polynomial of normal rank r, is compressed to the
+regular k-by-k pair ``(U* A V, U* B V)``, where U and V are random with
+orthonormal columns.  The QZ call shrinks from order m*n to k: from n to
+n/2 for a pencil of rank n/2, from 2n to 3n/2 for such a quadratic.  The
+projected pair keeps the true eigenvalues exactly; its other eigenvalues
+are placed by U and V, their lifted eigenvectors ``V v`` and ``U w`` are
+no eigenvectors of the unprojected problem, and their ``kappa_bar`` often
+lies below ``tol``.  So a candidate is accepted on this route only if
+also its two-sided backward error eta on the balanced, unprojected
+polynomial (``matpoly.backward_errors``) is at most
+``densela.residual_tolerance(k)`` = 1e4 * u * k: the residual a backward
+stable QZ of order k leaves, with room for the lift and the block
+reading.  On the ``size_ladder`` rungs (n = 50-400, r = n/2; workload
+seeds 1, 11 and 12, five solves each) the true pairs had eta <= 2.4e-14
+and the others eta >= 1.0e-5, against gates of 5.6e-11 to 3.3e-10.
+Below the crossover every solve is the perturbation route bit for bit;
+``solve_perturbed`` runs it at every order, for the studies of the
+perturbed candidates' condition numbers.
+
 A quadratic is balanced first (once per polynomial, see
 ``MatrixPolynomial.balancing``) and solved by one QZ call on its first
 companion form C1.  The alternate form C1hat = L * C1, with the unimodular
@@ -49,9 +72,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import condition_numbers
-from .densela import EigensolverError, generalized_eig
+from .densela import EigensolverError, generalized_eig, residual_tolerance
 from .linearize import first_companion, recover_vectors
-from .matpoly import MatrixPolynomial, check_seed, sample_perturbation
+from .matpoly import MatrixPolynomial, backward_errors, check_seed, sample_perturbation
 
 # unused here; perfbench/tracing.py patches these solver attributes by name
 from .condition import pencil_condition, quadratic_condition  # noqa: F401
@@ -63,8 +86,11 @@ __all__ = [
     "ClassifiedEigenvalue",
     "SOURCES",
     "SolveResult",
+    "PROJECT_FROM_ORDER",
     "SolverConfig",
+    "solve_perturbed",
     "solve_polynomial",
+    "solve_route",
     "solve_singular_pencil",
     "solve_singular_quadratic",
 ]
@@ -77,13 +103,22 @@ SOURCE_C1HAT = "C1hat"
 SOURCES = (SOURCE_PENCIL, SOURCE_C1, SOURCE_C1HAT)
 _PENCIL_CODE, _C1_CODE, _C1HAT_CODE = range(len(SOURCES))
 
+#: the smallest companion order m*n that ``solve_polynomial`` projects to
+#: the normal rank instead of perturbing.  In a scan of synthetic pencils
+#: and chain quadratics (min of 15 solves each), projection was slower at
+#: orders 12 and 16 and faster from order 22; the built-ins reach order 22
+#: only, so all of them keep the perturbation route, and from this order
+#: on the QZ call is also zggev3's.
+PROJECT_FROM_ORDER = 33
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the randomized solve.
 
-    ``epsilon`` is the perturbation size, ``tol`` the condition-number
-    acceptance threshold, ``seed`` a non-negative int, a sequence of them,
+    ``epsilon`` is the perturbation size (read below companion order
+    ``PROJECT_FROM_ORDER`` only), ``tol`` the condition-number acceptance
+    threshold, ``seed`` a non-negative int, a sequence of them,
     a ``SeedSequence`` or None.  Anything else is a ValueError that names
     the seed; a ``Generator`` or ``BitGenerator`` in particular is a
     stream, not a seed, and a config holding one would give a different
@@ -113,7 +148,11 @@ class ClassifiedEigenvalue:
     ``value`` is in the original problem's units (rescaled where the solver
     balanced the coefficients).  ``kappa_bar`` is the condition number of
     the eigentriple on the balanced, unperturbed problem and may be +inf;
-    ``accepted`` is equivalent to ``kappa_bar <= tol``.  ``source`` names
+    ``accepted`` is equivalent to ``kappa_bar <= tol`` on the perturbation
+    route, and on the projected route (companion order
+    ``PROJECT_FROM_ORDER`` and up) to that and a backward error on the
+    balanced, unprojected polynomial of at most 1e4 * u * k, k the
+    projected order.  ``source`` names
     how the eigenvectors were read: ``pencil``; ``C1``, from the top
     blocks of the first companion form's eigenvectors (|lam| >= 1 on the
     balanced problem); or ``C1hat``, with the right vector from the bottom
@@ -206,50 +245,129 @@ def solve_singular_quadratic(m, c, k, cfg=None):
     return solve_polynomial(MatrixPolynomial.quadratic(m, c, k), cfg)
 
 
+def solve_route(order):
+    """The route ``solve_polynomial`` takes for a companion pair of this order.
+
+    ``"perturbation"`` below ``PROJECT_FROM_ORDER``, ``"projection"`` from it.
+    """
+    return "projection" if order >= PROJECT_FROM_ORDER else "perturbation"
+
+
 def solve_polynomial(p, cfg=None):
     """Finite eigenvalues of a degree-1 or degree-2 matrix polynomial, classified.
 
-    A quadratic is balanced to unit leading/trailing 2-norms.  The
-    coefficient stack is then perturbed jointly (uniformly on the unit
-    sphere, scaled by ``epsilon``), linearized and solved by one QZ call.
-    All finite candidates are classified at once, with the balanced,
-    unperturbed coefficients; a candidate whose recovered eigenvector
-    block is numerically zero gets ``kappa_bar = inf``.
+    A quadratic is balanced to unit leading/trailing 2-norms.  Below
+    companion order ``PROJECT_FROM_ORDER`` the balanced problem is solved
+    as ``solve_perturbed`` solves it.  From that order on it is projected
+    to its normal rank instead: with k = m*n - (n - r), r the cached
+    ``normal_rank`` of the balanced polynomial, the first companion pair
+    ``(A, B)`` becomes ``(U* A V, U* B V)`` for n*m-by-k U and V with
+    orthonormal columns drawn from ``default_rng(cfg.seed)``, U first.  The
+    true eigenvalues are eigenvalues of the projected pair; its other
+    eigenvalues depend on U and V.  The eigenvectors are lifted as ``V v``
+    and ``U w`` and classified as on the perturbation route, and a
+    candidate is accepted only if also its backward error
+    (``matpoly.backward_errors``) on the balanced, unprojected polynomial
+    is at most ``densela.residual_tolerance(k)``.  ``epsilon`` is not
+    used; a normal rank of 0 gives no candidate.
     Returns a ``SolveResult`` holding every finite candidate in the
     eigensolver's order: modulus (descending), then phase.  For a
     quadratic the |lam| >= 1 candidates of the balanced problem are a
     prefix of that order, so every ``C1`` candidate precedes every
     ``C1hat`` one.
     """
+    order = _checked_order(p)
+    return _solve(p, cfg or SolverConfig(), solve_route(order) == "projection")
+
+
+def solve_perturbed(p, cfg=None):
+    """The paper's solve at every order, below ``PROJECT_FROM_ORDER`` that of ``solve_polynomial``.
+
+    The balanced coefficient stack is perturbed jointly (uniformly on the
+    unit sphere, scaled by ``epsilon``), linearized and solved by one QZ
+    call.  All finite candidates are classified at once, with the
+    balanced, unperturbed coefficients; a candidate whose recovered
+    eigenvector block is numerically zero gets ``kappa_bar = inf``, and a
+    candidate is accepted when ``kappa_bar <= tol``.  The studies of the
+    perturbed candidates' condition numbers use this route.
+    """
+    _checked_order(p)
+    return _solve(p, cfg or SolverConfig(), project=False)
+
+
+def _checked_order(p):
+    # the companion order of a polynomial the solver supports
     if p.degree not in (1, 2):
         raise ValueError(f"no solver for degree {p.degree}; supported degrees are 1 and 2")
-    cfg = cfg or SolverConfig()
+    return p.degree * p.n
+
+
+def _orthonormal_columns(rows, cols, rng):
+    # the Q factor of a complex Gaussian rows-by-cols matrix
+    z = rng.standard_normal((2, rows, cols))
+    return np.linalg.qr(z[0] + 1j * z[1])[0]
+
+
+def _solve(p, cfg, project):
     balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
-    e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
+    if project:
+        size = p.degree * p.n - p.n + balanced.normal_rank
+        if size == 0:
+            return _no_candidates(p.n)
+        u = _orthonormal_columns(p.degree * p.n, size, rng)
+        v = _orthonormal_columns(p.degree * p.n, size, rng)
+        uh = u.conj().T
+        pair = tuple(uh @ c @ v for c in first_companion(balanced))
+    else:
+        e = sample_perturbation(p.n, p.degree, rng)
+        pair = first_companion(balanced, e, cfg.epsilon)
     try:
-        dec = generalized_eig(*first_companion(balanced, e, cfg.epsilon), want_left=True)
+        dec = generalized_eig(*pair, want_left=True)
     except EigensolverError as exc:
+        how = "projected" if project else f"epsilon={cfg.epsilon:g}"
         raise EigensolverError(
-            f"degree-{p.degree} solve failed (seed={cfg.seed!r}, epsilon={cfg.epsilon:g}): {exc}"
+            f"degree-{p.degree} solve failed (seed={cfg.seed!r}, {how}): {exc}"
         ) from exc
     # the finite pairs lead the order
     lam = dec.finite_values
     k = lam.size
+    right, left = dec.right_vectors[:, :k], dec.left_vectors[:, :k]
+    if project:
+        right, left = v @ right, u @ left
     # the eigenvector block each form reads, chosen by modulus as the paper
     # chooses the form; both read the eigenvectors of C1, and the
     # large-modulus (C1) candidates are a prefix of the order
     first = int(np.count_nonzero(np.abs(lam) >= 1.0))
-    x, y, ok = recover_vectors(dec.right_vectors[:, :k], dec.left_vectors[:, :k], first, p.n)
+    x, y, ok = recover_vectors(right, left, first, p.n)
     codes = np.full(k, _PENCIL_CODE if p.degree == 1 else _C1HAT_CODE, dtype=np.int8)
     if p.degree == 2:
         codes[:first] = _C1_CODE
     kappa = condition_numbers(balanced, lam, x, y)
     kappa[~ok] = np.inf
+    accepted = kappa <= cfg.tol
+    if project:
+        # the gate reads only the candidates the threshold kept
+        kept = np.flatnonzero(accepted)
+        eta = backward_errors(balanced, lam[kept], x[:, kept], y[:, kept])
+        accepted[kept] = eta <= residual_tolerance(dec.order)
     return SolveResult(
         values=gamma * lam,
         kappa_bar=kappa,
-        accepted=kappa <= cfg.tol,
+        accepted=accepted,
         source_codes=codes,
         right_vectors=x,
         left_vectors=y,
+    )
+
+
+def _no_candidates(n):
+    empty = np.empty(0)
+    return SolveResult(
+        values=empty.astype(complex),
+        kappa_bar=empty,
+        accepted=empty.astype(bool),
+        source_codes=empty.astype(np.int8),
+        right_vectors=np.empty((n, 0), dtype=complex),
+        left_vectors=np.empty((n, 0), dtype=complex),
     )

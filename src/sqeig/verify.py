@@ -41,8 +41,9 @@ from .matpoly import (
     TruthSpec,
     normal_rank,
     sample_perturbations,
+    seeded_generator,
 )
-from .solver import SOURCE_C1, SolverConfig, solve_polynomial
+from .solver import SOURCE_C1, SolverConfig, solve_perturbed, solve_polynomial
 
 # unused here; perfbench/tracing.py patches this verify attribute by name
 from .matpoly import sample_perturbation  # noqa: F401
@@ -178,7 +179,7 @@ def _screened_samples(statistic, poly, lam0, bases, n_samples, rng):
     count = operator.index(n_samples)
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
-    rng = np.random.default_rng(rng)
+    rng = seeded_generator(rng)
     values, ok = statistic(poly, lam0, bases, sample_perturbations(poly.n, poly.degree, count, rng))
     bad = 0
     while not ok.all():
@@ -199,7 +200,8 @@ def sensitivity_samples(poly, lam0, bases, n_samples, rng):
     The directions are drawn as one batch; a direction failing the
     bad-direction screen is redrawn in its place, at most ``MAX_RETRIES``
     times per call, else BadDirectionError is raised.  ``n_samples`` must
-    be a nonnegative integer.
+    be a nonnegative integer; ``rng`` is a seed or a stream, as
+    ``matpoly.seeded_generator`` takes it.
     """
     return _screened_samples(directional_sensitivities, poly, lam0, bases, n_samples, rng)
 
@@ -208,9 +210,10 @@ def model_sensitivity_samples(big_n, n, r, size, rng):
     """Samples of the model law sqrt(Z_N / Z_{n-r+1}).
 
     ``Z_k ~ Beta(1, k-1)``; the denominator degenerates to 1 in the regular
-    case r = n.
+    case r = n.  ``rng`` is a seed or a stream, as
+    ``matpoly.seeded_generator`` takes it.
     """
-    rng = np.random.default_rng(rng)
+    rng = seeded_generator(rng)
     zn = rng.beta(1.0, big_n - 1.0, size=size)
     d = n - r
     if d == 0:
@@ -223,8 +226,9 @@ def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10
 
     The empirical samples are multiplied by the reciprocal condition number
     so both sides are parameter free.  Returns ``(ks, empirical, model)``.
+    ``rng`` is a seed or a stream, as ``matpoly.seeded_generator`` takes it.
     """
-    rng = np.random.default_rng(rng)
+    rng = seeded_generator(rng)
     gamma = inverse_condition(poly, lam0, bases.x, bases.y)
     emp = gamma * sensitivity_samples(poly, lam0, bases, n_samples, rng)
     r = poly.n - bases.X.shape[1]
@@ -315,8 +319,9 @@ def linearization_ratios(instance, lam0):
 def end_to_end_condition_ratios(instance, cfg):
     """Solver-reported condition inflation of the linearization route.
 
-    Runs the randomized quadratic solver on the instance and returns, for
-    every accepted eigenvalue matched to a designed one,
+    Runs the randomized quadratic solver on the instance, on the
+    perturbation route at every order (``solver.solve_perturbed``), and
+    returns, for every accepted eigenvalue matched to a designed one,
     ``(value, source, kappa_bar, kappa_bar_lin)``.  ``kappa_bar_lin`` is
     the condition number of the same eigentriple on the balanced,
     unperturbed companion form named by ``source``.
@@ -324,7 +329,7 @@ def end_to_end_condition_ratios(instance, cfg):
     q = instance.polynomial()
     balanced, gamma = q.balancing
     records = []
-    for r in solve_polynomial(q, cfg).accepted_candidates():
+    for r in solve_perturbed(q, cfg).accepted_candidates():
         nearest = min(instance.eigenvalues, key=lambda ev: abs(r.value - ev))
         if not _matches(r.value, nearest, MATCH_TOL):
             continue
@@ -374,7 +379,7 @@ def singular_space_estimate(poly, lam0, h, rng, expected_nullity=None):
     # written so that NaN fails, as the checks of SolverConfig are
     if not 0 < h < math.inf:
         raise ValueError("probe radius h must be positive and finite")
-    rng = np.random.default_rng(rng)
+    rng = seeded_generator(rng)
     if expected_nullity is None:
         expected_nullity = poly.n - normal_rank(poly, rng=rng)
     for _ in range(5):
@@ -390,20 +395,22 @@ def singular_space_estimate(poly, lam0, h, rng, expected_nullity=None):
 def spurious_bound_records(poly, cfg, n_runs, truth=()):
     """Measured condition numbers vs. certified bounds for spurious output.
 
-    Runs the solver repeatedly on the quadratic ``poly``; every finite
+    Runs the solver repeatedly on the quadratic ``poly``, on the
+    perturbation route at every order (``solver.solve_perturbed``); every finite
     candidate not close to a truth eigenvalue is treated as spurious, and
     whenever the bound's precondition holds the pair (measured kappa_bar,
     certified lower bound) is recorded.  A candidate is close to a truth eigenvalue under the
     matching rule of ``match_accepted`` with tolerance ``MATCH_TOL``.
     Quantities are evaluated on the balanced problem, whose normal rank is
-    estimated with the rank cutoff ``densela.RANK_TOL``.
+    estimated with the rank cutoff ``densela.RANK_TOL`` (``normal_rank``
+    of the balanced polynomial, kept on it).
     """
     scaled_poly, gamma = poly.balancing
     children = _seed_sequence(cfg.seed).spawn(n_runs)
-    rank = normal_rank(scaled_poly, rng=np.random.default_rng(0))
+    rank = scaled_poly.normal_rank
     records = []
     for child in children:
-        for cand in solve_polynomial(poly, cfg.with_seed(child)):
+        for cand in solve_perturbed(poly, cfg.with_seed(child)):
             lam_scaled = cand.value / gamma
             if any(_matches(cand.value, t, MATCH_TOL) for t in truth):
                 continue

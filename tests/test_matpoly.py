@@ -12,14 +12,17 @@ from sqeig.densela import UNIT_ROUNDOFF, generalized_eig
 from sqeig.linearize import first_companion
 from sqeig import matpoly
 from sqeig.matpoly import (
+    RANK_SEED,
     DegenerateProblemError,
     KernelBases,
     MatrixPolynomial,
+    backward_errors,
     joint_norm,
     normal_rank,
     sample_perturbation,
     sample_perturbations,
     scale_quadratic,
+    seeded_generator,
 )
 
 
@@ -422,3 +425,53 @@ class TestKernelBases:
             assert block.shape == (4, 0) and block.dtype == complex
         for vec in (b.x, b.y):
             assert vec.shape == (4,) and vec.dtype == complex
+
+
+class TestSeededSamplers:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda rng: sample_perturbations(3, 2, 2, rng), lambda rng: normal_rank(_ex2_poly(), rng)],
+        ids=["sample_perturbations", "normal_rank"],
+    )
+    def test_bad_seed_is_named_and_generator_passes_through(self, call):
+        with pytest.raises(ValueError, match="^seed must be"):
+            call(-1)
+        rng = np.random.default_rng(4)
+        got = call(rng)
+        assert np.array_equal(got, call(4))
+        assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
+
+    def test_seeded_generator_returns_a_generator_unchanged(self):
+        rng = np.random.default_rng(0)
+        assert seeded_generator(rng) is rng
+
+
+class TestCachedNormalRank:
+    def test_fixed_seed_once(self):
+        p = _ex2_poly()
+        assert p.normal_rank == normal_rank(p, RANK_SEED) == 1
+        assert "normal_rank" in vars(p)
+
+
+class TestBackwardErrors:
+    def test_matches_definition_per_column(self):
+        rng = np.random.default_rng(3)
+        p = _random_poly(rng, 4, 2)
+        lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        y = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        x /= np.linalg.norm(x, axis=0)
+        y /= np.linalg.norm(y, axis=0)
+        got = backward_errors(p, lam, x, y)
+        for j in range(3):
+            value = p.evaluate(lam[j])
+            scale = sum(abs(lam[j]) ** i * np.linalg.norm(c) for i, c in enumerate(p.coeffs))
+            want = max(np.linalg.norm(value @ x[:, j]), np.linalg.norm(y[:, j].conj() @ value)) / scale
+            assert math.isclose(got[j], want, rel_tol=1e-12)
+
+    def test_exact_eigentriple_has_zero_error(self):
+        # diag(1, 2) - lam*I at lam = 2 with coordinate vectors
+        p = MatrixPolynomial.pencil(np.diag([1.0, 2.0]), np.eye(2))
+        e2 = np.array([0.0, 1.0])
+        assert backward_errors(p, 2.0, e2, e2) == 0.0
+        assert backward_errors(p, 3.0, e2, e2) > 0.1

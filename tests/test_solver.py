@@ -11,11 +11,14 @@ from sqeig.condition import inverse_condition
 from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.matpoly import DegenerateProblemError, MatrixPolynomial, scale_quadratic
 from sqeig.solver import (
+    PROJECT_FROM_ORDER,
     SOURCES,
     ClassifiedEigenvalue,
     SolveResult,
     SolverConfig,
+    solve_perturbed,
     solve_polynomial,
+    solve_route,
     solve_singular_pencil,
     solve_singular_quadratic,
 )
@@ -547,11 +550,13 @@ def _one_pass_input(name, seed):
 )
 def test_one_pass_classification_matches_per_block(name):
     # recovering both forms' blocks in one pass and classifying with one
-    # condition call on the polynomial gives the per-block results bit for bit
+    # condition call on the polynomial gives the per-block results bit for
+    # bit; the perturbation route, which the larger inputs reach only
+    # through solve_perturbed
     for seed in range(5):
         p = _one_pass_input(name, seed)
         cfg = SolverConfig(seed=seed)
-        res = solve_polynomial(p, cfg)
+        res = solve_perturbed(p, cfg)
         values, kappa, x, y = _per_block_classification(p, cfg)
         for got, want in (
             (res.values, values), (res.kappa_bar, kappa),
@@ -559,3 +564,167 @@ def test_one_pass_classification_matches_per_block(name):
         ):
             assert got.shape == want.shape, (name, seed)
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (name, seed)
+
+
+def test_builtins_run_the_perturbation_route():
+    # every built-in lies below the projection crossover, so solve_polynomial
+    # is solve_perturbed on it, bit for bit
+    assert solve_route(PROJECT_FROM_ORDER - 1) == "perturbation"
+    assert solve_route(PROJECT_FROM_ORDER) == "projection"
+    for name in BUILTIN_NAMES:
+        p, _ = builtin(name, seed=0)
+        assert solve_route(p.degree * p.n) == "perturbation", name
+        for seed in range(3):
+            got = solve_polynomial(p, SolverConfig(seed=seed))
+            want = solve_perturbed(p, SolverConfig(seed=seed))
+            for a, b in (
+                (got.values, want.values), (got.kappa_bar, want.kappa_bar),
+                (got.accepted, want.accepted), (got.source_codes, want.source_codes),
+                (got.right_vectors, want.right_vectors), (got.left_vectors, want.left_vectors),
+            ):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, seed)
+
+
+def _annulus(count, rng):
+    return rng.uniform(0.5, 2.0, count) * np.exp(2j * np.pi * rng.random(count))
+
+
+def _regular_pencil(seed):
+    # order 40 with 40 known eigenvalues: normal rank r = n
+    from sqeig.construct import diagonal, random_conjugation
+
+    rng = np.random.default_rng(seed)
+    lams = _annulus(40, rng)
+    (a, b), _ = random_conjugation((diagonal(lams, 40), np.eye(40)), rng)
+    return MatrixPolynomial.pencil(a, b), lams
+
+
+def _regular_quadratic(seed):
+    # n = 20, companion order 40, with diagonal entries (lam - a_i)(lam - b_i)
+    from sqeig.construct import diagonal, random_conjugation
+
+    rng = np.random.default_rng(seed)
+    roots = _annulus(40, rng)
+    a, b = roots[::2], roots[1::2]
+    (m, c, k), _ = random_conjugation((np.eye(20), diagonal(-(a + b), 20), diagonal(a * b, 20)), rng)
+    return MatrixPolynomial.quadratic(m, c, k), roots
+
+
+def _synth_with_infinite(seed):
+    # 48 x 48, rank 24: 16 finite and 8 infinite eigenvalues
+    from sqeig.corpus import synth_pencil
+
+    p, truth = synth_pencil(48, 24, n_finite=16, seed=seed)
+    return p, truth.finite_eigenvalues
+
+
+def _chain(seed):
+    # n = 24 (companion order 48), normal rank 12
+    from sqeig.construct import chain_quadratic
+
+    rng = np.random.default_rng(seed)
+    inst = chain_quadratic(_annulus(12, rng), 24, rng=rng)
+    return inst.polynomial(), inst.eigenvalues
+
+
+def _rank_zero(seed):
+    return MatrixPolynomial.pencil(np.zeros((40, 40)), np.zeros((40, 40))), ()
+
+
+PROJECTED_CASES = {
+    "regular_pencil": _regular_pencil,
+    "regular_quadratic": _regular_quadratic,
+    "synth_pencil_with_infinite": _synth_with_infinite,
+    "chain_quadratic": _chain,
+    "rank_zero": _rank_zero,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROJECTED_CASES))
+def test_projected_route_accepts_exactly_the_truth(case):
+    from sqeig.verify import match_accepted
+
+    for problem_seed in range(2):
+        p, truth = PROJECTED_CASES[case](problem_seed)
+        assert solve_route(p.degree * p.n) == "projection"
+        for seed in range(3):
+            res = solve_polynomial(p, SolverConfig(seed=seed))
+            accepted = res.values[res.accepted]
+            assert match_accepted(accepted, truth, 1e-6) is not None, (case, problem_seed, seed)
+            again = solve_polynomial(p, SolverConfig(seed=seed))
+            for a, b in ((res.values, again.values), (res.kappa_bar, again.kappa_bar),
+                         (res.accepted, again.accepted), (res.right_vectors, again.right_vectors)):
+                assert a.tobytes() == b.tobytes(), (case, problem_seed, seed)
+
+
+def test_projected_route_gates_on_backward_error():
+    # on a chain quadratic the projected pair has n random eigenvalues, many
+    # with kappa_bar below tol; the backward-error gate rejects exactly them
+    from sqeig.densela import residual_tolerance
+    from sqeig.matpoly import backward_errors
+
+    p, truth = _chain(0)
+    balanced, gamma = p.balancing
+    cfg = SolverConfig(seed=0)
+    res = solve_polynomial(p, cfg)
+    eta = backward_errors(balanced, res.values / gamma, res.right_vectors, res.left_vectors)
+    size = p.degree * p.n - p.n + balanced.normal_rank
+    gate = residual_tolerance(size)
+    assert res.accepted.tolist() == ((res.kappa_bar <= cfg.tol) & (eta <= gate)).tolist()
+    assert np.count_nonzero((res.kappa_bar <= cfg.tol) & (eta > gate)) > 0
+    # the two populations sit decades apart on either side of the gate
+    assert eta[res.accepted].max() < 1e-3 * gate
+    assert eta[~res.accepted & (res.kappa_bar <= cfg.tol)].min() > 1e3 * gate
+
+
+def test_projected_order_is_the_normal_rank(monkeypatch):
+    import sqeig.solver as solver_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    real = solver_mod.generalized_eig
+    monkeypatch.setattr(solver_mod, "generalized_eig", counting)
+    synth, _ = _synth_with_infinite(0)
+    chain, _ = _chain(0)
+    solve_polynomial(synth, SolverConfig(seed=0))
+    solve_polynomial(chain, SolverConfig(seed=0))
+    # k = m*n - (n - r): r for a pencil, n + r for a quadratic
+    assert calls == [(24, 24), (36, 36)]
+
+
+def test_rank_zero_never_reaches_lapack(monkeypatch):
+    import sqeig.solver as solver_mod
+
+    def failing(*args, **kwargs):
+        raise AssertionError("QZ called on a rank-0 problem")
+
+    monkeypatch.setattr(solver_mod, "generalized_eig", failing)
+    p, _ = _rank_zero(0)
+    res = solve_polynomial(p, SolverConfig(seed=0))
+    assert len(res) == 0
+    assert res.values.dtype == complex and res.accepted.dtype == bool
+    assert res.values.shape == res.kappa_bar.shape == res.accepted.shape == (0,)
+    assert res.right_vectors.shape == res.left_vectors.shape == (40, 0)
+
+
+def test_normal_rank_runs_once_per_polynomial(monkeypatch):
+    from sqeig import matpoly
+
+    calls = []
+
+    def counting(p, rng):
+        calls.append((p, rng))
+        return real(p, rng)
+
+    real = matpoly.normal_rank
+    monkeypatch.setattr(matpoly, "normal_rank", counting)
+    p, _ = _chain(1)
+    for seed in range(3):
+        solve_polynomial(p, SolverConfig(seed=seed))
+    balanced = p.balancing[0]
+    assert calls == [(balanced, matpoly.RANK_SEED)]
+    assert balanced.normal_rank == 12

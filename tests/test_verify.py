@@ -543,3 +543,37 @@ class TestSubspaceAngle:
         e = np.eye(3)
         with pytest.raises(ValueError):
             subspace_angle(e[:, :1], e[:, :2])
+
+
+def _seeded_calls():
+    # each study sampler as a function of its rng argument alone
+    inst = chain_quadratic([1.0, 0.5], 3, rng=31)
+    poly, bases = inst.polynomial(), inst.bases(1.0)
+    return {
+        "sensitivity_samples": lambda rng: sensitivity_samples(poly, 1.0, bases, 5, rng),
+        "model_sensitivity_samples": lambda rng: model_sensitivity_samples(36, 3, 2, 5, rng),
+        "sensitivity_distribution_ks": lambda rng: sensitivity_distribution_ks(
+            poly, 1.0, bases, 5, rng, model_size=50
+        )[1],
+        "limit_mixing_samples": lambda rng: limit_mixing_samples(poly, 1.0, bases, 5, rng)[0],
+        "singular_space_estimate": lambda rng: singular_space_estimate(poly, 1.0, 1e-3, rng),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_seeded_calls()))
+def test_study_sampler_names_a_bad_seed(name):
+    # a bad seed fails with the seed message, not numpy's
+    with pytest.raises(ValueError, match="^seed must be"):
+        _seeded_calls()[name](-1)
+
+
+@pytest.mark.parametrize("name", sorted(_seeded_calls()))
+def test_study_sampler_draws_from_a_given_generator(name):
+    # a Generator is used as it is: the call draws from it, as from a fresh
+    # generator of the same seed
+    call = _seeded_calls()[name]
+    rng = np.random.default_rng(8)
+    got = call(rng)
+    assert np.array_equal(got, call(8))
+    untouched = np.random.default_rng(8).bit_generator.state
+    assert rng.bit_generator.state != untouched
