@@ -29,7 +29,7 @@ from .condition import BadDirectionError, weak_condition_bounds
 from .construct import chain_quadratic, diagonal_pencil
 from .densela import EigensolverError
 from .matpoly import DegenerateProblemError
-from .solver import PROJECT_FROM_ORDER, SolverConfig, solve_polynomial
+from .solver import PROJECT_FROM_NULLITY_SHARE, PROJECT_FROM_ORDER, SolverConfig, solve_polynomial
 from .verify import empirical_probability, sensitivity_distribution_ks
 
 __all__ = ["main"]
@@ -56,8 +56,9 @@ def _add_solver_flags(sub):
         "--eps",
         type=float,
         default=defaults.epsilon,
-        help=f"perturbation size; used below companion order {PROJECT_FROM_ORDER} only, "
-        "larger problems are projected to their normal rank instead",
+        help=f"perturbation size; not used from companion order {PROJECT_FROM_ORDER} on when the "
+        f"nullity is at least {PROJECT_FROM_NULLITY_SHARE:g} of the order, such problems are "
+        "projected to their normal rank instead",
     )
     sub.add_argument("--tol", type=float, default=defaults.tol, help="condition acceptance threshold")
     sub.add_argument("--seed", type=int, default=defaults.seed, help="random seed")

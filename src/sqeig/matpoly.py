@@ -363,14 +363,16 @@ def normal_rank(p, rng):
 
     The rank is evaluated at three points drawn from ``rng`` uniformly on
     the unit circle, which avoids the finitely many rank-dropping points
-    almost surely; the maximum observed rank is returned.  ``rng`` is a seed
-    or a stream, as ``seeded_generator`` takes it.
+    almost surely; the maximum observed rank is returned.  No point has a
+    rank above the normal rank, so a point of full rank n ends the search;
+    the stream advances by three draws either way.  ``rng`` is a seed or a
+    stream, as ``seeded_generator`` takes it.
     """
-    rng = seeded_generator(rng)
     best = 0
-    for _ in range(3):
-        mu = np.exp(2j * np.pi * rng.random())
-        best = max(best, rank_with_tol(p.evaluate(mu)))
+    for t in seeded_generator(rng).random(3):
+        best = max(best, rank_with_tol(p.evaluate(np.exp(2j * np.pi * t))))
+        if best == p.n:
+            break
     return best
 
 

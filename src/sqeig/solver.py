@@ -9,28 +9,26 @@ eigenvalues of the original problem; eigenvalues created from the
 perturbed singular part come out violently ill conditioned and are
 rejected by the threshold.
 
-From companion order ``PROJECT_FROM_ORDER`` (33) on, ``solve_polynomial``
-projects instead of perturbing (Hochstenbach, Mehl and Plestenjak,
-"Solving singular generalized eigenvalue problems. Part II: projection
-and augmentation", SIMAX 2023).  The first companion pair, of normal rank
-k = m*n - (n - r) for a polynomial of normal rank r, is compressed to the
-regular k-by-k pair ``(U* A V, U* B V)``, where U and V are random with
-orthonormal columns.  The QZ call shrinks from order m*n to k: from n to
-n/2 for a pencil of rank n/2, from 2n to 3n/2 for such a quadratic.  The
-projected pair keeps the true eigenvalues exactly; its other eigenvalues
-are placed by U and V, their lifted eigenvectors ``V v`` and ``U w`` are
-no eigenvectors of the unprojected problem, and their ``kappa_bar`` often
-lies below ``tol``.  So a candidate is accepted on this route only if
-also its two-sided backward error eta on the balanced, unprojected
-polynomial (``matpoly.backward_errors``) is at most
-``densela.residual_tolerance(k)`` = 1e4 * u * k: the residual a backward
-stable QZ of order k leaves, with room for the lift and the block
-reading.  On the ``size_ladder`` rungs (n = 50-400, r = n/2; workload
-seeds 1, 11 and 12, five solves each) the true pairs had eta <= 2.4e-14
-and the others eta >= 1.0e-5, against gates of 5.6e-11 to 3.3e-10.
-Below the crossover every solve is the perturbation route bit for bit;
-``solve_perturbed`` runs it at every order, for the studies of the
-perturbed candidates' condition numbers.
+A large problem with a large nullity is projected instead of perturbed
+(Hochstenbach, Mehl and Plestenjak, "Solving singular generalized
+eigenvalue problems. Part II: projection and augmentation", SIMAX 2023):
+one of companion order m*n >= ``PROJECT_FROM_ORDER`` whose nullity n - r
+(r the normal rank) is at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n.
+The first companion pair, of normal rank k = m*n - (n - r), is
+compressed to the regular k-by-k pair ``(U* A V, U* B V)``, where U and
+V are random with orthonormal columns, so the QZ call shrinks from order
+m*n to k.  The projected pair keeps the true eigenvalues exactly; its
+other eigenvalues are placed by U and V, their lifted eigenvectors
+``V v`` and ``U w`` are no eigenvectors of the unprojected problem, and
+their ``kappa_bar`` often lies below ``tol``.  So a candidate is accepted
+on this route only if also its two-sided backward error eta on the
+balanced, unprojected polynomial (``matpoly.backward_errors``) is at
+most ``densela.residual_tolerance(k)`` = 1e4 * u * k: the residual a
+backward stable QZ of order k leaves, with room for the lift and the
+block reading.  Every other solve is the perturbation route, below
+order ``PROJECT_FROM_ORDER`` bit for bit as before the projection
+existed; ``solve_perturbed`` runs it at every order, for the studies of
+the perturbed candidates' condition numbers.
 
 A quadratic is balanced first (once per polynomial, see
 ``MatrixPolynomial.balancing``) and solved by one QZ call on its first
@@ -84,13 +82,13 @@ from .matpoly import pad_to_square, scale_quadratic  # noqa: F401
 
 __all__ = [
     "ClassifiedEigenvalue",
+    "PROJECT_FROM_NULLITY_SHARE",
+    "PROJECT_FROM_ORDER",
     "SOURCES",
     "SolveResult",
-    "PROJECT_FROM_ORDER",
     "SolverConfig",
     "solve_perturbed",
     "solve_polynomial",
-    "solve_route",
     "solve_singular_pencil",
     "solve_singular_quadratic",
 ]
@@ -104,20 +102,28 @@ SOURCES = (SOURCE_PENCIL, SOURCE_C1, SOURCE_C1HAT)
 _PENCIL_CODE, _C1_CODE, _C1HAT_CODE = range(len(SOURCES))
 
 #: the smallest companion order m*n that ``solve_polynomial`` projects to
-#: the normal rank instead of perturbing.  In a scan of synthetic pencils
-#: and chain quadratics (min of 15 solves each), projection was slower at
-#: orders 12 and 16 and faster from order 22; the built-ins reach order 22
-#: only, so all of them keep the perturbation route, and from this order
-#: on the QZ call is also zggev3's.
+#: the normal rank instead of perturbing.  In a scan (CHANGES.md) projection
+#: was as fast or faster from order 12 on; the built-ins reach order 22
+#: only, so this order keeps every one of them, and the Monte Carlo
+#: traffic on them, on the perturbation route.
 PROJECT_FROM_ORDER = 33
+
+#: the smallest nullity (n - r) / (m*n), as a share of the companion order,
+#: that ``solve_polynomial`` projects.  The projection adds two QR
+#: factorizations, the projection products and eta to a QZ call of order
+#: k = m*n - (n - r), so it loses to the perturbation route on a regular
+#: problem (k = m*n); in a scan at orders 200 and 400 the two were about
+#: as fast at shares of 1/32-1/16 and projection won from 1/8 (CHANGES.md
+#: has the scan).
+PROJECT_FROM_NULLITY_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the randomized solve.
 
-    ``epsilon`` is the perturbation size (read below companion order
-    ``PROJECT_FROM_ORDER`` only), ``tol`` the condition-number acceptance
+    ``epsilon`` is the perturbation size (not read on the projected
+    route, see the module docstring), ``tol`` the condition-number acceptance
     threshold, ``seed`` a non-negative int, a sequence of them,
     a ``SeedSequence`` or None.  Anything else is a ValueError that names
     the seed; a ``Generator`` or ``BitGenerator`` in particular is a
@@ -150,8 +156,9 @@ class ClassifiedEigenvalue:
     the eigentriple on the balanced, unperturbed problem and may be +inf;
     ``accepted`` is equivalent to ``kappa_bar <= tol`` on the perturbation
     route, and on the projected route (companion order
-    ``PROJECT_FROM_ORDER`` and up) to that and a backward error on the
-    balanced, unprojected polynomial of at most 1e4 * u * k, k the
+    ``PROJECT_FROM_ORDER`` and up with a nullity of at least
+    ``PROJECT_FROM_NULLITY_SHARE`` of it) to that and a backward error on
+    the balanced, unprojected polynomial of at most 1e4 * u * k, k the
     projected order.  ``source`` names
     how the eigenvectors were read: ``pencil``; ``C1``, from the top
     blocks of the first companion form's eigenvectors (|lam| >= 1 on the
@@ -245,22 +252,16 @@ def solve_singular_quadratic(m, c, k, cfg=None):
     return solve_polynomial(MatrixPolynomial.quadratic(m, c, k), cfg)
 
 
-def solve_route(order):
-    """The route ``solve_polynomial`` takes for a companion pair of this order.
-
-    ``"perturbation"`` below ``PROJECT_FROM_ORDER``, ``"projection"`` from it.
-    """
-    return "projection" if order >= PROJECT_FROM_ORDER else "perturbation"
-
-
 def solve_polynomial(p, cfg=None):
     """Finite eigenvalues of a degree-1 or degree-2 matrix polynomial, classified.
 
-    A quadratic is balanced to unit leading/trailing 2-norms.  Below
-    companion order ``PROJECT_FROM_ORDER`` the balanced problem is solved
-    as ``solve_perturbed`` solves it.  From that order on it is projected
-    to its normal rank instead: with k = m*n - (n - r), r the cached
-    ``normal_rank`` of the balanced polynomial, the first companion pair
+    A quadratic is balanced to unit leading/trailing 2-norms.  The
+    balanced problem is solved as ``solve_perturbed`` solves it, unless
+    its companion order m*n is at least ``PROJECT_FROM_ORDER`` and its
+    nullity n - r at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n, r the
+    cached ``normal_rank`` of the balanced polynomial (read from that
+    order on only).  Such a problem is projected to its normal rank
+    instead: with k = m*n - (n - r), the first companion pair
     ``(A, B)`` becomes ``(U* A V, U* B V)`` for n*m-by-k U and V with
     orthonormal columns drawn from ``default_rng(cfg.seed)``, U first.  The
     true eigenvalues are eigenvalues of the projected pair; its other
@@ -277,11 +278,15 @@ def solve_polynomial(p, cfg=None):
     ``C1hat`` one.
     """
     order = _checked_order(p)
-    return _solve(p, cfg or SolverConfig(), solve_route(order) == "projection")
+    balanced = p if p.degree == 1 else p.balancing[0]
+    project = order >= PROJECT_FROM_ORDER and (
+        p.n - balanced.normal_rank >= PROJECT_FROM_NULLITY_SHARE * order
+    )
+    return _solve(p, cfg or SolverConfig(), project)
 
 
 def solve_perturbed(p, cfg=None):
-    """The paper's solve at every order, below ``PROJECT_FROM_ORDER`` that of ``solve_polynomial``.
+    """The paper's solve at every order; ``solve_polynomial``'s where it does not project.
 
     The balanced coefficient stack is perturbed jointly (uniformly on the
     unit sphere, scaled by ``epsilon``), linearized and solved by one QZ

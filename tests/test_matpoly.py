@@ -453,6 +453,39 @@ class TestCachedNormalRank:
         assert "normal_rank" in vars(p)
 
 
+class TestNormalRankFullRankExit:
+    def _counted(self, monkeypatch):
+        import sqeig.matpoly as matpoly_mod
+
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return real(m)
+
+        real = matpoly_mod.rank_with_tol
+        monkeypatch.setattr(matpoly_mod, "rank_with_tol", counting)
+        return calls
+
+    def test_full_rank_point_ends_the_search(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        p = _random_poly(np.random.default_rng(2), 5, 2)
+        assert normal_rank(p, rng=0) == 5
+        assert len(calls) == 1
+
+    def test_rank_deficient_polynomial_probes_three_points(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        assert normal_rank(_ex2_poly(), rng=0) == 1
+        assert len(calls) == 3
+
+    def test_stream_advances_by_three_draws_either_way(self):
+        for p in (_random_poly(np.random.default_rng(2), 5, 2), _ex2_poly()):
+            rng, want = np.random.default_rng(4), np.random.default_rng(4)
+            normal_rank(p, rng)
+            want.random(3)
+            assert rng.random() == want.random()
+
+
 class TestBackwardErrors:
     def test_matches_definition_per_column(self):
         rng = np.random.default_rng(3)

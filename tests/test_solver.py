@@ -11,6 +11,7 @@ from sqeig.condition import inverse_condition
 from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.matpoly import DegenerateProblemError, MatrixPolynomial, scale_quadratic
 from sqeig.solver import (
+    PROJECT_FROM_NULLITY_SHARE,
     PROJECT_FROM_ORDER,
     SOURCES,
     ClassifiedEigenvalue,
@@ -18,7 +19,6 @@ from sqeig.solver import (
     SolverConfig,
     solve_perturbed,
     solve_polynomial,
-    solve_route,
     solve_singular_pencil,
     solve_singular_quadratic,
 )
@@ -569,20 +569,23 @@ def test_one_pass_classification_matches_per_block(name):
 def test_builtins_run_the_perturbation_route():
     # every built-in lies below the projection crossover, so solve_polynomial
     # is solve_perturbed on it, bit for bit
-    assert solve_route(PROJECT_FROM_ORDER - 1) == "perturbation"
-    assert solve_route(PROJECT_FROM_ORDER) == "projection"
     for name in BUILTIN_NAMES:
         p, _ = builtin(name, seed=0)
-        assert solve_route(p.degree * p.n) == "perturbation", name
+        assert p.degree * p.n < PROJECT_FROM_ORDER, name
         for seed in range(3):
-            got = solve_polynomial(p, SolverConfig(seed=seed))
-            want = solve_perturbed(p, SolverConfig(seed=seed))
-            for a, b in (
-                (got.values, want.values), (got.kappa_bar, want.kappa_bar),
-                (got.accepted, want.accepted), (got.source_codes, want.source_codes),
-                (got.right_vectors, want.right_vectors), (got.left_vectors, want.left_vectors),
-            ):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, seed)
+            _assert_same_result(p, seed, name)
+
+
+def _assert_same_result(p, seed, label):
+    # solve_polynomial gives solve_perturbed's result, bit for bit
+    got = solve_polynomial(p, SolverConfig(seed=seed))
+    want = solve_perturbed(p, SolverConfig(seed=seed))
+    for a, b in (
+        (got.values, want.values), (got.kappa_bar, want.kappa_bar),
+        (got.accepted, want.accepted), (got.source_codes, want.source_codes),
+        (got.right_vectors, want.right_vectors), (got.left_vectors, want.left_vectors),
+    ):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (label, seed)
 
 
 def _annulus(count, rng):
@@ -631,23 +634,28 @@ def _rank_zero(seed):
     return MatrixPolynomial.pencil(np.zeros((40, 40)), np.zeros((40, 40))), ()
 
 
-PROJECTED_CASES = {
+# problems of companion order 40-48, past PROJECT_FROM_ORDER; the regular
+# ones (nullity 0) keep the perturbation route, the others are projected
+LARGE_CASES = {
     "regular_pencil": _regular_pencil,
     "regular_quadratic": _regular_quadratic,
     "synth_pencil_with_infinite": _synth_with_infinite,
     "chain_quadratic": _chain,
     "rank_zero": _rank_zero,
 }
+REGULAR_CASES = ("regular_pencil", "regular_quadratic")
 
 
-@pytest.mark.parametrize("case", sorted(PROJECTED_CASES))
-def test_projected_route_accepts_exactly_the_truth(case):
+@pytest.mark.parametrize("case", sorted(LARGE_CASES))
+def test_large_problem_accepts_exactly_the_truth(case):
     from sqeig.verify import match_accepted
 
     for problem_seed in range(2):
-        p, truth = PROJECTED_CASES[case](problem_seed)
-        assert solve_route(p.degree * p.n) == "projection"
+        p, truth = LARGE_CASES[case](problem_seed)
+        assert p.degree * p.n >= PROJECT_FROM_ORDER
         for seed in range(3):
+            if case in REGULAR_CASES:
+                _assert_same_result(p, seed, case)
             res = solve_polynomial(p, SolverConfig(seed=seed))
             accepted = res.values[res.accepted]
             assert match_accepted(accepted, truth, 1e-6) is not None, (case, problem_seed, seed)
@@ -694,6 +702,29 @@ def test_projected_order_is_the_normal_rank(monkeypatch):
     solve_polynomial(chain, SolverConfig(seed=0))
     # k = m*n - (n - r): r for a pencil, n + r for a quadratic
     assert calls == [(24, 24), (36, 36)]
+
+
+@pytest.mark.parametrize("rank, qz_order", [(57, 64), (56, 56)])
+def test_small_nullity_keeps_the_perturbation_route(monkeypatch, rank, qz_order):
+    # order 64: a nullity of 7 is below PROJECT_FROM_NULLITY_SHARE * 64 = 8
+    # and is solved at order 64, a nullity of 8 is projected to order 56
+    import sqeig.solver as solver_mod
+    from sqeig.corpus import synth_pencil
+
+    assert PROJECT_FROM_NULLITY_SHARE * 64 == 8
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    real = solver_mod.generalized_eig
+    monkeypatch.setattr(solver_mod, "generalized_eig", counting)
+    p, _ = synth_pencil(64, rank, seed=0)
+    solve_polynomial(p, SolverConfig(seed=0))
+    assert calls == [qz_order]
+    if qz_order == 64:
+        _assert_same_result(p, 0, rank)
 
 
 def test_rank_zero_never_reaches_lapack(monkeypatch):
