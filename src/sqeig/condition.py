@@ -27,7 +27,7 @@ import scipy.integrate
 from scipy.special import betaln
 
 from .densela import as_matrix
-from .matpoly import joint_norm
+from .matpoly import horner, joint_norm
 
 __all__ = [
     "BadDirectionError",
@@ -68,24 +68,19 @@ def power_sum(lam, degree):
 
 def _condition(coeffs, lam, x, y):
     # sqrt(sum_j |lam|**(2j)) / |y* P'(lam) x| for P = sum_j lam**j coeffs[j]
-    # (coeffs[0] is never read), +inf where the inner product vanishes.  x and
-    # y may be column stacks with one lam per column; P'(lam) x is evaluated
-    # by Horner's rule on coeffs[j] @ x, in place.  A factor j = 1 is not
-    # applied: multiplying by 1 can only flip the sign of a zero component,
-    # which |y* P'(lam) x| does not see.
+    # (coeffs[0] is read only at degree 0, as the one term), +inf where the
+    # inner product vanishes.  x and y may be column stacks with one lam per
+    # column; P'(lam) x is evaluated by Horner's rule on j * coeffs[j] @ x.
     lam = np.asarray(lam, dtype=complex)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     degree = len(coeffs) - 1
-    dx = coeffs[degree] @ x
-    if degree > 1:
-        dx *= degree
-    for j in range(degree - 1, 0, -1):
-        dx *= lam
-        term = coeffs[j] @ x
-        if j > 1:
-            term *= j
-        dx += term
+    # a factor j = 1 is not applied: multiplying by 1 can only flip the sign
+    # of a zero component, which |y* P'(lam) x| does not see
+    dx = horner(
+        [coeffs[j] @ x if j < 2 else coeffs[j] @ x * j for j in range(min(degree, 1), degree + 1)],
+        lam,
+    )
     with np.errstate(divide="ignore"):
         kappa = np.sqrt(power_sum(lam, degree)) / np.abs((y.conj() * dx).sum(axis=0))
     return float(kappa) if kappa.ndim == 0 else kappa

@@ -40,16 +40,6 @@ class KernelDegenerateError(RuntimeError):
     """Left kernel construction degenerated (non-simple eigenvalue or bad bases)."""
 
 
-def _block_pencil(n, order, blocks):
-    # the order-(order*n) matrix with the n-by-n blocks {(row, col): block},
-    # zero elsewhere; slice assignment is cheaper than np.block at small n
-    # and copies the same entries, signed zeros included
-    out = np.zeros((order * n, order * n), dtype=complex)
-    for (i, j), block in blocks.items():
-        out[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
-    return out
-
-
 def first_companion(p, e=None, epsilon=1.0):
     """First companion linearization of ``P + epsilon*E``, of degree m >= 1.
 
@@ -100,9 +90,15 @@ def alternate_companion(q):
     if q.degree != 2:
         raise ValueError(f"the alternate form needs a quadratic, got degree {q.degree}")
     k, c, m = q.coeffs
-    minus_eye = -np.eye(q.n, dtype=complex)
-    a = _block_pencil(q.n, 2, {(0, 1): k, (1, 0): minus_eye})
-    b = _block_pencil(q.n, 2, {(0, 0): -m, (0, 1): -c, (1, 1): minus_eye})
+    n = q.n
+    a = np.zeros((2 * n, 2 * n), dtype=complex)
+    b = np.zeros((2 * n, 2 * n), dtype=complex)
+    minus_eye = -np.eye(n, dtype=complex)
+    a[:n, n:] = k
+    a[n:, :n] = minus_eye
+    np.negative(m, out=b[:n, :n])
+    np.negative(c, out=b[:n, n:])
+    b[n:, n:] = minus_eye
     return a, b
 
 

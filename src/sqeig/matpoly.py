@@ -1,8 +1,9 @@
 """Matrix-polynomial data model.
 
 A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
-ascending powers.  The module provides evaluation, derivative, reversal,
-the joint Frobenius norm of one coefficient stack or a batch of them,
+ascending powers.  The module provides the one Horner evaluator,
+``horner``, and on it evaluation and the derivative; reversal, the joint
+Frobenius norm of one coefficient stack or a batch of them,
 normalized random perturbation sampling (one stack or a batch),
 probabilistic normal-rank estimation (kept per polynomial), the two-sided
 backward errors of approximate eigentriples, the
@@ -33,6 +34,7 @@ __all__ = [
     "TruthSpec",
     "backward_errors",
     "check_seed",
+    "horner",
     "joint_norm",
     "normal_rank",
     "pad_to_square",
@@ -149,6 +151,22 @@ def _square(m):
     return out
 
 
+def horner(terms, lam):
+    """``sum_j lam**j * terms[j]`` by Horner's rule, as a new complex array.
+
+    ``terms`` are arrays of one shape, highest power last; ``lam`` is a
+    scalar or one value per column (the last axis) of the terms.  Each step
+    is ``acc * lam + t`` in this operand order: numpy's complex product
+    ``lam * acc`` can differ from it in the last bit.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    acc = np.array(terms[-1], dtype=complex)
+    for t in reversed(terms[:-1]):
+        acc *= lam
+        acc += t
+    return acc
+
+
 def _read_only(a):
     a.setflags(write=False)
     return a
@@ -226,17 +244,13 @@ class MatrixPolynomial:
 
     def evaluate(self, lam):
         """Value ``P(lam)`` by Horner's rule."""
-        acc = np.array(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * lam + c
-        return acc
+        return horner(self.coeffs, lam)
 
     def derivative_at(self, lam):
         """Value ``P'(lam)`` by Horner's rule; the zero matrix for degree 0."""
-        acc = self.degree * np.array(self.coeffs[-1])
-        for i in reversed(range(1, self.degree)):
-            acc = acc * lam + i * self.coeffs[i]
-        return acc
+        terms = [j * c for j, c in enumerate(self.coeffs)]
+        # at degree 0 the one term, 0 * A_0, is the zero matrix
+        return horner(terms[1:] or terms, lam)
 
     def reversed(self):
         """Polynomial with the coefficient order reversed.
@@ -385,13 +399,8 @@ def backward_errors(p, lam, x, y):
     by Horner's rule on ``A_j @ x`` and ``A_j* @ y``.
     """
     lam = np.asarray(lam, dtype=complex)
-    right = p.coeffs[-1] @ x
-    left = p.coeffs[-1].conj().T @ y
-    for c in reversed(p.coeffs[:-1]):
-        right *= lam
-        right += c @ x
-        left *= lam.conj()
-        left += c.conj().T @ y
+    right = horner([c @ x for c in p.coeffs], lam)
+    left = horner([c.conj().T @ y for c in p.coeffs], lam.conj())
     moduli = np.abs(lam)
     scale = sum(moduli**j * np.linalg.norm(c) for j, c in enumerate(p.coeffs))
     return np.maximum(column_norms(right), column_norms(left)) / scale

@@ -51,13 +51,7 @@ into the companion pair (``first_companion(balanced, e, epsilon)``, no
 perturbed polynomial), the finite eigenvalues come from
 ``generalized_eig`` once (``finite_values``; the finite pairs lead its
 order, so their vectors are the leading columns), and recovery and
-classification each make one pass over all candidates.  The outputs are
-those of the earlier pipeline (perturbed polynomial, block copy, a second
-finite mask, three norm passes per draw) to the last bit, and the share of
-a trial spent in LAPACK ``zggev`` rose from 39.6% to 43.7% over the
-built-in corpus, from 6.8-16.0% to 8.1-18.3% on the problems of order 4-8
-(medians of 600 interleaved trials per built-in, one BLAS thread, on a
-shared 2-core x86-64 host; README.md has the table).
+classification each make one pass over all candidates.
 """
 
 from __future__ import annotations
@@ -206,11 +200,7 @@ class SolveResult(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self._records(np.arange(len(self))[i])
-        i = operator.index(i)
-        size = self.values.size
-        if not -size <= i < size:
-            raise IndexError(f"candidate index {i} out of range for {size} candidates")
-        return self._records(np.array([i]))[0]
+        return self._records(np.arange(len(self))[[operator.index(i)]])[0]
 
     def __iter__(self):
         return iter(self._records(np.arange(len(self))))

@@ -365,23 +365,23 @@ def subspace_angle(u, v):
     return float(np.arccos(np.clip(s[-1], -1.0, 1.0)))
 
 
-def singular_space_estimate(poly, lam0, h, rng, expected_nullity=None):
+def singular_space_estimate(poly, lam0, h, rng):
     """Estimate the right singular space at ``lam0`` by a nearby probe.
 
     Evaluates the polynomial at ``lam0 + h*exp(i*theta)`` for a phase
     drawn from ``rng``; away from the finitely many rank-dropping points
     the kernel there equals the rational kernel evaluated at the probe, an
-    O(h) approximation of the singular space at ``lam0``.  A probe seeing an
-    unexpected kernel dimension is retried with a fresh phase, up to five
-    probes in all.  The expected dimension defaults to order minus
-    estimated normal rank.
+    O(h) approximation of the singular space at ``lam0``.  The expected
+    kernel dimension is the order minus the normal rank, estimated first
+    from the same ``rng``.  A probe seeing another dimension is retried
+    with a fresh phase, up to five probes in all, else ProbeFailureError
+    is raised.
     """
     # written so that NaN fails, as the checks of SolverConfig are
     if not 0 < h < math.inf:
         raise ValueError("probe radius h must be positive and finite")
     rng = seeded_generator(rng)
-    if expected_nullity is None:
-        expected_nullity = poly.n - normal_rank(poly, rng=rng)
+    expected_nullity = poly.n - normal_rank(poly, rng=rng)
     for _ in range(5):
         mu = lam0 + h * cmath.exp(2j * math.pi * rng.random())
         basis = nullspace_basis(poly.evaluate(mu))

@@ -1,6 +1,8 @@
 import numpy as np
 import scipy.optimize
 
+from sqeig.condition import power_sum
+from sqeig.densela import column_norms
 from sqeig.matpoly import MatrixPolynomial
 
 
@@ -29,3 +31,104 @@ def perturbed(p, e, epsilon):
     return MatrixPolynomial(
         tuple(np.asarray(a + epsilon * d, dtype=complex) for a, d in zip(p.coeffs, e))
     )
+
+
+def assert_same_bits(got, want):
+    """Assert equal values with zeros of the same sign, real and imaginary parts alike."""
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+#: the lam of the bitwise Horner checks: zero, a negative real value, a
+#: complex value and one of modulus above 1
+HORNER_LAMS = (0.0, -0.75, 0.3 - 0.6j, 1.5 + 2.0j)
+
+
+def signed_zero_polynomial(degree, real, seed=0):
+    """A random order-3 polynomial of the given degree with exact zeros of both signs.
+
+    ``real`` coefficients are passed as float arrays, so their stored
+    imaginary parts are +0.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = []
+    for _ in range(degree + 1):
+        c = rng.standard_normal((3, 3))
+        if not real:
+            c = c + 1j * rng.standard_normal((3, 3))
+            c[2, 2] = complex(-0.0, -0.0)
+        c[0, 0] = 0.0
+        c[1, 1] = -0.0
+        coeffs.append(c)
+    return MatrixPolynomial(tuple(coeffs))
+
+
+def unit_columns(n, k, seed):
+    """An n-by-k complex stack of unit columns, its first row exactly zero."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    v[0] = 0.0
+    return v / np.linalg.norm(v, axis=0)
+
+
+# The Horner loops below are written out as the evaluators of matpoly and
+# condition once were; matpoly.horner must reproduce each of them bit for bit.
+
+
+def evaluate_reference(p, lam):
+    """``P(lam)`` by a written-out Horner loop, the reference of ``p.evaluate``."""
+    acc = np.array(p.coeffs[-1])
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * lam + c
+    return acc
+
+
+def derivative_reference(p, lam):
+    """``P'(lam)`` by a written-out Horner loop, the reference of ``p.derivative_at``.
+
+    The zero matrix ``0 * A_0`` for degree 0.
+    """
+    acc = p.degree * np.array(p.coeffs[-1])
+    for i in reversed(range(1, p.degree)):
+        acc = acc * lam + i * p.coeffs[i]
+    return acc
+
+
+def backward_errors_reference(p, lam, x, y):
+    """``matpoly.backward_errors`` with ``P(lam) x`` and ``y* P(lam)`` by written-out loops."""
+    lam = np.asarray(lam, dtype=complex)
+    right = p.coeffs[-1] @ x
+    left = p.coeffs[-1].conj().T @ y
+    for c in reversed(p.coeffs[:-1]):
+        right *= lam
+        right += c @ x
+        left *= lam.conj()
+        left += c.conj().T @ y
+    moduli = np.abs(lam)
+    scale = sum(moduli**j * np.linalg.norm(c) for j, c in enumerate(p.coeffs))
+    return np.maximum(column_norms(right), column_norms(left)) / scale
+
+
+def condition_reference(coeffs, lam, x, y):
+    """The condition numbers of ``condition_numbers`` with ``P'(lam) x`` by a written-out loop.
+
+    ``coeffs`` is a coefficient stack whose ``coeffs[0]`` is read only at
+    degree 0; a factor j = 1 is not applied.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    degree = len(coeffs) - 1
+    dx = coeffs[degree] @ x
+    if degree > 1:
+        dx *= degree
+    for j in range(degree - 1, 0, -1):
+        dx *= lam
+        term = coeffs[j] @ x
+        if j > 1:
+            term *= j
+        dx += term
+    with np.errstate(divide="ignore"):
+        kappa = np.sqrt(power_sum(lam, degree)) / np.abs((y.conj() * dx).sum(axis=0))
+    return float(kappa) if kappa.ndim == 0 else kappa

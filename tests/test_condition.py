@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import (
+    HORNER_LAMS,
+    assert_same_bits,
+    condition_reference,
+    signed_zero_polynomial,
+    unit_columns,
+)
 from sqeig.condition import (
     BadDirectionError,
     beta_ratio_lower_tail_bound,
+    condition_numbers,
     directional_sensitivities,
     directional_sensitivity,
     first_order_coefficient,
@@ -92,6 +100,45 @@ class TestConditionNumbers:
         e2 = np.array([0.0, 1.0], dtype=complex)
         assert pencil_condition(np.eye(2), 1.0, e1, e2) == math.inf
         assert quadratic_condition(np.eye(2), np.eye(2), 0.5, e1, e2) == math.inf
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+class TestConditionMatchesReferenceLoop:
+    # P'(lam) x runs on matpoly.horner in place of a written-out loop; the
+    # condition numbers keep its bits
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_polynomial(self, degree, real):
+        p = signed_zero_polynomial(degree, real)
+        x, y = unit_columns(3, 4, seed=3), unit_columns(3, 4, seed=4)
+        for j, lam in enumerate(HORNER_LAMS):
+            want = condition_reference(p.coeffs, lam, x[:, j], y[:, j])
+            assert_same_bits(condition_numbers(p, lam, x[:, j], y[:, j]), want)
+            assert_same_bits(inverse_condition(p, lam, x[:, j], y[:, j]), 1.0 / want)
+        lams = np.array(HORNER_LAMS)
+        assert_same_bits(condition_numbers(p, lams, x, y), condition_reference(p.coeffs, lams, x, y))
+
+    def test_pencil_and_quadratic(self, real):
+        # loose matrices, real ones as float arrays
+        _, c, m = (np.array(a.real if real else a) for a in signed_zero_polynomial(2, real).coeffs)
+        cc, mc = np.asarray(c, dtype=complex), np.asarray(m, dtype=complex)
+        x, y = unit_columns(3, 4, seed=5), unit_columns(3, 4, seed=6)
+        for j, lam in enumerate(HORNER_LAMS):
+            xj, yj = x[:, j], y[:, j]
+            assert_same_bits(
+                pencil_condition(m, lam, xj, yj), condition_reference((None, mc), lam, xj, yj)
+            )
+            assert_same_bits(
+                quadratic_condition(m, c, lam, xj, yj),
+                condition_reference((None, cc, mc), lam, xj, yj),
+            )
+        lams = np.array(HORNER_LAMS)
+        assert_same_bits(
+            pencil_condition(m, lams, x, y), condition_reference((None, mc), lams, x, y)
+        )
+        assert_same_bits(
+            quadratic_condition(m, c, lams, x, y), condition_reference((None, cc, mc), lams, x, y)
+        )
 
 
 class TestDirectionalSensitivity:

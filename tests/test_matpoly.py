@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_multiset_close, perturbed
+from conftest import (
+    HORNER_LAMS,
+    assert_multiset_close,
+    assert_same_bits,
+    backward_errors_reference,
+    derivative_reference,
+    evaluate_reference,
+    perturbed,
+    signed_zero_polynomial,
+    unit_columns,
+)
 from sqeig.densela import UNIT_ROUNDOFF, generalized_eig
 from sqeig.linearize import first_companion
 from sqeig import matpoly
@@ -17,6 +27,7 @@ from sqeig.matpoly import (
     KernelBases,
     MatrixPolynomial,
     backward_errors,
+    horner,
     joint_norm,
     normal_rank,
     sample_perturbation,
@@ -508,3 +519,36 @@ class TestBackwardErrors:
         e2 = np.array([0.0, 1.0])
         assert backward_errors(p, 2.0, e2, e2) == 0.0
         assert backward_errors(p, 3.0, e2, e2) > 0.1
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+class TestHornerMatchesReferenceLoops:
+    # matpoly.horner replaced written-out Horner loops; every evaluator built
+    # on it gives their bits, signed zeros included
+
+    @pytest.mark.parametrize("lam", HORNER_LAMS)
+    def test_evaluate_and_derivative(self, degree, real, lam):
+        p = signed_zero_polynomial(degree, real)
+        assert_same_bits(p.evaluate(lam), evaluate_reference(p, lam))
+        assert_same_bits(p.derivative_at(lam), derivative_reference(p, lam))
+        if degree == 0:
+            assert not p.derivative_at(lam).any()
+
+    def test_backward_errors(self, degree, real):
+        p = signed_zero_polynomial(degree, real)
+        x, y = unit_columns(3, 4, seed=1), unit_columns(3, 4, seed=2)
+        for j, lam in enumerate(HORNER_LAMS):
+            assert_same_bits(
+                backward_errors(p, lam, x[:, j], y[:, j]),
+                backward_errors_reference(p, lam, x[:, j], y[:, j]),
+            )
+            assert_same_bits(backward_errors(p, lam, x, y), backward_errors_reference(p, lam, x, y))
+        lams = np.array(HORNER_LAMS)
+        assert_same_bits(backward_errors(p, lams, x, y), backward_errors_reference(p, lams, x, y))
+
+    def test_horner_returns_a_new_complex_array(self, degree, real):
+        p = signed_zero_polynomial(degree, real)
+        got = horner(p.coeffs, 0.5)
+        assert got.dtype == complex and got.flags.writeable
+        assert not any(np.shares_memory(got, c) for c in p.coeffs)

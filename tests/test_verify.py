@@ -426,11 +426,13 @@ class TestSingularSpaceEstimate:
         with pytest.raises(ValueError, match="probe radius h must be positive and finite"):
             singular_space_estimate(poly, 1.0, h, rng=35)
 
-    def test_probe_failure_reported(self):
+    def test_probe_failure_reported(self, monkeypatch):
         poly = MatrixPolynomial.pencil(np.diag([1.0, 2.0]), np.eye(2))
+        # every probe of this regular pencil sees a 1-dimensional kernel, where
+        # the normal rank asks for none
+        monkeypatch.setattr(verify, "nullspace_basis", lambda m: np.zeros((len(m), 1)))
         with pytest.raises(ProbeFailureError):
-            # a regular pencil never shows a 2-dimensional probe kernel
-            singular_space_estimate(poly, 1.0, 1e-4, rng=41, expected_nullity=2)
+            singular_space_estimate(poly, 1.0, 1e-4, rng=41)
 
 
 class TestSpuriousBound:
