@@ -36,12 +36,10 @@ from .corpus import BUILTIN_NAMES, builtin, synth_pencil
 from .densela import (
     EigensolverError,
     GeneralizedEigenDecomposition,
-    Svd,
     generalized_eig,
     nullspace_basis,
     rank_with_tol,
     singular_values,
-    svd,
 )
 from .linearize import (
     alternate_companion,

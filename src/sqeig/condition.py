@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-from scipy.special import betaln
 
 from .densela import as_matrix
 from .matpoly import horner, joint_norm
@@ -67,10 +65,11 @@ def power_sum(lam, degree):
 
 
 def _condition(coeffs, lam, x, y):
-    # sqrt(sum_j |lam|**(2j)) / |y* P'(lam) x| for P = sum_j lam**j coeffs[j]
-    # (coeffs[0] is read only at degree 0, as the one term), +inf where the
-    # inner product vanishes.  x and y may be column stacks with one lam per
-    # column; P'(lam) x is evaluated by Horner's rule on j * coeffs[j] @ x.
+    # sqrt(sum_j |lam|**(2j)) / |y* P'(lam) x| for P = sum_j lam**j coeffs[j],
+    # +inf where the inner product vanishes.  coeffs[0] is read only at
+    # degree 0, times its factor 0, since P' = 0 there.  x and y may be
+    # column stacks with one lam per column; P'(lam) x is evaluated by
+    # Horner's rule on j * coeffs[j] @ x.
     lam = np.asarray(lam, dtype=complex)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -78,7 +77,7 @@ def _condition(coeffs, lam, x, y):
     # a factor j = 1 is not applied: multiplying by 1 can only flip the sign
     # of a zero component, which |y* P'(lam) x| does not see
     dx = horner(
-        [coeffs[j] @ x if j < 2 else coeffs[j] @ x * j for j in range(min(degree, 1), degree + 1)],
+        [coeffs[j] @ x if j == 1 else coeffs[j] @ x * j for j in range(min(degree, 1), degree + 1)],
         lam,
     )
     with np.errstate(divide="ignore"):
@@ -282,6 +281,7 @@ def sensitivity_tail(t, inv_cond, n, m, r):
     if d == 0:
         return float((1.0 - s) ** (big_n - 1)) if s < 1.0 else 0.0
     upper = min(1.0, 1.0 / s)
+    import scipy.integrate  # study-only, loaded on first use
 
     def integrand(z):
         return d * (1.0 - z) ** (d - 1) * (1.0 - s * z) ** (big_n - 1)
@@ -369,6 +369,8 @@ def beta_ratio_lower_tail_bound(a, b, c, d, k, t):
         raise ValueError("beta parameters and k must be positive")
     if not t >= 1.0:
         raise ValueError("the bound requires t >= 1")
+    from scipy.special import betaln  # study-only, loaded on first use
+
     log_term = (
         betaln(a + c, b + d - 1.0)
         - betaln(a, b)

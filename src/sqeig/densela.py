@@ -1,7 +1,7 @@
 """Dense complex linear-algebra substrate.
 
-SVD with tolerance-based rank and nullspace decisions, plus a QZ-backed
-generalized eigensolver that reports eigenvalues as homogeneous
+Singular values with tolerance-based rank and nullspace decisions, plus a
+QZ-backed generalized eigensolver that reports eigenvalues as homogeneous
 (alpha, beta) pairs together with unit-norm right and left eigenvectors.
 QZ calls LAPACK directly, by pencil order:
 
@@ -37,7 +37,6 @@ __all__ = [
     "EigensolverError",
     "GeneralizedEigenDecomposition",
     "RANK_TOL",
-    "Svd",
     "UNIT_ROUNDOFF",
     "ZGGEV3_FROM_ORDER",
     "as_matrix",
@@ -48,7 +47,6 @@ __all__ = [
     "rank_with_tol",
     "residual_tolerance",
     "singular_values",
-    "svd",
 ]
 
 #: unit roundoff of IEEE double precision (half the machine epsilon)
@@ -189,29 +187,6 @@ def residual_tolerance(order):
     return 1e4 * UNIT_ROUNDOFF * order
 
 
-@dataclass(frozen=True, eq=False)
-class Svd:
-    """Full singular value decomposition ``M = U @ diag(s) @ V*``.
-
-    ``left_vectors`` is square unitary (rows x rows), ``right_vectors`` is
-    square unitary (cols x cols) with right singular vectors as columns, and
-    ``singular_values`` holds the min(rows, cols) values in nonincreasing
-    order.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self):
-        rows = self.left_vectors.shape[0]
-        cols = self.right_vectors.shape[0]
-        sigma = np.zeros((rows, cols))
-        k = self.singular_values.size
-        sigma[:k, :k] = np.diag(self.singular_values)
-        return self.left_vectors @ sigma @ self.right_vectors.conj().T
-
-
 def _checked_svd(m, compute_uv):
     m = as_matrix(m)
     try:
@@ -222,17 +197,8 @@ def _checked_svd(m, compute_uv):
         ) from exc
 
 
-def svd(m):
-    """Full SVD of a complex matrix."""
-    u, s, vh = _checked_svd(m, compute_uv=True)
-    return Svd(u, s, vh.conj().T)
-
-
 def singular_values(m):
-    """Singular values of a complex matrix in nonincreasing order.
-
-    The values alone, without the singular vectors ``svd`` also computes.
-    """
+    """Singular values of a complex matrix in nonincreasing order, without vectors."""
     return _checked_svd(m, compute_uv=False)
 
 
@@ -257,8 +223,8 @@ def nullspace_basis(m):
     ``RANK_TOL`` times the largest one, as columns of a (cols, nullity)
     array.  Full-rank input yields a (cols, 0) array.
     """
-    dec = svd(m)
-    return dec.right_vectors[:, _rank_from_singular_values(dec.singular_values):]
+    _, s, vh = _checked_svd(m, compute_uv=True)
+    return vh.conj().T[:, _rank_from_singular_values(s):]
 
 
 def _finite(abs_betas, moduli, cutoff=DEFAULT_INF_CUTOFF):

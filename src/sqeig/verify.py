@@ -15,8 +15,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.stats
 
 from .condition import (
     BadDirectionError,
@@ -123,6 +121,8 @@ def match_accepted(accepted_values, truth_values, match_tol):
     cost = np.array(
         [[abs(a - t) for t in truth_values] for a in accepted_values], dtype=float
     )
+    import scipy.optimize  # loaded on first use, off the solve path
+
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     matched = [None] * len(accepted_values)
     for i, j in zip(rows, cols):
@@ -235,6 +235,10 @@ def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10
     model = model_sensitivity_samples(
         poly.n**2 * (poly.degree + 1), poly.n, r, model_size, rng
     )
+    # study-only, loaded on first use; called through the module attribute,
+    # which perfbench/tracing.py patches
+    import scipy.stats
+
     return float(scipy.stats.ks_2samp(emp, model).statistic), emp, model
 
 

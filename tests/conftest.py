@@ -114,14 +114,14 @@ def condition_reference(coeffs, lam, x, y):
     """The condition numbers of ``condition_numbers`` with ``P'(lam) x`` by a written-out loop.
 
     ``coeffs`` is a coefficient stack whose ``coeffs[0]`` is read only at
-    degree 0; a factor j = 1 is not applied.
+    degree 0, times its factor 0; a factor j = 1 is not applied.
     """
     lam = np.asarray(lam, dtype=complex)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     degree = len(coeffs) - 1
     dx = coeffs[degree] @ x
-    if degree > 1:
+    if degree != 1:
         dx *= degree
     for j in range(degree - 1, 0, -1):
         dx *= lam

@@ -15,7 +15,13 @@ from conftest import assert_multiset_close
 from sqeig.condition import inverse_condition, weak_condition_bounds
 from sqeig.construct import chain_quadratic, diagonal_quadratic
 from sqeig.corpus import builtin
-from sqeig.densela import UNIT_ROUNDOFF, generalized_eig, residual_tolerance, svd
+from sqeig.densela import (
+    UNIT_ROUNDOFF,
+    generalized_eig,
+    nullspace_basis,
+    residual_tolerance,
+    singular_values,
+)
 from sqeig.matpoly import sample_perturbation
 from sqeig.solver import SolverConfig
 from sqeig.verify import (
@@ -299,19 +305,31 @@ def test_criterion_7_expansion_order():
 def test_criterion_8_substrate_property_suites():
     rng = np.random.default_rng(2024)
 
-    # SVD: reconstruction and unitarity on 100 random complex matrices
-    worst_rec = 0.0
+    # SVD: planted singular values and an orthonormal kernel basis on 100
+    # random complex matrices of known rank, U diag(d) V* with orthonormal
+    # U and V and d in [0.5, 2]
+    worst_null = 0.0
     for _ in range(100):
         rows = int(rng.integers(1, 51))
         cols = int(rng.integers(1, 51))
-        mat = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        dec = svd(mat)
-        rec = np.linalg.norm(mat - dec.reconstruct(), "fro")
-        limit = 1e3 * UNIT_ROUNDOFF * np.linalg.norm(mat, "fro")
-        worst_rec = max(worst_rec, rec / limit)
-        assert rec <= limit
-        for q in (dec.left_vectors, dec.right_vectors):
-            assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e3 * UNIT_ROUNDOFF * max(rows, cols)
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        u, v = (
+            np.linalg.qr(rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank)))[0]
+            for k in (rows, cols)
+        )
+        d = np.sort(rng.uniform(0.5, 2.0, rank))[::-1]
+        mat = (u * d) @ v.conj().T
+        s = singular_values(mat)
+        limit = 1e3 * UNIT_ROUNDOFF * max(rows, cols)
+        # absolute errors relative to 2, which bounds the planted values
+        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+        assert np.all(np.abs(s[:rank] - d) <= 2.0 * limit) and np.all(s[rank:] <= 2.0 * limit)
+        basis = nullspace_basis(mat)
+        assert basis.shape == (cols, cols - rank)
+        orth = np.linalg.norm(basis.conj().T @ basis - np.eye(cols - rank))
+        resid = np.linalg.norm(mat @ basis) / 2.0
+        worst_null = max(worst_null, orth / limit, resid / limit)
+        assert orth <= limit and resid <= limit
 
     # generalized eigensolver: residuals on 100 random regular pencils and
     # multiset recovery of planted spectra
@@ -341,7 +359,8 @@ def test_criterion_8_substrate_property_suites():
             assert_multiset_close(dec2.eigenvalues(), d, rtol=1e6 * UNIT_ROUNDOFF)
 
     print(
-        f"[acceptance] criterion 8 (substrate properties: worst SVD "
-        f"reconstruction {worst_rec:.3f} of limit, worst pencil residual "
+        f"[acceptance] criterion 8 (substrate properties: 100 planted "
+        f"singular spectra recovered, worst kernel basis residual or "
+        f"orthonormality {worst_null:.3f} of limit, worst pencil residual "
         f"{worst_resid:.3f} of limit, 50 planted spectra recovered): PASS"
     )

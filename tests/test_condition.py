@@ -101,6 +101,16 @@ class TestConditionNumbers:
         assert pencil_condition(np.eye(2), 1.0, e1, e2) == math.inf
         assert quadratic_condition(np.eye(2), np.eye(2), 0.5, e1, e2) == math.inf
 
+    def test_degree_zero_is_infinitely_ill_conditioned(self):
+        # P(lam) = A0 has P' = 0, so no eigentriple has a finite condition
+        # number, whatever y* A0 x is
+        p = MatrixPolynomial((np.eye(2),))
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        assert condition_numbers(p, 0.5, e1, e1) == math.inf
+        assert inverse_condition(p, 0.5, e1, e1) == 0.0
+        lams = np.array([0.0, 2.0 - 1j])
+        assert np.all(condition_numbers(p, lams, np.eye(2), np.eye(2)) == math.inf)
+
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 class TestConditionMatchesReferenceLoop:

@@ -9,7 +9,7 @@ import sqeig
 from sqeig import construct, probfile
 from sqeig.construct import chain_quadratic, diagonal_pencil, diagonal_quadratic
 from sqeig.corpus import builtin
-from sqeig.densela import generalized_eig, rank_with_tol, svd
+from sqeig.densela import generalized_eig, rank_with_tol
 from sqeig.matpoly import normal_rank, sample_perturbation
 from sqeig.solver import SolverConfig, solve_polynomial
 from sqeig.verify import empirical_probability, expansion_order_check
@@ -222,7 +222,6 @@ def test_array_holding_types_compare_by_identity():
         lambda: chain_quadratic([1.0, 0.5], 3, rng=0).bases(1.0),
         lambda: solve_polynomial(builtin("kagstrom2x2")[0], SolverConfig(seed=0))[0],
         lambda: generalized_eig(np.eye(2), np.eye(2)),
-        lambda: svd(np.eye(2)),
         lambda: _kept_trials().trials[0],
         _kept_trials,
         lambda: expansion_order_check(*_study_inputs(), [1e-4, 1e-5]),

@@ -17,7 +17,6 @@ from sqeig.densela import (
     rank_with_tol,
     residual_tolerance,
     singular_values,
-    svd,
 )
 
 
@@ -26,38 +25,23 @@ def _random_complex(rng, rows, cols):
 
 
 class TestSvd:
+    # the SVD-backed substrate: singular values alone and the kernel basis
+
     def test_identity(self):
-        np.testing.assert_allclose(svd(np.eye(2)).singular_values, [1.0, 1.0])
+        np.testing.assert_allclose(singular_values(np.eye(2)), [1.0, 1.0])
 
     def test_diagonal(self):
-        np.testing.assert_allclose(svd(np.diag([3.0, 0.0])).singular_values, [3.0, 0.0])
-
-    def test_reconstruction_rectangular(self):
-        rng = np.random.default_rng(0)
-        m = _random_complex(rng, 5, 3)
-        dec = svd(m)
-        err = np.linalg.norm(m - dec.reconstruct(), "fro")
-        assert err <= 1e3 * UNIT_ROUNDOFF * np.linalg.norm(m, "fro")
+        np.testing.assert_allclose(singular_values(np.diag([3.0, 0.0])), [3.0, 0.0])
 
     def test_sorted_nonnegative(self):
         rng = np.random.default_rng(1)
-        s = svd(_random_complex(rng, 6, 6)).singular_values
+        s = singular_values(_random_complex(rng, 6, 6))
         assert np.all(s >= 0)
         assert np.all(np.diff(s) <= 0)
 
-    def test_unitarity_random_sizes(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            rows = int(rng.integers(1, 51))
-            cols = int(rng.integers(1, 51))
-            dec = svd(_random_complex(rng, rows, cols))
-            for q in (dec.left_vectors, dec.right_vectors):
-                err = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
-                assert err <= 1e3 * UNIT_ROUNDOFF * max(rows, cols)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
-            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            nullspace_basis(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestRankAndNullspace:
@@ -92,13 +76,18 @@ class TestRankAndNullspace:
         m = _random_complex(rng, 3, 6)
         basis = nullspace_basis(m)
         assert basis.shape == (6, 3)
-        smax = svd(m).singular_values[0]
+        smax = singular_values(m)[0]
         assert np.linalg.norm(m @ basis, "fro") <= 1e-10 * smax * np.sqrt(6)
 
 
+def _full_svd(m):
+    # the singular values of the full SVD, vectors and all
+    return np.linalg.svd(np.asarray(m, dtype=complex))[1]
+
+
 def _full_svd_rank(m):
-    # the rank decision read off the full SVD, vectors and all
-    s = svd(m).singular_values
+    # the rank decision read off the full SVD
+    s = _full_svd(m)
     return 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
@@ -109,7 +98,7 @@ class TestSingularValuesAlone:
             m = _random_complex(rng, rows, cols)
             s = singular_values(m)
             assert s.shape == (min(rows, cols),)
-            np.testing.assert_allclose(s, svd(m).singular_values, rtol=0, atol=1e2 * UNIT_ROUNDOFF * s[0])
+            np.testing.assert_allclose(s, _full_svd(m), rtol=0, atol=1e2 * UNIT_ROUNDOFF * s[0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):

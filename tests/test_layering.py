@@ -1,10 +1,19 @@
-"""Static structure: import direction between modules and the benchmark
-tracer's view of the package."""
+"""Static structure: import direction between modules, the benchmark
+tracer's view of the package, and what the solve path imports."""
 
 import ast
+import functools
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from sqeig import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sqeig"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -116,3 +125,55 @@ def test_no_rng_defaults_to_fresh_entropy():
         and params["rng"].default is None
     ]
     assert defaulted == []
+
+
+#: scipy subpackages that only the studies use (quadrature, log-beta, the KS
+#: test and the assignment that matches Monte Carlo trials)
+STUDY_SUBPACKAGES = ("scipy.integrate", "scipy.special", "scipy.stats", "scipy.optimize")
+
+
+def _fresh_study_imports(code):
+    # the study subpackages in sys.modules after running code in a new
+    # interpreter that imports sqeig from this checkout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    report = f"import json, sys; print(json.dumps([m for m in {STUDY_SUBPACKAGES!r} if m in sys.modules]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@functools.cache
+def _linalg_baseline():
+    # what numpy and scipy.linalg load by themselves (an older scipy.linalg
+    # may import scipy.special, say); the solve path may load no more
+    return _fresh_study_imports("import numpy, scipy.linalg")
+
+
+def test_import_leaves_study_subpackages_unloaded():
+    # the study-only subpackages load on first use inside the functions
+    # that need them
+    assert _fresh_study_imports("import sqeig") - _linalg_baseline() == set()
+
+
+@pytest.mark.parametrize("source", ["builtin", "projected"])
+def test_solve_leaves_study_subpackages_unloaded(source, tmp_path):
+    # sqeig solve perturbs (or projects), runs QZ and thresholds kappa_bar,
+    # none of which needs a study subpackage
+    if source == "builtin":
+        argv = ["solve", "--builtin", "ex1", "--json"]
+    else:
+        # an order-60 pencil of nullity 30, which the solver projects
+        large = str(tmp_path / "large.json")
+        assert cli.main(["synth-pencil", "--size", "60", "--rank", "30", "--seed", "1", "--output", large]) == 0
+        argv = ["solve", "--input", large, "--json"]
+    code = (
+        "import contextlib, io, sqeig.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = sqeig.cli.main({argv!r})\n"
+        "if status:\n"
+        "    raise SystemExit(status)"
+    )
+    assert _fresh_study_imports(code) - _linalg_baseline() == set()
