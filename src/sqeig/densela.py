@@ -10,14 +10,13 @@ QZ calls LAPACK directly, by pencil order:
   queries, so the eigenvalues carry the same bits at a fraction of the
   wrapper cost;
 - from that order on, ``zggev3`` through ctypes, with its own workspace
-  query cached per order and vector choice.  It reduces to
-  Hessenberg-triangular form by blocks (``zgghd3``) and, from order 75,
-  iterates with the multishift QZ with aggressive early deflation
-  (``zlaqz0``; Kagstrom and Kressner, SIMAX 2006), about twice as fast as
-  ``zggev`` from order 200.  scipy does not wrap it, so the routine is
-  looked up once at import in the LAPACK that scipy's own ``_flapack``
-  extension links; where no such symbol resolves, every order runs
-  ``zggev``.
+  query cached per order.  It reduces to Hessenberg-triangular form by
+  blocks (``zgghd3``) and, from order 75, iterates with the multishift QZ
+  with aggressive early deflation (``zlaqz0``; Kagstrom and Kressner,
+  SIMAX 2006), about twice as fast as ``zggev`` from order 200.  scipy
+  does not wrap it, so the routine is looked up once at import in the
+  LAPACK that scipy's own ``_flapack`` extension links; where no such
+  symbol resolves, every order runs ``zggev``.
 
 All functions are pure; returned arrays are never mutated afterwards.
 """
@@ -116,23 +115,23 @@ def _resolve_zggev3():
 _ZGGEV3 = _resolve_zggev3()
 
 
-def _call_zggev3(a, b, want_left, work, lwork):
-    # one zggev3 call on Fortran-ordered copies of a and b, which it
-    # overwrites; ctypes passes each c_int by reference
+def _call_zggev3(a, b, work, lwork):
+    # one zggev3 call, both vector sets, on Fortran-ordered copies of a and
+    # b, which it overwrites; ctypes passes each c_int by reference
     n = a.shape[0]
     a = np.array(a, dtype=complex, order="F")
     b = np.array(b, dtype=complex, order="F")
     alphas = np.empty(n, dtype=complex)
     betas = np.empty(n, dtype=complex)
-    vl = np.empty((n, n) if want_left else (1, 1), dtype=complex, order="F")
+    vl = np.empty((n, n), dtype=complex, order="F")
     vr = np.empty((n, n), dtype=complex, order="F")
     rwork = np.empty(8 * n)
     order, info = ctypes.c_int(n), ctypes.c_int()
     _ZGGEV3(
-        b"V" if want_left else b"N", b"V", order,
+        b"V", b"V", order,
         a.ctypes.data, order, b.ctypes.data, order,
         alphas.ctypes.data, betas.ctypes.data,
-        vl.ctypes.data, ctypes.c_int(vl.shape[0]), vr.ctypes.data, order,
+        vl.ctypes.data, order, vr.ctypes.data, order,
         work.ctypes.data, ctypes.c_int(lwork), rwork.ctypes.data, info,
         1, 1,
     )
@@ -140,12 +139,12 @@ def _call_zggev3(a, b, want_left, work, lwork):
 
 
 @functools.cache
-def _zggev3_lwork(n, want_left):
+def _zggev3_lwork(n):
     # zggev3's own lwork=-1 answer (4,193 at order 1, 45,150 at order 75),
     # which exceeds zggev's 33*n; a zggev-sized workspace corrupts the heap
     z = np.zeros((n, n), dtype=complex)
     work = np.empty(1, dtype=complex)
-    _call_zggev3(z, z, want_left, work, -1)
+    _call_zggev3(z, z, work, -1)
     return int(work[0].real)
 
 
@@ -154,13 +153,10 @@ def qz_routine(order):
     return "zggev3" if order >= ZGGEV3_FROM_ORDER and _ZGGEV3 is not None else "zggev"
 
 
-def _zggev3(a, b, want_left):
-    """``(alphas, betas, vl, vr, info)`` of ``zggev3`` on copies of ``a``, ``b``.
-
-    ``vl`` is a placeholder when ``want_left`` is False.
-    """
-    lwork = _zggev3_lwork(a.shape[0], want_left)
-    return _call_zggev3(a, b, want_left, np.empty(lwork, dtype=complex), lwork)
+def _zggev3(a, b):
+    """``(alphas, betas, vl, vr, info)`` of ``zggev3`` on copies of ``a``, ``b``."""
+    lwork = _zggev3_lwork(a.shape[0])
+    return _call_zggev3(a, b, np.empty(lwork, dtype=complex), lwork)
 
 
 def as_matrix(a, name="matrix"):
@@ -248,10 +244,10 @@ class GeneralizedEigenDecomposition:
 
     Column j of ``right_vectors`` satisfies
     ``beta[j] * A @ x = alpha[j] * B @ x`` and column j of ``left_vectors``
-    satisfies ``beta[j] * y* A = alpha[j] * y* B``.  All vectors have unit
-    2-norm.  ``left_vectors`` is None when left eigenvectors were not
-    requested.  The finite pairs lead the order, and ``finite_values``
-    holds their eigenvalues alpha/beta: entry j belongs to column j of the
+    satisfies ``beta[j] * y* A = alpha[j] * y* B``.  Every column of both
+    sets has unit 2-norm, and its entry of largest modulus is real
+    positive.  The finite pairs lead the order, and ``finite_values`` holds
+    their eigenvalues alpha/beta: entry j belongs to column j of the
     vectors, so the finite pairs are read as ``finite_values`` and the
     first ``finite_values.size`` columns.
     """
@@ -259,7 +255,7 @@ class GeneralizedEigenDecomposition:
     alphas: np.ndarray
     betas: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray | None
+    left_vectors: np.ndarray
     finite_values: np.ndarray
 
     @property
@@ -277,14 +273,15 @@ class GeneralizedEigenDecomposition:
         return lam
 
 
-def generalized_eig(a, b, want_left=True):
+def generalized_eig(a, b):
     """Solve the generalized eigenproblem of the pencil ``a - lam*b``.
 
     The pencil must be regular and of order at least 1 (order 0 is a
     ValueError, raised before LAPACK is called).  Finite eigenvalues are
     ordered by modulus (descending), ties broken by phase; infinite
     eigenvalues (relative ``|beta|`` at most ``DEFAULT_INF_CUTOFF``) come
-    last.
+    last.  Both vector sets are returned, every column unit and
+    phase-fixed, so that callers never renormalize them.
 
     QZ is LAPACK ``zggev`` below order ``ZGGEV3_FROM_ORDER`` and
     ``zggev3`` from it, where the library exports ``zggev3`` (``zggev``
@@ -303,11 +300,9 @@ def generalized_eig(a, b, want_left=True):
         raise ValueError("pencil order must be at least 1, got order 0")
     routine = qz_routine(n)
     if routine == "zggev3":
-        alphas, betas, vl, vr, info = _zggev3(a, b, want_left)
+        alphas, betas, vl, vr, info = _zggev3(a, b)
     else:
-        alphas, betas, vl, vr, _, info = _zggev(
-            a, b, compute_vl=want_left, compute_vr=True, lwork=_zggev_lwork(n)
-        )
+        alphas, betas, vl, vr, _, info = _zggev(a, b, lwork=_zggev_lwork(n))
     if info != 0:
         raise EigensolverError(f"QZ iteration failed for pencil of order {n} ({routine} info={info})")
     abs_betas = np.abs(betas)
@@ -324,19 +319,17 @@ def generalized_eig(a, b, want_left=True):
     # lexsort orders by the last key first: finite block, then |lam| desc, then phase
     order = np.lexsort((np.arctan2(lam.imag, lam.real), -np.abs(lam), ~finite))
 
-    # the vector sets side by side, columns in the eigenvalue order, in one
-    # Fortran-ordered array as LAPACK returns each, so that one pass
+    # the two vector sets side by side, columns in the eigenvalue order, in
+    # one Fortran-ordered array as LAPACK returns each, so that one pass
     # normalizes every column with the same arithmetic
-    sets = (vr, vl) if want_left else (vr,)
-    vectors = np.empty((n, len(sets) * n), dtype=complex, order="F")
-    for i, v in enumerate(sets):
-        vectors[:, i * n : (i + 1) * n] = v[:, order]
+    vectors = np.empty((n, 2 * n), dtype=complex, order="F")
+    vectors[:, :n] = vr[:, order]
+    vectors[:, n:] = vl[:, order]
     _unit_phased(vectors)
-    vr, vl = vectors[:, :n], (vectors[:, n:] if want_left else None)
     return GeneralizedEigenDecomposition(
         alphas=alphas[order],
         betas=betas[order],
-        right_vectors=vr,
-        left_vectors=vl,
+        right_vectors=vectors[:, :n],
+        left_vectors=vectors[:, n:],
         finite_values=lam[order[: np.count_nonzero(finite)]],
     )

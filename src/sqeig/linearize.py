@@ -106,15 +106,17 @@ def recover_vectors(v, w, first, n):
     """Polynomial eigenvectors from companion eigenvectors, read by either form.
 
     ``v`` and ``w`` are column stacks of right/left eigenvectors of a
-    companion pencil with blocks of height ``n``.  The left eigenvector is
-    the top n entries of each column of ``w``.  The right one is the top n
+    companion pencil with blocks of height ``n``, every column of unit
+    2-norm, as ``densela.generalized_eig`` returns them (a lift by a matrix
+    with orthonormal columns keeps them so).  The left eigenvector is the
+    top n entries of each column of ``w``.  The right one is the top n
     entries of the first ``first`` columns of ``v``, as the first companion
     form holds it, and the bottom n entries of the others, as the
     alternate form holds it.  Each block is renormalized to unit norm.
-    Returns ``(x, y, ok)``; ``ok`` is False where either block holds less
-    than 1e-8 of its column's norm, so that the pair carries no
-    eigenvector information.  With ``n`` the column height (a pencil),
-    ``v``, ``w`` and an all-True ``ok`` come back unchanged.
+    Returns ``(x, y, ok)``; ``ok`` is False where either block has a norm
+    below 1e-8, so that the pair carries no eigenvector information.  With
+    ``n`` the column height (a pencil), ``v``, ``w`` and an all-True
+    ``ok`` come back unchanged.
     """
     k = v.shape[1]
     if n == v.shape[0]:
@@ -123,7 +125,7 @@ def recover_vectors(v, w, first, n):
     # taken once
     blocks = np.concatenate((v[:n, :first], v[-n:, first:], w[:n]), axis=1)
     nb = column_norms(blocks)
-    holds = nb >= 1e-8 * np.concatenate((column_norms(v), column_norms(w)))
+    holds = nb >= 1e-8
     # a zero block stays zero
     np.divide(blocks, nb, out=blocks, where=nb > 0)
     return blocks[:, :k], blocks[:, k:], holds[:k] & holds[k:]
@@ -141,12 +143,13 @@ def _recover(v, w, right_on_top):
 def recover_from_first(v, w):
     """Quadratic eigenvectors from first-companion eigenvectors.
 
-    ``v`` and ``w`` are right/left eigenvectors of the order-2n pencil, or
-    column stacks of them; the right and left quadratic eigenvectors are
-    the leading n entries of each, renormalized to unit norm.  Returns
-    ``(x, y, ok)``; ``ok`` is False where either block is numerically
-    zero, so that the pair carries no eigenvector information.  The
-    all-first case of ``recover_vectors``.
+    ``v`` and ``w`` are unit right/left eigenvectors of the order-2n
+    pencil, or column stacks of them; the right and left quadratic
+    eigenvectors are the leading n entries of each, renormalized to unit
+    norm.  Returns ``(x, y, ok)``; ``ok`` is False where either block has a
+    norm below 1e-8, so that the pair carries no eigenvector information.
+    The all-first case of ``recover_vectors``, which states the unit-column
+    precondition.
     """
     return _recover(v, w, right_on_top=True)
 
@@ -156,8 +159,9 @@ def recover_from_alternate(v, w):
 
     As ``recover_from_first``, except that the right eigenvector sits in
     the trailing n entries.  Eigenvectors of the first companion form give
-    the same result, up to a unit phase.  The all-alternate case of
-    ``recover_vectors``.
+    the same result, up to a unit phase.  ``v`` and ``w`` have unit
+    columns, as for ``recover_vectors``, of which this is the
+    all-alternate case.
     """
     return _recover(v, w, right_on_top=False)
 

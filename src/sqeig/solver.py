@@ -41,8 +41,8 @@ are rescaled to the original units.  A pencil is not balanced and is its
 own first companion form, whose eigenvectors are read back unchanged.
 
 A solve returns one ``SolveResult``: read-only arrays with one entry (or
-column) per finite candidate.  It is also a sequence of
-``ClassifiedEigenvalue`` records, built on demand, one per candidate.
+column) per finite candidate.  It also yields ``ClassifiedEigenvalue``
+records, built on demand, one per candidate.
 
 A Monte Carlo trial (``verify.empirical_probability``) is one solve, and
 the small problems of the corpus spend most of it in Python around the QZ
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,17 +169,19 @@ class ClassifiedEigenvalue:
 
 
 @dataclass(frozen=True, eq=False)
-class SolveResult(Sequence):
+class SolveResult:
     """The classified finite candidates of one solve, as read-only arrays.
 
     Entry i of ``values`` (original units), ``kappa_bar``, ``accepted``
     and ``source_codes`` (indices into ``SOURCES``), and column i of
     ``right_vectors`` and ``left_vectors``, describe candidate i, as the
     fields of ``ClassifiedEigenvalue`` do.  Candidates are in the
-    eigensolver's order.  The constructor marks the arrays read-only.  The
-    result is also a sequence of ``ClassifiedEigenvalue`` records, built
-    on demand; a record's vectors are read-only views of the columns.
-    Compares by identity.
+    eigensolver's order.  The constructor marks the arrays read-only.
+    Iteration, ``res[i]`` and slices (a tuple) build
+    ``ClassifiedEigenvalue`` records on demand; a record's vectors are
+    read-only views of the columns.  Records are new on every access and
+    compare by identity, so there is no ``index`` or ``count`` to find one
+    by.  Compares by identity.
     """
 
     values: np.ndarray
@@ -267,12 +268,12 @@ def solve_polynomial(p, cfg=None):
     prefix of that order, so every ``C1`` candidate precedes every
     ``C1hat`` one.
     """
-    order = _checked_order(p)
-    balanced = p if p.degree == 1 else p.balancing[0]
+    balanced, gamma = _balanced(p)
+    order = p.degree * p.n
     project = order >= PROJECT_FROM_ORDER and (
         p.n - balanced.normal_rank >= PROJECT_FROM_NULLITY_SHARE * order
     )
-    return _solve(p, cfg or SolverConfig(), project)
+    return _solve(p, balanced, gamma, cfg or SolverConfig(), project)
 
 
 def solve_perturbed(p, cfg=None):
@@ -286,15 +287,15 @@ def solve_perturbed(p, cfg=None):
     candidate is accepted when ``kappa_bar <= tol``.  The studies of the
     perturbed candidates' condition numbers use this route.
     """
-    _checked_order(p)
-    return _solve(p, cfg or SolverConfig(), project=False)
+    return _solve(p, *_balanced(p), cfg or SolverConfig(), project=False)
 
 
-def _checked_order(p):
-    # the companion order of a polynomial the solver supports
+def _balanced(p):
+    # (balanced, gamma) of a polynomial the solver supports: the problem
+    # solved, and the factor from its eigenvalues to those of p
     if p.degree not in (1, 2):
         raise ValueError(f"no solver for degree {p.degree}; supported degrees are 1 and 2")
-    return p.degree * p.n
+    return (p, 1.0) if p.degree == 1 else p.balancing
 
 
 def _orthonormal_columns(rows, cols, rng):
@@ -303,31 +304,34 @@ def _orthonormal_columns(rows, cols, rng):
     return np.linalg.qr(z[0] + 1j * z[1])[0]
 
 
-def _solve(p, cfg, project):
-    balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
+def _solve(p, balanced, gamma, cfg, project):
     rng = np.random.default_rng(cfg.seed)
+    order = p.degree * p.n
+    size = order - p.n + balanced.normal_rank if project else order
     if project:
-        size = p.degree * p.n - p.n + balanced.normal_rank
-        if size == 0:
-            return _no_candidates(p.n)
-        u = _orthonormal_columns(p.degree * p.n, size, rng)
-        v = _orthonormal_columns(p.degree * p.n, size, rng)
+        u = _orthonormal_columns(order, size, rng)
+        v = _orthonormal_columns(order, size, rng)
         uh = u.conj().T
         pair = tuple(uh @ c @ v for c in first_companion(balanced))
     else:
         e = sample_perturbation(p.n, p.degree, rng)
         pair = first_companion(balanced, e, cfg.epsilon)
-    try:
-        dec = generalized_eig(*pair, want_left=True)
-    except EigensolverError as exc:
-        how = "projected" if project else f"epsilon={cfg.epsilon:g}"
-        raise EigensolverError(
-            f"degree-{p.degree} solve failed (seed={cfg.seed!r}, {how}): {exc}"
-        ) from exc
+    if size:
+        try:
+            dec = generalized_eig(*pair)
+        except EigensolverError as exc:
+            how = "projected" if project else f"epsilon={cfg.epsilon:g}"
+            raise EigensolverError(
+                f"degree-{p.degree} solve failed (seed={cfg.seed!r}, {how}): {exc}"
+            ) from exc
+        lam, right, left = dec.finite_values, dec.right_vectors, dec.left_vectors
+    else:
+        # a projected pencil of normal rank 0: no QZ call and no candidate;
+        # the 0-by-0 pair stands in for its two vector sets
+        lam, (right, left) = np.empty(0, dtype=complex), pair
     # the finite pairs lead the order
-    lam = dec.finite_values
     k = lam.size
-    right, left = dec.right_vectors[:, :k], dec.left_vectors[:, :k]
+    right, left = right[:, :k], left[:, :k]
     if project:
         right, left = v @ right, u @ left
     # the eigenvector block each form reads, chosen by modulus as the paper
@@ -345,7 +349,7 @@ def _solve(p, cfg, project):
         # the gate reads only the candidates the threshold kept
         kept = np.flatnonzero(accepted)
         eta = backward_errors(balanced, lam[kept], x[:, kept], y[:, kept])
-        accepted[kept] = eta <= residual_tolerance(dec.order)
+        accepted[kept] = eta <= residual_tolerance(size)
     return SolveResult(
         values=gamma * lam,
         kappa_bar=kappa,
@@ -353,16 +357,4 @@ def _solve(p, cfg, project):
         source_codes=codes,
         right_vectors=x,
         left_vectors=y,
-    )
-
-
-def _no_candidates(n):
-    empty = np.empty(0)
-    return SolveResult(
-        values=empty.astype(complex),
-        kappa_bar=empty,
-        accepted=empty.astype(bool),
-        source_codes=empty.astype(np.int8),
-        right_vectors=np.empty((n, 0), dtype=complex),
-        left_vectors=np.empty((n, 0), dtype=complex),
     )

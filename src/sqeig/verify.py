@@ -265,7 +265,7 @@ def expansion_order_check(poly, lam0, bases, e, eps_list):
     coeff = first_order_coefficient(poly, lam0, bases, e)
     remainders = np.empty_like(eps)
     for i, ep in enumerate(eps):
-        lams = generalized_eig(*first_companion(poly, e, ep), want_left=False).finite_values
+        lams = generalized_eig(*first_companion(poly, e, ep)).finite_values
         predicted = lam0 - coeff * ep
         lam = lams[np.argmin(np.abs(lams - predicted))]
         remainders[i] = max(abs(lam - predicted), 1e-300)

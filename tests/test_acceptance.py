@@ -355,7 +355,7 @@ def test_criterion_8_substrate_property_suites():
             v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
             w = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
             d = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.random(n))
-            dec2 = generalized_eig(v @ np.diag(d) @ w, v @ w, want_left=False)
+            dec2 = generalized_eig(v @ np.diag(d) @ w, v @ w)
             assert_multiset_close(dec2.eigenvalues(), d, rtol=1e6 * UNIT_ROUNDOFF)
 
     print(

@@ -265,11 +265,6 @@ def test_direct_qz_matches_library_reference(order):
         _assert_same_up_to_phase(dec.right_vectors[:, got], vr[:, ref], 1e-14)
         _assert_same_up_to_phase(dec.left_vectors[:, got], vl[:, ref], 1e-14)
 
-        right_only = generalized_eig(a, b, want_left=False)
-        assert right_only.left_vectors is None
-        np.testing.assert_array_equal(right_only.alphas, dec.alphas)
-        np.testing.assert_array_equal(right_only.betas, dec.betas)
-
 
 needs_zggev3 = pytest.mark.skipif(
     densela._ZGGEV3 is None, reason="this LAPACK does not export zggev3"
@@ -287,19 +282,18 @@ def test_zggev3_resolves():
 
 @needs_zggev3
 @pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize("want_left", [True, False])
-def test_zggev3_equals_zggev_bitwise_below_crossover(want_left, layout):
+def test_zggev3_equals_zggev_bitwise_below_crossover(layout):
     # below ZGGEV3_FROM_ORDER both routines return the same bits, so the
     # crossover changes no output of a small solve
     rng = np.random.default_rng(300)
     for order in range(1, densela.ZGGEV3_FROM_ORDER):
         a = np.asarray(_random_complex(rng, order, order), order=layout)
         b = np.asarray(_random_complex(rng, order, order), order=layout)
-        old = densela._zggev(a, b, compute_vl=want_left, lwork=densela._zggev_lwork(order))
-        new = densela._zggev3(a, b, want_left)
+        old = densela._zggev(a, b, lwork=densela._zggev_lwork(order))
+        new = densela._zggev3(a, b)
         assert old[-1] == new[-1] == 0
-        # alphas, betas, right vectors, and left vectors when computed
-        for i in (0, 1, 3, 2)[: 4 if want_left else 3]:
+        # alphas, betas, right vectors and left vectors
+        for i in (0, 1, 3, 2):
             assert new[i].tobytes() == old[i].tobytes(), (order, i)
 
 
@@ -336,9 +330,6 @@ def test_zggev3_path_is_backward_stable(monkeypatch, order):
     again = generalized_eig(a, b)
     for field in ("alphas", "betas", "right_vectors", "left_vectors", "finite_values"):
         assert getattr(again, field).tobytes() == getattr(dec, field).tobytes(), field
-    right_only = generalized_eig(a, b, want_left=False)
-    assert right_only.left_vectors is None
-    assert right_only.alphas.tobytes() == dec.alphas.tobytes()
 
 
 def test_unresolved_zggev3_falls_back_to_zggev(monkeypatch):

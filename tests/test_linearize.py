@@ -89,7 +89,7 @@ class TestCompanionForms:
         rng = np.random.default_rng(2)
         m, c, k = _random_quadratic(rng, 3)
         pa, pb = form(MatrixPolynomial.quadratic(m, c, k))
-        dec = generalized_eig(pa, pb, want_left=False)
+        dec = generalized_eig(pa, pb)
         assert_multiset_close(
             dec.eigenvalues(), _det_roots(m, c, k), atol=1e-8, rtol=1e-8
         )
@@ -262,10 +262,12 @@ class TestRecoverVectors:
     @pytest.mark.parametrize("first", [0, 2, 5])
     def test_one_pass_reads_each_form(self, first):
         # the leading columns as the first form reads them, the rest as the
-        # alternate form does, each block renormalized as np.linalg.norm does
+        # alternate form does, each block renormalized as np.linalg.norm does;
+        # unit columns, as recover_vectors requires
         rng = np.random.default_rng(9)
         v, w = (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)) for _ in range(2))
         v[4:, 1] = 1e-9 * v[4:, 1]  # an alternate-form x block too small to read
+        v, w = v / np.linalg.norm(v, axis=0), w / np.linalg.norm(w, axis=0)
         x, y, ok = recover_vectors(v, w, first, 4)
         blocks = np.hstack([v[:4, :first], v[4:, first:]])
         want_x = blocks / np.linalg.norm(blocks, axis=0)
@@ -280,6 +282,24 @@ class TestRecoverVectors:
             )),
         ):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("norm, readable", [(5e-9, False), (2e-8, True)])
+    def test_block_norm_below_1e_8_is_unreadable(self, norm, readable):
+        # unit columns whose x block (top, as the first form reads it, then
+        # bottom, as the alternate form does) or y block (top) has the given
+        # norm; the rest of each column is unit mass on a row of the other block
+        rest = math.sqrt(1.0 - norm**2)
+        v = np.zeros((8, 3), dtype=complex)
+        w = np.zeros((8, 3), dtype=complex)
+        v[[0, 4, 4], [0, 1, 2]] = norm, norm, 1.0
+        v[[4, 0], [0, 1]] = rest
+        w[0, :2] = 1.0
+        w[[0, 4], 2] = norm, rest
+        x, y, ok = recover_vectors(v, w, 1, 4)
+        assert ok.tolist() == [readable] * 3
+        # every block comes back unit, readable or not
+        np.testing.assert_allclose(np.linalg.norm(x, axis=0), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(y, axis=0), 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("first", [0, 2, 5])
     def test_pencil_vectors_come_back_unchanged(self, first):

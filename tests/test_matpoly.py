@@ -355,8 +355,8 @@ class TestScaleQuadratic:
             balanced, gamma = scale_quadratic(q)
             a0, b0 = first_companion(q)
             a1, b1 = first_companion(balanced)
-            lam0 = generalized_eig(a0, b0, want_left=False).eigenvalues()
-            lam1 = generalized_eig(a1, b1, want_left=False).eigenvalues()
+            lam0 = generalized_eig(a0, b0).eigenvalues()
+            lam1 = generalized_eig(a1, b1).eigenvalues()
             assert_multiset_close(lam0, gamma * lam1, rtol=1e6 * UNIT_ROUNDOFF)
 
 

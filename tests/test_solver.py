@@ -1,6 +1,7 @@
 """End-to-end randomized solvers: classification, determinism, invariants."""
 
 import cmath
+import collections.abc
 import math
 
 import numpy as np
@@ -436,6 +437,15 @@ class TestSolveResult:
         for i in (k, -k - 1):
             with pytest.raises(IndexError):
                 res[i]
+
+    def test_not_a_sequence(self):
+        # every access builds new records, which compare by identity, so a
+        # Sequence's index and count could never find one: the result offers
+        # len, iteration, indexing and slices only
+        res = self._result()
+        assert res[0] is not res[0]
+        assert not isinstance(res, collections.abc.Sequence)
+        assert not hasattr(res, "index") and not hasattr(res, "count")
 
     def test_views_equal_array_rows(self):
         res = self._result()
