@@ -1,4 +1,4 @@
-"""Same-outputs fingerprint: three SHA-256 digests of solver and study outputs.
+"""Same-outputs fingerprint: four SHA-256 digests of solver and study outputs.
 
     PYTHONPATH=src python .github/fingerprint.py
 
@@ -7,9 +7,10 @@ prints one line per digest:
 - ``builtin``: every ``SolveResult`` array (values, kappa_bar, accepted,
   source_codes, right and left vectors) of the built-ins, problem seed 1,
   solver seeds 0-199;
-- ``projected``: the same arrays of projected solves,
-  ``synth_pencil(60, 30, seed=s)`` with solver seed s for s = 0-9 and a
-  chain quadratic n = 20, r = 10 with solver seeds 0-4;
+- ``projected_pencil``: the same arrays of projected pencil solves,
+  ``synth_pencil(60, 30, seed=s)`` with solver seed s for s = 0-9;
+- ``projected_quadratic``: the same arrays of projected quadratic solves,
+  a chain quadratic n = 20, r = 10 with solver seeds 0-4;
 - ``study``: the study functions of ``verify``, ``condition`` and
   ``matpoly`` on four designed problems, kept Monte Carlo trials of every
   built-in, the perturbation sampler, the model tails and the matcher.
@@ -81,11 +82,16 @@ def builtin_digest():
     return h.hexdigest()
 
 
-def projected_digest():
+def projected_pencil_digest():
     h = hashlib.sha256()
     for s in range(10):
         p, _ = synth_pencil(60, 30, seed=s)
         feed(h, result_arrays(solve_polynomial(p, SolverConfig(seed=s))))
+    return h.hexdigest()
+
+
+def projected_quadratic_digest():
+    h = hashlib.sha256()
     lams = [0.4 * k * np.exp(0.7j * k) for k in range(1, 11)]
     q = chain_quadratic(lams, 20, rng=0).polynomial()
     for s in range(5):
@@ -157,5 +163,6 @@ def study_digest():
 
 if __name__ == "__main__":
     print("builtin", builtin_digest())
-    print("projected", projected_digest())
+    print("projected_pencil", projected_pencil_digest())
+    print("projected_quadratic", projected_quadratic_digest())
     print("study", study_digest())

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Solve checks shared by the CI jobs: the QZ routine and projection
-# crossovers, a projected solve past both, and the same output bytes and
+# crossovers, a projected pencil and a projected quadratic solve past
+# both, and the same output bytes and
 # output fingerprint (fingerprint.py) from two processes under different
 # hash seeds.  Needs the sqeig package installed, with its console script
 # on PATH, and writes its files to $RUNNER_TEMP.
@@ -17,14 +18,22 @@ sqeig solve --input "$RUNNER_TEMP/large.json" --json > "$RUNNER_TEMP/large-out.j
 # the projected solve accepts exactly the pencil's 30 finite eigenvalues
 python -c "import json, sys; n = sum(r['accepted'] for r in json.load(open(sys.argv[1]))); print('accepted:', n); sys.exit(n != 30)" "$RUNNER_TEMP/large-out.json"
 
+echo "== A projected quadratic: chain quadratic n = 40, normal rank 20, QZ at order 2r = 40"
+python -c "import sys; import numpy as np; from sqeig import probfile; from sqeig.construct import chain_quadratic; inst = chain_quadratic([0.4 * k * np.exp(0.7j * k) for k in range(1, 21)], 40, rng=0); probfile.dump(probfile.ProblemFile(inst.polynomial().coeffs, truth=inst.eigenvalues, name='chain-quadratic-40-20'), sys.argv[1])" "$RUNNER_TEMP/chain.json"
+sqeig solve --input "$RUNNER_TEMP/chain.json" --json > "$RUNNER_TEMP/chain-out.json"
+# the projected solve accepts exactly the quadratic's 20 eigenvalues
+python -c "import json, sys; n = sum(r['accepted'] for r in json.load(open(sys.argv[1]))); print('accepted:', n); sys.exit(n != 20)" "$RUNNER_TEMP/chain-out.json"
+
 echo "== Same bytes and fingerprint from two processes under different hash seeds"
 for seed in 1 2; do
   PYTHONHASHSEED=$seed sqeig solve --builtin ex8 --seed 3 --json > "$RUNNER_TEMP/ex8-$seed.json"
   PYTHONHASHSEED=$seed sqeig solve --input "$RUNNER_TEMP/large.json" --json > "$RUNNER_TEMP/large-$seed.json"
+  PYTHONHASHSEED=$seed sqeig solve --input "$RUNNER_TEMP/chain.json" --json > "$RUNNER_TEMP/chain-$seed.json"
   PYTHONHASHSEED=$seed python "$(dirname "$0")/fingerprint.py" > "$RUNNER_TEMP/fingerprint-$seed.txt"
 done
 cmp "$RUNNER_TEMP/ex8-1.json" "$RUNNER_TEMP/ex8-2.json"
 cmp "$RUNNER_TEMP/large-1.json" "$RUNNER_TEMP/large-2.json"
+cmp "$RUNNER_TEMP/chain-1.json" "$RUNNER_TEMP/chain-2.json"
 cat "$RUNNER_TEMP/fingerprint-1.txt"
 cmp "$RUNNER_TEMP/fingerprint-1.txt" "$RUNNER_TEMP/fingerprint-2.txt"
 echo "solve checks passed"

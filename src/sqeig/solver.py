@@ -14,18 +14,18 @@ A large problem with a large nullity is projected instead of perturbed
 eigenvalue problems. Part II: projection and augmentation", SIMAX 2023):
 one of companion order m*n >= ``PROJECT_FROM_ORDER`` whose nullity n - r
 (r the normal rank) is at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n.
-The first companion pair, of normal rank k = m*n - (n - r), is
-compressed to the regular k-by-k pair ``(U* A V, U* B V)``, where U and
-V are random with orthonormal columns, so the QZ call shrinks from order
-m*n to k.  The projected pair keeps the true eigenvalues exactly; its
-other eigenvalues are placed by U and V, their lifted eigenvectors
-``V v`` and ``U w`` are no eigenvectors of the unprojected problem, and
-their ``kappa_bar`` often lies below ``tol``.  So a candidate is accepted
-on this route only if also its two-sided backward error eta on the
+The balanced coefficients A_j are compressed to the r-by-r ``U* A_j V``,
+U and V random n-by-r with orthonormal columns, and the projected
+polynomial, regular almost surely, is linearized: the QZ call shrinks
+from order m*n to m*r.  Its eigenvalues include the true ones exactly;
+the others are placed by U and V, their lifted eigenvectors ``V x`` and
+``U y`` are no eigenvectors of the unprojected problem, and their
+``kappa_bar`` often lies below ``tol``.  So a candidate is accepted on
+this route only if also its two-sided backward error eta on the
 balanced, unprojected polynomial (``matpoly.backward_errors``) is at
-most ``densela.residual_tolerance(k)`` = 1e4 * u * k: the residual a
-backward stable QZ of order k leaves, with room for the lift and the
-block reading.  Every other solve is the perturbation route, below
+most ``densela.residual_tolerance(m*r)`` = 1e4 * u * m*r: the residual a
+backward stable QZ of order m*r leaves, with room for the block reading
+and the lift.  Every other solve is the perturbation route, below
 order ``PROJECT_FROM_ORDER`` bit for bit as before the projection
 existed; ``solve_perturbed`` runs it at every order, for the studies of
 the perturbed candidates' condition numbers.
@@ -104,10 +104,10 @@ PROJECT_FROM_ORDER = 33
 #: the smallest nullity (n - r) / (m*n), as a share of the companion order,
 #: that ``solve_polynomial`` projects.  The projection adds two QR
 #: factorizations, the projection products and eta to a QZ call of order
-#: k = m*n - (n - r), so it loses to the perturbation route on a regular
-#: problem (k = m*n); in a scan at orders 200 and 400 the two were about
-#: as fast at shares of 1/32-1/16 and projection won from 1/8 (CHANGES.md
-#: has the scan).
+#: m*r, so it loses on a regular problem (r = n).  A scan of order-200
+#: quadratics, fastest of 5 solves perturbed / projected: share 0 134 / 152
+#: ms, 1/64 145 / 140, 1/32 146 / 131, 1/8 143 / 84 (CHANGES.md); kept at
+#: 1/8, where projection won at every order scanned.
 PROJECT_FROM_NULLITY_SHARE = 1 / 8
 
 
@@ -151,13 +151,12 @@ class ClassifiedEigenvalue:
     route, and on the projected route (companion order
     ``PROJECT_FROM_ORDER`` and up with a nullity of at least
     ``PROJECT_FROM_NULLITY_SHARE`` of it) to that and a backward error on
-    the balanced, unprojected polynomial of at most 1e4 * u * k, k the
-    projected order.  ``source`` names
-    how the eigenvectors were read: ``pencil``; ``C1``, from the top
-    blocks of the first companion form's eigenvectors (|lam| >= 1 on the
-    balanced problem); or ``C1hat``, with the right vector from the bottom
-    block of C1, as the alternate form would (|lam| < 1).  The eigenvectors
-    have unit norm.
+    the balanced, unprojected polynomial of at most 1e4 * u * m*r, m*r the
+    projected QZ order.  ``source`` names how the eigenvectors were read:
+    ``pencil``; ``C1``, from the top blocks of the first companion form's
+    eigenvectors (|lam| >= 1 on the balanced problem); or ``C1hat``, with
+    the right vector from the bottom block of C1, as the alternate form
+    would (|lam| < 1).  The eigenvectors have unit norm.
     """
 
     value: complex
@@ -252,15 +251,15 @@ def solve_polynomial(p, cfg=None):
     nullity n - r at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n, r the
     cached ``normal_rank`` of the balanced polynomial (read from that
     order on only).  Such a problem is projected to its normal rank
-    instead: with k = m*n - (n - r), the first companion pair
-    ``(A, B)`` becomes ``(U* A V, U* B V)`` for n*m-by-k U and V with
-    orthonormal columns drawn from ``default_rng(cfg.seed)``, U first.  The
-    true eigenvalues are eigenvalues of the projected pair; its other
-    eigenvalues depend on U and V.  The eigenvectors are lifted as ``V v``
-    and ``U w`` and classified as on the perturbation route, and a
+    instead: each balanced ``A_j`` becomes ``U* A_j V`` for n-by-r U and V
+    with orthonormal columns from ``default_rng(cfg.seed)``, U first (for
+    a pencil, the projection of its pair), and one QZ call of order m*r
+    solves the projected polynomial, among whose eigenvalues are the true
+    ones.  The eigenvectors, read from blocks of height r, are lifted as
+    ``V x`` and ``U y`` and classified as on the perturbation route, and a
     candidate is accepted only if also its backward error
     (``matpoly.backward_errors``) on the balanced, unprojected polynomial
-    is at most ``densela.residual_tolerance(k)``.  ``epsilon`` is not
+    is at most ``densela.residual_tolerance(m*r)``.  ``epsilon`` is not
     used; a normal rank of 0 gives no candidate.
     Returns a ``SolveResult`` holding every finite candidate in the
     eigensolver's order: modulus (descending), then phase.  For a
@@ -306,13 +305,15 @@ def _orthonormal_columns(rows, cols, rng):
 
 def _solve(p, balanced, gamma, cfg, project):
     rng = np.random.default_rng(cfg.seed)
-    order = p.degree * p.n
-    size = order - p.n + balanced.normal_rank if project else order
+    # the block height of the companion form, r if projected
+    n = balanced.normal_rank if project else p.n
+    size = p.degree * n
     if project:
-        u = _orthonormal_columns(order, size, rng)
-        v = _orthonormal_columns(order, size, rng)
+        u = _orthonormal_columns(p.n, n, rng)
+        v = _orthonormal_columns(p.n, n, rng)
         uh = u.conj().T
-        pair = tuple(uh @ c @ v for c in first_companion(balanced))
+        projected = MatrixPolynomial._derived(tuple(uh @ c @ v for c in balanced.coeffs))
+        pair = first_companion(projected)
     else:
         e = sample_perturbation(p.n, p.degree, rng)
         pair = first_companion(balanced, e, cfg.epsilon)
@@ -331,14 +332,13 @@ def _solve(p, balanced, gamma, cfg, project):
         lam, (right, left) = np.empty(0, dtype=complex), pair
     # the finite pairs lead the order
     k = lam.size
-    right, left = right[:, :k], left[:, :k]
-    if project:
-        right, left = v @ right, u @ left
     # the eigenvector block each form reads, chosen by modulus as the paper
     # chooses the form; both read the eigenvectors of C1, and the
     # large-modulus (C1) candidates are a prefix of the order
     first = int(np.count_nonzero(np.abs(lam) >= 1.0))
-    x, y, ok = recover_vectors(right, left, first, p.n)
+    x, y, ok = recover_vectors(right[:, :k], left[:, :k], first, n)
+    if project:
+        x, y = v @ x, u @ y
     codes = np.full(k, _PENCIL_CODE if p.degree == 1 else _C1HAT_CODE, dtype=np.int8)
     if p.degree == 2:
         codes[:first] = _C1_CODE

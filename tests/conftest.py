@@ -1,9 +1,11 @@
 import numpy as np
 import scipy.optimize
 
-from sqeig.condition import power_sum
-from sqeig.densela import column_norms
-from sqeig.matpoly import MatrixPolynomial
+from sqeig.condition import condition_numbers, power_sum
+from sqeig.densela import column_norms, generalized_eig, residual_tolerance
+from sqeig.linearize import first_companion, recover_vectors
+from sqeig.matpoly import MatrixPolynomial, backward_errors
+from sqeig.solver import SOURCES
 
 
 def assert_multiset_close(got, expected, rtol=0.0, atol=0.0):
@@ -132,3 +134,45 @@ def condition_reference(coeffs, lam, x, y):
     with np.errstate(divide="ignore"):
         kappa = np.sqrt(power_sum(lam, degree)) / np.abs((y.conj() * dx).sum(axis=0))
     return float(kappa) if kappa.ndim == 0 else kappa
+
+
+def companion_projection_reference(p, cfg):
+    """The projected solve as it was written when it projected the companion pair.
+
+    The first companion pair ``(A, B)`` of the balanced polynomial, of
+    normal rank k = m*n - (n - r), is compressed to ``(U* A V, U* B V)``
+    with mn-by-k U and V of orthonormal columns drawn from
+    ``default_rng(cfg.seed)``, U first; the eigenvectors are lifted as
+    ``V v`` and ``U w`` and read back with blocks of height n, and the eta
+    gate is ``residual_tolerance(k)``.  A pencil is its own companion form
+    (k = r), so ``solve_polynomial`` must reproduce this bit for bit on a
+    projected pencil.  Needs k > 0.  Returns the ``SolveResult`` arrays as
+    a tuple: values, kappa_bar, accepted, source_codes, right and left
+    vectors.
+    """
+    balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
+    order = p.degree * p.n
+    k = order - p.n + balanced.normal_rank
+    rng = np.random.default_rng(cfg.seed)
+    bases = []
+    for _ in range(2):
+        z = rng.standard_normal((2, order, k))
+        bases.append(np.linalg.qr(z[0] + 1j * z[1])[0])
+    u, v = bases
+    uh = u.conj().T
+    dec = generalized_eig(*(uh @ c @ v for c in first_companion(balanced)))
+    lam = dec.finite_values
+    right = v @ dec.right_vectors[:, : lam.size]
+    left = u @ dec.left_vectors[:, : lam.size]
+    first = int(np.count_nonzero(np.abs(lam) >= 1.0))
+    x, y, ok = recover_vectors(right, left, first, p.n)
+    codes = np.full(lam.size, SOURCES.index("pencil" if p.degree == 1 else "C1hat"), dtype=np.int8)
+    if p.degree == 2:
+        codes[:first] = SOURCES.index("C1")
+    kappa = condition_numbers(balanced, lam, x, y)
+    kappa[~ok] = np.inf
+    accepted = kappa <= cfg.tol
+    kept = np.flatnonzero(accepted)
+    eta = backward_errors(balanced, lam[kept], x[:, kept], y[:, kept])
+    accepted[kept] = eta <= residual_tolerance(k)
+    return gamma * lam, kappa, accepted, codes, x, y

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_multiset_close, perturbed
+from conftest import assert_multiset_close, companion_projection_reference, perturbed
 from sqeig.condition import inverse_condition
 from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.matpoly import DegenerateProblemError, MatrixPolynomial, scale_quadratic
@@ -686,7 +686,7 @@ def test_projected_route_gates_on_backward_error():
     cfg = SolverConfig(seed=0)
     res = solve_polynomial(p, cfg)
     eta = backward_errors(balanced, res.values / gamma, res.right_vectors, res.left_vectors)
-    size = p.degree * p.n - p.n + balanced.normal_rank
+    size = p.degree * balanced.normal_rank
     gate = residual_tolerance(size)
     assert res.accepted.tolist() == ((res.kappa_bar <= cfg.tol) & (eta <= gate)).tolist()
     assert np.count_nonzero((res.kappa_bar <= cfg.tol) & (eta > gate)) > 0
@@ -710,8 +710,78 @@ def test_projected_order_is_the_normal_rank(monkeypatch):
     chain, _ = _chain(0)
     solve_polynomial(synth, SolverConfig(seed=0))
     solve_polynomial(chain, SolverConfig(seed=0))
-    # k = m*n - (n - r): r for a pencil, n + r for a quadratic
-    assert calls == [(24, 24), (36, 36)]
+    # m*r: the polynomial is projected to r-by-r coefficients, then linearized
+    assert calls == [(24, 24), (24, 24)]
+
+
+def _synth(seed):
+    # 60 x 60, rank 30, every eigenvalue of the regular part finite
+    from sqeig.corpus import synth_pencil
+
+    return synth_pencil(60, 30, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "build", [_synth, _synth_with_infinite], ids=["synth_pencil", "synth_pencil_with_infinite"]
+)
+def test_projected_pencil_is_the_companion_projection(build):
+    # a pencil is its own first companion form, so projecting its
+    # coefficients is projecting its companion pair, bit for bit
+    for seed in range(3):
+        p, _ = build(seed)
+        cfg = SolverConfig(seed=seed)
+        res = solve_polynomial(p, cfg)
+        got = (res.values, res.kappa_bar, res.accepted, res.source_codes, res.right_vectors, res.left_vectors)
+        for a, b in zip(got, companion_projection_reference(p, cfg)):
+            assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes(), seed
+
+
+def _quadratic_with_infinite(seed):
+    # n = 40 (companion order 80), normal rank 20: diagonal entries
+    # (lam - a_i)(lam - b_i) for i < 12 and lam - c_j for the next 8, so the
+    # regular part has a singular leading coefficient and 8 infinite
+    # eigenvalues besides its 32 finite ones
+    from sqeig.construct import diagonal, random_conjugation
+
+    rng = np.random.default_rng(seed)
+    roots = _annulus(32, rng)
+    a, b, c = roots[:12], roots[12:24], roots[24:]
+    m = diagonal(np.ones(12), 40)
+    cc = diagonal(np.concatenate((-(a + b), np.ones(8))), 40)
+    k = diagonal(np.concatenate((a * b, -c)), 40)
+    (m, cc, k), _ = random_conjugation((m, cc, k), rng)
+    return MatrixPolynomial.quadratic(m, cc, k), roots
+
+
+@pytest.mark.parametrize("problem_seed", range(5))
+def test_projected_quadratic_with_infinite_eigenvalues(problem_seed):
+    from sqeig.verify import match_accepted
+
+    p, truth = _quadratic_with_infinite(problem_seed)
+    assert p.balancing[0].normal_rank == 20
+    for seed in range(3):
+        res = solve_polynomial(p, SolverConfig(seed=seed))
+        # QZ at order 2r = 40 finds the 32 finite values and 8 infinite ones
+        assert len(res) == 32, (problem_seed, seed)
+        assert match_accepted(res.values[res.accepted], truth, 1e-6) is not None, (problem_seed, seed)
+
+
+@pytest.mark.parametrize("problem_seed", range(3))
+def test_projected_diagonal_quadratic_rejects_no_candidate(problem_seed):
+    # n = 24 (companion order 48), normal rank 9: the projected quadratic
+    # has a companion form of order 18, and all 18 of its eigenvalues are true
+    from sqeig.construct import diagonal_quadratic
+    from sqeig.verify import match_accepted
+
+    rng = np.random.default_rng(problem_seed)
+    roots = _annulus(18, rng)
+    inst = diagonal_quadratic(list(zip(roots[::2], roots[1::2])), 24, rng=rng)
+    p = inst.polynomial()
+    assert p.degree * p.n >= PROJECT_FROM_ORDER
+    for seed in range(3):
+        res = solve_polynomial(p, SolverConfig(seed=seed))
+        assert len(res) == 18 and res.accepted.all(), (problem_seed, seed)
+        assert match_accepted(res.values, inst.eigenvalues, 1e-6) is not None, (problem_seed, seed)
 
 
 @pytest.mark.parametrize("rank, qz_order", [(57, 64), (56, 56)])
