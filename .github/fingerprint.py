@@ -1,4 +1,4 @@
-"""Same-outputs fingerprint: four SHA-256 digests of solver and study outputs.
+"""Same-outputs fingerprint: five SHA-256 digests of solver and study outputs.
 
     PYTHONPATH=src python .github/fingerprint.py
 
@@ -13,7 +13,15 @@ prints one line per digest:
   a chain quadratic n = 20, r = 10 with solver seeds 0-4;
 - ``study``: the study functions of ``verify``, ``condition`` and
   ``matpoly`` on four designed problems, kept Monte Carlo trials of every
-  built-in, the perturbation sampler, the model tails and the matcher.
+  built-in, the perturbation sampler, the model tails and the matcher;
+- ``large``: every ``SolveResult`` array of solves whose eigensolver
+  runs at order 33 or more, solver seeds 0-4 each:
+  ``synth_pencil(80, 40, seed=0)`` and a chain quadratic n = 40, r = 20,
+  both projected to order 40, and a regular pencil of order 40 on the
+  perturbation route, all three with a well-conditioned B (``zgeev``),
+  and the chain quadratic through ``solve_perturbed`` at order 80, whose
+  B is ill conditioned (QZ).  The other digests cover orders below 33
+  only.
 
 Each array enters its digest with its dtype and shape, then its bytes, so
 a change in any bit of any output changes a digest.  A change that claims
@@ -33,9 +41,20 @@ from sqeig.condition import (
     inverse_condition,
     sensitivity_tail,
 )
-from sqeig.construct import chain_quadratic, diagonal_pencil, diagonal_quadratic
+from sqeig.construct import (
+    chain_quadratic,
+    diagonal,
+    diagonal_pencil,
+    diagonal_quadratic,
+    random_conjugation,
+)
 from sqeig.corpus import BUILTIN_NAMES, builtin, synth_pencil
-from sqeig.matpoly import backward_errors, sample_perturbation, sample_perturbations
+from sqeig.matpoly import (
+    MatrixPolynomial,
+    backward_errors,
+    sample_perturbation,
+    sample_perturbations,
+)
 from sqeig.solver import SolverConfig, solve_perturbed, solve_polynomial
 from sqeig.verify import (
     empirical_probability,
@@ -96,6 +115,22 @@ def projected_quadratic_digest():
     q = chain_quadratic(lams, 20, rng=0).polynomial()
     for s in range(5):
         feed(h, result_arrays(solve_polynomial(q, SolverConfig(seed=s))))
+    return h.hexdigest()
+
+
+def large_digest():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(0)
+    lams = 1.5 * np.exp(2j * np.pi * rng.random(40)) * rng.uniform(0.5, 1.0, 40)
+    (a, b), _ = random_conjugation((diagonal(lams, 40), np.eye(40)), rng)
+    problems = [
+        synth_pencil(80, 40, seed=0)[0],
+        chain_quadratic([0.4 * k * np.exp(0.7j * k) for k in range(1, 21)], 40, rng=0).polynomial(),
+        MatrixPolynomial.pencil(a, b),
+    ]
+    for solve, p in [(solve_polynomial, q) for q in problems] + [(solve_perturbed, problems[1])]:
+        for s in range(5):
+            feed(h, result_arrays(solve(p, SolverConfig(seed=s))))
     return h.hexdigest()
 
 
@@ -166,3 +201,4 @@ if __name__ == "__main__":
     print("projected_pencil", projected_pencil_digest())
     print("projected_quadratic", projected_quadratic_digest())
     print("study", study_digest())
+    print("large", large_digest())

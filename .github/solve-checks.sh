@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Solve checks shared by the CI jobs: the QZ routine and projection
-# crossovers, a projected pencil and a projected quadratic solve past
-# both, and the same output bytes and
-# output fingerprint (fingerprint.py) from two processes under different
-# hash seeds.  Needs the sqeig package installed, with its console script
+# crossovers, the eigensolver that runs for a well-conditioned and for a
+# singular B at order 60, a projected pencil and a projected quadratic
+# solve past both crossovers, and the same output bytes and output
+# fingerprint (fingerprint.py) from two processes under different hash
+# seeds.  Needs the sqeig package installed, with its console script
 # on PATH, and writes its files to $RUNNER_TEMP.
 #
 #   RUNNER_TEMP=$(mktemp -d) bash .github/solve-checks.sh
@@ -18,7 +19,11 @@ sqeig solve --input "$RUNNER_TEMP/large.json" --json > "$RUNNER_TEMP/large-out.j
 # the projected solve accepts exactly the pencil's 30 finite eigenvalues
 python -c "import json, sys; n = sum(r['accepted'] for r in json.load(open(sys.argv[1]))); print('accepted:', n); sys.exit(n != 30)" "$RUNNER_TEMP/large-out.json"
 
-echo "== A projected quadratic: chain quadratic n = 40, normal rank 20, QZ at order 2r = 40"
+echo "== Eigensolver at order 60: zgeev for a well-conditioned B, QZ for a singular one"
+# fails unless the singular B (synth_pencil's own pair, rank 30) ran QZ
+python -c "import sys; import numpy as np; from sqeig.corpus import synth_pencil; from sqeig.densela import generalized_eig, qz_routine; from sqeig.linearize import first_companion; z = np.random.default_rng(0).standard_normal((2, 60, 60)); well = generalized_eig(z[0], np.eye(60) + 0.1 * z[1]).routine; p, _ = synth_pencil(60, 30, seed=1); singular = generalized_eig(*first_companion(p)).routine; print('well-conditioned B:', well, '/ singular B:', singular); sys.exit(singular != qz_routine(60))"
+
+echo "== A projected quadratic: chain quadratic n = 40, normal rank 20, solved at order 2r = 40"
 python -c "import sys; import numpy as np; from sqeig import probfile; from sqeig.construct import chain_quadratic; inst = chain_quadratic([0.4 * k * np.exp(0.7j * k) for k in range(1, 21)], 40, rng=0); probfile.dump(probfile.ProblemFile(inst.polynomial().coeffs, truth=inst.eigenvalues, name='chain-quadratic-40-20'), sys.argv[1])" "$RUNNER_TEMP/chain.json"
 sqeig solve --input "$RUNNER_TEMP/chain.json" --json > "$RUNNER_TEMP/chain-out.json"
 # the projected solve accepts exactly the quadratic's 20 eigenvalues

@@ -1,22 +1,35 @@
 """Dense complex linear-algebra substrate.
 
 Singular values with tolerance-based rank and nullspace decisions, plus a
-QZ-backed generalized eigensolver that reports eigenvalues as homogeneous
+generalized eigensolver that reports eigenvalues as homogeneous
 (alpha, beta) pairs together with unit-norm right and left eigenvectors.
-QZ calls LAPACK directly, by pencil order:
+It calls LAPACK directly, by pencil order k and by the conditioning of B:
 
-- below ``ZGGEV3_FROM_ORDER`` (33), scipy's f2py ``zggev`` with its
+- below ``ZGGEV3_FROM_ORDER`` (33), QZ by scipy's f2py ``zggev`` with its
   workspace size cached per order, which is the size ``scipy.linalg.eig``
   queries, so the eigenvalues carry the same bits at a fraction of the
   wrapper cost;
-- from that order on, ``zggev3`` through ctypes, with its own workspace
-  query cached per order.  It reduces to Hessenberg-triangular form by
-  blocks (``zgghd3``) and, from order 75, iterates with the multishift QZ
-  with aggressive early deflation (``zlaqz0``; Kagstrom and Kressner,
-  SIMAX 2006), about twice as fast as ``zggev`` from order 200.  scipy
-  does not wrap it, so the routine is looked up once at import in the
-  LAPACK that scipy's own ``_flapack`` extension links; where no such
-  symbol resolves, every order runs ``zggev``.
+- from that order on, B is LU-factored (``zgetrf``) and its 1-norm
+  reciprocal condition number estimated (``zgecon``).  Where
+  ``u / rcond(B) <= residual_tolerance(k)`` the pencil is solved as the
+  standard problem ``B^{-1} A`` by ``zgeev``, 2-3 times cheaper than QZ:
+  its eigenvalues are the pencil's, with beta = 1, its right vectors are
+  the pencil's and its left vectors w give the pencil's as ``B^{-*} w``.
+  The solve through B adds at most about u / rcond(B) to the backward
+  error, so the floor keeps it within the budget of a backward stable
+  solve.  The projected solver route, whose B is well conditioned, runs
+  here;
+- otherwise (a singular or ill-conditioned B, as on the paper's
+  perturbation route for a singular problem, where cond(B) ~ 1/epsilon),
+  QZ by ``zggev3`` through ctypes, with its own workspace query cached per
+  order.  It reduces to Hessenberg-triangular form by blocks
+  (``zgghd3``) and, from order 75, iterates with the multishift QZ with
+  aggressive early deflation (``zlaqz0``; Kagstrom and Kressner, SIMAX
+  2006), about twice as fast as ``zggev`` from order 200.  QZ stays
+  backward stable on nearly singular pencils.  scipy does not wrap
+  ``zggev3``, so the routine is looked up once at import in the LAPACK
+  that scipy's own ``_flapack`` extension links; where no such symbol
+  resolves, QZ runs ``zggev`` at every order.
 
 All functions are pure; returned arrays are never mutated afterwards.
 """
@@ -62,6 +75,13 @@ RANK_TOL = 1e-10
 #: LAPACK's complex QZ routine; copies its inputs (overwrite_a/b default to 0)
 _zggev = get_lapack_funcs("ggev", dtype=complex)
 
+#: the standard route's LU factorization, condition estimate, LU solve,
+#: eigensolver and eigensolver workspace query; each copies its inputs
+#: unless told to overwrite them
+_zgetrf, _zgecon, _zgetrs, _zgeev, _zgeev_lwork_query = get_lapack_funcs(
+    ("getrf", "gecon", "getrs", "geev", "geev_lwork"), dtype=complex
+)
+
 
 @functools.cache
 def _zggev_lwork(n):
@@ -72,14 +92,29 @@ def _zggev_lwork(n):
     return int(_zggev(z, z, lwork=-1)[-2][0].real)
 
 
+@functools.cache
+def _zgeev_lwork(n):
+    # the query scipy.linalg.eig makes for both vector sets of a standard
+    # problem; its answer depends on the order only
+    return int(_zgeev_lwork_query(n, compute_vl=1, compute_vr=1)[0].real)
+
+
 class EigensolverError(RuntimeError):
     """A dense decomposition failed to converge or produced indeterminate output."""
 
 
-#: the smallest pencil order whose QZ runs through zggev3.  Below it zggev3
-#: returns the same alpha, beta and eigenvector bits as zggev (its blocked
-#: reduction starts at order 33), so it would only add the cost of the
-#: ctypes call, about 10 us, to every small solve.
+def _check_info(routine, info, n):
+    if info != 0:
+        raise EigensolverError(f"LAPACK call failed for pencil of order {n} ({routine} info={info})")
+
+
+#: the smallest pencil order whose QZ runs through zggev3, and the smallest
+#: that may take the standard route.  Below it zggev3 returns the same
+#: alpha, beta and eigenvector bits as zggev (its blocked reduction starts
+#: at order 33), so it would only add the cost of the ctypes call, about
+#: 10 us, to every small solve; the standard route starts there too, so
+#: every small solve, the built-ins and their Monte Carlo traffic among
+#: them, keeps its bits.
 ZGGEV3_FROM_ORDER = 33
 
 
@@ -149,7 +184,12 @@ def _zggev3_lwork(n):
 
 
 def qz_routine(order):
-    """Name of the LAPACK routine ``generalized_eig`` runs for a pencil of this order."""
+    """Name of the QZ routine ``generalized_eig`` runs for a pencil of this order.
+
+    It runs QZ below ``ZGGEV3_FROM_ORDER`` and, from that order on, where
+    B is singular or too ill conditioned for the standard route ``zgeev``;
+    ``GeneralizedEigenDecomposition.routine`` names the one that ran.
+    """
     return "zggev3" if order >= ZGGEV3_FROM_ORDER and _ZGGEV3 is not None else "zggev"
 
 
@@ -157,6 +197,34 @@ def _zggev3(a, b):
     """``(alphas, betas, vl, vr, info)`` of ``zggev3`` on copies of ``a``, ``b``."""
     lwork = _zggev3_lwork(a.shape[0])
     return _call_zggev3(a, b, np.empty(lwork, dtype=complex), lwork)
+
+
+def _standard(a, b):
+    """``(w, vl, vr)`` of the pencil solved as ``B^{-1} A`` by ``zgeev``.
+
+    None where B is exactly singular or ``u / rcond(B)`` exceeds
+    ``residual_tolerance(k)``; ``w`` are the eigenvalues and ``vl``, ``vr``
+    the pencil's left and right eigenvectors, neither normalized.
+    """
+    n = a.shape[0]
+    lu, piv, info = _zgetrf(b)
+    if info > 0:
+        # an exact zero pivot: B is singular
+        return None
+    _check_info("zgetrf", info, n)
+    rcond, info = _zgecon(lu, np.abs(b).sum(axis=0).max(), norm="1")
+    _check_info("zgecon", info, n)
+    # u / rcond <= residual_tolerance(n), written so that rcond = 0 fails it
+    if not rcond * residual_tolerance(n) >= UNIT_ROUNDOFF:
+        return None
+    c, info = _zgetrs(lu, piv, a)
+    _check_info("zgetrs", info, n)
+    w, vl, vr, info = _zgeev(c, lwork=_zgeev_lwork(n), overwrite_a=True)
+    _check_info("zgeev", info, n)
+    # w* B^{-1} A = lam w* makes y = B^{-*} w a left vector of the pencil
+    vl, info = _zgetrs(lu, piv, vl, trans=2, overwrite_b=True)
+    _check_info("zgetrs", info, n)
+    return w, vl, vr
 
 
 def as_matrix(a, name="matrix"):
@@ -249,7 +317,9 @@ class GeneralizedEigenDecomposition:
     positive.  The finite pairs lead the order, and ``finite_values`` holds
     their eigenvalues alpha/beta: entry j belongs to column j of the
     vectors, so the finite pairs are read as ``finite_values`` and the
-    first ``finite_values.size`` columns.
+    first ``finite_values.size`` columns.  ``routine`` names the LAPACK
+    eigensolver that ran: ``zgeev`` on the standard route, whose betas
+    are all 1, else the QZ routine ``zggev3`` or ``zggev``.
     """
 
     alphas: np.ndarray
@@ -257,6 +327,7 @@ class GeneralizedEigenDecomposition:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     finite_values: np.ndarray
+    routine: str
 
     @property
     def order(self):
@@ -283,13 +354,19 @@ def generalized_eig(a, b):
     last.  Both vector sets are returned, every column unit and
     phase-fixed, so that callers never renormalize them.
 
-    QZ is LAPACK ``zggev`` below order ``ZGGEV3_FROM_ORDER`` and
-    ``zggev3`` from it, where the library exports ``zggev3`` (``zggev``
-    at every order where it does not).  Below the crossover both give the
-    same bits; above it their results differ at rounding level, and
-    ``zggev3`` takes about half the time from order 200.  A failed QZ
-    (``info`` not 0), a non-finite pair or an indeterminate pair
-    (alpha = beta = 0) raises EigensolverError.
+    Below order ``ZGGEV3_FROM_ORDER`` QZ runs, by LAPACK ``zggev``.  From
+    that order on, a B whose estimated 1-norm reciprocal condition number
+    rcond satisfies ``u / rcond <= residual_tolerance(k)`` gives the
+    standard problem ``B^{-1} A``, solved by LU (``zgetrf``, ``zgetrs``)
+    and ``zgeev``, with beta = 1 and the left vectors ``B^{-*} w``; an
+    exactly singular or more ill-conditioned B gives QZ by ``zggev3``,
+    where the library exports it (``zggev`` where it does not).  Both
+    routes are backward stable within ``residual_tolerance(k)`` and order
+    and normalize their output alike; ``routine`` on the result names the
+    eigensolver that ran.  A non-zero ``info`` from any LAPACK call (but
+    a zero pivot in ``zgetrf``, which sends the pencil to QZ), a
+    non-finite pair or an indeterminate pair (alpha = beta = 0) raises
+    EigensolverError.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -298,13 +375,18 @@ def generalized_eig(a, b):
     n = a.shape[0]
     if n == 0:
         raise ValueError("pencil order must be at least 1, got order 0")
-    routine = qz_routine(n)
-    if routine == "zggev3":
-        alphas, betas, vl, vr, info = _zggev3(a, b)
+    standard = _standard(a, b) if n >= ZGGEV3_FROM_ORDER else None
+    if standard is not None:
+        routine = "zgeev"
+        alphas, vl, vr = standard
+        betas = np.ones(n, dtype=complex)
     else:
-        alphas, betas, vl, vr, _, info = _zggev(a, b, lwork=_zggev_lwork(n))
-    if info != 0:
-        raise EigensolverError(f"QZ iteration failed for pencil of order {n} ({routine} info={info})")
+        routine = qz_routine(n)
+        if routine == "zggev3":
+            alphas, betas, vl, vr, info = _zggev3(a, b)
+        else:
+            alphas, betas, vl, vr, _, info = _zggev(a, b, lwork=_zggev_lwork(n))
+        _check_info(routine, info, n)
     abs_betas = np.abs(betas)
     moduli = np.abs(alphas) + abs_betas
     # |alpha| + |beta| is NaN or infinite where alpha or beta is
@@ -332,4 +414,5 @@ def generalized_eig(a, b):
         right_vectors=vectors[:, :n],
         left_vectors=vectors[:, n:],
         finite_values=lam[order[: np.count_nonzero(finite)]],
+        routine=routine,
     )

@@ -5,7 +5,7 @@ quadratic's alternate form (the first is reliable for eigenvalues of large
 modulus, the alternate for small), eigenvector recovery, and orthonormal
 bases of the linearization kernels built from kernel bases of the
 quadratic.  The alternate form is the first form times the unimodular
-[[I, C], [0, I]], so the solver runs QZ on the first form only and applies
+[[I, C], [0, I]], so the solver solves the first form only and applies
 either recovery to its eigenvectors; the study functions use both forms.
 """
 

@@ -3,11 +3,14 @@
 One pipeline serves pencils and quadratics: add a small random
 perturbation to the coefficients (turning the singular problem into a
 regular one almost surely), solve the perturbed problem with a dense
-QZ-backed eigensolver, and classify each computed eigenvalue by its
-condition number.  Well conditioned eigenvalues approximate true
-eigenvalues of the original problem; eigenvalues created from the
-perturbed singular part come out violently ill conditioned and are
-rejected by the threshold.
+eigensolver, and classify each computed eigenvalue by its condition
+number.  The perturbed problem is regular but nearly singular: a singular
+problem has a singular leading coefficient (det P = 0 has no top term),
+so the perturbed one has a condition number of order 1/epsilon, and
+``densela.generalized_eig`` solves it by QZ, which stays backward stable
+there.  Well conditioned eigenvalues approximate true eigenvalues of the
+original problem; eigenvalues created from the perturbed singular part
+come out violently ill conditioned and are rejected by the threshold.
 
 A large problem with a large nullity is projected instead of perturbed
 (Hochstenbach, Mehl and Plestenjak, "Solving singular generalized
@@ -16,23 +19,27 @@ one of companion order m*n >= ``PROJECT_FROM_ORDER`` whose nullity n - r
 (r the normal rank) is at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n.
 The balanced coefficients A_j are compressed to the r-by-r ``U* A_j V``,
 U and V random n-by-r with orthonormal columns, and the projected
-polynomial, regular almost surely, is linearized: the QZ call shrinks
-from order m*n to m*r.  Its eigenvalues include the true ones exactly;
-the others are placed by U and V, their lifted eigenvectors ``V x`` and
+polynomial, regular almost surely, is linearized: the eigensolver call
+shrinks from order m*n to m*r.  The projected leading coefficient is well
+conditioned, so from order 33 ``densela.generalized_eig`` solves that
+pencil as the standard problem ``B^{-1} A`` by ``zgeev``, 2-3 times
+cheaper than QZ, and by QZ where it is not (infinite eigenvalues make it
+singular).  Its eigenvalues include the true ones exactly; the others
+are placed by U and V, their lifted eigenvectors ``V x`` and
 ``U y`` are no eigenvectors of the unprojected problem, and their
 ``kappa_bar`` often lies below ``tol``.  So a candidate is accepted on
 this route only if also its two-sided backward error eta on the
 balanced, unprojected polynomial (``matpoly.backward_errors``) is at
 most ``densela.residual_tolerance(m*r)`` = 1e4 * u * m*r: the residual a
-backward stable QZ of order m*r leaves, with room for the block reading
-and the lift.  Every other solve is the perturbation route, below
+backward stable eigensolver of order m*r leaves, with room for the block
+reading and the lift.  Every other solve is the perturbation route, below
 order ``PROJECT_FROM_ORDER`` bit for bit as before the projection
 existed; ``solve_perturbed`` runs it at every order, for the studies of
 the perturbed candidates' condition numbers.
 
 A quadratic is balanced first (once per polynomial, see
-``MatrixPolynomial.balancing``) and solved by one QZ call on its first
-companion form C1.  The alternate form C1hat = L * C1, with the unimodular
+``MatrixPolynomial.balancing``) and solved by one eigensolver call on
+its first companion form C1.  The alternate form C1hat = L * C1, with the unimodular
 L = [[I, C], [0, I]], has the same eigenvalues and right eigenvectors, and
 left eigenvectors with the same top block, so both forms' eigenvector
 recovery reads the eigenvectors of C1: large-modulus candidates as the
@@ -103,11 +110,15 @@ PROJECT_FROM_ORDER = 33
 
 #: the smallest nullity (n - r) / (m*n), as a share of the companion order,
 #: that ``solve_polynomial`` projects.  The projection adds two QR
-#: factorizations, the projection products and eta to a QZ call of order
-#: m*r, so it loses on a regular problem (r = n).  A scan of order-200
-#: quadratics, fastest of 5 solves perturbed / projected: share 0 134 / 152
-#: ms, 1/64 145 / 140, 1/32 146 / 131, 1/8 143 / 84 (CHANGES.md); kept at
-#: 1/8, where projection won at every order scanned.
+#: factorizations, the projection products and eta to an eigensolver call
+#: of order m*r, so it gains nothing on a regular problem (r = n).  A scan of
+#: order-200 quadratics, fastest of 5 solves perturbed / projected, three
+#: runs (CHANGES.md): a regular one with M well conditioned, where both
+#: routes run zgeev, 91-94 / 78-94 ms; chain quadratics, whose singular M
+#: keeps the perturbation route on QZ while the projection runs zgeev, at
+#: shares 1/64 172-231 / 61-96, 1/32 159-230 / 65-90 and 1/8 166-228 /
+#: 41-55.  Kept at 1/8: no workload holds a problem with a smaller
+#: nonzero share to gate a move on, and a move changes such outputs.
 PROJECT_FROM_NULLITY_SHARE = 1 / 8
 
 
@@ -152,7 +163,7 @@ class ClassifiedEigenvalue:
     ``PROJECT_FROM_ORDER`` and up with a nullity of at least
     ``PROJECT_FROM_NULLITY_SHARE`` of it) to that and a backward error on
     the balanced, unprojected polynomial of at most 1e4 * u * m*r, m*r the
-    projected QZ order.  ``source`` names how the eigenvectors were read:
+    projected eigensolver order.  ``source`` names how the eigenvectors were read:
     ``pencil``; ``C1``, from the top blocks of the first companion form's
     eigenvectors (|lam| >= 1 on the balanced problem); or ``C1hat``, with
     the right vector from the bottom block of C1, as the alternate form
@@ -253,9 +264,9 @@ def solve_polynomial(p, cfg=None):
     order on only).  Such a problem is projected to its normal rank
     instead: each balanced ``A_j`` becomes ``U* A_j V`` for n-by-r U and V
     with orthonormal columns from ``default_rng(cfg.seed)``, U first (for
-    a pencil, the projection of its pair), and one QZ call of order m*r
-    solves the projected polynomial, among whose eigenvalues are the true
-    ones.  The eigenvectors, read from blocks of height r, are lifted as
+    a pencil, the projection of its pair), and one eigensolver call of
+    order m*r solves the projected polynomial, among whose eigenvalues are
+    the true ones.  The eigenvectors, read from blocks of height r, are lifted as
     ``V x`` and ``U y`` and classified as on the perturbation route, and a
     candidate is accepted only if also its backward error
     (``matpoly.backward_errors``) on the balanced, unprojected polynomial
@@ -279,12 +290,15 @@ def solve_perturbed(p, cfg=None):
     """The paper's solve at every order; ``solve_polynomial``'s where it does not project.
 
     The balanced coefficient stack is perturbed jointly (uniformly on the
-    unit sphere, scaled by ``epsilon``), linearized and solved by one QZ
-    call.  All finite candidates are classified at once, with the
-    balanced, unperturbed coefficients; a candidate whose recovered
-    eigenvector block is numerically zero gets ``kappa_bar = inf``, and a
-    candidate is accepted when ``kappa_bar <= tol``.  The studies of the
-    perturbed candidates' condition numbers use this route.
+    unit sphere, scaled by ``epsilon``), linearized and solved by one
+    ``generalized_eig`` call: QZ on a singular problem, whose perturbed
+    leading coefficient is ill conditioned, ``zgeev`` from order 33 on a
+    regular one whose leading coefficient is well conditioned.  All finite
+    candidates are classified at once, with the balanced, unperturbed
+    coefficients; a candidate whose recovered eigenvector block is
+    numerically zero gets ``kappa_bar = inf``, and a candidate is accepted
+    when ``kappa_bar <= tol``.  The studies of the perturbed candidates'
+    condition numbers use this route.
     """
     return _solve(p, *_balanced(p), cfg or SolverConfig(), project=False)
 
@@ -327,8 +341,8 @@ def _solve(p, balanced, gamma, cfg, project):
             ) from exc
         lam, right, left = dec.finite_values, dec.right_vectors, dec.left_vectors
     else:
-        # a projected pencil of normal rank 0: no QZ call and no candidate;
-        # the 0-by-0 pair stands in for its two vector sets
+        # a projected pencil of normal rank 0: no eigensolver call and no
+        # candidate; the 0-by-0 pair stands in for its two vector sets
         lam, (right, left) = np.empty(0, dtype=complex), pair
     # the finite pairs lead the order
     k = lam.size

@@ -212,25 +212,59 @@ class TestGeneralizedEig:
 
         monkeypatch.setattr(densela, "_zggev", no_lapack)
         monkeypatch.setattr(densela, "_zggev3", no_lapack)
+        monkeypatch.setattr(densela, "_zgetrf", no_lapack)
         with pytest.raises(ValueError, match="order 0"):
             generalized_eig(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
         # the handle that runs at each order reports info != 0, on both
-        # sides of the crossover
-        cases = [("_zggev", 2), ("_zggev", densela.ZGGEV3_FROM_ORDER - 1)]
-        if densela._ZGGEV3 is not None:
-            cases.append(("_zggev3", densela.ZGGEV3_FROM_ORDER))
-        for handle, order in cases:
+        # sides of the crossover and on both routes past it: B = I takes
+        # the standard route there, a B with a zero pivot takes QZ
+        big = densela.ZGGEV3_FROM_ORDER
+        cases = [("_zggev", 2, False), ("_zggev", big - 1, False)]
+        cases.append(("_zggev3" if densela._ZGGEV3 is not None else "_zggev", big, True))
+        cases += [("_zgecon", big, False), ("_zgetrs", big, False), ("_zgeev", big, False)]
+        for handle, order, singular_b in cases:
             real = getattr(densela, handle)
 
             def failing(*args, real=real, **kwargs):
                 return (*real(*args, **kwargs)[:-1], 1)
 
+            b = np.eye(order)
+            if singular_b:
+                b[-1, -1] = 0.0
             with monkeypatch.context() as patch:
                 patch.setattr(densela, handle, failing)
                 with pytest.raises(EigensolverError, match=f"{handle[1:]} info=1"):
-                    generalized_eig(np.diag(np.arange(1.0, order + 1)), np.eye(order))
+                    generalized_eig(np.diag(np.arange(1.0, order + 1)), b)
+
+    def test_failed_left_vector_solve_is_eigensolver_error(self, monkeypatch):
+        # the second zgetrs, B* y = w for the left vectors, is checked too
+        real = densela._zgetrs
+
+        def failing_adjoint(*args, **kwargs):
+            x, info = real(*args, **kwargs)
+            return x, (1 if kwargs.get("trans") == 2 else info)
+
+        order = densela.ZGGEV3_FROM_ORDER
+        monkeypatch.setattr(densela, "_zgetrs", failing_adjoint)
+        with pytest.raises(EigensolverError, match="zgetrs info=1"):
+            generalized_eig(np.diag(np.arange(1.0, order + 1)), np.eye(order))
+
+    def test_zgetrf_info_raises_or_falls_back_to_qz(self, monkeypatch):
+        # info < 0 (an illegal argument) raises; info > 0, a zero pivot,
+        # sends the pencil to QZ instead
+        real = densela._zgetrf
+        order = densela.ZGGEV3_FROM_ORDER
+        a, b = np.diag(np.arange(1.0, order + 1)), np.eye(order)
+        for info, routine in ((-1, None), (1, densela.qz_routine(order))):
+            with monkeypatch.context() as patch:
+                patch.setattr(densela, "_zgetrf", lambda *args, info=info: (*real(*args)[:-1], info))
+                if routine is None:
+                    with pytest.raises(EigensolverError, match="zgetrf info=-1"):
+                        generalized_eig(a, b)
+                else:
+                    assert generalized_eig(a, b).routine == routine
 
 
 def _canonical(alphas, betas):
@@ -308,6 +342,14 @@ def _backward_errors(a, b, alphas, betas, vectors, left):
     return res / (scale * np.linalg.norm(vectors, axis=0))
 
 
+def _b_under_floor(rng, order):
+    # a random B with one column scaled by 1e-9: u / rcond(B) is far above
+    # residual_tolerance(order), so the pencil is solved by QZ
+    b = _random_complex(rng, order, order)
+    b[:, -1] *= 1e-9
+    return b
+
+
 @needs_zggev3
 @pytest.mark.parametrize("order", [33, 48, 75, 100, 150])
 def test_zggev3_path_is_backward_stable(monkeypatch, order):
@@ -319,9 +361,10 @@ def test_zggev3_path_is_backward_stable(monkeypatch, order):
 
     monkeypatch.setattr(densela, "_zggev", no_zggev)
     rng = np.random.default_rng(400 + order)
-    a, b = _random_complex(rng, order, order), _random_complex(rng, order, order)
+    a, b = _random_complex(rng, order, order), _b_under_floor(rng, order)
     a0, b0 = a.copy(), b.copy()
     dec = generalized_eig(a, b)
+    assert dec.routine == "zggev3"
     np.testing.assert_array_equal(a, a0)
     np.testing.assert_array_equal(b, b0)
     tol = residual_tolerance(order)
@@ -337,9 +380,96 @@ def test_unresolved_zggev3_falls_back_to_zggev(monkeypatch):
     # the crossover
     rng = np.random.default_rng(500)
     order = densela.ZGGEV3_FROM_ORDER + 2
-    a, b = _random_complex(rng, order, order), _random_complex(rng, order, order)
+    a, b = _random_complex(rng, order, order), _b_under_floor(rng, order)
     monkeypatch.setattr(densela, "_ZGGEV3", None)
     assert densela.qz_routine(order) == "zggev"
     dec = generalized_eig(a, b)
+    assert dec.routine == "zggev"
     alphas = densela._zggev(a, b, lwork=densela._zggev_lwork(order))[0]
     np.testing.assert_array_equal(np.sort_complex(dec.alphas), np.sort_complex(alphas))
+
+
+def _b_at_floor(order, share):
+    # diag(1, ..., 1, share * floor), floor = u / residual_tolerance(order):
+    # zgecon reads its 1-norm rcond exactly
+    b = np.eye(order, dtype=complex)
+    b[-1, -1] = share * UNIT_ROUNDOFF / residual_tolerance(order)
+    return b
+
+
+def _routine_cases():
+    # (order, B, the routine that must run), by label
+    rng = np.random.default_rng(600)
+    big = densela.ZGGEV3_FROM_ORDER
+    qz = densela.qz_routine(big)
+    cases = {
+        "well_conditioned_33": (big, _random_complex(rng, big, big), "zgeev"),
+        "well_conditioned_120": (120, _random_complex(rng, 120, 120), "zgeev"),
+        "identity_32": (big - 1, np.eye(big - 1), "zggev"),
+        "well_conditioned_32": (big - 1, _random_complex(rng, big - 1, big - 1), "zggev"),
+        "just_under_the_floor": (60, _b_at_floor(60, 0.99), qz),
+        "just_over_the_floor": (60, _b_at_floor(60, 1.01), "zgeev"),
+    }
+    return [pytest.param(*case, id=label) for label, case in cases.items()]
+
+
+@pytest.mark.parametrize("order, b, routine", _routine_cases())
+def test_routine_by_order_and_conditioning(order, b, routine):
+    # the standard route runs from order 33 where u / rcond(B) is within
+    # residual_tolerance(order), QZ everywhere else
+    a = _random_complex(np.random.default_rng(order), order, order)
+    assert generalized_eig(a, b).routine == routine
+
+
+def test_exactly_singular_b_keeps_its_infinite_eigenvalues():
+    # a zero column of B is a zero pivot in zgetrf: QZ runs and reports the
+    # infinite eigenvalue last, as below the crossover
+    order = densela.ZGGEV3_FROM_ORDER + 7
+    b = np.eye(order)
+    b[:, 3] = 0.0
+    dec = generalized_eig(np.diag(np.arange(1.0, order + 1)), b)
+    assert dec.routine == densela.qz_routine(order)
+    assert dec.finite_mask().tolist() == [True] * (order - 1) + [False]
+    np.testing.assert_allclose(np.sort(dec.finite_values.real), np.delete(np.arange(1.0, order + 1), 3))
+
+
+def _well_conditioned(rng, order):
+    # Q diag(d), Q unitary and d in [0.5, 2]: cond_2(B) <= 4
+    q = np.linalg.qr(_random_complex(rng, order, order))[0]
+    return q * rng.uniform(0.5, 2.0, order)
+
+
+@pytest.mark.parametrize("order", [33, 40, 57, 80, 111, 150])
+def test_standard_route_properties(order):
+    # a well-conditioned B at order >= 33 is solved as B^{-1} A by zgeev:
+    # both vector sets are backward stable pencil eigenvectors, unit and
+    # phase-fixed, in the QZ route's order, the inputs are untouched and a
+    # repeated call gives the same bits
+    rng = np.random.default_rng(700 + order)
+    for layout in ("C", "F"):
+        a = np.asarray(_random_complex(rng, order, order), order=layout)
+        b = np.asarray(_well_conditioned(rng, order), order=layout)
+        a0, b0 = a.copy(), b.copy()
+        dec = generalized_eig(a, b)
+        assert dec.routine == "zgeev"
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
+        assert (dec.betas == 1).all() and dec.finite_mask().all()
+        assert dec.finite_values.tobytes() == dec.alphas.tobytes()
+        tol = residual_tolerance(order)
+        for vectors, left in ((dec.right_vectors, False), (dec.left_vectors, True)):
+            assert _backward_errors(a, b, dec.alphas, dec.betas, vectors, left).max() <= tol
+            np.testing.assert_allclose(column_norms(vectors), 1.0, rtol=0, atol=1e2 * UNIT_ROUNDOFF)
+            # the entry of largest modulus is real positive, up to rounding
+            top = vectors[np.abs(vectors).argmax(axis=0), np.arange(order)]
+            assert (top.real > 0).all() and (np.abs(top.imag) <= UNIT_ROUNDOFF * top.real).all()
+        lam = dec.finite_values
+        assert np.lexsort((np.arctan2(lam.imag, lam.real), -np.abs(lam))).tolist() == list(range(order))
+        # the eigenvalues are the pencil's: QZ finds them too
+        qz = densela._zggev(a, b, lwork=densela._zggev_lwork(order))
+        from conftest import assert_multiset_close
+
+        assert_multiset_close(lam, qz[0] / qz[1], rtol=1e6 * UNIT_ROUNDOFF)
+        again = generalized_eig(a, b)
+        for field in ("alphas", "betas", "right_vectors", "left_vectors", "finite_values"):
+            assert getattr(again, field).tobytes() == getattr(dec, field).tobytes(), field

@@ -839,3 +839,114 @@ def test_normal_rank_runs_once_per_polynomial(monkeypatch):
     balanced = p.balancing[0]
     assert calls == [(balanced, matpoly.RANK_SEED)]
     assert balanced.normal_rank == 12
+
+
+def _recording_routines(monkeypatch):
+    # the LAPACK eigensolver each solve's generalized_eig ran, in order
+    import sqeig.solver as solver_mod
+
+    routines = []
+    real = solver_mod.generalized_eig
+
+    def recording(a, b):
+        dec = real(a, b)
+        routines.append(dec.routine)
+        return dec
+
+    monkeypatch.setattr(solver_mod, "generalized_eig", recording)
+    return routines
+
+
+def _synth80(seed):
+    # 80 x 80, rank 40: the projected pencil of order 40 has the 40 true
+    # eigenvalues only
+    from sqeig.corpus import synth_pencil
+
+    p, truth = synth_pencil(80, 40, seed=seed)
+    return p, truth.finite_eigenvalues
+
+
+def _chain40(seed):
+    # n = 40, normal rank 20: the projected quadratic's companion form of
+    # order 40 has the 20 true eigenvalues and 20 placed by U and V
+    from sqeig.construct import chain_quadratic
+
+    inst = chain_quadratic([0.4 * k * np.exp(0.7j * k) for k in range(1, 21)], 40, rng=seed)
+    return inst.polynomial(), inst.eigenvalues
+
+
+@pytest.mark.parametrize("build", [_synth80, _chain40], ids=["synth_pencil_80_40", "chain_quadratic_40_20"])
+def test_standard_route_pairs_sit_far_under_the_gate(monkeypatch, build):
+    # at projected order 40 the well-conditioned projected B takes zgeev;
+    # its true pairs keep backward errors decades under the eta gate and
+    # the accepted set is exactly the truth
+    from sqeig.densela import residual_tolerance
+    from sqeig.matpoly import backward_errors
+    from sqeig.verify import match_accepted
+
+    routines = _recording_routines(monkeypatch)
+    for problem_seed in range(2):
+        p, truth = build(problem_seed)
+        balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
+        gate = residual_tolerance(p.degree * balanced.normal_rank)
+        for seed in range(3):
+            res = solve_polynomial(p, SolverConfig(seed=seed))
+            assert routines[-1] == "zgeev", (problem_seed, seed)
+            eta = backward_errors(balanced, res.values / gamma, res.right_vectors, res.left_vectors)
+            accepted = res.values[res.accepted]
+            assert accepted.size == len(truth), (problem_seed, seed)
+            assert match_accepted(accepted, truth, 1e-6) is not None, (problem_seed, seed)
+            assert eta[res.accepted].max() < 1e-3 * gate, (problem_seed, seed)
+
+
+def _synth80_with_infinite(seed):
+    # 80 x 80, rank 40: 32 finite and 8 infinite eigenvalues
+    from sqeig.corpus import synth_pencil
+
+    p, truth = synth_pencil(80, 40, n_finite=32, seed=seed)
+    return p, truth.finite_eigenvalues
+
+
+@pytest.mark.parametrize(
+    "build", [_synth80_with_infinite, _quadratic_with_infinite],
+    ids=["synth_pencil_with_infinite", "quadratic_with_infinite"],
+)
+def test_projected_problems_with_infinite_eigenvalues_run_qz(monkeypatch, build):
+    # infinite eigenvalues make the projected B singular, so at projected
+    # order 40 QZ solves the problem, and finds the exact truth set
+    from sqeig.densela import qz_routine
+    from sqeig.verify import match_accepted
+
+    routines = _recording_routines(monkeypatch)
+    p, truth = build(0)
+    balanced = p if p.degree == 1 else p.balancing[0]
+    assert p.degree * balanced.normal_rank == 40
+    for seed in range(3):
+        res = solve_polynomial(p, SolverConfig(seed=seed))
+        assert match_accepted(res.values[res.accepted], truth, 1e-6) is not None, seed
+    assert routines == [qz_routine(40)] * 3
+
+
+@pytest.mark.parametrize("build", [_synth, _chain40], ids=["synth_pencil_60_30", "chain_quadratic_40_20"])
+def test_perturbation_route_runs_qz_at_large_order(monkeypatch, build):
+    # the paper's route on a singular problem: B = -diag(M + eps E, I) has
+    # cond(B) ~ 1/eps, far past the standard route's floor, so QZ runs; the
+    # studies of the spurious candidates' kappa_bar rely on it
+    from sqeig.densela import qz_routine
+
+    routines = _recording_routines(monkeypatch)
+    p, _ = build(0)
+    assert p.degree * p.n >= PROJECT_FROM_ORDER
+    for seed in range(3):
+        solve_perturbed(p, SolverConfig(seed=seed))
+    assert routines == [qz_routine(p.degree * p.n)] * 3
+
+
+@pytest.mark.parametrize("case", REGULAR_CASES)
+def test_regular_problem_with_well_conditioned_lead_runs_zgeev(monkeypatch, case):
+    # a regular problem keeps the perturbation route, and its B = -A_m
+    # perturbed by eps stays well conditioned: zgeev solves it
+    routines = _recording_routines(monkeypatch)
+    p, _ = LARGE_CASES[case](0)
+    solve_polynomial(p, SolverConfig(seed=0))
+    assert routines == ["zgeev"]
