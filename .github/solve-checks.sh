@@ -2,7 +2,8 @@
 # Solve checks shared by the CI jobs: the QZ routine and projection
 # crossovers, the eigensolver that runs for a well-conditioned and for a
 # singular B at order 60, a projected pencil and a projected quadratic
-# solve past both crossovers, and the same output bytes and output
+# solve past both crossovers, the same projected pencil output under two
+# solver seeds, and the same output bytes and output
 # fingerprint (fingerprint.py) from two processes under different hash
 # seeds.  Needs the sqeig package installed, with its console script
 # on PATH, and writes its files to $RUNNER_TEMP.
@@ -18,6 +19,11 @@ sqeig synth-pencil --size 60 --rank 30 --seed 1 --output "$RUNNER_TEMP/large.jso
 sqeig solve --input "$RUNNER_TEMP/large.json" --json > "$RUNNER_TEMP/large-out.json"
 # the projected solve accepts exactly the pencil's 30 finite eigenvalues
 python -c "import json, sys; n = sum(r['accepted'] for r in json.load(open(sys.argv[1]))); print('accepted:', n); sys.exit(n != 30)" "$RUNNER_TEMP/large-out.json"
+# its core (the common kernels deflated) is the regular part, of size 30,
+# so the projection draws nothing and the output does not depend on the seed
+sqeig solve --input "$RUNNER_TEMP/large.json" --seed 1 --json > "$RUNNER_TEMP/large-seed1.json"
+sqeig solve --input "$RUNNER_TEMP/large.json" --seed 2 --json > "$RUNNER_TEMP/large-seed2.json"
+cmp "$RUNNER_TEMP/large-seed1.json" "$RUNNER_TEMP/large-seed2.json"
 
 echo "== Eigensolver at order 60: zgeev for a well-conditioned B, QZ for a singular one"
 # fails unless the singular B (synth_pencil's own pair, rank 30) ran QZ

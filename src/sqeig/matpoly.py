@@ -4,8 +4,9 @@ A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
 ascending powers.  The module provides the one Horner evaluator,
 ``horner``, and on it evaluation and the derivative; reversal, the joint
 Frobenius norm of one coefficient stack or a batch of them,
-normalized random perturbation sampling (one stack or a batch),
-probabilistic normal-rank estimation (kept per polynomial), the two-sided
+normalized random perturbation sampling (one stack or a batch), the
+deflation of the coefficients' common kernels and probabilistic
+normal-rank estimation (both kept per polynomial), the two-sided
 backward errors of approximate eigentriples, the
 two-norm scaling used to balance quadratic problems, the orthonormal
 kernel bases at an eigenvalue, the known-truth record of benchmark
@@ -23,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import as_matrix, column_norms, rank_with_tol
+from .densela import as_matrix, column_norms, kernel_complement, rank_with_tol
 
 __all__ = [
+    "Core",
     "DegenerateProblemError",
     "KernelBases",
     "MATCH_TOL",
@@ -34,6 +36,7 @@ __all__ = [
     "TruthSpec",
     "backward_errors",
     "check_seed",
+    "deflate",
     "horner",
     "joint_norm",
     "normal_rank",
@@ -183,8 +186,8 @@ class MatrixPolynomial:
     Rectangular coefficient input is zero-padded to square before storage.
     Coefficient arrays are read-only after construction.  Instances compare
     and hash by identity, as the array-holding types of this package do, so
-    a quadratic's balancing (``balancing``) and the normal rank
-    (``normal_rank``) are computed once and kept.
+    a quadratic's balancing (``balancing``), the deflated core (``core``)
+    and the normal rank (``normal_rank``) are computed once and kept.
     """
 
     coeffs: tuple
@@ -236,6 +239,11 @@ class MatrixPolynomial:
         ``scale_quadratic`` on every access.
         """
         return scale_quadratic(self)
+
+    @functools.cached_property
+    def core(self):
+        """The module's ``deflate(self)``, computed once."""
+        return deflate(self)
 
     @functools.cached_property
     def normal_rank(self):
@@ -372,21 +380,69 @@ def sample_perturbation(n, m, rng):
     return tuple(sample_perturbations(n, m, 1, rng)[0])
 
 
+@dataclass(frozen=True, eq=False)
+class Core:
+    """A polynomial's coefficients with their common kernels removed.
+
+    The common right kernel holds the x with ``A_j x = 0`` for every
+    coefficient, the common left kernel the y with ``y* A_j = 0``: in
+    Kronecker terms the minimal indices of degree 0.  ``right`` (n-by-s_R)
+    and ``left`` (n-by-s_L) have orthonormal columns spanning their
+    complements, the row space of ``[A_0; ...; A_m]`` and the column space
+    of ``[A_0 ... A_m]``, or are None where that complement is all of C^n.
+    ``coeffs`` are the read-only s_L-by-s_R ``left* A_j right`` (a None
+    side left out; p's own arrays where both are None).  As
+    ``A_j = left C_j right*`` up to rounding, the core has the
+    polynomial's rank at every lam, so its normal rank and its finite
+    eigenvalues, and a right eigenvector x of the core lifts to the
+    polynomial's ``right @ x``, a left one y to ``left @ y``.
+    """
+
+    left: object
+    right: object
+    coeffs: tuple
+
+
+def deflate(p):
+    """The ``Core`` of ``p``, by ``densela.kernel_complement`` on each side.
+
+    ``right`` is the complement of the common kernel of the coefficients
+    A_j.  As ``A_j = (A_j right) right*``, ``left`` is then that of the
+    conjugate transposes of the narrower ``A_j right``, which span the same
+    columns, and the core is ``left* (A_j right)``.
+    """
+    right = kernel_complement(p.coeffs)
+    coeffs = p.coeffs if right is None else [c @ right for c in p.coeffs]
+    left = kernel_complement([c.conj().T for c in coeffs])
+    if left is not None:
+        lh = left.conj().T
+        coeffs = [lh @ c for c in coeffs]
+    return Core(left=left, right=right, coeffs=tuple(_read_only(c) for c in coeffs))
+
+
 def normal_rank(p, rng):
     """Estimate the normal rank of ``p`` (the maximal rank over all lam).
 
     The rank is evaluated at three points drawn from ``rng`` uniformly on
     the unit circle, which avoids the finitely many rank-dropping points
     almost surely; the maximum observed rank is returned.  No point has a
-    rank above the normal rank, so a point of full rank n ends the search;
-    the stream advances by three draws either way.  ``rng`` is a seed or a
-    stream, as ``seeded_generator`` takes it.
+    rank above the normal rank, so a point of full rank ends the search;
+    the stream advances by three draws either way.  The first point is read
+    on ``p``, so that a regular polynomial (rank n there) costs one SVD of
+    order n and no deflation.  Past a rank-deficient one, the others are
+    read on the core ``p.core`` (computed then and kept), which has the
+    rank of ``p`` at every point and is smaller wherever ``p`` has common
+    kernels; there full rank is the shorter of its sides.  ``rng`` is a
+    seed or a stream, as ``seeded_generator`` takes it.
     """
-    best = 0
-    for t in seeded_generator(rng).random(3):
-        best = max(best, rank_with_tol(p.evaluate(np.exp(2j * np.pi * t))))
-        if best == p.n:
-            break
+    draws = seeded_generator(rng).random(3)
+    best = rank_with_tol(p.evaluate(np.exp(2j * np.pi * draws[0])))
+    if best < p.n:
+        core = p.core.coeffs
+        for t in draws[1:]:
+            if best == min(core[0].shape):
+                break
+            best = max(best, rank_with_tol(horner(core, np.exp(2j * np.pi * t))))
     return best
 
 

@@ -17,17 +17,26 @@ A large problem with a large nullity is projected instead of perturbed
 eigenvalue problems. Part II: projection and augmentation", SIMAX 2023):
 one of companion order m*n >= ``PROJECT_FROM_ORDER`` whose nullity n - r
 (r the normal rank) is at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n.
-The balanced coefficients A_j are compressed to the r-by-r ``U* A_j V``,
-U and V random n-by-r with orthonormal columns, and the projected
-polynomial, regular almost surely, is linearized: the eigensolver call
-shrinks from order m*n to m*r.  The projected leading coefficient is well
-conditioned, so from order 33 ``densela.generalized_eig`` solves that
-pencil as the standard problem ``B^{-1} A`` by ``zgeev``, 2-3 times
-cheaper than QZ, and by QZ where it is not (infinite eigenvalues make it
-singular).  Its eigenvalues include the true ones exactly; the others
-are placed by U and V, their lifted eigenvectors ``V x`` and
-``U y`` are no eigenvectors of the unprojected problem, and their
-``kappa_bar`` often lies below ``tol``.  So a candidate is accepted on
+The balanced polynomial's common kernels, the vectors that every A_j
+annihilates on the right or on the left, are deflated first, once per
+polynomial (``MatrixPolynomial.core``): orthonormal bases Q_L (n-by-s_L)
+and Q_R (n-by-s_R) of the column space of ``[A_0 ... A_m]`` and of the
+row space of ``[A_0; ...; A_m]`` leave the core ``C_j = Q_L* A_j Q_R``.
+The core is compressed to the r-by-r ``U* C_j V``, U (s_L-by-r) and V
+(s_R-by-r) random with orthonormal columns, drawn only for a side longer
+than r (a synthetic pencil's core is its regular part, r-by-r, and draws
+nothing), and the projected polynomial, regular almost surely, is
+linearized: the eigensolver call shrinks from order m*n to m*r.  Where
+neither side has a common kernel, U and V are n-by-r and the core is the
+polynomial itself, as before the deflation existed.  The projected
+leading coefficient is well conditioned, so from order 33
+``densela.generalized_eig`` solves that pencil as the standard problem
+``B^{-1} A`` by ``zgeev``, 2-3 times cheaper than QZ, and by QZ where it
+is not (infinite eigenvalues make it singular).  Its eigenvalues include
+the true ones exactly; the others are placed by U and V, their lifted
+eigenvectors ``Q_R (V x)`` and ``Q_L (U y)`` are no eigenvectors of the
+unprojected problem, and their ``kappa_bar`` often lies below ``tol``.
+So a candidate is accepted on
 this route only if also its two-sided backward error eta on the
 balanced, unprojected polynomial (``matpoly.backward_errors``) is at
 most ``densela.residual_tolerance(m*r)`` = 1e4 * u * m*r: the residual a
@@ -109,7 +118,7 @@ _PENCIL_CODE, _C1_CODE, _C1HAT_CODE = range(len(SOURCES))
 PROJECT_FROM_ORDER = 33
 
 #: the smallest nullity (n - r) / (m*n), as a share of the companion order,
-#: that ``solve_polynomial`` projects.  The projection adds two QR
+#: that ``solve_polynomial`` projects.  The projection adds up to two QR
 #: factorizations, the projection products and eta to an eigensolver call
 #: of order m*r, so it gains nothing on a regular problem (r = n).  A scan of
 #: order-200 quadratics, fastest of 5 solves perturbed / projected, three
@@ -167,7 +176,10 @@ class ClassifiedEigenvalue:
     ``pencil``; ``C1``, from the top blocks of the first companion form's
     eigenvectors (|lam| >= 1 on the balanced problem); or ``C1hat``, with
     the right vector from the bottom block of C1, as the alternate form
-    would (|lam| < 1).  The eigenvectors have unit norm.
+    would (|lam| < 1).  On the projected route that form is the projected
+    polynomial's, of block height r, and the vectors read from it are
+    lifted to length n as ``Q_R (V x)`` and ``Q_L (U y)`` (see
+    ``solve_polynomial``).  The eigenvectors have unit norm.
     """
 
     value: complex
@@ -262,12 +274,17 @@ def solve_polynomial(p, cfg=None):
     nullity n - r at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n, r the
     cached ``normal_rank`` of the balanced polynomial (read from that
     order on only).  Such a problem is projected to its normal rank
-    instead: each balanced ``A_j`` becomes ``U* A_j V`` for n-by-r U and V
-    with orthonormal columns from ``default_rng(cfg.seed)``, U first (for
-    a pencil, the projection of its pair), and one eigensolver call of
-    order m*r solves the projected polynomial, among whose eigenvalues are
-    the true ones.  The eigenvectors, read from blocks of height r, are lifted as
-    ``V x`` and ``U y`` and classified as on the perturbation route, and a
+    instead: the s_L-by-s_R core ``C_j = Q_L* A_j Q_R`` of the balanced
+    coefficients, their common kernels deflated once per polynomial
+    (``MatrixPolynomial.core``), becomes ``U* C_j V`` for s_L-by-r U and
+    s_R-by-r V with orthonormal columns from ``default_rng(cfg.seed)``, U
+    first, each drawn only where its side is longer than r (no common
+    kernel: n-by-r U and V on the coefficients themselves; for a pencil,
+    the projection of its pair), and one eigensolver call of order m*r
+    solves the projected polynomial, among whose eigenvalues are the true
+    ones.  The eigenvectors, read from blocks of height r, are lifted as
+    ``Q_R (V x)`` and ``Q_L (U y)`` and classified as on the perturbation
+    route, with the balanced, unprojected coefficients, and a
     candidate is accepted only if also its backward error
     (``matpoly.backward_errors``) on the balanced, unprojected polynomial
     is at most ``densela.residual_tolerance(m*r)``.  ``epsilon`` is not
@@ -311,10 +328,18 @@ def _balanced(p):
     return (p, 1.0) if p.degree == 1 else p.balancing
 
 
-def _orthonormal_columns(rows, cols, rng):
-    # the Q factor of a complex Gaussian rows-by-cols matrix
+def _projection_basis(rows, cols, rng):
+    # U or V of a projection: the Q factor of a complex Gaussian rows-by-cols
+    # matrix, or None, drawing nothing, where the side of the core already
+    # has the projected size
+    if rows == cols:
+        return None
     z = rng.standard_normal((2, rows, cols))
     return np.linalg.qr(z[0] + 1j * z[1])[0]
+
+
+def _lift(basis, vectors):
+    return vectors if basis is None else basis @ vectors
 
 
 def _solve(p, balanced, gamma, cfg, project):
@@ -323,11 +348,17 @@ def _solve(p, balanced, gamma, cfg, project):
     n = balanced.normal_rank if project else p.n
     size = p.degree * n
     if project:
-        u = _orthonormal_columns(p.n, n, rng)
-        v = _orthonormal_columns(p.n, n, rng)
-        uh = u.conj().T
-        projected = MatrixPolynomial._derived(tuple(uh @ c @ v for c in balanced.coeffs))
-        pair = first_companion(projected)
+        core = balanced.core
+        rows, cols = core.coeffs[0].shape
+        u = _projection_basis(rows, n, rng)
+        v = _projection_basis(cols, n, rng)
+        coeffs = core.coeffs
+        if u is not None:
+            uh = u.conj().T
+            coeffs = [uh @ c for c in coeffs]
+        if v is not None:
+            coeffs = [c @ v for c in coeffs]
+        pair = first_companion(MatrixPolynomial._derived(tuple(coeffs)))
     else:
         e = sample_perturbation(p.n, p.degree, rng)
         pair = first_companion(balanced, e, cfg.epsilon)
@@ -352,7 +383,7 @@ def _solve(p, balanced, gamma, cfg, project):
     first = int(np.count_nonzero(np.abs(lam) >= 1.0))
     x, y, ok = recover_vectors(right[:, :k], left[:, :k], first, n)
     if project:
-        x, y = v @ x, u @ y
+        x, y = _lift(core.right, _lift(v, x)), _lift(core.left, _lift(u, y))
     codes = np.full(k, _PENCIL_CODE if p.degree == 1 else _C1HAT_CODE, dtype=np.int8)
     if p.degree == 2:
         codes[:first] = _C1_CODE

@@ -146,9 +146,9 @@ def companion_projection_reference(p, cfg):
     ``V v`` and ``U w`` and read back with blocks of height n, and the eta
     gate is ``residual_tolerance(k)``.  A pencil is its own companion form
     (k = r), so ``solve_polynomial`` must reproduce this bit for bit on a
-    projected pencil.  Needs k > 0.  Returns the ``SolveResult`` arrays as
-    a tuple: values, kappa_bar, accepted, source_codes, right and left
-    vectors.
+    projected pencil with no common kernel, whose core is the pencil
+    itself.  Needs k > 0.  Returns the ``SolveResult`` arrays as a tuple:
+    values, kappa_bar, accepted, source_codes, right and left vectors.
     """
     balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
     order = p.degree * p.n
@@ -176,3 +176,43 @@ def companion_projection_reference(p, cfg):
     eta = backward_errors(balanced, lam[kept], x[:, kept], y[:, kept])
     accepted[kept] = eta <= residual_tolerance(k)
     return gamma * lam, kappa, accepted, codes, x, y
+
+
+def deflated_projection_reference(p, cfg):
+    """The projected solve of a pencil whose core is regular, written out with SVD bases.
+
+    Orthonormal bases L and R of the column space of ``[A_0 A_1]`` and of
+    the row space of ``[A_0; A_1]`` come from full SVDs (the directions
+    above 1e-8 times the largest singular value); both must have r
+    columns, r the normal rank, so that the core ``L* A_j R`` is the
+    projected pencil and nothing is drawn.  Its eigenvectors are lifted as
+    ``R x`` and ``L y``; kappa_bar and the eta gate ``residual_tolerance(r)``
+    are read on the unprojected pencil.  L and R differ from the solver's
+    bases by unitary factors, so ``solve_polynomial`` must give the same
+    candidates up to rounding, with eigenvectors equal up to a phase.
+    Returns the ``SolveResult`` arrays as a tuple: values, kappa_bar,
+    accepted, source_codes, right and left vectors.
+    """
+    assert p.degree == 1
+    r = p.normal_rank
+
+    def complement(stack, left):
+        u, s, vh = np.linalg.svd(stack)
+        keep = s > 1e-8 * s[0]
+        return u[:, keep] if left else vh[keep].conj().T
+
+    big_l = complement(np.concatenate(p.coeffs, axis=1), left=True)
+    big_r = complement(np.concatenate(p.coeffs, axis=0), left=False)
+    assert big_l.shape[1] == big_r.shape[1] == r
+    core = MatrixPolynomial(tuple(big_l.conj().T @ c @ big_r for c in p.coeffs))
+    dec = generalized_eig(*first_companion(core))
+    lam = dec.finite_values
+    x = big_r @ dec.right_vectors[:, : lam.size]
+    y = big_l @ dec.left_vectors[:, : lam.size]
+    kappa = condition_numbers(p, lam, x, y)
+    accepted = kappa <= cfg.tol
+    kept = np.flatnonzero(accepted)
+    eta = backward_errors(p, lam[kept], x[:, kept], y[:, kept])
+    accepted[kept] = eta <= residual_tolerance(r)
+    codes = np.full(lam.size, SOURCES.index("pencil"), dtype=np.int8)
+    return lam, kappa, accepted, codes, x, y

@@ -13,6 +13,7 @@ from sqeig.densela import (
     EigensolverError,
     column_norms,
     generalized_eig,
+    kernel_complement,
     nullspace_basis,
     rank_with_tol,
     residual_tolerance,
@@ -121,6 +122,53 @@ class TestSingularValuesAlone:
             with_truth += bool(truth.finite_eigenvalues)
             dropped += any(ranks[lam] < max(ranks.values()) for lam in truth.finite_eigenvalues)
         assert dropped == with_truth
+
+
+class TestKernelComplement:
+    @staticmethod
+    def _blocks(rng, n, kernel, count=3):
+        # count n-by-n blocks whose common (right) kernel is the span of the
+        # orthonormal columns of kernel
+        drop = np.eye(n) - kernel @ kernel.conj().T
+        return [_random_complex(rng, n, n) @ drop for _ in range(count)]
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (6, 2), (30, 11), (40, 39)])
+    def test_spans_the_complement_of_the_common_kernel(self, n, k):
+        rng = np.random.default_rng(n + k)
+        kernel = np.linalg.qr(_random_complex(rng, n, k))[0]
+        blocks = self._blocks(rng, n, kernel)
+        q = kernel_complement(blocks)
+        if k == 0:
+            assert q is None
+            return
+        assert q.shape == (n, n - k)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(n - k), atol=1e3 * UNIT_ROUNDOFF)
+        # q spans exactly the orthogonal complement of the kernel
+        np.testing.assert_allclose(q @ q.conj().T + kernel @ kernel.conj().T, np.eye(n), atol=1e-12)
+        for b in blocks:
+            assert np.linalg.norm(b - b @ q @ q.conj().T) <= 1e-13 * np.linalg.norm(b)
+
+    def test_zero_stack_and_full_rank_stack(self):
+        rng = np.random.default_rng(1)
+        q = kernel_complement([np.zeros((5, 5))] * 2)
+        assert q.shape == (5, 0) and q.dtype == complex
+        # one full-rank block among rank-deficient ones leaves no common kernel
+        blocks = [np.diag([1.0, 0, 0, 0]), _random_complex(rng, 4, 4)]
+        assert kernel_complement(blocks) is None
+
+    @pytest.mark.parametrize("scale, kept", [(1e-9, True), (1e-11, True), (1e-14, False)])
+    def test_cutoff_is_at_rounding_level(self, scale, kept):
+        # a kernel direction that one block maps to scale times the stack's
+        # norm: kept down to 1e-11, dropped as rounding at 1e-14
+        rng = np.random.default_rng(2)
+        n = 12
+        kernel = np.linalg.qr(_random_complex(rng, n, 3))[0]
+        blocks = self._blocks(rng, n, kernel)
+        top = np.linalg.norm(np.concatenate(blocks), 2)
+        image = _random_complex(rng, n, 1)[:, 0] / np.sqrt(2 * n)
+        blocks[1] = blocks[1] + scale * top * np.outer(image, kernel[:, 0].conj())
+        q = kernel_complement(blocks)
+        assert q.shape == (n, n - 2 if kept else n - 3)
 
 
 class TestColumnNorms:

@@ -23,6 +23,7 @@ from sqeig.linearize import first_companion
 from sqeig import matpoly
 from sqeig.matpoly import (
     RANK_SEED,
+    Core,
     DegenerateProblemError,
     KernelBases,
     MatrixPolynomial,
@@ -464,6 +465,58 @@ class TestCachedNormalRank:
         assert "normal_rank" in vars(p)
 
 
+class TestDeflate:
+    def _synth(self):
+        from sqeig.corpus import synth_pencil
+
+        return synth_pencil(30, 12, seed=3)[0]
+
+    def test_core_reproduces_the_coefficients(self):
+        from sqeig.construct import chain_quadratic
+
+        chain = chain_quadratic([0.5, 1.5j, -2.0], 7, rng=4).polynomial()
+        for p, shape in ((self._synth(), (12, 12)), (chain, (3, 4))):
+            core = p.core
+            assert isinstance(core, Core)
+            assert (core.left.shape[1], core.right.shape[1]) == shape
+            for a, c in zip(p.coeffs, core.coeffs):
+                assert c.shape == shape and not c.flags.writeable
+                back = core.left @ c @ core.right.conj().T
+                np.testing.assert_allclose(back, a, atol=1e-13 * np.linalg.norm(a))
+
+    def test_core_runs_once_and_keeps_arrays_without_kernels(self):
+        p = _random_poly(np.random.default_rng(3), 4, 2)
+        core = p.core
+        assert p.core is core and "core" in vars(p)
+        assert core.left is None and core.right is None
+        assert all(c is a for c, a in zip(core.coeffs, p.coeffs))
+
+    def test_normal_rank_deflates_only_past_a_deficient_first_point(self, monkeypatch):
+        calls = []
+        real = matpoly.rank_with_tol
+
+        def counting(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(matpoly, "rank_with_tol", counting)
+        regular = _random_poly(np.random.default_rng(3), 4, 2)
+        assert regular.normal_rank == 4 and "core" not in vars(regular)
+        assert calls == [(4, 4)]
+        calls.clear()
+        # the first point reads rank 12 on the 30-by-30 pencil, the full rank
+        # of its 12-by-12 core, which ends the search
+        p = self._synth()
+        assert p.normal_rank == 12 and "core" in vars(p)
+        assert calls == [(30, 30)]
+
+    def test_zero_polynomial_has_an_empty_core(self):
+        p = MatrixPolynomial.pencil(np.zeros((6, 6)), np.zeros((6, 6)))
+        assert p.normal_rank == 0
+        assert p.core.left.shape == p.core.right.shape == (6, 0)
+        assert all(c.shape == (0, 0) for c in p.core.coeffs)
+
+
 class TestNormalRankFullRankExit:
     def _counted(self, monkeypatch):
         import sqeig.matpoly as matpoly_mod
@@ -485,9 +538,21 @@ class TestNormalRankFullRankExit:
         assert len(calls) == 1
 
     def test_rank_deficient_polynomial_probes_three_points(self, monkeypatch):
+        # L_1 = [lam, -1] beside L_1^T = [lam; -1]: no common kernel, so
+        # the core is the 3-by-3 pencil itself, of normal rank 2
+        calls = self._counted(monkeypatch)
+        a = np.zeros((3, 3))
+        b = np.zeros((3, 3))
+        a[0, 1] = b[0, 0] = a[2, 2] = b[1, 2] = -1.0
+        assert normal_rank(MatrixPolynomial.pencil(a, b), rng=0) == 2
+        assert len(calls) == 3
+
+    def test_full_rank_of_the_core_ends_the_search(self, monkeypatch):
+        # ex2's common kernels leave a 2-by-1 core, whose full rank 1 the
+        # first point already reads
         calls = self._counted(monkeypatch)
         assert normal_rank(_ex2_poly(), rng=0) == 1
-        assert len(calls) == 3
+        assert calls == [(2, 2)]
 
     def test_stream_advances_by_three_draws_either_way(self):
         for p in (_random_poly(np.random.default_rng(2), 5, 2), _ex2_poly()):

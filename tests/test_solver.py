@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_multiset_close, companion_projection_reference, perturbed
+from conftest import (
+    assert_multiset_close,
+    companion_projection_reference,
+    deflated_projection_reference,
+    perturbed,
+)
 from sqeig.condition import inverse_condition
 from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.matpoly import DegenerateProblemError, MatrixPolynomial, scale_quadratic
@@ -23,6 +28,7 @@ from sqeig.solver import (
     solve_singular_pencil,
     solve_singular_quadratic,
 )
+from sqeig.verify import match_accepted
 
 
 def _accepted_values(results):
@@ -721,19 +727,239 @@ def _synth(seed):
     return synth_pencil(60, 30, seed=seed)
 
 
+def _kronecker_pencil(rng, lams, n_infinite=0, right_blocks=8, left_blocks=8,
+                      zero_rows=0, zero_cols=0, scale=1.0):
+    # a pencil with designed Kronecker blocks, randomly conjugated:
+    # right_blocks blocks L_1 = [lam, -1] (1 x 2) and left_blocks blocks
+    # L_1^T (2 x 1), minimal indices of degree 1 that leave no common kernel,
+    # each times scale; the regular part diag(lam_i - lam) and n_infinite
+    # infinite eigenvalues; then zero rows (a left common kernel) and zero
+    # columns (a right one).  Normal rank right_blocks + left_blocks +
+    # len(lams) + n_infinite.
+    from sqeig.construct import random_conjugation
+
+    rows = right_blocks + 2 * left_blocks + len(lams) + n_infinite + zero_rows
+    assert rows == 2 * right_blocks + left_blocks + len(lams) + n_infinite + zero_cols
+    a = np.zeros((rows, rows), dtype=complex)
+    b = np.zeros((rows, rows), dtype=complex)
+    i = j = 0
+    for _ in range(right_blocks):
+        a[i, j + 1] = b[i, j] = -scale
+        i, j = i + 1, j + 2
+    for _ in range(left_blocks):
+        a[i + 1, j] = b[i, j] = -scale
+        i, j = i + 2, j + 1
+    for lam in lams:
+        a[i, j], b[i, j] = lam, 1.0
+        i, j = i + 1, j + 1
+    for _ in range(n_infinite):
+        a[i, j] = 1.0
+        i, j = i + 1, j + 1
+    (a, b), _ = random_conjugation((a, b), rng)
+    return MatrixPolynomial.pencil(a, b), tuple(lams)
+
+
+def _kronecker(seed):
+    # order 40, normal rank 32, nullity 8: 8 L_1, 8 L_1^T and 16 eigenvalues
+    rng = np.random.default_rng(seed)
+    return _kronecker_pencil(rng, _annulus(16, rng))
+
+
+def _kronecker_with_infinite(seed):
+    # as _kronecker, with 12 finite and 4 infinite eigenvalues
+    rng = np.random.default_rng(seed)
+    return _kronecker_pencil(rng, _annulus(12, rng), n_infinite=4)
+
+
+def _core_sizes(p):
+    # (s_L, s_R): the core's side lengths, n where a side has no common kernel
+    core = p.core
+    return tuple(p.n if q is None else q.shape[1] for q in (core.left, core.right))
+
+
 @pytest.mark.parametrize(
-    "build", [_synth, _synth_with_infinite], ids=["synth_pencil", "synth_pencil_with_infinite"]
+    "build",
+    [_kronecker, _kronecker_with_infinite],
+    ids=["kronecker_pencil", "kronecker_pencil_with_infinite"],
 )
 def test_projected_pencil_is_the_companion_projection(build):
     # a pencil is its own first companion form, so projecting its
-    # coefficients is projecting its companion pair, bit for bit
+    # coefficients is projecting its companion pair, bit for bit; with no
+    # common kernel (full-rank stacks) the core is the pencil itself, and the
+    # projected route is the one that projected the whole pencil
     for seed in range(3):
-        p, _ = build(seed)
+        p, truth = build(seed)
+        assert p.n - p.normal_rank >= PROJECT_FROM_NULLITY_SHARE * p.n >= 1
+        assert p.core.left is None and p.core.right is None
+        assert p.core.coeffs == p.coeffs
         cfg = SolverConfig(seed=seed)
         res = solve_polynomial(p, cfg)
         got = (res.values, res.kappa_bar, res.accepted, res.source_codes, res.right_vectors, res.left_vectors)
         for a, b in zip(got, companion_projection_reference(p, cfg)):
             assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes(), seed
+        assert match_accepted(res.values[res.accepted], truth, 1e-6) is not None, seed
+
+
+@pytest.mark.parametrize(
+    "build", [_synth, _synth_with_infinite], ids=["synth_pencil", "synth_pencil_with_infinite"]
+)
+def test_projected_synth_pencil_is_the_deflated_projection(build):
+    # a synthetic pencil's core is its regular part, of size r on both
+    # sides, so the projected route solves the core itself and draws
+    # nothing: every solver seed gives the same bits, and the candidates
+    # are those of a reference that deflates with SVD bases
+    for problem_seed in range(3):
+        p, _ = build(problem_seed)
+        assert _core_sizes(p) == (p.normal_rank, p.normal_rank)
+        res = solve_polynomial(p, SolverConfig(seed=0))
+        other = solve_polynomial(p, SolverConfig(seed=problem_seed + 1))
+        got = (res.values, res.kappa_bar, res.accepted, res.source_codes, res.right_vectors, res.left_vectors)
+        for a, b in zip(got, (other.values, other.kappa_bar, other.accepted, other.source_codes,
+                              other.right_vectors, other.left_vectors)):
+            assert a.tobytes() == b.tobytes(), problem_seed
+        lam, kappa, accepted, codes, x, y = deflated_projection_reference(p, SolverConfig(seed=0))
+        np.testing.assert_allclose(res.values, lam, rtol=1e-10)
+        np.testing.assert_allclose(res.kappa_bar, kappa, rtol=1e-8)
+        assert res.accepted.tolist() == accepted.tolist() and res.accepted.all()
+        assert res.source_codes.tolist() == codes.tolist()
+        for got_vecs, want in ((res.right_vectors, x), (res.left_vectors, y)):
+            overlap = np.abs((got_vecs.conj() * want).sum(axis=0))
+            np.testing.assert_allclose(overlap, 1.0, rtol=1e-10)
+
+
+def _accepts_exactly(p, truth, seeds=range(3)):
+    for seed in seeds:
+        res = solve_polynomial(p, SolverConfig(seed=seed))
+        assert match_accepted(res.values[res.accepted], truth, 1e-6) is not None, seed
+
+
+def test_common_kernel_perturbed_at_1e_9_is_kept():
+    # the L_1 and L_1^T blocks scaled to 1e-9 of the regular part leave
+    # directions that every coefficient nearly annihilates: the deflation
+    # keeps them (and the normal rank counts them), so the route is the
+    # whole pencil's projection, bit for bit; at 1e-13 they are dropped
+    # with the blocks' rank, as rounding
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        p, truth = _kronecker_pencil(rng, _annulus(16, rng), scale=1e-9)
+        assert p.normal_rank == 32 and _core_sizes(p) == (40, 40)
+        cfg = SolverConfig(seed=seed)
+        res = solve_polynomial(p, cfg)
+        for a, b in zip((res.values, res.kappa_bar, res.accepted), companion_projection_reference(p, cfg)):
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes(), seed
+        _accepts_exactly(p, truth)
+        rng = np.random.default_rng(seed)
+        p, truth = _kronecker_pencil(rng, _annulus(16, rng), scale=1e-13)
+        assert p.normal_rank == 16 and _core_sizes(p) == (16, 16)
+        _accepts_exactly(p, truth)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_sided_common_kernel(monkeypatch, side):
+    # order 36, normal rank 28: 8 zero rows (a left common kernel) beside 8
+    # blocks L_1, or 8 zero columns (a right one) beside 8 blocks L_1^T, and
+    # 20 eigenvalues; the deflated side has size r and draws nothing, the
+    # other is projected from n to r
+    import sqeig.solver as solver_mod
+
+    draws = []
+    real = solver_mod._projection_basis
+
+    def recording(rows, cols, rng):
+        basis = real(rows, cols, rng)
+        draws.append(None if basis is None else basis.shape)
+        return basis
+
+    monkeypatch.setattr(solver_mod, "_projection_basis", recording)
+    for problem_seed in range(2):
+        rng = np.random.default_rng(problem_seed)
+        if side == "left":
+            p, truth = _kronecker_pencil(rng, _annulus(20, rng), right_blocks=8, left_blocks=0, zero_rows=8)
+            want = (28, 36)
+        else:
+            p, truth = _kronecker_pencil(rng, _annulus(20, rng), right_blocks=0, left_blocks=8, zero_cols=8)
+            want = (36, 28)
+        assert p.normal_rank == 28 and _core_sizes(p) == want
+        draws.clear()
+        _accepts_exactly(p, truth)
+        drawn = (36, 28)
+        assert draws == ([None, drawn] if side == "left" else [drawn, None]) * 3
+
+
+def test_rectangular_core_of_a_chain_quadratic():
+    # a chain quadratic's rows past its r eigenvalues are zero and its
+    # columns past r + 1 are zero: the core is r-by-(r + 1), so U is not
+    # drawn and V maps r + 1 to r
+    for problem_seed in range(2):
+        p, truth = _chain(problem_seed)
+        balanced = p.balancing[0]
+        assert balanced.normal_rank == 12 and _core_sizes(balanced) == (12, 13)
+        assert all(c.shape == (12, 13) for c in balanced.core.coeffs)
+        _accepts_exactly(p, truth)
+
+
+def test_graded_coefficients_keep_the_core():
+    # two-sided diagonal scaling whose product spans 1e-4 ... 1e4 moves the
+    # eigenvalues nowhere and must not move a kept direction below the cutoff
+    from sqeig.corpus import synth_pencil
+
+    for problem_seed in range(2):
+        p, truth = synth_pencil(60, 30, seed=problem_seed)
+        rng = np.random.default_rng(problem_seed)
+        d_left = np.logspace(-2, 2, 60)
+        d_right = rng.permutation(d_left)
+        graded = MatrixPolynomial(tuple(d_left[:, None] * c * d_right for c in p.coeffs))
+        assert graded.normal_rank == 30 and _core_sizes(graded) == (30, 30)
+        _accepts_exactly(graded, truth.finite_eigenvalues)
+
+
+def test_core_with_infinite_eigenvalues_runs_qz(monkeypatch):
+    # synth_pencil(48, 24, n_finite=16): the 24-by-24 core carries the 8
+    # infinite eigenvalues, so its B is singular and QZ solves it
+    from sqeig.densela import qz_routine
+
+    routines = _recording_routines(monkeypatch)
+    for problem_seed in range(2):
+        p, truth = _synth_with_infinite(problem_seed)
+        assert _core_sizes(p) == (24, 24)
+        _accepts_exactly(p, truth)
+    assert routines == [qz_routine(24)] * 6
+
+
+def _ladder_rung(kind, n, seed):
+    # a size-ladder problem: a chain quadratic or a synthetic pencil of
+    # normal rank n/2 with eigenvalues on the annulus 0.5 <= |lam| <= 2
+    from sqeig.construct import chain_quadratic
+    from sqeig.corpus import synth_pencil
+
+    if kind == "synth":
+        p, truth = synth_pencil(n, n // 2, seed=seed)
+        return p, truth.finite_eigenvalues
+    rng = np.random.default_rng(seed)
+    inst = chain_quadratic(_annulus(n // 2, rng), n, rng=rng)
+    return inst.polynomial(), inst.eigenvalues
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("synth", 100), ("chain", 50), ("synth", 200), ("chain", 100), ("synth", 400), ("chain", 200)]
+)
+def test_true_pairs_sit_three_decades_under_the_gate_on_the_ladder(kind, n):
+    # the eta of every true pair stays 1e3 below residual_tolerance(m*r), so
+    # the gate has room for rounding that the standard route may add
+    from sqeig.densela import residual_tolerance
+    from sqeig.matpoly import backward_errors
+
+    p, truth = _ladder_rung(kind, n, 300)
+    balanced, gamma = (p, 1.0) if p.degree == 1 else p.balancing
+    assert balanced.normal_rank == n // 2
+    gate = residual_tolerance(p.degree * n // 2)
+    for seed in range(2):
+        res = solve_polynomial(p, SolverConfig(seed=seed))
+        accepted = res.values[res.accepted]
+        assert match_accepted(accepted, truth, 1e-6) is not None, seed
+        eta = backward_errors(balanced, accepted / gamma, res.right_vectors[:, res.accepted],
+                              res.left_vectors[:, res.accepted])
+        assert eta.max() < 1e-3 * gate, seed
 
 
 def _quadratic_with_infinite(seed):
