@@ -28,6 +28,16 @@ a change in any bit of any output changes a digest.  A change that claims
 to keep every output runs this script on the parent and on the change and
 compares the lines; CI also compares two runs under different
 ``PYTHONHASHSEED``s.
+
+The ``large`` digest depends on the host as well as on the code: its
+solves run ``zgeev`` and ``zggev3``, whose blocked steps call the BLAS
+kernels that OpenBLAS picks for the CPU at run time and split by its
+thread count.  On one 2-core x86-64 host with numpy 2.4.6 and scipy
+1.17.1, the same commit printed one ``large`` digest with one OpenBLAS
+thread and another with two; the other four digests did not move.  So
+the parent and the change are fingerprinted on one host with one BLAS
+thread setting, and ``solve-checks.sh`` prints the BLAS builds, numpy's
+CPU dispatch and the thread setting next to the digests.
 """
 
 import hashlib

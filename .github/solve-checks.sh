@@ -3,10 +3,11 @@
 # crossovers, the eigensolver that runs for a well-conditioned and for a
 # singular B at order 60, a projected pencil and a projected quadratic
 # solve past both crossovers, the same projected pencil output under two
-# solver seeds, and the same output bytes and output
-# fingerprint (fingerprint.py) from two processes under different hash
-# seeds.  Needs the sqeig package installed, with its console script
-# on PATH, and writes its files to $RUNNER_TEMP.
+# solver seeds, and the same output bytes and output fingerprint
+# (fingerprint.py) from two processes under different hash seeds, printed
+# beside the BLAS builds, numpy's CPU dispatch and the BLAS thread setting
+# that its large digest depends on.  Needs the sqeig package installed,
+# with its console script on PATH, and writes its files to $RUNNER_TEMP.
 #
 #   RUNNER_TEMP=$(mktemp -d) bash .github/solve-checks.sh
 #
@@ -45,6 +46,22 @@ done
 cmp "$RUNNER_TEMP/ex8-1.json" "$RUNNER_TEMP/ex8-2.json"
 cmp "$RUNNER_TEMP/large-1.json" "$RUNNER_TEMP/large-2.json"
 cmp "$RUNNER_TEMP/chain-1.json" "$RUNNER_TEMP/chain-2.json"
+# the large digest's bits depend on the host's BLAS kernels and thread count
+# (see fingerprint.py), so the digests are printed next to them
+python -c "
+import os, numpy, scipy
+for module in (numpy, scipy):
+    try:
+        config = module.show_config(mode='dicts')
+    except TypeError:  # numpy < 1.26 and scipy < 1.11 print their configuration only
+        module.show_config()
+        continue
+    blas = config['Build Dependencies']['blas']
+    print(module.__name__, module.__version__, 'BLAS:', blas.get('name'), blas.get('version'), blas.get('openblas configuration', ''))
+    if module is numpy:
+        print('numpy CPU dispatch:', config['SIMD Extensions'])
+print('BLAS threads:', os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), '/ cpus:', os.cpu_count())
+"
 cat "$RUNNER_TEMP/fingerprint-1.txt"
 cmp "$RUNNER_TEMP/fingerprint-1.txt" "$RUNNER_TEMP/fingerprint-2.txt"
 echo "solve checks passed"

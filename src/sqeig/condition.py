@@ -31,6 +31,7 @@ __all__ = [
     "BadDirectionError",
     "WeakConditionBounds",
     "beta_ratio_lower_tail_bound",
+    "condition_from_products",
     "condition_numbers",
     "directional_sensitivities",
     "directional_sensitivity",
@@ -65,19 +66,35 @@ def power_sum(lam, degree):
 
 
 def _condition(coeffs, lam, x, y):
-    # sqrt(sum_j |lam|**(2j)) / |y* P'(lam) x| for P = sum_j lam**j coeffs[j],
-    # +inf where the inner product vanishes.  coeffs[0] is read only at
-    # degree 0, times its factor 0, since P' = 0 there.  x and y may be
-    # column stacks with one lam per column; P'(lam) x is evaluated by
-    # Horner's rule on j * coeffs[j] @ x.
-    lam = np.asarray(lam, dtype=complex)
+    # condition_from_products on the products coeffs[j] @ x; coeffs[0] is
+    # read only at degree 0, since P' = 0 there
     x = np.asarray(x, dtype=complex)
+    first = min(len(coeffs) - 1, 1)
+    return condition_from_products([None] * first + [c @ x for c in coeffs[first:]], lam, y)
+
+
+def condition_from_products(products, lam, y):
+    """Condition numbers from the products ``A_j @ x`` of unit right vectors.
+
+    ``products[j]`` is ``A_j @ x`` (``products[0]`` is read only at degree
+    0, times its factor 0, and may be None otherwise), ``y`` the unit left
+    vectors; x and y may be column stacks with one ``lam`` per column.
+    Gives ``condition_numbers``'s ``sqrt(sum_j |lam|**(2j)) / |y* P'(lam)
+    x|``, +inf where the inner product vanishes, with ``P'(lam) x``
+    evaluated by Horner's rule on ``j * products[j]``.  A caller that
+    needs the products for residuals too computes them once.  For the
+    eigentriples of a polynomial lifted from its core (``matpoly.Core``),
+    ``x = right x_c`` and ``y = left y_c``, the core's products ``C_j @
+    x_c`` and y_c give the polynomial's numbers: ``y* A_j x = y_c* C_j
+    x_c`` exactly.
+    """
+    lam = np.asarray(lam, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    degree = len(coeffs) - 1
+    degree = len(products) - 1
     # a factor j = 1 is not applied: multiplying by 1 can only flip the sign
     # of a zero component, which |y* P'(lam) x| does not see
     dx = horner(
-        [coeffs[j] @ x if j == 1 else coeffs[j] @ x * j for j in range(min(degree, 1), degree + 1)],
+        [products[j] if j == 1 else products[j] * j for j in range(min(degree, 1), degree + 1)],
         lam,
     )
     with np.errstate(divide="ignore"):

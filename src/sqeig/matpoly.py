@@ -7,7 +7,8 @@ Frobenius norm of one coefficient stack or a batch of them,
 normalized random perturbation sampling (one stack or a batch), the
 deflation of the coefficients' common kernels and probabilistic
 normal-rank estimation (both kept per polynomial), the two-sided
-backward errors of approximate eigentriples, the
+backward errors of approximate eigentriples, exact or read in the
+coordinates of the deflated core with a bound on the difference, the
 two-norm scaling used to balance quadratic problems, the orthonormal
 kernel bases at an eigenvalue, the known-truth record of benchmark
 problems, and the seed check that the problem builders and the solver
@@ -36,6 +37,7 @@ __all__ = [
     "TruthSpec",
     "backward_errors",
     "check_seed",
+    "core_backward_errors",
     "deflate",
     "horner",
     "joint_norm",
@@ -186,8 +188,9 @@ class MatrixPolynomial:
     Rectangular coefficient input is zero-padded to square before storage.
     Coefficient arrays are read-only after construction.  Instances compare
     and hash by identity, as the array-holding types of this package do, so
-    a quadratic's balancing (``balancing``), the deflated core (``core``)
-    and the normal rank (``normal_rank``) are computed once and kept.
+    a quadratic's balancing (``balancing``), the deflated core (``core``),
+    the normal rank (``normal_rank``) and the coefficients' Frobenius norms
+    (``norms``) are computed once and kept.
     """
 
     coeffs: tuple
@@ -249,6 +252,15 @@ class MatrixPolynomial:
     def normal_rank(self):
         """The module's ``normal_rank(self, RANK_SEED)``, computed once."""
         return normal_rank(self, RANK_SEED)
+
+    @functools.cached_property
+    def norms(self):
+        """The Frobenius norms ``||A_j||_F`` as a tuple of floats, computed once.
+
+        Every backward error of this polynomial divides by them, exact or
+        read on the core, so the two cannot disagree on the scale.
+        """
+        return tuple(float(np.linalg.norm(c)) for c in self.coeffs)
 
     def evaluate(self, lam):
         """Value ``P(lam)`` by Horner's rule."""
@@ -396,11 +408,23 @@ class Core:
     polynomial's rank at every lam, so its normal rank and its finite
     eigenvalues, and a right eigenvector x of the core lifts to the
     polynomial's ``right @ x``, a left one y to ``left @ y``.
+
+    ``dropped`` holds, per coefficient, the float
+    ``delta_j = ||E_j||_F`` with ``E_j = A_j - left C_j right*``: what the
+    deflation left out of A_j, rounding and any direction cut below
+    ``densela.KERNEL_TOL``; 0.0 where both sides are None.  A solve reads
+    its eigentriples in core coordinates with it.  For ``x = right x_c``
+    and ``y = left y_c``, ``y* A_j x = y_c* C_j x_c`` exactly, while
+    ``A_j x = left C_j x_c + E_j x`` and ``y* A_j = y_c* C_j right* +
+    y* E_j``, so a residual read on the core is within
+    ``sum_j |lam|**j delta_j`` of the polynomial's
+    (``core_backward_errors``).
     """
 
     left: object
     right: object
     coeffs: tuple
+    dropped: tuple
 
 
 def deflate(p):
@@ -409,7 +433,9 @@ def deflate(p):
     ``right`` is the complement of the common kernel of the coefficients
     A_j.  As ``A_j = (A_j right) right*``, ``left`` is then that of the
     conjugate transposes of the narrower ``A_j right``, which span the same
-    columns, and the core is ``left* (A_j right)``.
+    columns, and the core is ``left* (A_j right)``.  Each ``delta_j`` is
+    then measured once, by forming ``left C_j right*`` (products of order
+    n*s_L*s_R and n*n*s_R); nothing is formed where no side deflates.
     """
     right = kernel_complement(p.coeffs)
     coeffs = p.coeffs if right is None else [c @ right for c in p.coeffs]
@@ -417,7 +443,19 @@ def deflate(p):
     if left is not None:
         lh = left.conj().T
         coeffs = [lh @ c for c in coeffs]
-    return Core(left=left, right=right, coeffs=tuple(_read_only(c) for c in coeffs))
+    dropped = tuple(_dropped_norm(a, c, left, right) for a, c in zip(p.coeffs, coeffs))
+    coeffs = tuple(_read_only(c) for c in coeffs)
+    return Core(left=left, right=right, coeffs=coeffs, dropped=dropped)
+
+
+def _dropped_norm(a, c, left, right):
+    # ||a - left c right*||_F, a None side read as the identity
+    if left is None and right is None:
+        return 0.0
+    back = c if left is None else left @ c
+    if right is not None:
+        back = back @ right.conj().T
+    return float(np.linalg.norm(a - back))
 
 
 def normal_rank(p, rng):
@@ -452,14 +490,52 @@ def backward_errors(p, lam, x, y):
     ``max(||P(lam) x||, ||y* P(lam)||) / sum_j |lam|**j ||A_j||_F`` for
     unit vectors ``x`` and ``y``, or column stacks of them with one ``lam``
     per column (the result is then an array).  Both products are evaluated
-    by Horner's rule on ``A_j @ x`` and ``A_j* @ y``.
+    by Horner's rule on ``A_j @ x`` and ``A_j* @ y``; the norms are the
+    cached ``p.norms``.
     """
     lam = np.asarray(lam, dtype=complex)
     right = horner([c @ x for c in p.coeffs], lam)
     left = horner([c.conj().T @ y for c in p.coeffs], lam.conj())
+    return np.maximum(column_norms(right), column_norms(left)) / _weighted(p.norms, lam)
+
+
+def core_backward_errors(p, lam, products, yc):
+    """Backward errors of eigentriples of ``p`` read on its core, and their bracket.
+
+    The eigentriples are ``(lam, right @ xc, left @ yc)`` with ``right``
+    and ``left`` of ``p.core`` (a None side the identity), for unit core
+    vectors xc (length s_R) and yc (length s_L), or column stacks of them
+    with one ``lam`` per column.  ``products`` are the ``C_j @ xc`` of the
+    core coefficients, which a caller computes once for the condition
+    numbers too.  Returns ``(eta, slack)``:
+
+    - ``eta = max(||P_c(lam) xc||, ||yc* P_c(lam)||) / sum_j |lam|**j
+      ||A_j||_F``, the formula of ``backward_errors`` with the core's
+      residuals over the polynomial's own cached norms ``p.norms``;
+    - ``slack = sum_j |lam|**j delta_j / sum_j |lam|**j ||A_j||_F``, with
+      the ``delta_j`` of ``Core.dropped``.
+
+    Both residuals of the lifted triple are the core's (kept in norm by the
+    orthonormal bases) plus ``sum_j lam**j`` times ``E_j x`` or ``y* E_j``,
+    each at most ``delta_j`` in norm, so
+    ``|backward_errors(p, lam, right @ xc, left @ yc) - eta| <= slack`` up
+    to rounding; slack is 0 where nothing was deflated.  The left residual
+    is formed as the rows ``yc* C_j``, which copies no coefficient.
+    """
+    core = p.core
+    lam = np.asarray(lam, dtype=complex)
+    right = horner(products, lam)
+    yh = yc.conj().T
+    left = horner([(yh @ c).T for c in core.coeffs], lam)
+    scale = _weighted(p.norms, lam)
+    eta = np.maximum(column_norms(right), column_norms(left)) / scale
+    return eta, _weighted(core.dropped, lam) / scale
+
+
+def _weighted(values, lam):
+    # sum_j |lam|**j * values[j], elementwise in lam
     moduli = np.abs(lam)
-    scale = sum(moduli**j * np.linalg.norm(c) for j, c in enumerate(p.coeffs))
-    return np.maximum(column_norms(right), column_norms(left)) / scale
+    return sum(moduli**j * v for j, v in enumerate(values))
 
 
 def scale_quadratic(p):

@@ -41,10 +41,29 @@ this route only if also its two-sided backward error eta on the
 balanced, unprojected polynomial (``matpoly.backward_errors``) is at
 most ``densela.residual_tolerance(m*r)`` = 1e4 * u * m*r: the residual a
 backward stable eigensolver of order m*r leaves, with room for the block
-reading and the lift.  Every other solve is the perturbation route, below
-order ``PROJECT_FROM_ORDER`` bit for bit as before the projection
-existed; ``solve_perturbed`` runs it at every order, for the studies of
-the perturbed candidates' condition numbers.
+reading and the lift.
+
+Both numbers are read in core coordinates, on the vectors ``xc = V x``
+and ``yc = U y`` before their lift to length n, with products by the
+s_L-by-s_R core coefficients instead of the n-by-n ones.  kappa_bar is
+exact there: for ``x = Q_R xc`` and ``y = Q_L yc``, with orthonormal
+Q_R and Q_L, ``y* A_j x = yc* C_j xc``, and the products ``C_j xc`` serve
+kappa_bar and the right residual alike.  eta is bracketed:
+``A_j Q_R xc = Q_L C_j xc + E_j Q_R xc`` with ``E_j = A_j - Q_L C_j Q_R*``,
+and ``MatrixPolynomial.core`` keeps ``delta_j = ||E_j||_F`` (0 where
+nothing was deflated), so eta read on the core (over the polynomial's own
+``||A_j||_F``) is within
+``Delta(lam) = sum_j |lam|**j delta_j / sum_j |lam|**j ||A_j||_F`` of the
+exact one (``matpoly.core_backward_errors``).  A candidate is accepted
+where eta + Delta is under the gate and rejected where eta - Delta is
+over it; only one in between pays the exact eta on its lifted vectors.
+The accepted set is the one the exact gate gives, and the vectors are
+lifted once, for the result.
+
+Every other solve is the perturbation route, below order
+``PROJECT_FROM_ORDER`` bit for bit as before the projection existed;
+``solve_perturbed`` runs it at every order, for the studies of the
+perturbed candidates' condition numbers.
 
 A quadratic is balanced first (once per polynomial, see
 ``MatrixPolynomial.balancing``) and solved by one eigensolver call on
@@ -78,10 +97,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import condition_numbers
+from .condition import condition_from_products, condition_numbers
 from .densela import EigensolverError, generalized_eig, residual_tolerance
 from .linearize import first_companion, recover_vectors
-from .matpoly import MatrixPolynomial, backward_errors, check_seed, sample_perturbation
+from .matpoly import (
+    MatrixPolynomial,
+    backward_errors,
+    check_seed,
+    core_backward_errors,
+    sample_perturbation,
+)
 
 # unused here; perfbench/tracing.py patches these solver attributes by name
 from .condition import pencil_condition, quadratic_condition  # noqa: F401
@@ -172,7 +197,11 @@ class ClassifiedEigenvalue:
     ``PROJECT_FROM_ORDER`` and up with a nullity of at least
     ``PROJECT_FROM_NULLITY_SHARE`` of it) to that and a backward error on
     the balanced, unprojected polynomial of at most 1e4 * u * m*r, m*r the
-    projected eigensolver order.  ``source`` names how the eigenvectors were read:
+    projected eigensolver order.  On that route both are read in the
+    coordinates of the deflated core: ``kappa_bar`` exactly, and the
+    backward error within a proven bound, with the exact one deciding
+    wherever the bound straddles the gate, so ``accepted`` is what the
+    lifted vectors give.  ``source`` names how the eigenvectors were read:
     ``pencil``; ``C1``, from the top blocks of the first companion form's
     eigenvectors (|lam| >= 1 on the balanced problem); or ``C1hat``, with
     the right vector from the bottom block of C1, as the alternate form
@@ -284,11 +313,15 @@ def solve_polynomial(p, cfg=None):
     solves the projected polynomial, among whose eigenvalues are the true
     ones.  The eigenvectors, read from blocks of height r, are lifted as
     ``Q_R (V x)`` and ``Q_L (U y)`` and classified as on the perturbation
-    route, with the balanced, unprojected coefficients, and a
+    route, by ``kappa_bar`` of the balanced, unprojected polynomial, and a
     candidate is accepted only if also its backward error
     (``matpoly.backward_errors``) on the balanced, unprojected polynomial
-    is at most ``densela.residual_tolerance(m*r)``.  ``epsilon`` is not
-    used; a normal rank of 0 gives no candidate.
+    is at most ``densela.residual_tolerance(m*r)``.  Both are read on the
+    core, before the lift: kappa_bar exactly, eta within the bound Delta
+    that ``Core.dropped`` gives, and the exact eta of the lifted vectors
+    decides only a candidate whose bracket straddles the gate (see the
+    module docstring).  ``epsilon`` is not used; a normal rank of 0 gives
+    no candidate.
     Returns a ``SolveResult`` holding every finite candidate in the
     eigensolver's order: modulus (descending), then phase.  For a
     quadratic the |lam| >= 1 candidates of the balanced problem are a
@@ -382,19 +415,33 @@ def _solve(p, balanced, gamma, cfg, project):
     # large-modulus (C1) candidates are a prefix of the order
     first = int(np.count_nonzero(np.abs(lam) >= 1.0))
     x, y, ok = recover_vectors(right[:, :k], left[:, :k], first, n)
-    if project:
-        x, y = _lift(core.right, _lift(v, x)), _lift(core.left, _lift(u, y))
     codes = np.full(k, _PENCIL_CODE if p.degree == 1 else _C1HAT_CODE, dtype=np.int8)
     if p.degree == 2:
         codes[:first] = _C1_CODE
-    kappa = condition_numbers(balanced, lam, x, y)
+    if project:
+        # classified in core coordinates: one set of products C_j xc serves
+        # kappa_bar and the right residual, and the lift runs once, for the
+        # returned vectors
+        xc, yc = _lift(v, x), _lift(u, y)
+        products = [c @ xc for c in core.coeffs]
+        kappa = condition_from_products(products, lam, yc)
+        x, y = _lift(core.right, xc), _lift(core.left, yc)
+    else:
+        kappa = condition_numbers(balanced, lam, x, y)
     kappa[~ok] = np.inf
     accepted = kappa <= cfg.tol
     if project:
-        # the gate reads only the candidates the threshold kept
+        # the gate reads only the candidates the threshold kept; eta read on
+        # the core is within slack of the exact one, so only a bracket that
+        # straddles the gate needs the exact eta of the lifted vectors
         kept = np.flatnonzero(accepted)
-        eta = backward_errors(balanced, lam[kept], x[:, kept], y[:, kept])
-        accepted[kept] = eta <= residual_tolerance(size)
+        eta, slack = core_backward_errors(
+            balanced, lam[kept], [t[:, kept] for t in products], yc[:, kept]
+        )
+        gate = residual_tolerance(size)
+        band = kept[(eta - slack <= gate) & (eta + slack > gate)]
+        accepted[kept] = eta + slack <= gate
+        accepted[band] = backward_errors(balanced, lam[band], x[:, band], y[:, band]) <= gate
     return SolveResult(
         values=gamma * lam,
         kappa_bar=kappa,

@@ -18,6 +18,8 @@ from conftest import (
     signed_zero_polynomial,
     unit_columns,
 )
+from sqeig import densela
+from sqeig.condition import condition_from_products, condition_numbers
 from sqeig.densela import UNIT_ROUNDOFF, generalized_eig
 from sqeig.linearize import first_companion
 from sqeig import matpoly
@@ -28,6 +30,7 @@ from sqeig.matpoly import (
     KernelBases,
     MatrixPolynomial,
     backward_errors,
+    core_backward_errors,
     horner,
     joint_norm,
     normal_rank,
@@ -490,6 +493,21 @@ class TestDeflate:
         assert p.core is core and "core" in vars(p)
         assert core.left is None and core.right is None
         assert all(c is a for c, a in zip(core.coeffs, p.coeffs))
+        assert core.dropped == (0.0, 0.0, 0.0)
+
+    def test_dropped_is_what_the_core_leaves_out(self):
+        # delta_j = ||A_j - left C_j right*||_F: rounding only, where the cut
+        # drops exact kernels
+        from sqeig.construct import chain_quadratic
+
+        chain = chain_quadratic([0.5, 1.5j, -2.0], 7, rng=4).polynomial()
+        for p in (self._synth(), chain):
+            core = p.core
+            assert len(core.dropped) == len(p.coeffs)
+            for a, c, delta in zip(p.coeffs, core.coeffs, core.dropped):
+                back = core.left @ c @ core.right.conj().T
+                assert delta == float(np.linalg.norm(a - back))
+                assert 0.0 < delta < 1e-13 * np.linalg.norm(a)
 
     def test_normal_rank_deflates_only_past_a_deficient_first_point(self, monkeypatch):
         calls = []
@@ -584,6 +602,92 @@ class TestBackwardErrors:
         e2 = np.array([0.0, 1.0])
         assert backward_errors(p, 2.0, e2, e2) == 0.0
         assert backward_errors(p, 3.0, e2, e2) > 0.1
+
+    def test_norms_are_computed_once(self):
+        p = _random_poly(np.random.default_rng(5), 4, 2)
+        assert "norms" not in vars(p)
+        backward_errors(p, 0.5, unit_columns(4, 1, 0)[:, 0], unit_columns(4, 1, 1)[:, 0])
+        assert p.norms is vars(p)["norms"]
+        assert p.norms == tuple(float(np.linalg.norm(c)) for c in p.coeffs)
+
+
+class TestCoreBackwardErrors:
+    # the classification of a projected solve reads eta and kappa_bar on the
+    # core; these pin the bracket and the identity for any orthonormal
+    # bases, so a coarse cut that drops real directions makes delta large
+
+    def _coarse_core(self, monkeypatch, seed):
+        # a random quadratic of order 8 whose last three rows and columns are
+        # scaled by 0.1, deflated at a cut of 0.3 of the leading pivot: a real
+        # part of every coefficient is dropped
+        monkeypatch.setattr(densela, "KERNEL_TOL", 0.3)
+        grade = np.array([1.0] * 5 + [0.1] * 3)
+        g = _random_poly(np.random.default_rng(seed), 8, 2).coeffs
+        p = MatrixPolynomial(tuple(grade[:, None] * c * grade for c in g))
+        core = p.core
+        assert core.left.shape == core.right.shape == (8, 5)
+        assert min(d / a for d, a in zip(core.dropped, p.norms)) > 0.02
+        return p, core
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eta_divides_by_the_polynomial_norms(self, monkeypatch, seed):
+        p, core = self._coarse_core(monkeypatch, seed)
+        rng = np.random.default_rng(seed + 10)
+        (s_l, s_r), k = core.coeffs[0].shape, 5
+        xc, yc = unit_columns(s_r, k, seed + 10), unit_columns(s_l, k, seed + 11)
+        lam = 2.0 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        eta, slack = core_backward_errors(p, lam, [c @ xc for c in core.coeffs], yc)
+        for i in range(k):
+            value = sum(lam[i] ** j * c for j, c in enumerate(core.coeffs))
+            scale = sum(abs(lam[i]) ** j * np.linalg.norm(a) for j, a in enumerate(p.coeffs))
+            residual = max(np.linalg.norm(value @ xc[:, i]), np.linalg.norm(yc[:, i].conj() @ value))
+            assert math.isclose(eta[i], residual / scale, rel_tol=1e-12)
+            lost = sum(abs(lam[i]) ** j * np.linalg.norm(a - core.left @ c @ core.right.conj().T)
+                       for j, (a, c) in enumerate(zip(p.coeffs, core.coeffs)))
+            assert math.isclose(slack[i], lost / scale, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bracket_and_kappa_identity_hold_for_any_cut(self, monkeypatch, seed):
+        p, core = self._coarse_core(monkeypatch, seed)
+        rng = np.random.default_rng(seed + 20)
+        (s_l, s_r), k = core.coeffs[0].shape, 40
+        xc, yc = unit_columns(s_r, k, seed + 20), unit_columns(s_l, k, seed + 21)
+        lam = np.exp(rng.uniform(-3, 3, k)) * np.exp(2j * np.pi * rng.random(k))
+        products = [c @ xc for c in core.coeffs]
+        eta, slack = core_backward_errors(p, lam, products, yc)
+        x, y = core.right @ xc, core.left @ yc
+        exact = backward_errors(p, lam, x, y)
+        assert (np.abs(exact - eta) <= slack * (1 + 1e-12)).all()
+        np.testing.assert_allclose(
+            condition_from_products(products, lam, yc), condition_numbers(p, lam, x, y), rtol=1e-12
+        )
+
+    def test_core_eigentriples_use_a_good_part_of_the_slack(self, monkeypatch):
+        # the dropped error is orthogonal to the core residual, so it moves a
+        # large eta by second order only; at the core's eigentriples, whose
+        # core eta is rounding, the exact eta uses a good part of the slack
+        from sqeig.linearize import recover_vectors
+
+        p, core = self._coarse_core(monkeypatch, 0)
+        dec = generalized_eig(*first_companion(MatrixPolynomial(core.coeffs)))
+        lam = dec.finite_values
+        k = lam.size
+        first = int(np.count_nonzero(np.abs(lam) >= 1.0))
+        xc, yc, ok = recover_vectors(dec.right_vectors[:, :k], dec.left_vectors[:, :k], first, 5)
+        assert k == 10 and ok.all()
+        eta, slack = core_backward_errors(p, lam, [c @ xc for c in core.coeffs], yc)
+        exact = backward_errors(p, lam, core.right @ xc, core.left @ yc)
+        assert eta.max() < 1e-13 and (exact <= slack * (1 + 1e-12)).all()
+        assert (exact > 0.1 * slack).all()
+
+    def test_no_kernel_gives_no_slack(self):
+        p = _random_poly(np.random.default_rng(7), 5, 1)
+        rng = np.random.default_rng(8)
+        x, y = unit_columns(5, 4, 8), unit_columns(5, 4, 9)
+        lam = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        eta, slack = core_backward_errors(p, lam, [c @ x for c in p.coeffs], y)
+        assert not slack.any()
+        np.testing.assert_allclose(eta, backward_errors(p, lam, x, y), rtol=1e-13)
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
