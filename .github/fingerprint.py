@@ -1,6 +1,6 @@
 """Same-outputs fingerprint: five SHA-256 digests of solver and study outputs.
 
-    PYTHONPATH=src python .github/fingerprint.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python .github/fingerprint.py
 
 prints one line per digest:
 
@@ -17,11 +17,11 @@ prints one line per digest:
 - ``large``: every ``SolveResult`` array of solves whose eigensolver
   runs at order 33 or more, solver seeds 0-4 each:
   ``synth_pencil(80, 40, seed=0)`` and a chain quadratic n = 40, r = 20,
-  both projected to order 40, and a regular pencil of order 40 on the
-  perturbation route, all three with a well-conditioned B (``zgeev``),
-  and the chain quadratic through ``solve_perturbed`` at order 80, whose
-  B is ill conditioned (QZ).  The other digests cover orders below 33
-  only.
+  both projected to order 40, and a regular pencil of order 40, solved
+  unprojected and unperturbed (its normal rank is 40), all three with a
+  well-conditioned B (``zgeev``), and the chain quadratic through
+  ``solve_perturbed`` at order 80, whose B is ill conditioned (QZ).  The
+  other digests cover orders below 33 only.
 
 Each array enters its digest with its dtype and shape, then its bytes, so
 a change in any bit of any output changes a digest.  A change that claims
@@ -36,8 +36,9 @@ thread count.  On one 2-core x86-64 host with numpy 2.4.6 and scipy
 1.17.1, the same commit printed one ``large`` digest with one OpenBLAS
 thread and another with two; the other four digests did not move.  So
 the parent and the change are fingerprinted on one host with one BLAS
-thread setting, and ``solve-checks.sh`` prints the BLAS builds, numpy's
-CPU dispatch and the thread setting next to the digests.
+thread, ``solve-checks.sh`` runs with one BLAS thread, and it prints the
+BLAS builds, numpy's CPU dispatch and the thread setting next to the
+digests.
 """
 
 import hashlib

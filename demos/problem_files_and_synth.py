@@ -36,10 +36,10 @@ with tempfile.TemporaryDirectory() as tmp:
     pf = load(path)
 
 results = solve_polynomial(pf.to_polynomial(), SolverConfig(seed=2))
-print("\nclassified eigenvalues of the perturbed problem:")
+print("\nclassified eigenvalues of the problem projected to its normal rank:")
 for r in results:
     mark = "ACCEPT" if r.accepted else "reject"
     print(f"  {mark}  {r.value:>24.6g}  kappa = {r.kappa_bar:.3e}")
 
 report = empirical_probability(pf.to_polynomial(), pf.truth_spec(), SolverConfig(seed=3), 200)
-print(f"\ndetection probability over {report.n_t} runs: {report.p:.3f}")
+print(f"\ndetection probability of the perturbed solve over {report.n_t} runs: {report.p:.3f}")

@@ -3,13 +3,15 @@ and singular matrix pencils.
 
 Singular problems (identically zero determinant) still have meaningful
 finite eigenvalues, but generic numerical methods cannot see them directly.
-This package regularizes such problems with a tiny random perturbation,
-solves the perturbed regular problem with a dense QZ-backed eigensolver
-(through companion linearizations in the quadratic case), and separates
-true eigenvalues from the spurious ones created out of the singular part by
-thresholding an eigenvalue condition number.  A Monte Carlo harness
-validates the probabilistic sensitivity theory the classification relies
-on.
+This package projects such problems to their normal rank, solves the
+projected regular problem with a dense eigensolver (through companion
+linearizations in the quadratic case), and separates true eigenvalues
+from the ones the projection places by an eigenvalue condition number
+and a backward error (``solve_polynomial``).  The paper's algorithm
+regularizes them with a tiny random perturbation instead and thresholds
+the condition number alone (``solver.solve_perturbed``); a Monte Carlo
+harness measures it and validates the probabilistic sensitivity theory
+its classification relies on.
 """
 
 from .condition import (

@@ -1,9 +1,12 @@
 """Eigenvalues of singular quadratic eigenvalue problems and matrix pencils
-by random regularization and condition-number screening.
+by normal-rank projection with condition-number and backward-error
+screening, and the detection probability of random regularization.
 
 subcommands:
-  solve         classify the eigenvalues of one problem (CSV or JSON rows)
-  montecarlo    detection probability over repeated randomized runs (JSON)
+  solve         classify the eigenvalues of one problem, projected to its
+                normal rank (CSV or JSON rows)
+  montecarlo    detection probability of randomly perturbed solves over
+                repeated runs (JSON)
   dist          empirical vs model quantiles of the scaled sensitivity (CSV)
   bounds        weak-condition-number bounds for given parameters (JSON)
   synth-pencil  emit a random singular pencil with known eigenvalues
@@ -29,7 +32,7 @@ from .condition import BadDirectionError, weak_condition_bounds
 from .construct import chain_quadratic, diagonal_pencil
 from .densela import EigensolverError
 from .matpoly import DegenerateProblemError
-from .solver import PROJECT_FROM_NULLITY_SHARE, PROJECT_FROM_ORDER, SolverConfig, solve_polynomial
+from .solver import SolverConfig, solve_polynomial
 from .verify import empirical_probability, sensitivity_distribution_ks
 
 __all__ = ["main"]
@@ -52,14 +55,6 @@ def _sig15(x):
 
 def _add_solver_flags(sub):
     defaults = SolverConfig()
-    sub.add_argument(
-        "--eps",
-        type=float,
-        default=defaults.epsilon,
-        help=f"perturbation size; not used from companion order {PROJECT_FROM_ORDER} on when the "
-        f"nullity is at least {PROJECT_FROM_NULLITY_SHARE:g} of the order, such problems are "
-        "projected to their normal rank instead",
-    )
     sub.add_argument("--tol", type=float, default=defaults.tol, help="condition acceptance threshold")
     sub.add_argument("--seed", type=int, default=defaults.seed, help="random seed")
 
@@ -72,7 +67,7 @@ def _load_problem(args):
 
 def _cmd_solve(args):
     # the config checks the seed before a built-in draws with it
-    cfg = SolverConfig(epsilon=args.eps, tol=args.tol, seed=args.seed)
+    cfg = SolverConfig(tol=args.tol, seed=args.seed)
     poly = _load_problem(args)
     rows = [
         {
@@ -173,7 +168,7 @@ def _build_parser():
     parser = _Parser(prog="sqeig", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve one problem and classify its eigenvalues")
+    p = sub.add_parser("solve", help="solve one problem, projected to its normal rank")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="problem file (JSON)")
     src.add_argument("--builtin", choices=corpus.BUILTIN_NAMES, help="built-in problem name")
@@ -183,9 +178,10 @@ def _build_parser():
     fmt.add_argument("--csv", action="store_true", help="emit CSV rows (default)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("montecarlo", help="detection probability over repeated runs")
+    p = sub.add_parser("montecarlo", help="detection probability of perturbed solves over repeated runs")
     p.add_argument("--builtin", choices=corpus.BUILTIN_NAMES, required=True)
     p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--eps", type=float, default=SolverConfig().epsilon, help="perturbation size")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_montecarlo)
 

@@ -499,11 +499,14 @@ def backward_errors(p, lam, x, y):
     return np.maximum(column_norms(right), column_norms(left)) / _weighted(p.norms, lam)
 
 
-def core_backward_errors(p, lam, products, yc):
+def core_backward_errors(p, core, lam, products, yc):
     """Backward errors of eigentriples of ``p`` read on its core, and their bracket.
 
-    The eigentriples are ``(lam, right @ xc, left @ yc)`` with ``right``
-    and ``left`` of ``p.core`` (a None side the identity), for unit core
+    ``core`` is ``p.core``, or a ``Core`` with no side deflated (both None,
+    the coefficients ``p.coeffs`` and every ``delta_j`` 0.0), which is
+    ``p.core`` for a regular polynomial without the deflation's cost.  The
+    eigentriples are ``(lam, right @ xc, left @ yc)`` with ``right`` and
+    ``left`` of ``core`` (a None side the identity), for unit core
     vectors xc (length s_R) and yc (length s_L), or column stacks of them
     with one ``lam`` per column.  ``products`` are the ``C_j @ xc`` of the
     core coefficients, which a caller computes once for the condition
@@ -522,7 +525,6 @@ def core_backward_errors(p, lam, products, yc):
     to rounding; slack is 0 where nothing was deflated.  The left residual
     is formed as the rows ``yc* C_j``, which copies no coefficient.
     """
-    core = p.core
     lam = np.asarray(lam, dtype=complex)
     right = horner(products, lam)
     yh = yc.conj().T

@@ -1,47 +1,42 @@
-"""Randomized solver for singular generalized and quadratic eigenproblems.
+"""Solvers for singular generalized and quadratic eigenproblems.
 
-One pipeline serves pencils and quadratics: add a small random
-perturbation to the coefficients (turning the singular problem into a
-regular one almost surely), solve the perturbed problem with a dense
-eigensolver, and classify each computed eigenvalue by its condition
-number.  The perturbed problem is regular but nearly singular: a singular
-problem has a singular leading coefficient (det P = 0 has no top term),
-so the perturbed one has a condition number of order 1/epsilon, and
-``densela.generalized_eig`` solves it by QZ, which stays backward stable
-there.  Well conditioned eigenvalues approximate true eigenvalues of the
-original problem; eigenvalues created from the perturbed singular part
-come out violently ill conditioned and are rejected by the threshold.
+``solve_polynomial`` is one pipeline for pencils and quadratics, the
+normal-rank projection of Hochstenbach, Mehl and Plestenjak ("Solving
+singular generalized eigenvalue problems. Part II: projection and
+augmentation", SIMAX 2023):
 
-A large problem with a large nullity is projected instead of perturbed
-(Hochstenbach, Mehl and Plestenjak, "Solving singular generalized
-eigenvalue problems. Part II: projection and augmentation", SIMAX 2023):
-one of companion order m*n >= ``PROJECT_FROM_ORDER`` whose nullity n - r
-(r the normal rank) is at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n.
-The balanced polynomial's common kernels, the vectors that every A_j
-annihilates on the right or on the left, are deflated first, once per
-polynomial (``MatrixPolynomial.core``): orthonormal bases Q_L (n-by-s_L)
-and Q_R (n-by-s_R) of the column space of ``[A_0 ... A_m]`` and of the
-row space of ``[A_0; ...; A_m]`` leave the core ``C_j = Q_L* A_j Q_R``.
-The core is compressed to the r-by-r ``U* C_j V``, U (s_L-by-r) and V
-(s_R-by-r) random with orthonormal columns, drawn only for a side longer
-than r (a synthetic pencil's core is its regular part, r-by-r, and draws
-nothing), and the projected polynomial, regular almost surely, is
-linearized: the eigensolver call shrinks from order m*n to m*r.  Where
-neither side has a common kernel, U and V are n-by-r and the core is the
-polynomial itself, as before the deflation existed.  The projected
-leading coefficient is well conditioned, so from order 33
-``densela.generalized_eig`` solves that pencil as the standard problem
-``B^{-1} A`` by ``zgeev``, 2-3 times cheaper than QZ, and by QZ where it
-is not (infinite eigenvalues make it singular).  Its eigenvalues include
-the true ones exactly; the others are placed by U and V, their lifted
-eigenvectors ``Q_R (V x)`` and ``Q_L (U y)`` are no eigenvectors of the
-unprojected problem, and their ``kappa_bar`` often lies below ``tol``.
-So a candidate is accepted on
-this route only if also its two-sided backward error eta on the
-balanced, unprojected polynomial (``matpoly.backward_errors``) is at
-most ``densela.residual_tolerance(m*r)`` = 1e4 * u * m*r: the residual a
-backward stable eigensolver of order m*r leaves, with room for the block
-reading and the lift.
+1. a quadratic is balanced (once per polynomial, see
+   ``MatrixPolynomial.balancing``); a pencil is not;
+2. the balanced polynomial's common kernels, the vectors that every A_j
+   annihilates on the right or on the left, are deflated, once per
+   polynomial (``MatrixPolynomial.core``): orthonormal bases Q_L
+   (n-by-s_L) and Q_R (n-by-s_R) of the column space of
+   ``[A_0 ... A_m]`` and of the row space of ``[A_0; ...; A_m]`` leave the
+   core ``C_j = Q_L* A_j Q_R``.  A regular polynomial (normal rank r = n)
+   has no common kernel, so its core is itself and the deflation is
+   skipped: its normal rank costs one SVD of order n and nothing more;
+3. the core is projected to the r-by-r ``U* C_j V``, U (s_L-by-r) and V
+   (s_R-by-r) random with orthonormal columns, drawn only for a side
+   longer than r (a synthetic pencil's core is its regular part, r-by-r,
+   and a regular polynomial's is n-by-n: neither draws anything);
+4. one eigensolver call of order m*r solves the first companion form of
+   the projected polynomial, regular almost surely.  Its eigenvalues
+   include the true ones exactly;
+5. each candidate is classified by its condition number ``kappa_bar`` on
+   the balanced, unprojected polynomial and accepted only if that is at
+   most ``tol`` and its two-sided backward error eta there
+   (``matpoly.backward_errors``) is at most
+   ``densela.residual_tolerance(m*r)`` = 1e4 * u * m*r: the residual a
+   backward stable eigensolver of order m*r leaves, with room for the
+   block reading and the lift.  The candidates placed by U and V have
+   lifted eigenvectors ``Q_R (V x)`` and ``Q_L (U y)`` that are no
+   eigenvectors of the polynomial, and their ``kappa_bar`` often lies
+   below ``tol``; eta rejects them.
+
+The projected leading coefficient is well conditioned where the problem
+has no infinite eigenvalue, so from order 33 ``densela.generalized_eig``
+solves that pencil as the standard problem ``B^{-1} A`` by ``zgeev``, 2-3
+times cheaper than QZ, and by QZ where it is not.
 
 Both numbers are read in core coordinates, on the vectors ``xc = V x``
 and ``yc = U y`` before their lift to length n, with products by the
@@ -50,8 +45,8 @@ exact there: for ``x = Q_R xc`` and ``y = Q_L yc``, with orthonormal
 Q_R and Q_L, ``y* A_j x = yc* C_j xc``, and the products ``C_j xc`` serve
 kappa_bar and the right residual alike.  eta is bracketed:
 ``A_j Q_R xc = Q_L C_j xc + E_j Q_R xc`` with ``E_j = A_j - Q_L C_j Q_R*``,
-and ``MatrixPolynomial.core`` keeps ``delta_j = ||E_j||_F`` (0 where
-nothing was deflated), so eta read on the core (over the polynomial's own
+and ``Core.dropped`` keeps ``delta_j = ||E_j||_F`` (0 where nothing was
+deflated), so eta read on the core (over the polynomial's own
 ``||A_j||_F``) is within
 ``Delta(lam) = sum_j |lam|**j delta_j / sum_j |lam|**j ||A_j||_F`` of the
 exact one (``matpoly.core_backward_errors``).  A candidate is accepted
@@ -60,33 +55,38 @@ over it; only one in between pays the exact eta on its lifted vectors.
 The accepted set is the one the exact gate gives, and the vectors are
 lifted once, for the result.
 
-Every other solve is the perturbation route, below order
-``PROJECT_FROM_ORDER`` bit for bit as before the projection existed;
-``solve_perturbed`` runs it at every order, for the studies of the
-perturbed candidates' condition numbers.
+``solve_perturbed`` is the paper's algorithm, for the studies of the
+perturbed candidates' condition numbers and the paper's acceptance
+criteria (``verify.empirical_probability``): add a small random
+perturbation to the balanced coefficients (turning the singular problem
+into a regular one almost surely), solve the perturbed problem with one
+eigensolver call at order m*n, and accept a candidate by its condition
+number alone.  The perturbed problem is regular but nearly singular: a
+singular problem has a singular leading coefficient (det P = 0 has no top
+term), so the perturbed one has a condition number of order 1/epsilon,
+and ``densela.generalized_eig`` solves it by QZ, which stays backward
+stable there.  Well conditioned eigenvalues approximate true eigenvalues
+of the original problem; eigenvalues created from the perturbed singular
+part come out violently ill conditioned and are rejected by the
+threshold.  A Monte Carlo trial is one such solve, and the small problems
+of the corpus spend most of it in Python around the QZ call, so the
+perturbation is written straight into the companion pair
+(``first_companion(balanced, e, epsilon)``, no perturbed polynomial).
 
-A quadratic is balanced first (once per polynomial, see
-``MatrixPolynomial.balancing``) and solved by one eigensolver call on
-its first companion form C1.  The alternate form C1hat = L * C1, with the unimodular
+Both solvers share the eigensolve and the recovery.  The finite
+eigenvalues come from ``generalized_eig`` once (``finite_values``; the
+finite pairs lead its order, so their vectors are the leading columns).
+A quadratic's first companion form C1 serves both of the paper's forms:
+the alternate form C1hat = L * C1, with the unimodular
 L = [[I, C], [0, I]], has the same eigenvalues and right eigenvectors, and
-left eigenvectors with the same top block, so both forms' eigenvector
-recovery reads the eigenvectors of C1: large-modulus candidates as the
-first form would, small-modulus ones as the alternate form would.  Values
-are rescaled to the original units.  A pencil is not balanced and is its
+left eigenvectors with the same top block, so large-modulus candidates
+are read as the first form would, small-modulus ones as the alternate
+form would.  Values are rescaled to the original units.  A pencil is its
 own first companion form, whose eigenvectors are read back unchanged.
 
 A solve returns one ``SolveResult``: read-only arrays with one entry (or
 column) per finite candidate.  It also yields ``ClassifiedEigenvalue``
 records, built on demand, one per candidate.
-
-A Monte Carlo trial (``verify.empirical_probability``) is one solve, and
-the small problems of the corpus spend most of it in Python around the QZ
-call, so the solve is one lean pass: the perturbation is written straight
-into the companion pair (``first_companion(balanced, e, epsilon)``, no
-perturbed polynomial), the finite eigenvalues come from
-``generalized_eig`` once (``finite_values``; the finite pairs lead its
-order, so their vectors are the leading columns), and recovery and
-classification each make one pass over all candidates.
 """
 
 from __future__ import annotations
@@ -101,6 +101,7 @@ from .condition import condition_from_products, condition_numbers
 from .densela import EigensolverError, generalized_eig, residual_tolerance
 from .linearize import first_companion, recover_vectors
 from .matpoly import (
+    Core,
     MatrixPolynomial,
     backward_errors,
     check_seed,
@@ -116,8 +117,6 @@ from .matpoly import pad_to_square, scale_quadratic  # noqa: F401
 
 __all__ = [
     "ClassifiedEigenvalue",
-    "PROJECT_FROM_NULLITY_SHARE",
-    "PROJECT_FROM_ORDER",
     "SOURCES",
     "SolveResult",
     "SolverConfig",
@@ -135,35 +134,14 @@ SOURCE_C1HAT = "C1hat"
 SOURCES = (SOURCE_PENCIL, SOURCE_C1, SOURCE_C1HAT)
 _PENCIL_CODE, _C1_CODE, _C1HAT_CODE = range(len(SOURCES))
 
-#: the smallest companion order m*n that ``solve_polynomial`` projects to
-#: the normal rank instead of perturbing.  In a scan (CHANGES.md) projection
-#: was as fast or faster from order 12 on; the built-ins reach order 22
-#: only, so this order keeps every one of them, and the Monte Carlo
-#: traffic on them, on the perturbation route.
-PROJECT_FROM_ORDER = 33
-
-#: the smallest nullity (n - r) / (m*n), as a share of the companion order,
-#: that ``solve_polynomial`` projects.  The projection adds up to two QR
-#: factorizations, the projection products and eta to an eigensolver call
-#: of order m*r, so it gains nothing on a regular problem (r = n).  A scan of
-#: order-200 quadratics, fastest of 5 solves perturbed / projected, three
-#: runs (CHANGES.md): a regular one with M well conditioned, where both
-#: routes run zgeev, 91-94 / 78-94 ms; chain quadratics, whose singular M
-#: keeps the perturbation route on QZ while the projection runs zgeev, at
-#: shares 1/64 172-231 / 61-96, 1/32 159-230 / 65-90 and 1/8 166-228 /
-#: 41-55.  Kept at 1/8: no workload holds a problem with a smaller
-#: nonzero share to gate a move on, and a move changes such outputs.
-PROJECT_FROM_NULLITY_SHARE = 1 / 8
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the randomized solve.
+    """Knobs of the solvers.
 
-    ``epsilon`` is the perturbation size (not read on the projected
-    route, see the module docstring), ``tol`` the condition-number acceptance
-    threshold, ``seed`` a non-negative int, a sequence of them,
-    a ``SeedSequence`` or None.  Anything else is a ValueError that names
+    ``epsilon`` is the perturbation size of ``solve_perturbed``
+    (``solve_polynomial`` perturbs nothing and does not read it), ``tol``
+    the condition-number acceptance threshold, ``seed`` a non-negative
+    int, a sequence of them, a ``SeedSequence`` or None.  Anything else is a ValueError that names
     the seed; a ``Generator`` or ``BitGenerator`` in particular is a
     stream, not a seed, and a config holding one would give a different
     result on every call.
@@ -192,23 +170,21 @@ class ClassifiedEigenvalue:
     ``value`` is in the original problem's units (rescaled where the solver
     balanced the coefficients).  ``kappa_bar`` is the condition number of
     the eigentriple on the balanced, unperturbed problem and may be +inf;
-    ``accepted`` is equivalent to ``kappa_bar <= tol`` on the perturbation
-    route, and on the projected route (companion order
-    ``PROJECT_FROM_ORDER`` and up with a nullity of at least
-    ``PROJECT_FROM_NULLITY_SHARE`` of it) to that and a backward error on
-    the balanced, unprojected polynomial of at most 1e4 * u * m*r, m*r the
-    projected eigensolver order.  On that route both are read in the
-    coordinates of the deflated core: ``kappa_bar`` exactly, and the
-    backward error within a proven bound, with the exact one deciding
-    wherever the bound straddles the gate, so ``accepted`` is what the
-    lifted vectors give.  ``source`` names how the eigenvectors were read:
-    ``pencil``; ``C1``, from the top blocks of the first companion form's
-    eigenvectors (|lam| >= 1 on the balanced problem); or ``C1hat``, with
-    the right vector from the bottom block of C1, as the alternate form
-    would (|lam| < 1).  On the projected route that form is the projected
-    polynomial's, of block height r, and the vectors read from it are
-    lifted to length n as ``Q_R (V x)`` and ``Q_L (U y)`` (see
-    ``solve_polynomial``).  The eigenvectors have unit norm.
+    ``accepted`` is equivalent, from ``solve_polynomial``, to
+    ``kappa_bar <= tol`` and a backward error on the balanced, unprojected
+    polynomial of at most 1e4 * u * m*r, m*r the projected eigensolver
+    order, and from ``solve_perturbed`` to ``kappa_bar <= tol`` alone.
+    ``solve_polynomial`` reads both in the coordinates of the deflated
+    core: ``kappa_bar`` exactly, and the backward error within a proven
+    bound, with the exact one deciding wherever the bound straddles the
+    gate, so ``accepted`` is what the lifted vectors give.  ``source``
+    names how the eigenvectors were read: ``pencil``; ``C1``, from the top
+    blocks of the first companion form's eigenvectors (|lam| >= 1 on the
+    balanced problem); or ``C1hat``, with the right vector from the bottom
+    block of C1, as the alternate form would (|lam| < 1).  From
+    ``solve_polynomial`` that form is the projected polynomial's, of block
+    height r, and the vectors read from it are lifted to length n as
+    ``Q_R (V x)`` and ``Q_L (U y)``.  The eigenvectors have unit norm.
     """
 
     value: complex
@@ -297,31 +273,25 @@ def solve_singular_quadratic(m, c, k, cfg=None):
 def solve_polynomial(p, cfg=None):
     """Finite eigenvalues of a degree-1 or degree-2 matrix polynomial, classified.
 
-    A quadratic is balanced to unit leading/trailing 2-norms.  The
-    balanced problem is solved as ``solve_perturbed`` solves it, unless
-    its companion order m*n is at least ``PROJECT_FROM_ORDER`` and its
-    nullity n - r at least ``PROJECT_FROM_NULLITY_SHARE`` of m*n, r the
-    cached ``normal_rank`` of the balanced polynomial (read from that
-    order on only).  Such a problem is projected to its normal rank
-    instead: the s_L-by-s_R core ``C_j = Q_L* A_j Q_R`` of the balanced
-    coefficients, their common kernels deflated once per polynomial
-    (``MatrixPolynomial.core``), becomes ``U* C_j V`` for s_L-by-r U and
-    s_R-by-r V with orthonormal columns from ``default_rng(cfg.seed)``, U
-    first, each drawn only where its side is longer than r (no common
-    kernel: n-by-r U and V on the coefficients themselves; for a pencil,
-    the projection of its pair), and one eigensolver call of order m*r
-    solves the projected polynomial, among whose eigenvalues are the true
-    ones.  The eigenvectors, read from blocks of height r, are lifted as
-    ``Q_R (V x)`` and ``Q_L (U y)`` and classified as on the perturbation
-    route, by ``kappa_bar`` of the balanced, unprojected polynomial, and a
-    candidate is accepted only if also its backward error
-    (``matpoly.backward_errors``) on the balanced, unprojected polynomial
-    is at most ``densela.residual_tolerance(m*r)``.  Both are read on the
+    The one pipeline of the module docstring: a quadratic is balanced to
+    unit leading/trailing 2-norms, and the balanced polynomial, of cached
+    ``normal_rank`` r, is projected to r-by-r coefficients.  Unless it is
+    regular (r = n), its common kernels are deflated first, once per
+    polynomial (``MatrixPolynomial.core``), leaving the s_L-by-s_R core
+    ``C_j = Q_L* A_j Q_R``; a regular polynomial is its own core, n-by-n.
+    The core becomes ``U* C_j V`` for s_L-by-r U and s_R-by-r V with
+    orthonormal columns from ``default_rng(cfg.seed)``, U first, each
+    drawn only where its side is longer than r, and one eigensolver call
+    of order m*r solves the projected polynomial, among whose eigenvalues
+    are the true ones.  The eigenvectors, read from blocks of height r,
+    are lifted as ``Q_R (V x)`` and ``Q_L (U y)``; a candidate is accepted
+    when its ``kappa_bar`` on the balanced, unprojected polynomial is at
+    most ``tol`` and its backward error there (``matpoly.backward_errors``)
+    at most ``densela.residual_tolerance(m*r)``.  Both are read on the
     core, before the lift: kappa_bar exactly, eta within the bound Delta
     that ``Core.dropped`` gives, and the exact eta of the lifted vectors
-    decides only a candidate whose bracket straddles the gate (see the
-    module docstring).  ``epsilon`` is not used; a normal rank of 0 gives
-    no candidate.
+    decides only a candidate whose bracket straddles the gate.
+    ``epsilon`` is not used; a normal rank of 0 gives no candidate.
     Returns a ``SolveResult`` holding every finite candidate in the
     eigensolver's order: modulus (descending), then phase.  For a
     quadratic the |lam| >= 1 candidates of the balanced problem are a
@@ -329,28 +299,71 @@ def solve_polynomial(p, cfg=None):
     ``C1hat`` one.
     """
     balanced, gamma = _balanced(p)
-    order = p.degree * p.n
-    project = order >= PROJECT_FROM_ORDER and (
-        p.n - balanced.normal_rank >= PROJECT_FROM_NULLITY_SHARE * order
+    cfg = cfg or SolverConfig()
+    r = balanced.normal_rank
+    # a regular polynomial has no common kernel: its core is itself
+    core = balanced.core if r < p.n else Core(None, None, balanced.coeffs, (0.0,) * (p.degree + 1))
+    rng = np.random.default_rng(cfg.seed)
+    rows, cols = core.coeffs[0].shape
+    u = _projection_basis(rows, r, rng)
+    v = _projection_basis(cols, r, rng)
+    coeffs = core.coeffs
+    if u is not None:
+        uh = u.conj().T
+        coeffs = [uh @ c for c in coeffs]
+    if v is not None:
+        coeffs = [c @ v for c in coeffs]
+    pair = first_companion(MatrixPolynomial._derived(tuple(coeffs)))
+    lam, x, y, ok, codes = _eigensolve(p, pair, r, cfg, projected=True)
+    # classified in core coordinates: one set of products C_j xc serves
+    # kappa_bar and the right residual, and the lift runs once, for the
+    # returned vectors
+    xc, yc = _lift(v, x), _lift(u, y)
+    products = [c @ xc for c in core.coeffs]
+    kappa = condition_from_products(products, lam, yc)
+    kappa[~ok] = np.inf
+    accepted = kappa <= cfg.tol
+    x, y = _lift(core.right, xc), _lift(core.left, yc)
+    # the gate reads only the candidates the threshold kept; eta read on
+    # the core is within slack of the exact one, so only a bracket that
+    # straddles the gate needs the exact eta of the lifted vectors
+    kept = np.flatnonzero(accepted)
+    eta, slack = core_backward_errors(
+        balanced, core, lam[kept], [t[:, kept] for t in products], yc[:, kept]
     )
-    return _solve(p, balanced, gamma, cfg or SolverConfig(), project)
+    gate = residual_tolerance(p.degree * r)
+    band = kept[(eta - slack <= gate) & (eta + slack > gate)]
+    accepted[kept] = eta + slack <= gate
+    accepted[band] = backward_errors(balanced, lam[band], x[:, band], y[:, band]) <= gate
+    return _result(gamma, lam, kappa, accepted, codes, x, y)
 
 
 def solve_perturbed(p, cfg=None):
-    """The paper's solve at every order; ``solve_polynomial``'s where it does not project.
+    """The paper's solve: perturb at random, accept by condition number.
 
     The balanced coefficient stack is perturbed jointly (uniformly on the
-    unit sphere, scaled by ``epsilon``), linearized and solved by one
-    ``generalized_eig`` call: QZ on a singular problem, whose perturbed
-    leading coefficient is ill conditioned, ``zgeev`` from order 33 on a
-    regular one whose leading coefficient is well conditioned.  All finite
-    candidates are classified at once, with the balanced, unperturbed
-    coefficients; a candidate whose recovered eigenvector block is
-    numerically zero gets ``kappa_bar = inf``, and a candidate is accepted
-    when ``kappa_bar <= tol``.  The studies of the perturbed candidates'
-    condition numbers use this route.
+    unit sphere, scaled by ``epsilon``, drawn from
+    ``default_rng(cfg.seed)``), linearized and solved by one
+    ``generalized_eig`` call of order m*n: QZ on a singular problem, whose
+    perturbed leading coefficient is ill conditioned, ``zgeev`` from
+    order 33 on a regular one whose leading coefficient is well
+    conditioned.  All finite candidates are classified at once, with the
+    balanced, unperturbed coefficients; a candidate whose recovered
+    eigenvector block is numerically zero gets ``kappa_bar = inf``, and a
+    candidate is accepted when ``kappa_bar <= tol``.  The paper's
+    acceptance criteria (through ``verify.empirical_probability``) and the
+    studies of the perturbed candidates' condition numbers use this
+    solver.  Returns a ``SolveResult`` in the order ``solve_polynomial``
+    gives.
     """
-    return _solve(p, *_balanced(p), cfg or SolverConfig(), project=False)
+    balanced, gamma = _balanced(p)
+    cfg = cfg or SolverConfig()
+    e = sample_perturbation(p.n, p.degree, np.random.default_rng(cfg.seed))
+    pair = first_companion(balanced, e, cfg.epsilon)
+    lam, x, y, ok, codes = _eigensolve(p, pair, p.n, cfg, projected=False)
+    kappa = condition_numbers(balanced, lam, x, y)
+    kappa[~ok] = np.inf
+    return _result(gamma, lam, kappa, kappa <= cfg.tol, codes, x, y)
 
 
 def _balanced(p):
@@ -375,38 +388,22 @@ def _lift(basis, vectors):
     return vectors if basis is None else basis @ vectors
 
 
-def _solve(p, balanced, gamma, cfg, project):
-    rng = np.random.default_rng(cfg.seed)
-    # the block height of the companion form, r if projected
-    n = balanced.normal_rank if project else p.n
-    size = p.degree * n
-    if project:
-        core = balanced.core
-        rows, cols = core.coeffs[0].shape
-        u = _projection_basis(rows, n, rng)
-        v = _projection_basis(cols, n, rng)
-        coeffs = core.coeffs
-        if u is not None:
-            uh = u.conj().T
-            coeffs = [uh @ c for c in coeffs]
-        if v is not None:
-            coeffs = [c @ v for c in coeffs]
-        pair = first_companion(MatrixPolynomial._derived(tuple(coeffs)))
-    else:
-        e = sample_perturbation(p.n, p.degree, rng)
-        pair = first_companion(balanced, e, cfg.epsilon)
-    if size:
+def _eigensolve(p, pair, n, cfg, projected):
+    # (lam, x, y, ok, codes) of the finite candidates of a companion pair
+    # of block height n: one eigensolver call, then each candidate's
+    # eigenvector block read as its form would read it
+    if n:
         try:
             dec = generalized_eig(*pair)
         except EigensolverError as exc:
-            how = "projected" if project else f"epsilon={cfg.epsilon:g}"
+            how = "projected" if projected else f"epsilon={cfg.epsilon:g}"
             raise EigensolverError(
                 f"degree-{p.degree} solve failed (seed={cfg.seed!r}, {how}): {exc}"
             ) from exc
         lam, right, left = dec.finite_values, dec.right_vectors, dec.left_vectors
     else:
-        # a projected pencil of normal rank 0: no eigensolver call and no
-        # candidate; the 0-by-0 pair stands in for its two vector sets
+        # a projected polynomial of normal rank 0: no eigensolver call and
+        # no candidate; the 0-by-0 pair stands in for its two vector sets
         lam, (right, left) = np.empty(0, dtype=complex), pair
     # the finite pairs lead the order
     k = lam.size
@@ -418,30 +415,10 @@ def _solve(p, balanced, gamma, cfg, project):
     codes = np.full(k, _PENCIL_CODE if p.degree == 1 else _C1HAT_CODE, dtype=np.int8)
     if p.degree == 2:
         codes[:first] = _C1_CODE
-    if project:
-        # classified in core coordinates: one set of products C_j xc serves
-        # kappa_bar and the right residual, and the lift runs once, for the
-        # returned vectors
-        xc, yc = _lift(v, x), _lift(u, y)
-        products = [c @ xc for c in core.coeffs]
-        kappa = condition_from_products(products, lam, yc)
-        x, y = _lift(core.right, xc), _lift(core.left, yc)
-    else:
-        kappa = condition_numbers(balanced, lam, x, y)
-    kappa[~ok] = np.inf
-    accepted = kappa <= cfg.tol
-    if project:
-        # the gate reads only the candidates the threshold kept; eta read on
-        # the core is within slack of the exact one, so only a bracket that
-        # straddles the gate needs the exact eta of the lifted vectors
-        kept = np.flatnonzero(accepted)
-        eta, slack = core_backward_errors(
-            balanced, lam[kept], [t[:, kept] for t in products], yc[:, kept]
-        )
-        gate = residual_tolerance(size)
-        band = kept[(eta - slack <= gate) & (eta + slack > gate)]
-        accepted[kept] = eta + slack <= gate
-        accepted[band] = backward_errors(balanced, lam[band], x[:, band], y[:, band]) <= gate
+    return lam, x, y, ok, codes
+
+
+def _result(gamma, lam, kappa, accepted, codes, x, y):
     return SolveResult(
         values=gamma * lam,
         kappa_bar=kappa,

@@ -41,10 +41,11 @@ from .matpoly import (
     sample_perturbations,
     seeded_generator,
 )
-from .solver import SOURCE_C1, SolverConfig, solve_perturbed, solve_polynomial
+from .solver import SOURCE_C1, SolverConfig, solve_perturbed
 
-# unused here; perfbench/tracing.py patches this verify attribute by name
+# unused here; perfbench/tracing.py patches these verify attributes by name
 from .matpoly import sample_perturbation  # noqa: F401
+from .solver import solve_polynomial  # noqa: F401
 
 __all__ = [
     "ExpansionReport",
@@ -141,7 +142,8 @@ def _seed_sequence(seed):
 def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     """Fraction of randomized runs that recover the truth set exactly.
 
-    A run succeeds iff its accepted eigenvalues match ``truth`` as a
+    A run is one ``solver.solve_perturbed`` solve, the paper's algorithm,
+    and succeeds iff its accepted eigenvalues match ``truth`` as a
     multiset under the truth's relative tolerance.  Per-trial seeds are
     spawned deterministically from ``cfg.seed``, so trials are independent
     and could equally run in parallel; aggregation is order independent.
@@ -153,7 +155,7 @@ def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     n_s = 0
     outcomes = []
     for child in children:
-        results = solve_polynomial(problem, cfg.with_seed(child))
+        results = solve_perturbed(problem, cfg.with_seed(child))
         matched = match_accepted(
             results.values[results.accepted], truth.finite_eigenvalues, truth.match_tol
         )
@@ -323,9 +325,8 @@ def linearization_ratios(instance, lam0):
 def end_to_end_condition_ratios(instance, cfg):
     """Solver-reported condition inflation of the linearization route.
 
-    Runs the randomized quadratic solver on the instance, on the
-    perturbation route at every order (``solver.solve_perturbed``), and
-    returns, for every accepted eigenvalue matched to a designed one,
+    Runs the paper's randomized solver (``solver.solve_perturbed``) on the
+    instance and returns, for every accepted eigenvalue matched to a designed one,
     ``(value, source, kappa_bar, kappa_bar_lin)``.  ``kappa_bar_lin`` is
     the condition number of the same eigentriple on the balanced,
     unperturbed companion form named by ``source``.
@@ -399,8 +400,8 @@ def singular_space_estimate(poly, lam0, h, rng):
 def spurious_bound_records(poly, cfg, n_runs, truth=()):
     """Measured condition numbers vs. certified bounds for spurious output.
 
-    Runs the solver repeatedly on the quadratic ``poly``, on the
-    perturbation route at every order (``solver.solve_perturbed``); every finite
+    Runs the paper's randomized solver (``solver.solve_perturbed``)
+    repeatedly on the quadratic ``poly``; every finite
     candidate not close to a truth eigenvalue is treated as spurious, and
     whenever the bound's precondition holds the pair (measured kappa_bar,
     certified lower bound) is recorded.  A candidate is close to a truth eigenvalue under the

@@ -14,7 +14,7 @@ import pytest
 from conftest import assert_multiset_close
 from sqeig.condition import inverse_condition, weak_condition_bounds
 from sqeig.construct import chain_quadratic, diagonal_quadratic
-from sqeig.corpus import builtin
+from sqeig.corpus import builtin, synth_pencil
 from sqeig.densela import (
     UNIT_ROUNDOFF,
     generalized_eig,
@@ -23,13 +23,14 @@ from sqeig.densela import (
     singular_values,
 )
 from sqeig.matpoly import sample_perturbation
-from sqeig.solver import SolverConfig
+from sqeig.solver import SolverConfig, solve_polynomial
 from sqeig.verify import (
     empirical_probability,
     end_to_end_condition_ratios,
     expansion_order_check,
     limit_mixing_samples,
     linearization_ratios,
+    match_accepted,
     model_sensitivity_samples,
     sensitivity_samples,
 )
@@ -101,6 +102,82 @@ def test_criterion_2_accepted_accuracy(detection_reports):
                 assert err <= bound, (name, cand.value, true_val, cand.kappa_bar)
     print(
         f"[acceptance] criterion 2 (accepted accuracy, {checked} eigenvalues, "
+        f"worst error/bound = {worst:.2e}): PASS"
+    )
+
+
+# the same for the projected solve (solver.solve_polynomial), which criteria
+# 1-2 do not run: the detection cases, a synthetic pencil and a chain
+# quadratic past order 33.  Every case read 1.000 over the 200 trials when
+# the floors were set, so a floor of 0.99 allows two failed trials
+PROJECTED_CASES = [(name, tol, 0.99, match_tol) for name, tol, _, match_tol in DETECTION_CASES] + [
+    ("synth_pencil_60_30", 1e4, 0.99, 1e-4),
+    ("chain_quadratic_40_20", 1e4, 0.99, 1e-4),
+]
+
+
+def _projected_problem(name):
+    # (polynomial, finite true eigenvalues)
+    if name == "synth_pencil_60_30":
+        poly, truth = synth_pencil(60, 30, seed=PROBLEM_SEED)
+        return poly, truth.finite_eigenvalues
+    if name == "chain_quadratic_40_20":
+        lams = [0.4 * k * np.exp(0.7j * k) for k in range(1, 21)]
+        inst = chain_quadratic(lams, 40, rng=PROBLEM_SEED)
+        return inst.polynomial(), inst.eigenvalues
+    poly, truth = builtin(name, seed=PROBLEM_SEED)
+    return poly, truth.finite_eigenvalues
+
+
+@pytest.fixture(scope="module")
+def projected_reports():
+    # per case: the successful trials' (accepted values, matched truth,
+    # kappa_bar), one solve per child of MASTER_SEED as in criterion 1
+    reports = {}
+    for name, tol, floor, match_tol in PROJECTED_CASES:
+        poly, truth = _projected_problem(name)
+        cfg = SolverConfig(tol=tol, seed=MASTER_SEED)
+        successes = []
+        for child in np.random.SeedSequence(MASTER_SEED).spawn(N_TRIALS):
+            res = solve_polynomial(poly, cfg.with_seed(child))
+            accepted = res.values[res.accepted]
+            matched = match_accepted(accepted, truth, match_tol)
+            if matched is not None:
+                successes.append((accepted, matched, res.kappa_bar[res.accepted]))
+        reports[name] = (successes, floor, cfg)
+    return reports
+
+
+def test_projected_detection_probabilities(projected_reports):
+    ok = True
+    details = []
+    for name, (successes, floor, _) in projected_reports.items():
+        p = len(successes) / N_TRIALS
+        ok &= p >= floor
+        details.append(f"{name}={p:.3f}(>={floor})")
+    print(
+        f"[acceptance] projected detection probabilities (n_t={N_TRIALS}): "
+        + ", ".join(details)
+        + f": {'PASS' if ok else 'FAIL'}"
+    )
+    assert ok
+
+
+def test_projected_accepted_accuracy(projected_reports):
+    # criterion 2's bound, with the config's epsilon that the projection
+    # does not use: its values are accurate to about u * kappa_bar
+    worst = 0.0
+    checked = 0
+    for name, (successes, _, cfg) in projected_reports.items():
+        for accepted, matched, kappa in successes:
+            for value, true_val, k in zip(accepted, matched, kappa):
+                bound = 100.0 * cfg.epsilon * k
+                err = abs(value - true_val)
+                worst = max(worst, err / bound)
+                checked += 1
+                assert err <= bound, (name, value, true_val, k)
+    print(
+        f"[acceptance] projected accuracy ({checked} eigenvalues, "
         f"worst error/bound = {worst:.2e}): PASS"
     )
 

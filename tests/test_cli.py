@@ -52,6 +52,11 @@ class TestSolve:
         _, out2, _ = _run(capsys, "solve", "--builtin", "ex5", "--seed", "9")
         assert out1 == out2
 
+    def test_eps_is_a_usage_error(self, capsys):
+        # solve projects and perturbs nothing, so it has no perturbation size
+        code, out, err = _run(capsys, "solve", "--builtin", "ex1", "--eps", "1e-8")
+        assert code == 1 and out == "" and "--eps" in err
+
     def test_explicit_csv_flag_matches_default(self, capsys):
         _, out1, _ = _run(capsys, "solve", "--builtin", "ex2", "--seed", "1")
         _, out2, _ = _run(capsys, "solve", "--builtin", "ex2", "--seed", "1", "--csv")
@@ -59,20 +64,21 @@ class TestSolve:
         assert out1.startswith("re,im,kappa_bar,accepted,source")
 
     def test_infinite_kappa_rendering(self, capsys, tmp_path):
-        # the zero pencil classifies every candidate with an infinite
-        # condition number: "inf" in CSV, null in JSON
-        pf = probfile.ProblemFile(coefficients=(np.zeros((2, 2)), np.zeros((2, 2))))
-        path = tmp_path / "zero.json"
+        # lam**2 I + diag(0, 1) has the eigenvalues +-i and a double 0, where
+        # P'(0) = C = 0: the two zero candidates have an infinite condition
+        # number, "inf" in CSV and null in JSON
+        pf = probfile.ProblemFile(coefficients=(np.diag([0.0, 1.0]), np.zeros((2, 2)), np.eye(2)))
+        path = tmp_path / "double_zero.json"
         probfile.dump(pf, path)
         code, out, _ = _run(capsys, "solve", "--input", str(path), "--seed", "3")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert rows and all(r["kappa_bar"] == "inf" for r in rows)
+        assert [r["kappa_bar"] == "inf" for r in rows] == [False, False, True, True]
         code, out, _ = _run(capsys, "solve", "--input", str(path), "--seed", "3", "--json")
         assert code == 0
         doc = json.loads(out)
         jsonschema.validate(doc, _schema("solve_result.schema.json"))
-        assert all(r["kappa_bar"] is None for r in doc)
+        assert [r["kappa_bar"] is None for r in doc] == [False, False, True, True]
 
     def test_input_file(self, capsys):
         code, out, _ = _run(
@@ -150,6 +156,11 @@ class TestMontecarlo:
         jsonschema.validate(doc, _schema("montecarlo_report.schema.json"))
         assert doc["n_t"] == 25
         assert doc["p"] == 1.0
+
+    def test_eps_sets_the_perturbation_size(self, capsys):
+        code, out, _ = _run(capsys, "montecarlo", "--builtin", "ex2", "--runs", "5", "--eps", "1e-10")
+        assert code == 0
+        assert json.loads(out)["p"] == 1.0
 
 
 class TestBounds:

@@ -636,7 +636,7 @@ class TestCoreBackwardErrors:
         (s_l, s_r), k = core.coeffs[0].shape, 5
         xc, yc = unit_columns(s_r, k, seed + 10), unit_columns(s_l, k, seed + 11)
         lam = 2.0 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        eta, slack = core_backward_errors(p, lam, [c @ xc for c in core.coeffs], yc)
+        eta, slack = core_backward_errors(p, core, lam, [c @ xc for c in core.coeffs], yc)
         for i in range(k):
             value = sum(lam[i] ** j * c for j, c in enumerate(core.coeffs))
             scale = sum(abs(lam[i]) ** j * np.linalg.norm(a) for j, a in enumerate(p.coeffs))
@@ -654,7 +654,7 @@ class TestCoreBackwardErrors:
         xc, yc = unit_columns(s_r, k, seed + 20), unit_columns(s_l, k, seed + 21)
         lam = np.exp(rng.uniform(-3, 3, k)) * np.exp(2j * np.pi * rng.random(k))
         products = [c @ xc for c in core.coeffs]
-        eta, slack = core_backward_errors(p, lam, products, yc)
+        eta, slack = core_backward_errors(p, core, lam, products, yc)
         x, y = core.right @ xc, core.left @ yc
         exact = backward_errors(p, lam, x, y)
         assert (np.abs(exact - eta) <= slack * (1 + 1e-12)).all()
@@ -675,7 +675,7 @@ class TestCoreBackwardErrors:
         first = int(np.count_nonzero(np.abs(lam) >= 1.0))
         xc, yc, ok = recover_vectors(dec.right_vectors[:, :k], dec.left_vectors[:, :k], first, 5)
         assert k == 10 and ok.all()
-        eta, slack = core_backward_errors(p, lam, [c @ xc for c in core.coeffs], yc)
+        eta, slack = core_backward_errors(p, core, lam, [c @ xc for c in core.coeffs], yc)
         exact = backward_errors(p, lam, core.right @ xc, core.left @ yc)
         assert eta.max() < 1e-13 and (exact <= slack * (1 + 1e-12)).all()
         assert (exact > 0.1 * slack).all()
@@ -685,7 +685,7 @@ class TestCoreBackwardErrors:
         rng = np.random.default_rng(8)
         x, y = unit_columns(5, 4, 8), unit_columns(5, 4, 9)
         lam = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        eta, slack = core_backward_errors(p, lam, [c @ x for c in p.coeffs], y)
+        eta, slack = core_backward_errors(p, p.core, lam, [c @ x for c in p.coeffs], y)
         assert not slack.any()
         np.testing.assert_allclose(eta, backward_errors(p, lam, x, y), rtol=1e-13)
 

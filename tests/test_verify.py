@@ -11,7 +11,7 @@ from sqeig.condition import BadDirectionError, directional_sensitivity, limit_we
 from sqeig.construct import KernelBases, chain_quadratic
 from sqeig.corpus import BUILTIN_NAMES, builtin
 from sqeig.matpoly import MatrixPolynomial, sample_perturbation
-from sqeig.solver import SolverConfig, solve_polynomial
+from sqeig.solver import SolverConfig, solve_perturbed
 from sqeig.verify import (
     MAX_RETRIES,
     ProbeFailureError,
@@ -135,7 +135,7 @@ class TestEmpiricalProbability:
             assert len(rep.trials) == 3
             successes = 0
             for trial, child in zip(rep.trials, children):
-                want = [r for r in solve_polynomial(poly, cfg.with_seed(child)) if r.accepted]
+                want = [r for r in solve_perturbed(poly, cfg.with_seed(child)) if r.accepted]
                 got = trial.accepted
                 assert len(got) == len(want)
                 for field in ("value", "kappa_bar", "right_vector", "left_vector"):
