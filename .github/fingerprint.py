@@ -1,4 +1,4 @@
-"""Same-outputs fingerprint: five SHA-256 digests of solver and study outputs.
+"""Same-outputs fingerprint: six SHA-256 digests of solver and study outputs.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python .github/fingerprint.py
 
@@ -7,6 +7,9 @@ prints one line per digest:
 - ``builtin``: every ``SolveResult`` array (values, kappa_bar, accepted,
   source_codes, right and left vectors) of the built-ins, problem seed 1,
   solver seeds 0-199;
+- ``perturbed``: the same arrays of the built-ins through
+  ``solve_perturbed``, the paper's algorithm that the Monte Carlo trials
+  run, problem seed 1, solver seeds 0-199;
 - ``projected_pencil``: the same arrays of projected pencil solves,
   ``synth_pencil(60, 30, seed=s)`` with solver seed s for s = 0-9;
 - ``projected_quadratic``: the same arrays of projected quadratic solves,
@@ -34,7 +37,7 @@ solves run ``zgeev`` and ``zggev3``, whose blocked steps call the BLAS
 kernels that OpenBLAS picks for the CPU at run time and split by its
 thread count.  On one 2-core x86-64 host with numpy 2.4.6 and scipy
 1.17.1, the same commit printed one ``large`` digest with one OpenBLAS
-thread and another with two; the other four digests did not move.  So
+thread and another with two; the other five digests did not move.  So
 the parent and the change are fingerprinted on one host with one BLAS
 thread, ``solve-checks.sh`` runs with one BLAS thread, and it prints the
 BLAS builds, numpy's CPU dispatch and the thread setting next to the
@@ -109,6 +112,15 @@ def builtin_digest():
         p, _ = builtin(name, seed=1)
         for seed in range(200):
             feed(h, (name, result_arrays(solve_polynomial(p, SolverConfig(seed=seed)))))
+    return h.hexdigest()
+
+
+def perturbed_digest():
+    h = hashlib.sha256()
+    for name in BUILTIN_NAMES:
+        p, _ = builtin(name, seed=1)
+        for seed in range(200):
+            feed(h, (name, result_arrays(solve_perturbed(p, SolverConfig(seed=seed)))))
     return h.hexdigest()
 
 
@@ -209,6 +221,7 @@ def study_digest():
 
 if __name__ == "__main__":
     print("builtin", builtin_digest())
+    print("perturbed", perturbed_digest())
     print("projected_pencil", projected_pencil_digest())
     print("projected_quadratic", projected_quadratic_digest())
     print("study", study_digest())

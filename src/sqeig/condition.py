@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densela import as_matrix
-from .matpoly import horner, joint_norm
+from .matpoly import joint_norm
 
 __all__ = [
     "BadDirectionError",
@@ -91,14 +91,16 @@ def condition_from_products(products, lam, y):
     lam = np.asarray(lam, dtype=complex)
     y = np.asarray(y, dtype=complex)
     degree = len(products) - 1
-    # a factor j = 1 is not applied: multiplying by 1 can only flip the sign
+    # P'(lam) x by Horner's rule on j * products[j], in one pass over the
+    # products with the steps of matpoly.horner, acc * lam + term; a
+    # factor j = 1 is not applied: multiplying by 1 can only flip the sign
     # of a zero component, which |y* P'(lam) x| does not see
-    dx = horner(
-        [products[j] if j == 1 else products[j] * j for j in range(min(degree, 1), degree + 1)],
-        lam,
-    )
+    dx = products[1] if degree == 1 else np.multiply(products[degree], degree, dtype=complex)
+    for j in range(degree - 1, 0, -1):
+        dx *= lam
+        dx += products[j] if j == 1 else products[j] * j
     with np.errstate(divide="ignore"):
-        kappa = np.sqrt(power_sum(lam, degree)) / np.abs((y.conj() * dx).sum(axis=0))
+        kappa = np.sqrt(power_sum(lam, degree)) / np.abs(np.add.reduce(y.conj() * dx, axis=0))
     return float(kappa) if kappa.ndim == 0 else kappa
 
 

@@ -431,10 +431,11 @@ def generalized_eig(a, b):
         _check_info(routine, info, n)
     abs_betas = np.abs(betas)
     moduli = np.abs(alphas) + abs_betas
-    # |alpha| + |beta| is NaN or infinite where alpha or beta is
-    if not np.isfinite(moduli).all():
-        raise EigensolverError("eigensolver returned non-finite (alpha, beta) pairs")
-    if not moduli.all():
+    # every pair needs 0 < |alpha| + |beta| < inf, which is NaN or infinite
+    # where alpha or beta is; the comparisons fail on a NaN too
+    if not (np.minimum.reduce(moduli) > 0.0 and np.maximum.reduce(moduli) < np.inf):
+        if not np.isfinite(moduli).all():
+            raise EigensolverError("eigensolver returned non-finite (alpha, beta) pairs")
         raise EigensolverError("indeterminate eigenvalue (alpha = beta = 0); pencil is singular")
 
     finite = _finite(abs_betas, moduli)
@@ -447,14 +448,15 @@ def generalized_eig(a, b):
     # one Fortran-ordered array as LAPACK returns each, so that one pass
     # normalizes every column with the same arithmetic
     vectors = np.empty((n, 2 * n), dtype=complex, order="F")
-    vectors[:, :n] = vr[:, order]
-    vectors[:, n:] = vl[:, order]
+    right, left = vectors[:, :n], vectors[:, n:]
+    right[...] = vr[:, order]
+    left[...] = vl[:, order]
     _unit_phased(vectors)
     return GeneralizedEigenDecomposition(
         alphas=alphas[order],
         betas=betas[order],
-        right_vectors=vectors[:, :n],
-        left_vectors=vectors[:, n:],
+        right_vectors=right,
+        left_vectors=left,
         finite_values=lam[order[: np.count_nonzero(finite)]],
         routine=routine,
     )

@@ -12,6 +12,7 @@ either recovery to its eigenvectors; the study functions use both forms.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -51,34 +52,70 @@ def first_companion(p, e=None, epsilon=1.0):
     its own ``(A0, -A1)``.  Degree 0 raises ValueError.
 
     ``e`` is a perturbation stack ``E_0 ... E_m`` of n-by-n matrices, or
-    None for ``P`` itself.  Each ``A_j + epsilon*E_j`` is computed straight
-    into its block, so the pair equals, bit for bit, the first companion
-    form of the polynomial whose coefficients are those sums.  A stack of
-    another length or coefficient shape is a ValueError.
+    None for ``P`` itself.  A perturbed pair is a copy of the unperturbed
+    one, built once per polynomial and kept while the polynomial lives,
+    with the whole stack ``epsilon*E`` added into its blocks, so the pair
+    equals, bit for bit, the first companion form of the polynomial whose
+    coefficients are the sums ``A_j + epsilon*E_j``.  A stack of another
+    length or coefficient shape is a ValueError.
     """
     m, n = p.degree, p.n
     if m < 1:
         raise ValueError(f"a companion form needs degree at least 1, got degree {m}")
+    if e is None:
+        return _companion_pair(p)
     # checked before the arithmetic, which would broadcast a scalar or a row
-    if e is not None and (len(e) != m + 1 or any(np.shape(d) != (n, n) for d in e)):
+    if _stack_shape(e) != (m + 1, n, n):
         raise ValueError(
             f"perturbation stack must hold {m + 1} coefficients of shape {(n, n)}"
         )
+    skeleton = _SKELETONS.get(p)
+    if skeleton is None:
+        skeleton = _SKELETONS[p] = _companion_pair(p)
+        for x in skeleton:
+            x.setflags(write=False)
+    a, b = skeleton[0].copy(), skeleton[1].copy()
+    t = np.multiply(e, epsilon)
+    # the blocks A_{m-1} ... A_0 of the first block row of A, as
+    # blocks[:, q] = A_{m-1-q}, each become A_j + epsilon*E_j
+    blocks = a[:n].reshape(n, m, n)
+    blocks += t[m - 1 :: -1].transpose(1, 0, 2)
+    # the sum is negated after it is formed, as -(A_m + epsilon*E_m): the
+    # skeleton's -A_m minus epsilon*E_m differs from it in the sign of a
+    # zero sum
+    lead = b[:n, :n]
+    np.add(p.coeffs[m], t[m], out=lead)
+    np.negative(lead, out=lead)
+    return a, b
+
+
+#: the unperturbed first companion pair of each polynomial that has been
+#: perturbed, read-only, dropped with the polynomial
+_SKELETONS = weakref.WeakKeyDictionary()
+
+
+def _companion_pair(p):
+    # the first companion pair of p, in new arrays
+    m, n = p.degree, p.n
     a = np.zeros((m * n, m * n), dtype=complex)
     b = np.zeros((m * n, m * n), dtype=complex)
-    lead = b[:n, :n]
-    for j, c in enumerate(p.coeffs):
-        block = lead if j == m else a[:n, (m - 1 - j) * n : (m - j) * n]
-        if e is None:
-            block[...] = c
-        else:
-            np.add(c, epsilon * e[j], out=block)
-    np.negative(lead, out=lead)
+    for j, c in enumerate(p.coeffs[:m]):
+        a[:n, (m - 1 - j) * n : (m - j) * n] = c
+    np.negative(p.coeffs[m], out=b[:n, :n])
     minus_eye = -np.eye(n, dtype=complex)
     for i in range(1, m):
         a[i * n : (i + 1) * n, (i - 1) * n : i * n] = minus_eye
         b[i * n : (i + 1) * n, i * n : (i + 1) * n] = minus_eye
     return a, b
+
+
+def _stack_shape(e):
+    # the shape of the stack e as one array, None where its coefficients
+    # differ in shape
+    try:
+        return np.shape(e)
+    except ValueError:
+        return None
 
 
 def alternate_companion(q):

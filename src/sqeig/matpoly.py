@@ -1,8 +1,9 @@
 """Matrix-polynomial data model.
 
 A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
-ascending powers.  The module provides the one Horner evaluator,
-``horner``, and on it evaluation and the derivative; reversal, the joint
+ascending powers.  The module provides the Horner evaluator, ``horner``
+(``condition.condition_from_products`` takes its steps in its own pass),
+and on it evaluation and the derivative; reversal, the joint
 Frobenius norm of one coefficient stack or a batch of them,
 normalized random perturbation sampling (one stack or a batch), the
 deflation of the coefficients' common kernels and probabilistic
@@ -372,24 +373,42 @@ def sample_perturbations(n, m, count, rng):
     for start in range(0, count, step):
         raw = rng.standard_normal((min(step, count - start), m + 1, 2, n, n))
         parts[start : start + len(raw)] = raw.transpose(0, 1, 3, 4, 2)
-    norms_of = _norm_reader(e)
-    e /= np.array(norms_of()).reshape(-1, 1, 1, 1)
-    # the second pass divides by norms that must already be 1 up to
-    # rounding, so checking them checks the sample; written so that NaN fails
-    norms = norms_of()
-    if not all(abs(x - 1.0) <= UNIT_NORM_TOL for x in norms):
-        raise ValueError("perturbation sample must have unit joint norm")
-    e /= np.array(norms).reshape(-1, 1, 1, 1)
-    return _read_only(e)
+    return _normalized(e)
 
 
 def sample_perturbation(n, m, rng):
     """Draw one random perturbation stack of m+1 complex n-by-n coefficients.
 
-    The single-stack case of ``sample_perturbations``; returns the tuple of
-    read-only coefficients.
+    The single-stack case of ``sample_perturbations``, to the last bit and
+    with the generator left in the same state, drawn in one piece; returns
+    the read-only complex (m+1, n, n) array, whose entry j is ``E_j``.
     """
-    return tuple(sample_perturbations(n, m, 1, rng)[0])
+    raw = seeded_generator(rng).standard_normal((m + 1, 2, n, n))
+    e = np.empty((m + 1, n, n), dtype=complex)
+    e.view(float).reshape(m + 1, n, n, 2)[...] = raw.transpose(0, 2, 3, 1)
+    return _normalized(e)
+
+
+def _normalized(e):
+    # e, one complex (m+1, n, n) stack of raw draws or a (count, m+1, n, n)
+    # batch of them, with each stack divided by its joint norm twice,
+    # read-only.  The second pass divides by norms that must already be 1
+    # up to rounding, so checking them checks the sample (written so that
+    # NaN fails).
+    norms_of = _norm_reader(e)
+    e /= _divisors(norms_of(), e.ndim)
+    norms = norms_of()
+    if not all(abs(x - 1.0) <= UNIT_NORM_TOL for x in norms):
+        raise ValueError("perturbation sample must have unit joint norm")
+    e /= _divisors(norms, e.ndim)
+    return _read_only(e)
+
+
+def _divisors(norms, ndim):
+    # the joint norms as a divisor of the stacks: a float for one stack, a
+    # column for a batch; the entries are divided by the same numbers
+    # either way, to the same bits
+    return norms[0] if ndim == 3 else np.array(norms).reshape(-1, 1, 1, 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,10 +68,14 @@ and ``densela.generalized_eig`` solves it by QZ, which stays backward
 stable there.  Well conditioned eigenvalues approximate true eigenvalues
 of the original problem; eigenvalues created from the perturbed singular
 part come out violently ill conditioned and are rejected by the
-threshold.  A Monte Carlo trial is one such solve, and the small problems
-of the corpus spend most of it in Python around the QZ call, so the
-perturbation is written straight into the companion pair
-(``first_companion(balanced, e, epsilon)``, no perturbed polynomial).
+threshold.  A Monte Carlo trial is one such solve.  Over the built-ins,
+``zggev`` takes 45% of a trial's time (62-65% at order 22, 9-20% at
+orders 4-8, where Python around the QZ call still takes most of it; one
+BLAS thread, README "One Monte Carlo trial"), so what does not depend on
+the trial is done once per polynomial: the perturbation is added into a
+copy of the balanced polynomial's companion pair, built on its first
+perturbed solve (``first_companion(balanced, e, epsilon)``, no perturbed
+polynomial).
 
 Both solvers share the eigensolve and the recovery.  The finite
 eigenvalues come from ``generalized_eig`` once (``finite_values``; the
@@ -235,7 +239,7 @@ class SolveResult:
 
     def accepted_candidates(self):
         """The records of the accepted candidates, in order, as a tuple."""
-        return self._records(np.flatnonzero(self.accepted))
+        return self._records(self.accepted.nonzero()[0])
 
     def _records(self, indices):
         # the ClassifiedEigenvalue records of an integer array of candidate
@@ -247,15 +251,10 @@ class SolveResult:
             self.accepted[indices].tolist(),
             self.source_codes[indices].tolist(),
         )
+        # row i of a transpose is a view of column i
+        right, left = self.right_vectors.T, self.left_vectors.T
         return tuple(
-            ClassifiedEigenvalue(
-                value=value,
-                kappa_bar=kappa,
-                accepted=accepted,
-                source=SOURCES[code],
-                right_vector=self.right_vectors[:, i],
-                left_vector=self.left_vectors[:, i],
-            )
+            ClassifiedEigenvalue(value, kappa, accepted, SOURCES[code], right[i], left[i])
             for i, value, kappa, accepted, code in fields
         )
 
@@ -412,9 +411,12 @@ def _eigensolve(p, pair, n, cfg, projected):
     # large-modulus (C1) candidates are a prefix of the order
     first = int(np.count_nonzero(np.abs(lam) >= 1.0))
     x, y, ok = recover_vectors(right[:, :k], left[:, :k], first, n)
-    codes = np.full(k, _PENCIL_CODE if p.degree == 1 else _C1HAT_CODE, dtype=np.int8)
-    if p.degree == 2:
+    codes = np.empty(k, dtype=np.int8)
+    if p.degree == 1:
+        codes[:] = _PENCIL_CODE
+    else:
         codes[:first] = _C1_CODE
+        codes[first:] = _C1HAT_CODE
     return lam, x, y, ok, codes
 
 

@@ -115,21 +115,20 @@ def match_accepted(accepted_values, truth_values, match_tol):
     """
     if len(accepted_values) != len(truth_values):
         return None
-    accepted_values = [complex(v) for v in accepted_values]
-    truth_values = [complex(v) for v in truth_values]
-    if not accepted_values:
+    if not len(truth_values):
         return []
-    cost = np.array(
-        [[abs(a - t) for t in truth_values] for a in accepted_values], dtype=float
-    )
+    accepted = np.asarray(accepted_values, dtype=complex)
+    truth = np.asarray(truth_values, dtype=complex)
+    cost = np.abs(np.subtract.outer(accepted, truth))
     import scipy.optimize  # loaded on first use, off the solve path
 
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    matched = [None] * len(accepted_values)
-    for i, j in zip(rows, cols):
-        if not _matches(accepted_values[i], truth_values[j], match_tol):
+    accepted, truth = accepted.tolist(), truth.tolist()
+    matched = [None] * len(accepted)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not _matches(accepted[i], truth[j], match_tol):
             return None
-        matched[i] = truth_values[j]
+        matched[i] = truth[j]
     return matched
 
 
@@ -139,22 +138,46 @@ def _seed_sequence(seed):
     return np.random.SeedSequence(seed)
 
 
+def _trial_seeds(seed, count):
+    # the count children that a fresh SeedSequence(seed) spawns, built
+    # without spawning: spawn advances a caller's SeedSequence, so a second
+    # run from the same config would draw other children
+    root = _seed_sequence(seed)
+    return [
+        np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)
+        for k in range(count)
+    ]
+
+
+def _count(value, name, least):
+    # value as an int of at least least; a float or a bool is a TypeError,
+    # as operator.index gives it for a float
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    return count
+
+
 def empirical_probability(problem, truth, cfg, n_t, keep_trials=False):
     """Fraction of randomized runs that recover the truth set exactly.
 
     A run is one ``solver.solve_perturbed`` solve, the paper's algorithm,
     and succeeds iff its accepted eigenvalues match ``truth`` as a
-    multiset under the truth's relative tolerance.  Per-trial seeds are
-    spawned deterministically from ``cfg.seed``, so trials are independent
-    and could equally run in parallel; aggregation is order independent.
+    multiset under the truth's relative tolerance.  ``n_t``, the number of
+    runs, is a positive integer (not a bool).  Run k is seeded with child
+    k of ``cfg.seed``, the child that a fresh ``SeedSequence(cfg.seed)``
+    (or a ``SeedSequence`` seed that has not spawned) spawns as its k-th,
+    so trials are independent and could equally run in parallel, and a
+    config gives the same report on every call; aggregation is order
+    independent.
     """
-    if n_t < 1:
-        raise ValueError("need at least one trial")
+    n_t = _count(n_t, "n_t", 1)
     cfg = cfg or SolverConfig()
-    children = _seed_sequence(cfg.seed).spawn(n_t)
     n_s = 0
     outcomes = []
-    for child in children:
+    for child in _trial_seeds(cfg.seed, n_t):
         results = solve_perturbed(problem, cfg.with_seed(child))
         matched = match_accepted(
             results.values[results.accepted], truth.finite_eigenvalues, truth.match_tol
@@ -178,9 +201,7 @@ def _screened_samples(statistic, poly, lam0, bases, n_samples, rng):
     # independent uniform directions drawn as one batch; the directions ok
     # flags as bad are redrawn in place, in order, at most MAX_RETRIES times
     # over the whole call
-    count = operator.index(n_samples)
-    if count < 0:
-        raise ValueError(f"sample count must be nonnegative, got {count}")
+    count = _count(n_samples, "sample count", 0)
     rng = seeded_generator(rng)
     values, ok = statistic(poly, lam0, bases, sample_perturbations(poly.n, poly.degree, count, rng))
     bad = 0
@@ -406,15 +427,17 @@ def spurious_bound_records(poly, cfg, n_runs, truth=()):
     whenever the bound's precondition holds the pair (measured kappa_bar,
     certified lower bound) is recorded.  A candidate is close to a truth eigenvalue under the
     matching rule of ``match_accepted`` with tolerance ``MATCH_TOL``.
+    ``n_runs`` is a nonnegative integer (not a bool), and run k is seeded
+    with child k of ``cfg.seed``, as in ``empirical_probability``.
     Quantities are evaluated on the balanced problem, whose normal rank is
     estimated with the rank cutoff ``densela.RANK_TOL`` (``normal_rank``
     of the balanced polynomial, kept on it).
     """
+    n_runs = _count(n_runs, "n_runs", 0)
     scaled_poly, gamma = poly.balancing
-    children = _seed_sequence(cfg.seed).spawn(n_runs)
     rank = scaled_poly.normal_rank
     records = []
-    for child in children:
+    for child in _trial_seeds(cfg.seed, n_runs):
         for cand in solve_perturbed(poly, cfg.with_seed(child)):
             lam_scaled = cand.value / gamma
             if any(_matches(cand.value, t, MATCH_TOL) for t in truth):

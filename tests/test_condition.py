@@ -114,8 +114,8 @@ class TestConditionNumbers:
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 class TestConditionMatchesReferenceLoop:
-    # P'(lam) x runs on matpoly.horner in place of a written-out loop; the
-    # condition numbers keep its bits
+    # P'(lam) x is one Horner pass over the products in place of a
+    # written-out loop; the condition numbers keep its bits
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_polynomial(self, degree, real):

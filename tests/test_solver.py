@@ -387,6 +387,42 @@ def test_quadratic_solve_checks_each_matrix_once(monkeypatch):
         assert calls == ["A", "B"]
 
 
+def test_perturbed_trials_build_the_companion_skeleton_once(monkeypatch):
+    # the unperturbed companion pair of the balanced polynomial is built on
+    # its first perturbed solve and copied by the later ones, and every
+    # trial makes exactly one eigensolver call; the pair is kept only
+    # while its polynomial lives
+    import gc
+
+    import sqeig.linearize as linearize_mod
+    import sqeig.solver as solver_mod
+
+    builds, eig_calls = [], []
+
+    def counting_pair(p):
+        builds.append(p)
+        return real_pair(p)
+
+    def counting_eig(*args, **kwargs):
+        eig_calls.append(args[0].shape)
+        return real_eig(*args, **kwargs)
+
+    real_pair, real_eig = linearize_mod._companion_pair, solver_mod.generalized_eig
+    monkeypatch.setattr(linearize_mod, "_companion_pair", counting_pair)
+    monkeypatch.setattr(solver_mod, "generalized_eig", counting_eig)
+    kept = len(linearize_mod._SKELETONS)
+    p, _ = builtin("ex4", seed=0)
+    for seed in range(10):
+        solve_perturbed(p, SolverConfig(seed=seed))
+        assert len(eig_calls) == seed + 1
+    assert builds == [p.balancing[0]]
+    assert eig_calls == [(2 * p.n, 2 * p.n)] * 10
+    assert len(linearize_mod._SKELETONS) == kept + 1
+    del p, builds
+    gc.collect()
+    assert len(linearize_mod._SKELETONS) == kept
+
+
 @pytest.mark.parametrize("name", ["ex4", "ex10"])
 def test_one_qz_call_per_solve(monkeypatch, name):
     # a quadratic reads both modulus branches from one QZ of its first

@@ -121,6 +121,30 @@ class TestEmpiricalProbability:
         values = [[[c.value for c in t.accepted] for t in rep.trials] for rep in got]
         assert values[0] == values[1]
 
+    def test_seed_sequence_config_repeats_its_report(self):
+        # the trial seeds are derived from the config's SeedSequence without
+        # spawning, which would advance it: a second call with the same
+        # config runs the same trials (a spawning loop read 24, then 25)
+        poly, truth = builtin("ex8")
+        cfg = SolverConfig(seed=np.random.SeedSequence(7))
+        got = [empirical_probability(poly, truth, cfg, 50, keep_trials=True) for _ in range(2)]
+        assert got[0].n_s == got[1].n_s
+        values = [[[c.value for c in t.accepted] for t in rep.trials] for rep in got]
+        assert values[0] == values[1]
+        # the children are those of a fresh SeedSequence(7), as for the int seed
+        assert got[0].n_s == empirical_probability(poly, truth, cfg.with_seed(7), 50).n_s
+
+    @pytest.mark.parametrize("n_t", [2.0, True, np.float64(3.0), np.True_])
+    def test_trial_count_must_be_an_integer(self, n_t):
+        poly, truth = builtin("ex1")
+        with pytest.raises(TypeError):
+            empirical_probability(poly, truth, SolverConfig(), n_t)
+
+    def test_numpy_integer_trial_count(self):
+        poly, truth = builtin("ex1")
+        got = empirical_probability(poly, truth, SolverConfig(seed=3), np.int64(2))
+        want = empirical_probability(poly, truth, SolverConfig(seed=3), 2)
+        assert type(got.n_t) is int and (got.n_t, got.n_s) == (want.n_t, want.n_s)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_kept_trials_equal_child_solves_bitwise(self, name):
@@ -282,6 +306,14 @@ class TestBatchedSampling:
         with pytest.raises(TypeError):
             limit_mixing_samples(poly, lam, b, 2.5, 0)
 
+    def test_bool_count_rejected(self):
+        # a bool is an int to operator.index, but no count
+        poly, lam, b = BATCH_CASES["chain3 (d=1)"]()
+        with pytest.raises(TypeError):
+            sensitivity_samples(poly, lam, b, True, 0)
+        with pytest.raises(TypeError):
+            limit_mixing_samples(poly, lam, b, True, 0)
+
     def test_zero_and_numpy_integer_counts(self):
         poly, lam, b = BATCH_CASES["chain3 (d=1)"]()
         assert sensitivity_samples(poly, lam, b, 0, 0).shape == (0,)
@@ -436,6 +468,24 @@ class TestSingularSpaceEstimate:
 
 
 class TestSpuriousBound:
+    def test_seed_sequence_config_repeats_its_records(self):
+        # as for empirical_probability: the runs are the children of a
+        # fresh SeedSequence, so the config's own is not advanced
+        from sqeig.construct import diagonal_quadratic
+
+        inst = diagonal_quadratic([(1.0, -0.7)], 3, rng=1)
+        poly = inst.polynomial()
+        cfg = SolverConfig(seed=np.random.SeedSequence(7))
+        got = [spurious_bound_records(poly, cfg, 5, truth=inst.eigenvalues) for _ in range(2)]
+        assert got[0] and got[0] == got[1]
+        assert got[0] == spurious_bound_records(poly, cfg.with_seed(7), 5, truth=inst.eigenvalues)
+
+    @pytest.mark.parametrize("n_runs", [2.0, True])
+    def test_run_count_must_be_an_integer(self, n_runs):
+        poly = MatrixPolynomial.quadratic(np.eye(2), np.eye(2), np.diag([1.0, 0.0]))
+        with pytest.raises(TypeError):
+            spurious_bound_records(poly, SolverConfig(), n_runs)
+
     def test_constant_basis_problem_respects_bound(self):
         # with lambda-constant minimal kernel bases the eps**-2 certificate
         # is exact; every spurious candidate must clear it
