@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densela import as_matrix
-from .matpoly import joint_norm
+from .matpoly import horner, joint_norm
 
 __all__ = [
     "BadDirectionError",
@@ -91,14 +91,10 @@ def condition_from_products(products, lam, y):
     lam = np.asarray(lam, dtype=complex)
     y = np.asarray(y, dtype=complex)
     degree = len(products) - 1
-    # P'(lam) x by Horner's rule on j * products[j], in one pass over the
-    # products with the steps of matpoly.horner, acc * lam + term; a
-    # factor j = 1 is not applied: multiplying by 1 can only flip the sign
+    # a factor j = 1 is not applied: multiplying by 1 can only flip the sign
     # of a zero component, which |y* P'(lam) x| does not see
-    dx = products[1] if degree == 1 else np.multiply(products[degree], degree, dtype=complex)
-    for j in range(degree - 1, 0, -1):
-        dx *= lam
-        dx += products[j] if j == 1 else products[j] * j
+    terms = [products[j] if j == 1 else products[j] * j for j in range(min(degree, 1), degree + 1)]
+    dx = horner(terms, lam)
     with np.errstate(divide="ignore"):
         kappa = np.sqrt(power_sum(lam, degree)) / np.abs(np.add.reduce(y.conj() * dx, axis=0))
     return float(kappa) if kappa.ndim == 0 else kappa
@@ -155,11 +151,8 @@ def _batch_of_one(e):
 
 def _projected_perturbations(p, lam, bases, e):
     # G = [Y y]* E(lam) [X x] for every stack of the (k, m+1, n, n) batch e,
-    # with E(lam) summed in ascending powers
-    e_lam = e[:, 0]
-    for j in range(1, e.shape[1]):
-        e_lam = e_lam + lam**j * e[:, j]
-    return bases.left.conj().T @ e_lam @ bases.right
+    # with E(lam) by Horner's rule over the coefficient axis
+    return bases.left.conj().T @ horner(e.swapaxes(0, 1), lam) @ bases.right
 
 
 def _passes_screen(g):

@@ -2,8 +2,8 @@
 
 A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
 ascending powers.  The module provides the Horner evaluator, ``horner``
-(``condition.condition_from_products`` takes its steps in its own pass),
-and on it evaluation and the derivative; reversal, the joint
+(the package's one power loop, ``condition``'s too), and on it
+evaluation and the derivative; reversal, the joint
 Frobenius norm of one coefficient stack or a batch of them,
 normalized random perturbation sampling (one stack or a batch), the
 deflation of the coefficients' common kernels and probabilistic
@@ -269,8 +269,10 @@ class MatrixPolynomial:
 
     def derivative_at(self, lam):
         """Value ``P'(lam)`` by Horner's rule; the zero matrix for degree 0."""
+        # j * A_j with the factor 1 applied, unlike condition_from_products:
+        # skipping it flips signed zeros in five bitwise derivative pins.
+        # At degree 0 the one term, 0 * A_0, is the zero matrix
         terms = [j * c for j, c in enumerate(self.coeffs)]
-        # at degree 0 the one term, 0 * A_0, is the zero matrix
         return horner(terms[1:] or terms, lam)
 
     def reversed(self):
@@ -379,36 +381,31 @@ def sample_perturbations(n, m, count, rng):
 def sample_perturbation(n, m, rng):
     """Draw one random perturbation stack of m+1 complex n-by-n coefficients.
 
-    The single-stack case of ``sample_perturbations``, to the last bit and
-    with the generator left in the same state, drawn in one piece; returns
-    the read-only complex (m+1, n, n) array, whose entry j is ``E_j``.
+    The batch of one of ``sample_perturbations``, taken out of it: the
+    read-only complex (m+1, n, n) array, whose entry j is ``E_j``.
     """
-    raw = seeded_generator(rng).standard_normal((m + 1, 2, n, n))
-    e = np.empty((m + 1, n, n), dtype=complex)
-    e.view(float).reshape(m + 1, n, n, 2)[...] = raw.transpose(0, 2, 3, 1)
-    return _normalized(e)
+    return sample_perturbations(n, m, 1, rng)[0]
 
 
 def _normalized(e):
-    # e, one complex (m+1, n, n) stack of raw draws or a (count, m+1, n, n)
-    # batch of them, with each stack divided by its joint norm twice,
-    # read-only.  The second pass divides by norms that must already be 1
-    # up to rounding, so checking them checks the sample (written so that
-    # NaN fails).
+    # e, a complex (count, m+1, n, n) batch of raw draws, with each stack
+    # divided by its joint norm twice, read-only.  The second pass divides
+    # by norms that must already be 1 up to rounding, so checking them
+    # checks the sample (written so that NaN fails).
     norms_of = _norm_reader(e)
-    e /= _divisors(norms_of(), e.ndim)
+    e /= _divisors(norms_of())
     norms = norms_of()
     if not all(abs(x - 1.0) <= UNIT_NORM_TOL for x in norms):
         raise ValueError("perturbation sample must have unit joint norm")
-    e /= _divisors(norms, e.ndim)
+    e /= _divisors(norms)
     return _read_only(e)
 
 
-def _divisors(norms, ndim):
-    # the joint norms as a divisor of the stacks: a float for one stack, a
-    # column for a batch; the entries are divided by the same numbers
-    # either way, to the same bits
-    return norms[0] if ndim == 3 else np.array(norms).reshape(-1, 1, 1, 1)
+def _divisors(norms):
+    # the joint norms as a divisor of the stacks: a float for a batch of one,
+    # which skips building an array, else a column; the entries are divided
+    # by the same numbers either way, to the same bits
+    return norms[0] if len(norms) == 1 else np.array(norms).reshape(-1, 1, 1, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,9 +510,7 @@ def backward_errors(p, lam, x, y):
     cached ``p.norms``.
     """
     lam = np.asarray(lam, dtype=complex)
-    right = horner([c @ x for c in p.coeffs], lam)
-    left = horner([c.conj().T @ y for c in p.coeffs], lam.conj())
-    return np.maximum(column_norms(right), column_norms(left)) / _weighted(p.norms, lam)
+    return _residual_norms(p.coeffs, lam, [c @ x for c in p.coeffs], y) / _weighted(p.norms, lam)
 
 
 def core_backward_errors(p, core, lam, products, yc):
@@ -541,16 +536,24 @@ def core_backward_errors(p, core, lam, products, yc):
     orthonormal bases) plus ``sum_j lam**j`` times ``E_j x`` or ``y* E_j``,
     each at most ``delta_j`` in norm, so
     ``|backward_errors(p, lam, right @ xc, left @ yc) - eta| <= slack`` up
-    to rounding; slack is 0 where nothing was deflated.  The left residual
-    is formed as the rows ``yc* C_j``, which copies no coefficient.
+    to rounding; slack is 0 where nothing was deflated.  The residuals are
+    those of ``backward_errors``, in its arithmetic, so on an undeflated
+    core eta is its value to the last bit.
     """
     lam = np.asarray(lam, dtype=complex)
-    right = horner(products, lam)
-    yh = yc.conj().T
-    left = horner([(yh @ c).T for c in core.coeffs], lam)
     scale = _weighted(p.norms, lam)
-    eta = np.maximum(column_norms(right), column_norms(left)) / scale
+    eta = _residual_norms(core.coeffs, lam, products, yc) / scale
     return eta, _weighted(core.dropped, lam) / scale
+
+
+def _residual_norms(coeffs, lam, products, y):
+    # max(||P(lam) x||, ||y* P(lam)||) per column, from the products A_j @ x
+    # and, conjugated, y* P(lam) as sum_j conj(lam)**j A_j* y.  Not the rows
+    # y* A_j, which copy no coefficient: they move the last bit of every
+    # complex case of the bitwise backward-error pins
+    right = horner(products, lam)
+    left = horner([c.conj().T @ y for c in coeffs], lam.conj())
+    return np.maximum(column_norms(right), column_norms(left))
 
 
 def _weighted(values, lam):

@@ -37,7 +37,6 @@ from .matpoly import (
     MATCH_TOL,
     KernelBases,
     TruthSpec,
-    normal_rank,
     sample_perturbations,
     seeded_generator,
 )
@@ -398,16 +397,16 @@ def singular_space_estimate(poly, lam0, h, rng):
     drawn from ``rng``; away from the finitely many rank-dropping points
     the kernel there equals the rational kernel evaluated at the probe, an
     O(h) approximation of the singular space at ``lam0``.  The expected
-    kernel dimension is the order minus the normal rank, estimated first
-    from the same ``rng``.  A probe seeing another dimension is retried
-    with a fresh phase, up to five probes in all, else ProbeFailureError
-    is raised.
+    kernel dimension is the order minus the normal rank kept on the
+    polynomial (``poly.normal_rank``), which draws nothing from ``rng``.
+    A probe seeing another dimension is retried with a fresh phase, up to
+    five probes in all, else ProbeFailureError is raised.
     """
     # written so that NaN fails, as the checks of SolverConfig are
     if not 0 < h < math.inf:
         raise ValueError("probe radius h must be positive and finite")
     rng = seeded_generator(rng)
-    expected_nullity = poly.n - normal_rank(poly, rng=rng)
+    expected_nullity = poly.n - poly.normal_rank
     for _ in range(5):
         mu = lam0 + h * cmath.exp(2j * math.pi * rng.random())
         basis = nullspace_basis(poly.evaluate(mu))

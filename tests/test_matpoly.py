@@ -262,13 +262,15 @@ class TestDerivedPolynomials:
             assert got.dtype == want.dtype and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
 
-    def test_perturbed(self):
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_perturbed(self, degree):
         # the companion pair of P + eps*E carries, bit for bit, the
         # coefficients the validating constructor makes of the sums, also
-        # complex ones for a real perturbation stack
-        p = _random_poly(np.random.default_rng(12), 4, 2)
-        e = sample_perturbation(4, 2, np.random.default_rng(13))
-        for stack, eps in ((e, 1e-3), ([np.eye(4)] * 3, 0.5)):
+        # complex ones for a real perturbation stack: for a pencil, whose
+        # pair is all block row, and past the quadratic's one -I block
+        p = _random_poly(np.random.default_rng(12), 4, degree)
+        e = sample_perturbation(4, degree, np.random.default_rng(13))
+        for stack, eps in ((e, 1e-3), ([np.eye(4)] * (degree + 1), 0.5)):
             reference = perturbed(p, stack, eps)
             self._checked(reference)
             for got, want in zip(first_companion(p, stack, eps), first_companion(reference)):
@@ -704,6 +706,24 @@ class TestCoreBackwardErrors:
         exact = backward_errors(p, lam, core.right @ xc, core.left @ yc)
         assert eta.max() < 1e-13 and (exact <= slack * (1 + 1e-12)).all()
         assert (exact > 0.1 * slack).all()
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_undeflated_core_gives_backward_errors_bits(self, degree):
+        # both backward errors take their residuals from one helper, so on a
+        # core that deflates nothing eta is backward_errors' value to the bit
+        p = _random_poly(np.random.default_rng(degree), 5, degree)
+        core = Core(None, None, p.coeffs, (0.0,) * (degree + 1))
+        rng = np.random.default_rng(degree + 30)
+        x, y = unit_columns(5, 10, degree + 30), unit_columns(5, 10, degree + 31)
+        lam = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        eta, slack = core_backward_errors(p, core, lam, [c @ x for c in p.coeffs], y)
+        assert_same_bits(eta, backward_errors(p, lam, x, y))
+        assert_same_bits(slack, np.zeros(10))
+        for j in range(10):
+            products = [c @ x[:, j] for c in p.coeffs]
+            eta, slack = core_backward_errors(p, core, lam[j], products, y[:, j])
+            assert_same_bits(eta, backward_errors(p, lam[j], x[:, j], y[:, j]))
+            assert slack == 0.0
 
     def test_no_kernel_gives_no_slack(self):
         p = _random_poly(np.random.default_rng(7), 5, 1)
