@@ -245,7 +245,9 @@ def as_matrix(a, name="matrix"):
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # counted, not reduced: on the small pencils of a Monte Carlo trial a
+    # count costs a third of ``.all()``
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
 
@@ -338,14 +340,32 @@ def _finite(abs_betas, moduli, cutoff=DEFAULT_INF_CUTOFF):
     return abs_betas > cutoff * moduli
 
 
-def _unit_phased(vectors):
-    # Scale each column of the array, in place, to unit 2-norm (LAPACK
-    # scales it to largest |re| + |im| = 1), then make its entry of largest
-    # modulus real positive so that eigenvector output is deterministic up
-    # to the solver itself.  Columns are nonzero, so that entry is nonzero.
+@functools.cache
+def _column_index(k):
+    # 0, ..., k-1, the column of each entry the phase fix gathers
+    index = np.arange(k)
+    index.setflags(write=False)
+    return index
+
+
+def _unit_phased(vr, vl, order):
+    # The columns of vr and then those of vl, each set in the given order,
+    # side by side in one Fortran-ordered array, as LAPACK returns each, so
+    # that one pass normalizes every column with the same arithmetic: each
+    # is scaled to unit 2-norm (LAPACK scales it to largest |re| + |im| =
+    # 1), then its entry of largest modulus is made real positive, so that
+    # eigenvector output is deterministic up to the solver itself.  Columns
+    # are nonzero, so that entry is nonzero.  The gather fills the rows of
+    # the C-ordered transpose, one row per column.
+    n = order.size
+    rows = np.empty((2 * n, n), dtype=complex)
+    vr.T.take(order, axis=0, out=rows[:n], mode="clip")
+    vl.T.take(order, axis=0, out=rows[n:], mode="clip")
+    vectors = rows.T
     vectors /= column_norms(vectors)
-    a = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    a = vectors[np.abs(vectors).argmax(axis=0), _column_index(2 * n)]
     vectors *= a.conj() / np.abs(a)
+    return vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,33 +450,36 @@ def generalized_eig(a, b):
             alphas, betas, vl, vr, _, info = _zggev(a, b, lwork=_zggev_lwork(n))
         _check_info(routine, info, n)
     abs_betas = np.abs(betas)
-    moduli = np.abs(alphas) + abs_betas
+    moduli = np.abs(alphas)
+    moduli += abs_betas
     # every pair needs 0 < |alpha| + |beta| < inf, which is NaN or infinite
-    # where alpha or beta is; the comparisons fail on a NaN too
-    if not (np.minimum.reduce(moduli) > 0.0 and np.maximum.reduce(moduli) < np.inf):
+    # where alpha or beta is; argmin and argmax return the first NaN where
+    # there is one, so that the comparisons fail on it
+    if not (moduli[moduli.argmin()] > 0.0 and moduli[moduli.argmax()] < np.inf):
         if not np.isfinite(moduli).all():
             raise EigensolverError("eigensolver returned non-finite (alpha, beta) pairs")
         raise EigensolverError("indeterminate eigenvalue (alpha = beta = 0); pencil is singular")
 
     finite = _finite(abs_betas, moduli)
-    # infinite eigenvalues keep lam = 0, so both sort keys read 0 for them
-    lam = np.divide(alphas, betas, out=np.zeros(n, dtype=complex), where=finite)
-    # lexsort orders by the last key first: finite block, then |lam| desc, then phase
-    order = np.lexsort((np.arctan2(lam.imag, lam.real), -np.abs(lam), ~finite))
-
-    # the two vector sets side by side, columns in the eigenvalue order, in
-    # one Fortran-ordered array as LAPACK returns each, so that one pass
-    # normalizes every column with the same arithmetic
-    vectors = np.empty((n, 2 * n), dtype=complex, order="F")
-    right, left = vectors[:, :n], vectors[:, n:]
-    right[...] = vr[:, order]
-    left[...] = vl[:, order]
-    _unit_phased(vectors)
+    count = np.count_nonzero(finite)
+    # lexsort orders by the last key first: finite block, then |lam| desc,
+    # then phase.  Infinite eigenvalues keep lam = 0, so both of the last
+    # keys read 0 for them; where every pair is finite, as on the
+    # perturbation route, the division needs no mask and the order no
+    # finite key
+    if count == n:
+        lam = alphas / betas
+        keys = (np.arctan2(lam.imag, lam.real), -np.abs(lam))
+    else:
+        lam = np.divide(alphas, betas, out=np.zeros(n, dtype=complex), where=finite)
+        keys = (np.arctan2(lam.imag, lam.real), -np.abs(lam), ~finite)
+    order = np.lexsort(keys)
+    vectors = _unit_phased(vr, vl, order)
     return GeneralizedEigenDecomposition(
         alphas=alphas[order],
         betas=betas[order],
-        right_vectors=right,
-        left_vectors=left,
-        finite_values=lam[order[: np.count_nonzero(finite)]],
+        right_vectors=vectors[:, :n],
+        left_vectors=vectors[:, n:],
+        finite_values=lam[order[:count]],
         routine=routine,
     )

@@ -82,10 +82,10 @@ def first_companion(p, e=None, epsilon=1.0):
     blocks += t[m - 1 :: -1].transpose(1, 0, 2)
     # the sum is negated after it is formed, as -(A_m + epsilon*E_m): the
     # skeleton's -A_m minus epsilon*E_m differs from it in the sign of a
-    # zero sum
-    lead = b[:n, :n]
-    np.add(p.coeffs[m], t[m], out=lead)
-    np.negative(lead, out=lead)
+    # zero sum.  It is formed apart, where both steps run over contiguous
+    # arrays, and copied into its block
+    lead = np.add(p.coeffs[m], t[m])
+    b[:n, :n] = np.negative(lead, lead)
     return a, b
 
 
@@ -165,8 +165,11 @@ def recover_vectors(v, w, first, n):
     blocks = np.concatenate((v[:n, :first], v[-n:, first:], w[:n]), axis=1)
     nb = column_norms(blocks)
     holds = nb >= 1e-8
-    # a zero block stays zero
-    np.divide(blocks, nb, out=blocks, where=nb > 0)
+    if np.count_nonzero(nb) == nb.size:
+        blocks /= nb
+    else:
+        # a zero block stays zero
+        np.divide(blocks, nb, out=blocks, where=nb > 0)
     return blocks[:, :k], blocks[:, k:], holds[:k] & holds[k:]
 
 

@@ -106,7 +106,9 @@ def seeded_generator(seed):
     anything else that is not a seed raises the ValueError of
     ``check_seed``, where numpy's own message would not name the seed.
     """
-    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if not isinstance(seed, np.random.BitGenerator):
         check_seed(seed)
     return np.random.default_rng(seed)
 
@@ -190,8 +192,9 @@ class MatrixPolynomial:
     Coefficient arrays are read-only after construction.  Instances compare
     and hash by identity, as the array-holding types of this package do, so
     a quadratic's balancing (``balancing``), the deflated core (``core``),
-    the normal rank (``normal_rank``) and the coefficients' Frobenius norms
-    (``norms``) are computed once and kept.
+    the normal rank (``normal_rank``), the coefficients' Frobenius norms
+    (``norms``) and the derivative's coefficients (``derivative_coeffs``)
+    are computed once and kept.
     """
 
     coeffs: tuple
@@ -267,13 +270,22 @@ class MatrixPolynomial:
         """Value ``P(lam)`` by Horner's rule."""
         return horner(self.coeffs, lam)
 
-    def derivative_at(self, lam):
-        """Value ``P'(lam)`` by Horner's rule; the zero matrix for degree 0."""
-        # j * A_j with the factor 1 applied, unlike condition_from_products:
-        # skipping it flips signed zeros in five bitwise derivative pins.
-        # At degree 0 the one term, 0 * A_0, is the zero matrix
+    @functools.cached_property
+    def derivative_coeffs(self):
+        """The coefficients ``j * A_j`` of ``P'``, j = 1 ... m, computed once.
+
+        One read-only complex (m, n, n) array, so that a stacked product
+        ``derivative_coeffs @ x`` gives every ``(j A_j) x`` in one call; for
+        degree 0 the one coefficient ``0 * A_0``, the zero matrix.  The
+        factor 1 is applied too, unlike ``condition_from_products``:
+        skipping it flips signed zeros in five bitwise derivative pins.
+        """
         terms = [j * c for j, c in enumerate(self.coeffs)]
-        return horner(terms[1:] or terms, lam)
+        return _read_only(np.stack(terms[1:] or terms))
+
+    def derivative_at(self, lam):
+        """Value ``P'(lam)`` by Horner's rule on ``derivative_coeffs``."""
+        return horner(self.derivative_coeffs, lam)
 
     def reversed(self):
         """Polynomial with the coefficient order reversed.
@@ -326,8 +338,11 @@ def joint_norm(coeffs):
 
     ``coeffs`` is one stack of m+1 matrices, giving a float, or a
     (count, m+1, n, n) batch of stacks, giving the count norms as an array.
-    Each norm is ``math.sqrt(sum(float(np.linalg.norm(c, "fro")) ** 2 for c
-    in stack))`` to the last bit, for a stack alone and inside any batch.
+    Each norm is the square root of the squares
+    ``float(np.linalg.norm(c, "fro")) ** 2`` of its coefficients c, summed
+    left to right, to the last bit, for a stack alone and inside any batch.
+    The sum is taken in that order on every Python: ``sum()`` adds floats
+    with compensated summation from Python 3.12 on, whose last bit differs.
     """
     e = np.asarray(coeffs, dtype=complex)
     norms = _norm_reader(e)()
@@ -348,9 +363,13 @@ def _norm_reader(e):
     def norms():
         dots = (rows @ cols).reshape(-1, 2).tolist()
         # squared with Python's float power (numpy's vectorized power differs
-        # from it in the last bit on some hosts) and summed left to right
+        # from it in the last bit on some hosts) and summed left to right, by
+        # reduce: sum() compensates from Python 3.12 on
         squares = [math.sqrt(re + im) ** 2 for re, im in dots]
-        return [math.sqrt(sum(squares[i : i + terms])) for i in range(0, len(squares), terms)]
+        return [
+            math.sqrt(functools.reduce(operator.add, squares[i : i + terms]))
+            for i in range(0, len(squares), terms)
+        ]
 
     return norms
 
@@ -395,8 +414,9 @@ def _normalized(e):
     norms_of = _norm_reader(e)
     e /= _divisors(norms_of())
     norms = norms_of()
-    if not all(abs(x - 1.0) <= UNIT_NORM_TOL for x in norms):
-        raise ValueError("perturbation sample must have unit joint norm")
+    for x in norms:
+        if not abs(x - 1.0) <= UNIT_NORM_TOL:
+            raise ValueError("perturbation sample must have unit joint norm")
     e /= _divisors(norms)
     return _read_only(e)
 

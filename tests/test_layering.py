@@ -99,6 +99,41 @@ def test_tracer_patch_table_resolves(monkeypatch):
     assert missing == []
 
 
+def test_trial_calls_the_tracer_patch_points(monkeypatch):
+    # the traced benchmark times a Monte Carlo trial's stages through these
+    # module attributes, so a trial must call each of them, once: a stage
+    # folded into its caller would pass the name check above unseen
+    from sqeig import corpus, solver, verify
+
+    calls = {}
+
+    def counted(namespace, attr):
+        real = getattr(namespace, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        calls[attr] = 0
+        monkeypatch.setattr(namespace, attr, wrapper)
+
+    for namespace, attr in (
+        (solver, "sample_perturbation"),
+        (solver, "first_companion"),
+        (solver, "generalized_eig"),
+        (verify, "match_accepted"),
+    ):
+        counted(namespace, attr)
+    poly, truth = corpus.builtin("ex4", seed=1)
+    verify.empirical_probability(poly, truth, solver.SolverConfig(seed=2), 3)
+    assert calls == {
+        "sample_perturbation": 3,
+        "first_companion": 3,
+        "generalized_eig": 3,
+        "match_accepted": 3,
+    }
+
+
 def _public_functions():
     # (qualified name, function) for each public function of the package's
     # modules and each public method of their public classes

@@ -1,7 +1,10 @@
 """Matrix polynomial evaluation, reversal, sampling, rank, and scaling."""
 
+import builtins
+import functools
 import hashlib
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -135,12 +138,38 @@ class TestJointNorm:
         rng = np.random.default_rng(3)
         for n, m, count in ((1, 0, 4), (3, 2, 1), (5, 2, 17), (11, 3, 6), (4, 1, 0)):
             e = rng.standard_normal((count, m + 1, n, n)) + 1j * rng.standard_normal((count, m + 1, n, n))
-            ref = [math.sqrt(sum(float(np.linalg.norm(c, "fro")) ** 2 for c in stack)) for stack in e]
+            # summed left to right, as sum() does before Python 3.12
+            ref = [
+                math.sqrt(functools.reduce(operator.add, (float(np.linalg.norm(c, "fro")) ** 2 for c in stack)))
+                for stack in e
+            ]
             got = joint_norm(e)
             assert got.shape == (count,)
             np.testing.assert_array_equal(got, ref)
             for stack, want in zip(e, ref):
                 assert joint_norm(tuple(stack)) == want
+
+
+def _assert_draw_pins():
+    # SHA-256 of the bytes of a batch and of a single draw
+    pins = {
+        "sample_perturbations(3, 2, 5, 0)": (
+            sample_perturbations(3, 2, 5, 0),
+            "adf0210a6a7689660bff300a917aa4472423811d9b7792cdaa4fc453cfbafc8d",
+        ),
+        "sample_perturbation(11, 2, 3)": (
+            sample_perturbation(11, 2, 3),
+            "c7ae613b2ac7cc9f95de526724bccb43307df4763c08be8dcc929af2a3764acd",
+        ),
+    }
+    for call, (draw, want) in pins.items():
+        assert draw.dtype == complex
+        got = hashlib.sha256(np.ascontiguousarray(draw).tobytes()).hexdigest()
+        assert got == want, (
+            f"the bits of {call} moved: a draw, or its joint_norm normalization, must "
+            "reproduce the old bits or report the moved pins (ROADMAP.md, small "
+            "leftovers: test_outputs_pinned[ex8] and a cheaper or batched joint_norm)"
+        )
 
 
 class TestSamplePerturbation:
@@ -225,24 +254,30 @@ class TestSamplePerturbation:
         # before the single draw was written as one piece.  A one-ulp change
         # of a normalizing joint norm moves test_outputs_pinned[ex8] in
         # test_solver.py by 1.5e-7, far from its cause; this test names it
-        pins = {
-            "sample_perturbations(3, 2, 5, 0)": (
-                sample_perturbations(3, 2, 5, 0),
-                "adf0210a6a7689660bff300a917aa4472423811d9b7792cdaa4fc453cfbafc8d",
-            ),
-            "sample_perturbation(11, 2, 3)": (
-                sample_perturbation(11, 2, 3),
-                "c7ae613b2ac7cc9f95de526724bccb43307df4763c08be8dcc929af2a3764acd",
-            ),
-        }
-        for call, (draw, want) in pins.items():
-            assert draw.dtype == complex
-            got = hashlib.sha256(np.ascontiguousarray(draw).tobytes()).hexdigest()
-            assert got == want, (
-                f"the bits of {call} moved: a draw, or its joint_norm normalization, must "
-                "reproduce the old bits or report the moved pins (ROADMAP.md, small "
-                "leftovers: test_outputs_pinned[ex8] and a cheaper or batched joint_norm)"
-            )
+        _assert_draw_pins()
+
+    def test_draw_bits_do_not_depend_on_the_sum_builtin(self, monkeypatch):
+        # from Python 3.12 on, sum() adds floats with Neumaier's compensated
+        # summation, whose last bit differs from the left-to-right sum of
+        # 3.11 on some joint norms; a joint norm summed by sum() moves both
+        # pins under this emulation of it, so the draws must not call it
+        def neumaier_sum(items, start=0):
+            total, compensation = start, 0.0
+            for x in items:
+                t = total + x
+                if abs(total) >= abs(x):
+                    compensation += (total - t) + x
+                else:
+                    compensation += (x - t) + total
+                total = t
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        # in effect: a left-to-right sum loses the 1.0 here
+        assert sum([1e100, 1.0, -1e100]) == 1.0
+        _assert_draw_pins()
 
     def test_joint_norm_invariant_across_sizes(self):
         rng = np.random.default_rng(8)
