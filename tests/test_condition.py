@@ -128,6 +128,17 @@ class TestConditionMatchesReferenceLoop:
         lams = np.array(HORNER_LAMS)
         assert_same_bits(condition_numbers(p, lams, x, y), condition_reference(p.coeffs, lams, x, y))
 
+    def test_leading_coefficient_near_overflow(self, real):
+        # the factor 2 scales the product A_2 x, which stays finite, not
+        # A_2, whose double overflows and would turn inf * 0 into NaN
+        p = MatrixPolynomial.quadratic(np.diag([1e308, 0.0]), np.eye(2), np.eye(2))
+        x = y = np.array([0.5, math.sqrt(0.75) if real else 1j * math.sqrt(0.75)])
+        # |lam| <= 1, so that P'(lam) x stays finite too
+        for lam in HORNER_LAMS[:3]:
+            got = condition_numbers(p, lam, x, y)
+            assert math.isfinite(got)
+            assert_same_bits(got, condition_reference(p.coeffs, lam, x, y))
+
     def test_pencil_and_quadratic(self, real):
         # loose matrices, real ones as float arrays
         _, c, m = (np.array(a.real if real else a) for a in signed_zero_polynomial(2, real).coeffs)
