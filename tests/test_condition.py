@@ -1,7 +1,10 @@
 """Condition formulas, sensitivity model, probabilistic bounds."""
 
+import cmath
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from sqeig.condition import (
     spurious_condition_bound,
     weak_condition_bounds,
 )
+import sqeig.condition as condition_mod
 from sqeig.construct import chain_quadratic
 from sqeig.matpoly import (
     KernelBases,
@@ -251,6 +255,119 @@ class TestFirstOrderCoefficient:
             assert abs(c - ref) <= 1e-12 * abs(ref)
             sigma = directional_sensitivity(poly, lam0, b, e)
             assert math.isclose(sigma, abs(c) / joint_norm(e), rel_tol=1e-14)
+
+
+def _fresh(monkeypatch, fn, *args):
+    # fn(*args) with no anchor kept beforehand, so it is computed afresh
+    monkeypatch.setattr(condition_mod, "_ANCHORS", weakref.WeakKeyDictionary())
+    return fn(*args)
+
+
+def _own_probe(lams, n, seed, lam0):
+    # a polynomial and kernel bases that nothing else refers to
+    inst = chain_quadratic(lams, n, rng=seed)
+    b = inst.bases(lam0)
+    p = MatrixPolynomial(tuple(np.array(c) for c in inst.polynomial().coeffs))
+    return p, KernelBases(b.X.copy(), b.x.copy(), b.Y.copy(), b.y.copy())
+
+
+#: the three functions that read the kept anchor, as functions of one direction
+_ANCHOR_READERS = {
+    "first_order_coefficient": first_order_coefficient,
+    "directional_sensitivity": directional_sensitivity,
+    "directional_sensitivities": lambda p, lam, b, e: directional_sensitivities(p, lam, b, e[None]),
+}
+
+
+class TestKeptAnchor:
+    """The kept anchor ``y* P'(lam) x`` gives a fresh computation's bits."""
+
+    @pytest.mark.parametrize("name", sorted(_ANCHOR_READERS))
+    @pytest.mark.parametrize("lams,n,lam0,seed", [((1.0, 0.5), 3, 1.0, 40), ((1.0, 0.5, 2.0), 5, 2.0, 41)])
+    def test_same_bits_as_a_fresh_computation(self, monkeypatch, name, lams, n, lam0, seed):
+        fn = _ANCHOR_READERS[name]
+        p, b = _own_probe(lams, n, seed, lam0)
+        for e in sample_perturbations(n, 2, 5, np.random.default_rng(seed)):
+            want = _fresh(monkeypatch, fn, p, lam0, b, e)
+            fn(p, lam0, b, e)  # kept on the first call, read on the second
+            assert_same_bits(fn(p, lam0, b, e), want)
+
+    @pytest.mark.parametrize("name", sorted(_ANCHOR_READERS))
+    def test_same_bits_in_the_regular_case(self, monkeypatch, name):
+        fn = _ANCHOR_READERS[name]
+        p, empty = _scalar_pencil(), np.zeros((1, 0))
+        b = KernelBases(empty, ONE, empty, ONE)
+        for e in sample_perturbations(1, 1, 3, np.random.default_rng(49)):
+            want = _fresh(monkeypatch, fn, p, 1.0, b, e)
+            fn(p, 1.0, b, e)
+            assert_same_bits(fn(p, 1.0, b, e), want)
+
+    def test_kept_anchor_is_the_formula(self):
+        p, b = _own_probe((1.0, 0.5), 3, 42, 1.0)
+        anchor = condition_mod._anchor(p, 0.3 - 0.6j, b)
+        assert_same_bits(anchor, complex(b.y.conj() @ p.derivative_at(0.3 - 0.6j) @ b.x))
+        assert condition_mod._anchor(p, 0.3 - 0.6j, b) is anchor
+
+    def test_two_lams_on_one_bases(self, monkeypatch):
+        p, b = _own_probe((1.0, 0.5), 3, 43, 1.0)
+        e = sample_perturbation(3, 2, 43)
+        for lam in (1.0, 0.5, 1.0, 0.5):
+            assert_same_bits(
+                first_order_coefficient(p, lam, b, e), _fresh(monkeypatch, first_order_coefficient, p, lam, b, e)
+            )
+        first_order_coefficient(p, 1.0, b, e)
+        first_order_coefficient(p, 0.5, b, e)
+        assert len(condition_mod._ANCHORS[p][b]) == 2
+
+    def test_two_polynomials_sharing_one_bases(self, monkeypatch):
+        p, b = _own_probe((1.0, 0.5), 3, 44, 1.0)
+        q = MatrixPolynomial(tuple(2.0 * c for c in p.coeffs))
+        e = sample_perturbation(3, 2, 44)
+        want_p = _fresh(monkeypatch, first_order_coefficient, p, 1.0, b, e)
+        want_q = _fresh(monkeypatch, first_order_coefficient, q, 1.0, b, e)
+        assert want_p != want_q
+        for poly, want in ((p, want_p), (q, want_q), (p, want_p), (q, want_q)):
+            assert_same_bits(first_order_coefficient(poly, 1.0, b, e), want)
+
+    def test_entry_goes_with_its_polynomial_and_bases(self):
+        kept = len(condition_mod._ANCHORS)
+        p, b = _own_probe((1.0, 0.5), 3, 45, 1.0)
+        other = KernelBases(b.X.copy(), b.x.copy(), b.Y.copy(), b.y.copy())
+        e = sample_perturbation(3, 2, 45)
+        directional_sensitivity(p, 1.0, b, e)
+        directional_sensitivity(p, 1.0, other, e)
+        assert len(condition_mod._ANCHORS) == kept + 1
+        assert len(condition_mod._ANCHORS[p]) == 2
+        del other
+        gc.collect()
+        assert len(condition_mod._ANCHORS[p]) == 1
+        del p
+        gc.collect()
+        assert len(condition_mod._ANCHORS) == kept
+
+    @pytest.mark.parametrize(
+        "lam", [np.float64(1.0), np.array(1.0), np.complex128(1.0), np.array(1.0 + 0j)], ids=repr
+    )
+    def test_numpy_scalar_and_0d_lam(self, monkeypatch, lam):
+        p, b = _own_probe((1.0, 0.5), 3, 46, 1.0)
+        e = sample_perturbation(3, 2, 46)
+        want = _fresh(monkeypatch, first_order_coefficient, p, 1.0, b, e)
+        for _ in range(2):
+            assert_same_bits(first_order_coefficient(p, lam, b, e), want)
+            assert_same_bits(directional_sensitivity(p, lam, b, e), abs(want) / joint_norm(e))
+
+    def test_signed_zero_lams_are_kept_apart(self):
+        p, b = _own_probe((1.0, 0.5), 3, 47, 1.0)
+        lams = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0))
+        for lam in lams:
+            condition_mod._anchor(p, lam, b)
+        assert len(condition_mod._ANCHORS[p][b]) == len(lams)
+
+    def test_nan_lam_is_not_kept(self):
+        p, b = _own_probe((1.0, 0.5), 3, 48, 1.0)
+        for _ in range(3):
+            assert cmath.isnan(condition_mod._anchor(p, complex(math.nan, 0.0), b))
+        assert len(condition_mod._ANCHORS[p][b]) == 0
 
 
 class TestSensitivityTail:
