@@ -150,10 +150,13 @@ def _trial_seeds(seed, count):
 
 def _count(value, name, least):
     # value as an int of at least least; a float or a bool is a TypeError,
-    # as operator.index gives it for a float
+    # and every error names the argument
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    count = operator.index(value)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if count < least:
         raise ValueError(f"{name} must be at least {least}, got {count}")
     return count
@@ -228,19 +231,41 @@ def sensitivity_samples(poly, lam0, bases, n_samples, rng):
     return _screened_samples(directional_sensitivities, poly, lam0, bases, n_samples, rng)
 
 
+def _beta_one_samples(b, size, rng):
+    # size draws of Beta(1, b) by the inverse CDF 1 - (1 - U)**(1/b), formed
+    # as -expm1(log1p(-U) / b) from U = rng.random(size), in place on one
+    # array.  U lies in [0, 1), so every draw lies in [0, 1]
+    z = rng.random(size)
+    np.negative(z, out=z)
+    np.log1p(z, out=z)
+    z /= b
+    np.expm1(z, out=z)
+    return np.negative(z, out=z)
+
+
 def model_sensitivity_samples(big_n, n, r, size, rng):
     """Samples of the model law sqrt(Z_N / Z_{n-r+1}).
 
-    ``Z_k ~ Beta(1, k-1)``; the denominator degenerates to 1 in the regular
-    case r = n.  ``rng`` is a seed or a stream, as
-    ``matpoly.seeded_generator`` takes it.
+    ``Z_k ~ Beta(1, k-1)``, drawn by its inverse CDF ``1 - (1 - U)**(1/(k-1))``,
+    evaluated as ``-expm1(log1p(-U) / (k-1))`` from one ``rng.random``
+    uniform U per draw: the ``size`` numerators first, then the ``size``
+    denominators.  The denominator degenerates to 1 in the regular case
+    r = n.  ``big_n`` is an integer of at least 2, ``n`` at least 1, ``r``
+    from 0 to n and ``size`` a nonnegative integer, none a bool nor a float,
+    else TypeError or ValueError names it.  ``rng`` is a seed or a stream,
+    as ``matpoly.seeded_generator`` takes it.
     """
+    big_n = _count(big_n, "big_n", 2)
+    n = _count(n, "n", 1)
+    r = _count(r, "r", 0)
+    if r > n:
+        raise ValueError(f"r must be at most n = {n}, got {r}")
+    size = _count(size, "size", 0)
     rng = seeded_generator(rng)
-    zn = rng.beta(1.0, big_n - 1.0, size=size)
-    d = n - r
-    if d == 0:
-        return np.sqrt(zn)
-    return np.sqrt(zn / rng.beta(1.0, float(d), size=size))
+    z = _beta_one_samples(big_n - 1, size, rng)
+    if r < n:
+        z /= _beta_one_samples(n - r, size, rng)
+    return np.sqrt(z, out=z)
 
 
 def sensitivity_distribution_ks(poly, lam0, bases, n_samples, rng, model_size=10**6):

@@ -401,6 +401,52 @@ class TestSensitivityTail:
         ).statistic
         assert stat <= 0.01
 
+    @pytest.mark.parametrize("big_n,n,r", [(27, 3, 2), (75, 5, 3)])
+    def test_model_sampler_at_the_benchmark_instances(self, big_n, n, r):
+        # the order-3 corank-1 and order-5 corank-2 quadratics of the
+        # sensitivity_law workload, against the quadrature tail model
+        from sqeig.verify import model_sensitivity_samples
+
+        draws = model_sensitivity_samples(big_n, n, r, 2 * 10**4, np.random.default_rng(big_n))
+        stat = scipy.stats.kstest(
+            draws, lambda t: 1.0 - np.array([sensitivity_tail(ti, 1.0, n, 2, r) for ti in np.atleast_1d(t)])
+        ).statistic
+        assert stat <= 0.015
+
+    def test_model_sampler_regular_case(self):
+        # d = 0: sqrt(Z_N) alone, against the closed-form tail (1 - t**2)**(N-1)
+        from sqeig.verify import model_sensitivity_samples
+
+        draws = model_sensitivity_samples(27, 3, 3, 10**5, np.random.default_rng(9))
+        assert np.all((0.0 <= draws) & (draws <= 1.0))
+        stat = scipy.stats.kstest(
+            draws, lambda t: 1.0 - np.array([sensitivity_tail(ti, 1.0, 3, 2, 3) for ti in np.atleast_1d(t)])
+        ).statistic
+        assert stat <= 0.01
+
+    @pytest.mark.parametrize("b", [1, 2, 26, 74])
+    def test_beta_one_marginal(self, b):
+        # the numerators and denominators of the workload instances
+        from sqeig.verify import _beta_one_samples
+
+        draws = _beta_one_samples(b, 10**5, np.random.default_rng(b))
+        assert np.all((0.0 <= draws) & (draws <= 1.0))
+        assert scipy.stats.kstest(draws, scipy.stats.beta(1.0, b).cdf).statistic <= 0.01
+
+    @pytest.mark.parametrize("b", [1, 2, 26, 74, 1e6])
+    def test_beta_one_draws_lie_in_the_unit_interval(self, b):
+        # the extreme uniforms rng.random can return, 0 and 1 - 2**-53
+        from sqeig.verify import _beta_one_samples
+
+        class Extremes:
+            def random(self, size):
+                return np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])[:size]
+
+        draws = _beta_one_samples(b, 4, Extremes())
+        assert draws[0] == 0.0 and not np.signbit(draws[0])
+        assert np.all((0.0 <= draws) & (draws <= 1.0))
+        assert np.all(np.diff(draws) > 0)
+
 
 class TestWeakBounds:
     def test_upper_saturates(self):

@@ -212,6 +212,32 @@ class TestSensitivityDistribution:
         draws = model_sensitivity_samples(8, 2, 2, 1000, np.random.default_rng(25))
         assert np.all(draws <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize(
+        "args,error,name",
+        [
+            ((1, 2, 2, 10), ValueError, "big_n"),
+            ((27.0, 3, 2, 10), TypeError, "big_n"),
+            ((27, 0, 0, 10), ValueError, "n"),
+            ((27, 3.0, 2, 10), TypeError, "n"),
+            ((27, 3, -1, 10), ValueError, "r"),
+            ((27, 3, 4, 10), ValueError, "r"),
+            ((27, 3, 2.0, 10), TypeError, "r"),
+            ((27, 3, 2, -1), ValueError, "size"),
+            ((27, 3, 2, 10.0), TypeError, "size"),
+            ((27, 3, 2, True), TypeError, "size"),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, tuple) else None,
+    )
+    def test_model_rejects_a_bad_argument(self, args, error, name):
+        # the inverse-CDF draw would give 1s or NaN where Beta(1, b) has
+        # b <= 0; a bad argument is named instead
+        with pytest.raises(error, match=name):
+            model_sensitivity_samples(*args, 0)
+
+    def test_model_accepts_numpy_integers(self):
+        got = model_sensitivity_samples(np.int64(27), np.int32(3), np.int64(2), np.int64(4), 0)
+        assert np.array_equal(got, model_sensitivity_samples(27, 3, 2, 4, 0))
+
 
 def _scalar_instance():
     # p(lam) = lam - 1, the regular 1x1 case (empty singular block)
