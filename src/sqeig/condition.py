@@ -159,9 +159,9 @@ def _batch_of_one(e):
 
 #: per polynomial, then per ``KernelBases``, then per lam: the anchor
 #: ``y* P'(lam) x`` of the first-order coefficient, dropped with the
-#: polynomial or the bases.  It depends on the probe alone, and a sensitivity
-#: sample of one direction spent 11-14 us of its 75-110 on it (paired rounds,
-#: one process, 2-core x86-64 host)
+#: polynomial or the bases.  It depends on the probe alone, and computing it
+#: afresh cost a one-direction sensitivity sample about 7 us of 65 (README
+#: "One sensitivity sample")
 _ANCHORS = weakref.WeakKeyDictionary()
 
 
@@ -217,8 +217,8 @@ def _first_order_terms(p, lam, bases, e):
     phase, log_mag = np.linalg.slogdet(g)
     if inner.shape[-1]:
         sign_inner, ld_inner = np.linalg.slogdet(inner)
-        # one np.errstate for the screen and the division; a second one cost
-        # a one-direction sample 2.4-2.7 us (paired rounds, as for _ANCHORS)
+        # one np.errstate for the screen and the division: a second one cost
+        # a one-direction sample 2.4-2.7 us (paired rounds, 2-core x86-64)
         with np.errstate(divide="ignore", invalid="ignore"):
             ok = _passes_screen(inner)
             phase, log_mag = phase / sign_inner, log_mag - ld_inner

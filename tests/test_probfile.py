@@ -231,3 +231,51 @@ def test_whole_matrix_conversion_is_the_per_entry_one():
         text = '{"n": 2, "degree": 0, "coefficients": [' + coefficients + "]" + metadata + "}"
         got = probfile.parse(text).coefficients[0]
         assert got.tobytes() == want.tobytes()
+
+
+#: a rectangular pencil whose entries hold signed zeros, subnormals, the
+#: largest double and large and small exponents, and the exact text of it
+_EDGE_COEFFICIENTS = (
+    np.array(
+        [
+            [complex(-0.0, 1e300), complex(5e-324, -2.2250738585072014e-308), complex(1.7976931348623157e308, -0.0)],
+            [complex(3.0, 1e-5), complex(-0.0, -0.0), complex(2.5e-310, 4e-320)],
+        ]
+    ),
+    np.array(
+        [
+            [complex(1.0, -0.0), complex(-1e-300, 123456789.0), complex(0.1, 1e16)],
+            [complex(-1.5e200, 7.0), complex(1e15, 1e17), complex(-5e-324, 0.0)],
+        ]
+    ),
+)
+_EDGE_TEXT = """{
+  "n": 3,
+  "degree": 1,
+  "coefficients": [
+    [
+      [[-0.0, 1e+300], [5e-324, -2.2250738585072014e-308], [1.7976931348623157e+308, -0.0]],
+      [[3.0, 1e-05], [-0.0, -0.0], [2.5e-310, 4e-320]]
+    ],
+    [
+      [[1.0, -0.0], [-1e-300, 123456789.0], [0.1, 1e+16]],
+      [[-1.5e+200, 7.0], [1000000000000000.0, 1e+17], [-5e-324, 0.0]]
+    ]
+  ],
+  "truth": [[-0.0, 5e-324], [1e+22, 0.0]],
+  "metadata": {"name": "edge", "source": "unit test"}
+}"""
+
+
+def test_serialized_text_is_pinned():
+    # the file format byte for byte: one row per line, each float as its
+    # shortest repr, signed zeros and subnormals kept
+    pf = probfile.ProblemFile(
+        _EDGE_COEFFICIENTS, truth=(complex(-0.0, 5e-324), 1e22), name="edge", source="unit test"
+    )
+    assert probfile.serialize(pf) == _EDGE_TEXT
+    back = probfile.parse(_EDGE_TEXT)
+    for a, b in zip(back.coefficients, _EDGE_COEFFICIENTS):
+        for part in (np.real, np.imag):
+            assert part(a).tobytes() == part(b).tobytes()
+    assert probfile.serialize(back) == _EDGE_TEXT
