@@ -330,6 +330,7 @@ class TestKeptAnchor:
             assert_same_bits(first_order_coefficient(poly, 1.0, b, e), want)
 
     def test_entry_goes_with_its_polynomial_and_bases(self):
+        gc.collect()  # so that no entry of an earlier test goes during this one
         kept = len(condition_mod._ANCHORS)
         p, b = _own_probe((1.0, 0.5), 3, 45, 1.0)
         other = KernelBases(b.X.copy(), b.x.copy(), b.Y.copy(), b.y.copy())
