@@ -48,8 +48,18 @@ __all__ = [
 ]
 
 #: condition threshold beyond which the inner perturbation block is treated
-#: as numerically singular (the sensitivity blows up along such directions)
+#: as numerically singular (the sensitivity blows up along such directions).
+#: The screen reads it at call time.  It first tries the bound
+#: ``cond2(G) <= ||G||_F**d / |det G|`` of a d-by-d block, which holds since
+#: ``sigma_d >= |det G| / sigma_1**(d-1)`` and ``sigma_1 <= ||G||_F``; a block
+#: passes on the bound alone where the bound sits a decade or more below
+#: this threshold, a margin far wider than slogdet's rounding, and every
+#: other block goes to its singular values
 BAD_DIRECTION_COND = 1e12
+
+
+#: the smallest normal double: a squared norm below it may have lost digits
+_TINY = np.finfo(float).tiny
 
 
 class BadDirectionError(RuntimeError):
@@ -193,15 +203,37 @@ def _projected_perturbations(p, lam, bases, e):
     return bases.left.conj().T @ horner(e.swapaxes(0, 1), lam) @ bases.right
 
 
-def _passes_screen(g):
-    # True where the square block g[i], of order at least one, is
-    # numerically nonsingular: the singular-value guard shared by the
-    # first-order coefficient (on the inner block) and the limit weights (on
-    # the whole projected block).  Called under np.errstate(divide="ignore",
-    # invalid="ignore"), which the caller enters once for this and its own
-    # arithmetic
-    s = np.linalg.svd(g, compute_uv=False)
-    return s[:, 0] / s[:, -1] <= BAD_DIRECTION_COND
+def _passes_screen(g, log_det):
+    # True where the square block g[i], of order d >= 1, is numerically
+    # nonsingular, cond2(g[i]) <= BAD_DIRECTION_COND: the guard shared by
+    # the first-order coefficient (on the inner block) and the limit weights
+    # (on the whole projected block).  log_det is slogdet's log|det g|.  A
+    # block passes on the bound log(||g||_F**d / |det g|) where that is at
+    # least a decade below the cutoff: the LU behind slogdet gives the exact
+    # determinant of a block within a few roundings of g, which moves a
+    # condition number of 1e11 or less by a relative 1e-4 or so, far inside
+    # the decade.  Every other block is decided by its singular values: a
+    # squared norm that is zero, subnormal (it may have lost digits),
+    # infinite or NaN, a singular or NaN block (whose SVD raises), and a
+    # bound near or above the cutoff.  Called under
+    # np.errstate(divide="ignore", over="ignore", invalid="ignore"), which
+    # the caller enters once for this and its own arithmetic
+    cutoff = BAD_DIRECTION_COND
+    limit = math.log(cutoff / 10.0)
+    half_d = 0.5 * g.shape[-1]
+    if len(g) == 1:
+        # one direction, as a sensitivity sample draws it, in scalars: the
+        # numpy calls of the batch form cost about as much as the SVD here
+        norm_sq = np.vdot(g, g).real
+        ok = np.array([norm_sq >= _TINY and half_d * math.log(norm_sq) - log_det[0] <= limit])
+    else:
+        norm_sq = np.square(np.abs(g)).sum(axis=(1, 2))
+        ok = (norm_sq >= _TINY) & (half_d * np.log(norm_sq) - log_det <= limit)
+    if np.count_nonzero(ok) != ok.size:
+        rows = np.flatnonzero(~ok)
+        s = np.linalg.svd(g[rows], compute_uv=False)
+        ok[rows] = s[:, 0] / s[:, -1] <= cutoff
+    return ok
 
 
 def _require_screened(ok):
@@ -219,8 +251,8 @@ def _first_order_terms(p, lam, bases, e):
         sign_inner, ld_inner = np.linalg.slogdet(inner)
         # one np.errstate for the screen and the division: a second one cost
         # a one-direction sample 2.4-2.7 us (paired rounds, 2-core x86-64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = _passes_screen(inner)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ok = _passes_screen(inner, ld_inner)
             phase, log_mag = phase / sign_inner, log_mag - ld_inner
     else:  # the regular case: an empty inner block, of determinant 1, passes
         ok = np.ones(len(g), dtype=bool)
@@ -285,8 +317,8 @@ def limit_weights(p, lam, bases, e):
     weight is then NaN.
     """
     g = _projected_perturbations(p, lam, bases, e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = _passes_screen(g)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ok = _passes_screen(g, np.linalg.slogdet(g)[1])
     # right-hand sides as (k, d+1, 1) stacks, which solve reads alike on
     # every supported numpy
     screened = g[ok]

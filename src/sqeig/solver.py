@@ -325,7 +325,9 @@ def solve_polynomial(p, cfg=None):
     x, y = _lift(core.right, xc), _lift(core.left, yc)
     # the gate reads only the candidates the threshold kept; eta read on
     # the core is within slack of the exact one, so only a bracket that
-    # straddles the gate needs the exact eta of the lifted vectors
+    # straddles the gate needs the exact eta of the lifted vectors.  Almost
+    # no solve has one (none of 45,000 ladder candidates did), and an empty
+    # call still conjugates both balanced coefficients, 0.6 ms at order 400
     kept = np.flatnonzero(accepted)
     eta, slack = core_backward_errors(
         balanced, core, lam[kept], [t[:, kept] for t in products], yc[:, kept]
@@ -333,7 +335,8 @@ def solve_polynomial(p, cfg=None):
     gate = residual_tolerance(p.degree * r)
     band = kept[(eta - slack <= gate) & (eta + slack > gate)]
     accepted[kept] = eta + slack <= gate
-    accepted[band] = backward_errors(balanced, lam[band], x[:, band], y[:, band]) <= gate
+    if band.size:
+        accepted[band] = backward_errors(balanced, lam[band], x[:, band], y[:, band]) <= gate
     return _result(gamma, lam, kappa, accepted, codes, x, y)
 
 

@@ -1,6 +1,7 @@
 """Condition formulas, sensitivity model, probabilistic bounds."""
 
 import cmath
+import contextlib
 import gc
 import math
 import warnings
@@ -9,6 +10,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     HORNER_LAMS,
@@ -369,6 +372,205 @@ class TestKeptAnchor:
         for _ in range(3):
             assert cmath.isnan(condition_mod._anchor(p, complex(math.nan, 0.0), b))
         assert len(condition_mod._ANCHORS[p][b]) == 0
+
+
+#: numpy's SVD as loaded, for references that a counting wrapper put in
+#: place of np.linalg.svd must not see
+_numpy_svd = np.linalg.svd
+
+
+def _svd_screen(g):
+    # the screen by singular values alone, on a (k, d, d) stack: the mask
+    # every decision of the bound must reproduce
+    s = _numpy_svd(g, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s[:, 0] / s[:, -1] <= condition_mod.BAD_DIRECTION_COND
+
+
+def _screen(g):
+    # the module's screen, given slogdet's log|det g| as its callers give it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return condition_mod._passes_screen(g, np.linalg.slogdet(g)[1])
+
+
+def _outcome(fn, *args):
+    # what fn(*args) gives: ("value", bits) or (exception type, message)
+    try:
+        got = fn(*args)
+    except (BadDirectionError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return "value", repr(got)
+
+
+@contextlib.contextmanager
+def _counting_svd():
+    # the arrays handed to np.linalg.svd inside the block, one per call
+    seen = []
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return _numpy_svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counting)
+        yield seen
+
+
+def _designed_block(rng, cond, d, scale=1.0):
+    # U diag(sigma) V* with Haar unitary U and V and singular values sigma
+    # log-spaced from scale down to scale / cond (scale alone at d = 1)
+    u, v = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for _ in range(2))
+    return (u * (scale * np.geomspace(1.0, 1.0 / cond, d))) @ v.conj().T
+
+
+def _undecided(g):
+    # (must, may): the rows of the finite (k, d, d) stack g that the bound
+    # ||g||_F**d / |det g| cannot pass, read from the singular values, and
+    # those together with the rows on the edge of a decision (a bound
+    # within a relative 1e-3 of a decade below the cutoff, or a squared norm
+    # at the edge of the normal range)
+    d = g.shape[-1]
+    limit = math.log(condition_mod.BAD_DIRECTION_COND / 10.0)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    s = _numpy_svd(g, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        ratios = s / s[:, :1]
+        log_bound = 0.5 * d * np.log(np.square(ratios).sum(axis=1)) - np.log(ratios).sum(axis=1)
+        top = np.square(s[:, 0])
+        must = ~(log_bound <= limit + 1e-3) | (d * top < tiny) | (top > huge)
+        may = must | (log_bound >= limit - 1e-3) | (top < tiny) | (d * top > huge)
+    return set(np.flatnonzero(must)), set(np.flatnonzero(may))
+
+
+def _rows_seen(g, seen):
+    # the indices of the rows of g that the recorded SVD calls took, each once
+    rows = [next(i for i, b in enumerate(g) if np.array_equal(a, b)) for call in seen for a in call]
+    assert len(set(rows)) == len(rows)
+    return set(rows)
+
+
+def _check_screen(g):
+    # the mask equals the SVD reference on the stack and on each block alone
+    # (the one-direction form), and the SVD sees only the blocks the bound
+    # leaves undecided
+    want = _svd_screen(g)
+    must, may = _undecided(g)
+    with _counting_svd() as seen:
+        got = _screen(g)
+    np.testing.assert_array_equal(got, want)
+    assert must <= _rows_seen(g, seen) <= may
+    for i in range(len(g)):
+        with _counting_svd() as seen:
+            got = _screen(g[i : i + 1])
+        assert got.tolist() == [want[i]], i
+        assert (i in must) <= bool(seen) <= (i in may), i
+
+
+class TestBadDirectionScreen:
+    """The determinant bound passes what it can; the SVD decides the rest as before."""
+
+    @given(st.integers(1, 3), st.lists(st.floats(0.0, 14.0), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_log_uniform_conditions(self, d, log_conds, seed):
+        rng = np.random.default_rng(seed)
+        _check_screen(np.array([_designed_block(rng, 10.0**c, d) for c in log_conds]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_designed_blocks(self, d):
+        rng = np.random.default_rng(60 + d)
+        conds = (1.0, 1e3, 1e11, 1e12 * (1 - 1e-6), 1e12 * (1 + 1e-6), 1e14)
+        blocks = [_designed_block(rng, c, d) for c in conds]
+        # scaled out of the range where the squared norm is a normal number
+        blocks += [_designed_block(rng, c, d, scale) for scale in (1e170, 1e-170) for c in (10.0, 1e14)]
+        blocks.append(np.zeros((d, d), dtype=complex))
+        if d > 1:  # two equal rows: an exactly singular block
+            twin = _designed_block(rng, 10.0, d)
+            twin[-1] = twin[0]
+            blocks.append(twin)
+        g = np.array(blocks)
+        _check_screen(g)
+        # every nonzero block has condition 1 at d = 1.  A block of 1e-170
+        # has a squared norm that underflows to 0; a bound of -inf from it
+        # would pass the block of condition 1e14 (row 9) too
+        want = _svd_screen(g)
+        assert want[:3].all() and want[6] and want[8]
+        assert want[5] == want[7] == want[9] == (d == 1)
+        assert not want[10:].any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nan_blocks_raise_as_the_svd_does(self, d):
+        rng = np.random.default_rng(70 + d)
+        nan_block = _designed_block(rng, 10.0, d)
+        nan_block[0, 0] = math.nan
+        g = np.array([_designed_block(rng, 10.0, d), nan_block])
+        for stack in (g, g[1:]):
+            want = _outcome(_svd_screen, stack)
+            assert want[0] is np.linalg.LinAlgError
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert _outcome(_screen, stack) == want
+
+    def test_cutoff_is_read_at_call_time(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        g = np.array([_designed_block(rng, c, 2) for c in (1.0, 30.0, 1e3, 1e6)])
+        for cutoff in (0.5, 1.0, 1e2, 1e4, 1e12):
+            monkeypatch.setattr(condition_mod, "BAD_DIRECTION_COND", cutoff)
+            _check_screen(g)
+
+
+def _directions_with_blocks(b, blocks, inner):
+    # perturbation stacks (E_0, 0, 0) with E_0 = [Y y] G [X x]*, whose
+    # projected perturbation at any lam is G up to rounding; a d-by-d block
+    # is the inner block G11 (inner=True, the last row and column set to 1)
+    # or the whole G
+    out = []
+    for block in blocks:
+        g = np.ones((len(block) + 1,) * 2, dtype=complex) if inner else block
+        if inner:
+            g[:-1, :-1] = block
+        e0 = b.left @ g @ b.right.conj().T
+        out.append(np.array([e0, np.zeros_like(e0), np.zeros_like(e0)]))
+    return np.array(out)
+
+
+class TestScreenThroughCallers:
+    """Each caller gives what it gave with the SVD screen, near the cutoff too."""
+
+    CONDS = (1e10, 1e11, 1e12 * (1 - 1e-6), 1e12, 1e12 * (1 + 1e-6), 1e13, 1e16)
+
+    def _cases(self, lams, n, seed):
+        inst = chain_quadratic(lams, n, rng=seed)
+        poly, b = inst.polynomial(), inst.bases(1.0)
+        d = b.X.shape[1]
+        rng = np.random.default_rng(seed)
+        inner = _directions_with_blocks(b, [_designed_block(rng, c, d) for c in self.CONDS], inner=True)
+        whole = _directions_with_blocks(b, [_designed_block(rng, c, d + 1) for c in self.CONDS], inner=False)
+        random = np.array(sample_perturbations(n, 2, 4, rng))
+        return poly, b, np.concatenate([inner, whole, random])
+
+    @staticmethod
+    def _svd_reference(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(condition_mod, "_passes_screen", lambda g, log_det: _svd_screen(g))
+            return fn(*args)
+
+    @pytest.mark.parametrize("lams,n,seed", [((1.0, 0.5), 3, 80), ((1.0, 0.5, 2.0), 5, 81)])
+    def test_same_masks_values_and_errors(self, monkeypatch, lams, n, seed):
+        poly, b, batch = self._cases(lams, n, seed)
+        for fn in (limit_weights, directional_sensitivities):
+            want = self._svd_reference(monkeypatch, fn, poly, 1.0, b, batch)
+            got = fn(poly, 1.0, b, batch)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        ok_limit = limit_weights(poly, 1.0, b, batch)[1]
+        assert ok_limit.any() and not ok_limit.all()
+        raised = 0
+        for e in batch:
+            for fn in (first_order_coefficient, directional_sensitivity):
+                want = self._svd_reference(monkeypatch, _outcome, fn, poly, 1.0, b, e)
+                assert _outcome(fn, poly, 1.0, b, e) == want
+                raised += want[0] is BadDirectionError
+        assert raised > 0 or n == 3
 
 
 class TestSensitivityTail:

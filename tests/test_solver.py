@@ -1101,6 +1101,23 @@ def test_candidates_in_the_slack_band_go_to_the_exact_gate(monkeypatch, problem_
     np.testing.assert_allclose(res.values[res.accepted], [-10j], rtol=1e-12)
 
 
+@pytest.mark.parametrize("rung", ["synth-100", "chain-50"])
+def test_ladder_solves_ask_for_no_exact_eta(monkeypatch, rung):
+    # no bracket of a ladder candidate straddles the gate, so a projected
+    # solve there never calls backward_errors, not even on an empty band
+    import sqeig.solver as solver_mod
+
+    calls = []
+    monkeypatch.setattr(solver_mod, "backward_errors", lambda *args: calls.append(args))
+    kind, n = rung.split("-")
+    p, truth = _ladder_rung(kind, int(n), 1)
+    assert p.normal_rank < p.n
+    for seed in range(2):
+        res = solve_polynomial(p, SolverConfig(seed=seed))
+        assert match_accepted(res.values[res.accepted], truth, 1e-6) is not None, seed
+    assert calls == []
+
+
 def _recall_and_extras(results, truth):
     # (matched true values, accepted values matching none) under the
     # TruthSpec rule |a - t| <= MATCH_TOL * max(1, |t|), by optimal assignment
