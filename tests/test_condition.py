@@ -525,8 +525,9 @@ def _directions_with_blocks(b, blocks, inner):
     # or the whole G
     out = []
     for block in blocks:
-        g = np.ones((len(block) + 1,) * 2, dtype=complex) if inner else block
+        g = block
         if inner:
+            g = np.ones((len(block) + 1,) * 2, dtype=complex)
             g[:-1, :-1] = block
         e0 = b.left @ g @ b.right.conj().T
         out.append(np.array([e0, np.zeros_like(e0), np.zeros_like(e0)]))
