@@ -2,7 +2,8 @@
 # Solve checks shared by the CI jobs: the QZ routine, the eigensolver that
 # runs for a well-conditioned and for a singular B at order 60, a projected
 # pencil and a projected quadratic solve, the same projected pencil output
-# under two solver seeds, and the same output bytes and output fingerprint
+# under two solver seeds, and the same output bytes (solves, a 10^4-sample
+# sensitivity distribution and a Monte Carlo run) and output fingerprint
 # (fingerprint.py) from two processes under different hash seeds, printed
 # beside the BLAS builds and numpy's CPU dispatch that its large digest
 # depends on.  Every run uses one BLAS thread, as the digests recorded
@@ -44,10 +45,16 @@ for seed in 1 2; do
   PYTHONHASHSEED=$seed sqeig solve --input "$RUNNER_TEMP/large.json" --json > "$RUNNER_TEMP/large-$seed.json"
   PYTHONHASHSEED=$seed sqeig solve --input "$RUNNER_TEMP/chain.json" --json > "$RUNNER_TEMP/chain-$seed.json"
   PYTHONHASHSEED=$seed python "$(dirname "$0")/fingerprint.py" > "$RUNNER_TEMP/fingerprint-$seed.txt"
+  # the batched sampler end to end at the size its callers use: 10^4
+  # screened sensitivity samples in one batch, and 50 Monte Carlo trials
+  PYTHONHASHSEED=$seed sqeig dist --n 5 --m 2 --r 3 --samples 10000 --seed 0 > "$RUNNER_TEMP/dist-$seed.csv"
+  PYTHONHASHSEED=$seed sqeig montecarlo --builtin ex8 --runs 50 --seed 3 > "$RUNNER_TEMP/montecarlo-$seed.json"
 done
 cmp "$RUNNER_TEMP/ex8-1.json" "$RUNNER_TEMP/ex8-2.json"
 cmp "$RUNNER_TEMP/large-1.json" "$RUNNER_TEMP/large-2.json"
 cmp "$RUNNER_TEMP/chain-1.json" "$RUNNER_TEMP/chain-2.json"
+cmp "$RUNNER_TEMP/dist-1.csv" "$RUNNER_TEMP/dist-2.csv"
+cmp "$RUNNER_TEMP/montecarlo-1.json" "$RUNNER_TEMP/montecarlo-2.json"
 # the large digest's bits depend on the host's BLAS kernels and thread count
 # (see fingerprint.py), so the digests are printed next to them
 python -c "

@@ -19,6 +19,7 @@ singular part are ill conditioned.
 
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass
@@ -236,6 +237,23 @@ def _passes_screen(g, log_det):
     return ok
 
 
+def _require_finite_lam(lam):
+    # a NaN or infinite lam would reach the screen's SVD as a NaN block
+    if not cmath.isfinite(complex(lam)):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+
+
+def _require_finite_directions(finite, what):
+    # finite[i] is False where direction i of a batch is not finite, which
+    # the screen would otherwise meet as a NaN or infinite block
+    if np.count_nonzero(finite) != len(finite):
+        raise ValueError(f"perturbation direction {int(np.argmin(finite))} {what}")
+
+
+def _require_finite_entries(e):
+    _require_finite_directions(np.isfinite(e).all(axis=(1, 2, 3)), "has a NaN or infinite entry")
+
+
 def _require_screened(ok):
     if not ok[0]:
         raise BadDirectionError("perturbation direction leaves the inner block numerically singular")
@@ -268,9 +286,13 @@ def first_order_coefficient(p, lam, bases, e):
     where G11 drops the last row and column; the determinants are evaluated
     in log-magnitude form so the ratio survives large kernel dimensions.
     c is infinite where ``y* P'(lam) x`` vanishes.  Raises
-    BadDirectionError when G11 is numerically singular.
+    BadDirectionError when G11 is numerically singular, and ValueError
+    for a NaN or infinite ``lam`` or entry of ``e``.
     """
-    phase, log_mag, anchor, ok = _first_order_terms(p, lam, bases, _batch_of_one(e))
+    _require_finite_lam(lam)
+    e = _batch_of_one(e)
+    _require_finite_entries(e)
+    phase, log_mag, anchor, ok = _first_order_terms(p, lam, bases, e)
     _require_screened(ok)
     if anchor == 0.0:
         return complex(math.inf)
@@ -283,12 +305,17 @@ def directional_sensitivities(p, lam, bases, e):
     Returns ``(values, ok)``: ``values[i]`` is the sensitivity along
     ``e[i]`` as ``directional_sensitivity`` defines it, and ``ok[i]`` is
     False where that direction fails the screen on the inner block, whose
-    value is then meaningless.
+    value is then meaningless.  Raises ValueError for a NaN or infinite
+    ``lam`` and for a direction whose joint norm is not finite (a NaN or
+    infinite entry, or entries too large to square).
     """
+    _require_finite_lam(lam)
+    norms = joint_norm(e)
+    _require_finite_directions(np.isfinite(norms), "has a joint norm that is not finite")
     _, log_mag, anchor, ok = _first_order_terms(p, lam, bases, e)
     if anchor == 0.0:
         return np.full(len(e), math.inf), ok
-    return np.exp(log_mag) / (joint_norm(e) * abs(anchor)), ok
+    return np.exp(log_mag) / (norms * abs(anchor)), ok
 
 
 def directional_sensitivity(p, lam, bases, e):
@@ -296,7 +323,9 @@ def directional_sensitivity(p, lam, bases, e):
 
     ``|first_order_coefficient| / joint_norm(e)``, with the arguments of
     ``first_order_coefficient``; the modulus is formed from the log
-    magnitudes without the phase.
+    magnitudes without the phase.  Raises BadDirectionError as
+    ``first_order_coefficient`` does, and ValueError as
+    ``directional_sensitivities`` does.
     """
     values, ok = directional_sensitivities(p, lam, bases, _batch_of_one(e))
     _require_screened(ok)
@@ -314,8 +343,11 @@ def limit_weights(p, lam, bases, e):
     ``b = G^{-1} e_last / ||.||``.  Returns ``(weights, ok)``:
     ``weights[i]`` is ``|a[-1]| * |b[-1]|`` along ``e[i]`` (at most 1), and
     ``ok[i]`` is False where that direction fails the screen on G, whose
-    weight is then NaN.
+    weight is then NaN.  Raises ValueError for a NaN or infinite ``lam``
+    or entry of ``e``.
     """
+    _require_finite_lam(lam)
+    _require_finite_entries(e)
     g = _projected_perturbations(p, lam, bases, e)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ok = _passes_screen(g, np.linalg.slogdet(g)[1])

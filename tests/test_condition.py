@@ -356,9 +356,10 @@ class TestKeptAnchor:
         p, b = _own_probe((1.0, 0.5), 3, 46, 1.0)
         e = sample_perturbation(3, 2, 46)
         want = _fresh(monkeypatch, first_order_coefficient, p, 1.0, b, e)
+        want_sensitivity = _fresh(monkeypatch, directional_sensitivity, p, 1.0, b, e)
         for _ in range(2):
             assert_same_bits(first_order_coefficient(p, lam, b, e), want)
-            assert_same_bits(directional_sensitivity(p, lam, b, e), abs(want) / joint_norm(e))
+            assert_same_bits(directional_sensitivity(p, lam, b, e), want_sensitivity)
 
     def test_signed_zero_lams_are_kept_apart(self):
         p, b = _own_probe((1.0, 0.5), 3, 47, 1.0)
@@ -572,6 +573,59 @@ class TestScreenThroughCallers:
                 assert _outcome(fn, poly, 1.0, b, e) == want
                 raised += want[0] is BadDirectionError
         assert raised > 0 or n == 3
+
+
+#: the four functions that screen a direction, as functions of a batch of
+#: four directions
+_SCREENED_READERS = {
+    "first_order_coefficient": lambda p, lam, b, e: first_order_coefficient(p, lam, b, e[2]),
+    "directional_sensitivity": lambda p, lam, b, e: directional_sensitivity(p, lam, b, e[2]),
+    "directional_sensitivities": directional_sensitivities,
+    "limit_weights": limit_weights,
+}
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite lam or direction raises a ValueError that names it."""
+
+    @staticmethod
+    def _probe():
+        inst = chain_quadratic((1.0, 0.5), 3, rng=90)
+        return inst.polynomial(), inst.bases(1.0), np.array(sample_perturbations(3, 2, 4, 90))
+
+    @pytest.mark.parametrize("name", sorted(_SCREENED_READERS))
+    @pytest.mark.parametrize("lam", [complex(math.nan, 0.0), math.inf, complex(1.0, -math.inf)], ids=repr)
+    def test_lam(self, name, lam):
+        p, b, e = self._probe()
+        with pytest.raises(ValueError, match="lam must be finite"):
+            _SCREENED_READERS[name](p, lam, b, e)
+
+    @pytest.mark.parametrize("name", sorted(_SCREENED_READERS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=repr)
+    def test_direction(self, name, bad):
+        # the bad entry sits in direction 2 of the batch, which is also the
+        # one direction the single-direction functions read
+        p, b, e = self._probe()
+        e[2, 1, 0, 2] = bad
+        with pytest.raises(ValueError, match="perturbation direction [02] "):
+            _SCREENED_READERS[name](p, 1.0, b, e)
+
+    def test_batches_name_the_bad_direction(self):
+        p, b, e = self._probe()
+        e[2, 0, 1, 1] = math.nan
+        for fn in (directional_sensitivities, limit_weights):
+            with pytest.raises(ValueError, match="perturbation direction 2 "):
+                fn(p, 1.0, b, e)
+
+    def test_overflowing_joint_norm_is_not_a_sensitivity(self):
+        # finite entries whose squares overflow: a sensitivity divides by
+        # the joint norm, so it raises; the first-order coefficient does not
+        # read the norm and is finite
+        p, b, e = self._probe()
+        big = e[:1] * 1e160
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="perturbation direction 0 has a joint norm"):
+            directional_sensitivities(p, 1.0, b, big)
+        assert cmath.isfinite(first_order_coefficient(p, 1.0, b, big[0]))
 
 
 class TestSensitivityTail:

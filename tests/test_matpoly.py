@@ -1,10 +1,8 @@
 """Matrix polynomial evaluation, reversal, sampling, rank, and scaling."""
 
 import builtins
-import functools
 import hashlib
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -133,21 +131,55 @@ class TestJointNorm:
         s = sample_perturbation(3, 2, np.random.default_rng(0))
         assert abs(joint_norm(s) - 1.0) <= 10 * 2 * UNIT_ROUNDOFF
 
-    def test_batch_matches_per_coefficient_formula_bitwise(self):
-        # reference: the per-stack sum of squared per-coefficient norms
+    def test_batch_matches_one_dot_of_the_float_view_bitwise(self):
+        # reference: the square root of one dot of each stack's float view,
+        # every real and imaginary part in order, with itself
         rng = np.random.default_rng(3)
         for n, m, count in ((1, 0, 4), (3, 2, 1), (5, 2, 17), (11, 3, 6), (4, 1, 0)):
             e = rng.standard_normal((count, m + 1, n, n)) + 1j * rng.standard_normal((count, m + 1, n, n))
-            # summed left to right, as sum() does before Python 3.12
-            ref = [
-                math.sqrt(functools.reduce(operator.add, (float(np.linalg.norm(c, "fro")) ** 2 for c in stack)))
-                for stack in e
-            ]
+            ref = []
+            for stack in e:
+                v = stack.reshape(-1).view(float)
+                ref.append(math.sqrt(float(np.dot(v, v))))
             got = joint_norm(e)
             assert got.shape == (count,)
             np.testing.assert_array_equal(got, ref)
             for stack, want in zip(e, ref):
                 assert joint_norm(tuple(stack)) == want
+
+    @given(
+        st.integers(0, 3),
+        st.integers(1, 12),
+        st.integers(0, 5),
+        st.sampled_from([1e-150, 1.0, 1e150]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_norm_is_the_float_view_norm_within_rounding(self, m, n, count, scale, seed):
+        # within 2 L u of the correctly rounded norm, L = 2 (m+1) n**2 the
+        # length of a stack's float view, or infinite on both sides; a stack
+        # alone gives the bits of its batch entry
+        rng = np.random.default_rng(seed)
+        shape = (count, m + 1, n, n)
+        e = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        got = joint_norm(e)
+        length = 2 * (m + 1) * n * n
+        for stack, norm in zip(e, got):
+            v = stack.reshape(-1).view(float)
+            want = math.sqrt(math.fsum(v * v))
+            if math.isinf(want):
+                assert math.isinf(norm)
+            else:
+                assert abs(norm - want) <= 2 * length * UNIT_ROUNDOFF * want
+            assert_same_bits(joint_norm(stack), float(norm))
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_large_draws_pass_the_unit_norm_check(self, n):
+        # sample_perturbations raises unless the second normalizing pass
+        # divides by norms within UNIT_NORM_TOL of 1
+        for seed in range(3):
+            e = sample_perturbation(n, 1, seed)
+            assert abs(joint_norm(e) - 1.0) <= matpoly.UNIT_NORM_TOL
 
 
 def _assert_draw_pins():
@@ -155,11 +187,11 @@ def _assert_draw_pins():
     pins = {
         "sample_perturbations(3, 2, 5, 0)": (
             sample_perturbations(3, 2, 5, 0),
-            "adf0210a6a7689660bff300a917aa4472423811d9b7792cdaa4fc453cfbafc8d",
+            "2b40cbf10f686235b82ae0b60a06c98cf1766af87b4ad7c06519c9b6f61aeaee",
         ),
         "sample_perturbation(11, 2, 3)": (
             sample_perturbation(11, 2, 3),
-            "c7ae613b2ac7cc9f95de526724bccb43307df4763c08be8dcc929af2a3764acd",
+            "351b52542c4065169ddf2d266dd4523afde6ec0a1d57b3f0984a2e28bf0e5dfb",
         ),
     }
     for call, (draw, want) in pins.items():
@@ -167,8 +199,7 @@ def _assert_draw_pins():
         got = hashlib.sha256(np.ascontiguousarray(draw).tobytes()).hexdigest()
         assert got == want, (
             f"the bits of {call} moved: a draw, or its joint_norm normalization, must "
-            "reproduce the old bits or report the moved pins (ROADMAP.md, small "
-            "leftovers: test_outputs_pinned[ex8] and a cheaper or batched joint_norm)"
+            "reproduce the old bits or report the moved pins in CHANGES.md"
         )
 
 
@@ -242,6 +273,14 @@ class TestSamplePerturbation:
         chunked = sample_perturbations(3, 2, 20, chunked_rng)
         np.testing.assert_array_equal(chunked, whole)
         assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
+
+    def test_sample_off_the_unit_sphere_raises(self, monkeypatch):
+        # the check on the second pass's norms, read at call time: with a
+        # negative tolerance no norm passes
+        monkeypatch.setattr(matpoly, "UNIT_NORM_TOL", -1.0)
+        for count in (1, 3):
+            with pytest.raises(ValueError, match="unit joint norm"):
+                sample_perturbations(3, 2, count, 0)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(11)
