@@ -62,6 +62,9 @@ BAD_DIRECTION_COND = 1e12
 #: the smallest normal double: a squared norm below it may have lost digits
 _TINY = np.finfo(float).tiny
 
+#: sqrt(_TINY) = 2**-511 exactly, as a numpy scalar (faster than a float in numpy comparisons)
+_ROOT_TINY = np.sqrt(_TINY)
+
 
 class BadDirectionError(RuntimeError):
     """The perturbation direction makes the inner block numerically singular."""
@@ -181,7 +184,8 @@ def _anchor(p, lam, bases):
     # lam is keyed as a complex, which a numpy scalar and a 0-d array give
     # alike (horner reads every lam as a complex), together with the signs
     # of its parts, since -0.0 == 0.0 as a key but not always in Horner's
-    # products; a NaN, which no key finds again, is not kept
+    # products.  Callers pass a finite lam only (_joint_norms): a NaN key is
+    # never found again
     per_bases = _ANCHORS.get(p)
     if per_bases is None:
         per_bases = _ANCHORS[p] = weakref.WeakKeyDictionary()
@@ -192,9 +196,7 @@ def _anchor(p, lam, bases):
     key = (z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
     anchor = anchors.get(key)
     if anchor is None:
-        anchor = complex(bases.y.conj() @ p.derivative_at(lam) @ bases.x)
-        if z == z:
-            anchors[key] = anchor
+        anchor = anchors[key] = complex(bases.y.conj() @ p.derivative_at(lam) @ bases.x)
     return anchor
 
 
@@ -237,21 +239,30 @@ def _passes_screen(g, log_det):
     return ok
 
 
-def _require_finite_lam(lam):
-    # a NaN or infinite lam would reach the screen's SVD as a NaN block
+def _joint_norms(lam, e):
+    # the joint norms of the (k, m+1, n, n) batch e, once lam is finite and
+    # each squared norm is a normal, finite number: the one input rule of the
+    # four direction statistics, which do not depend on a direction's scale
+    # and keep their digits inside it.  sqrt rounds correctly, so the norms
+    # lie in [2**-511, 2**512) exactly where their squares pass the screen's
+    # >= _TINY and are finite.  Runs under the caller's np.errstate
     if not cmath.isfinite(complex(lam)):
         raise ValueError(f"lam must be finite, got {lam!r}")
-
-
-def _require_finite_directions(finite, what):
-    # finite[i] is False where direction i of a batch is not finite, which
-    # the screen would otherwise meet as a NaN or infinite block
-    if np.count_nonzero(finite) != len(finite):
-        raise ValueError(f"perturbation direction {int(np.argmin(finite))} {what}")
-
-
-def _require_finite_entries(e):
-    _require_finite_directions(np.isfinite(e).all(axis=(1, 2, 3)), "has a NaN or infinite entry")
+    norms = joint_norm(e)
+    if len(norms) == 1:
+        # one direction, as a sensitivity sample draws it, in scalars: the
+        # batch form's numpy calls cost a sample about 1.3 us more (paired
+        # rounds, 2-core x86-64)
+        bad = [] if _ROOT_TINY <= norms[0] < math.inf else [0]
+    else:
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= _ROOT_TINY)))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"perturbation direction {i} has a joint norm of {float(norms[i])!r}, outside "
+            "[2**-511, 2**512) where its square is a normal, finite number"
+        )
+    return norms
 
 
 def _require_screened(ok):
@@ -260,21 +271,23 @@ def _require_screened(ok):
 
 
 def _first_order_terms(p, lam, bases, e):
-    # (phase, log magnitude, y* P'(lam) x, screen mask) over the batch e, with
-    # c = phase * exp(log magnitude) / anchor where the mask holds
-    g = _projected_perturbations(p, lam, bases, e)
-    inner = g[:, :-1, :-1]
-    phase, log_mag = np.linalg.slogdet(g)
-    if inner.shape[-1]:
-        sign_inner, ld_inner = np.linalg.slogdet(inner)
-        # one np.errstate for the screen and the division: a second one cost
-        # a one-direction sample 2.4-2.7 us (paired rounds, 2-core x86-64)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # (joint norms, phase, log magnitude, y* P'(lam) x, screen mask) over the
+    # batch e, with c = phase * exp(log magnitude) / anchor where the mask
+    # holds.  One np.errstate for the rule, the screen and the division: a
+    # second one cost a one-direction sample 2.4-2.7 us (paired rounds,
+    # 2-core x86-64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norms = _joint_norms(lam, e)
+        g = _projected_perturbations(p, lam, bases, e)
+        inner = g[:, :-1, :-1]
+        phase, log_mag = np.linalg.slogdet(g)
+        if inner.shape[-1]:
+            sign_inner, ld_inner = np.linalg.slogdet(inner)
             ok = _passes_screen(inner, ld_inner)
             phase, log_mag = phase / sign_inner, log_mag - ld_inner
-    else:  # the regular case: an empty inner block, of determinant 1, passes
-        ok = np.ones(len(g), dtype=bool)
-    return phase, log_mag, _anchor(p, lam, bases), ok
+        else:  # the regular case: an empty inner block, of determinant 1, passes
+            ok = np.ones(len(g), dtype=bool)
+    return norms, phase, log_mag, _anchor(p, lam, bases), ok
 
 
 def first_order_coefficient(p, lam, bases, e):
@@ -285,14 +298,14 @@ def first_order_coefficient(p, lam, bases, e):
     kernel-projected perturbation, ``c = det(G) / (det(G11) * y* P'(lam) x)``
     where G11 drops the last row and column; the determinants are evaluated
     in log-magnitude form so the ratio survives large kernel dimensions.
-    c is infinite where ``y* P'(lam) x`` vanishes.  Raises
-    BadDirectionError when G11 is numerically singular, and ValueError
-    for a NaN or infinite ``lam`` or entry of ``e``.
+    c is linear in ``e``, and infinite where ``y* P'(lam) x`` vanishes.
+    Raises BadDirectionError when G11 is numerically singular, and
+    ValueError, naming it, for a NaN or infinite ``lam`` or for an ``e``
+    whose squared joint norm is not a normal, finite number (a joint norm
+    outside ``[2**-511, 2**512)``: a zero stack, a NaN or infinite entry,
+    or a stack scaled that far).
     """
-    _require_finite_lam(lam)
-    e = _batch_of_one(e)
-    _require_finite_entries(e)
-    phase, log_mag, anchor, ok = _first_order_terms(p, lam, bases, e)
+    _, phase, log_mag, anchor, ok = _first_order_terms(p, lam, bases, _batch_of_one(e))
     _require_screened(ok)
     if anchor == 0.0:
         return complex(math.inf)
@@ -305,14 +318,12 @@ def directional_sensitivities(p, lam, bases, e):
     Returns ``(values, ok)``: ``values[i]`` is the sensitivity along
     ``e[i]`` as ``directional_sensitivity`` defines it, and ``ok[i]`` is
     False where that direction fails the screen on the inner block, whose
-    value is then meaningless.  Raises ValueError for a NaN or infinite
-    ``lam`` and for a direction whose joint norm is not finite (a NaN or
-    infinite entry, or entries too large to square).
+    value is then meaningless.  A sensitivity does not depend on the scale
+    of its direction.  Raises ValueError for a NaN or infinite ``lam``, and
+    for the first direction whose squared joint norm is not a normal,
+    finite number (a joint norm outside ``[2**-511, 2**512)``), naming it.
     """
-    _require_finite_lam(lam)
-    norms = joint_norm(e)
-    _require_finite_directions(np.isfinite(norms), "has a joint norm that is not finite")
-    _, log_mag, anchor, ok = _first_order_terms(p, lam, bases, e)
+    norms, _, log_mag, anchor, ok = _first_order_terms(p, lam, bases, e)
     if anchor == 0.0:
         return np.full(len(e), math.inf), ok
     return np.exp(log_mag) / (norms * abs(anchor)), ok
@@ -323,9 +334,9 @@ def directional_sensitivity(p, lam, bases, e):
 
     ``|first_order_coefficient| / joint_norm(e)``, with the arguments of
     ``first_order_coefficient``; the modulus is formed from the log
-    magnitudes without the phase.  Raises BadDirectionError as
-    ``first_order_coefficient`` does, and ValueError as
-    ``directional_sensitivities`` does.
+    magnitudes without the phase, and does not depend on the scale of
+    ``e``.  Raises BadDirectionError and ValueError as
+    ``first_order_coefficient`` does.
     """
     values, ok = directional_sensitivities(p, lam, bases, _batch_of_one(e))
     _require_screened(ok)
@@ -340,27 +351,28 @@ def limit_weights(p, lam, bases, e):
     perturbed eigenvectors are ``[Y y] a`` and ``[X x] b``, where ``a`` and
     ``b`` are the unit left/right eigenvectors of ``G + zeta*D`` whose last
     entries are nonzero; in closed form ``a = G^{-*} e_last / ||.||`` and
-    ``b = G^{-1} e_last / ||.||``.  Returns ``(weights, ok)``:
-    ``weights[i]`` is ``|a[-1]| * |b[-1]|`` along ``e[i]`` (at most 1), and
-    ``ok[i]`` is False where that direction fails the screen on G, whose
-    weight is then NaN.  Raises ValueError for a NaN or infinite ``lam``
-    or entry of ``e``.
+    ``b = G^{-1} e_last / ||.||``, the conjugated last row and the last
+    column of one inverse of G.  Returns ``(weights, ok)``: ``weights[i]``
+    is ``|a[-1]| * |b[-1]|`` along ``e[i]`` (at most 1), and ``ok[i]`` is
+    False where that direction fails the screen on G, whose weight is then
+    NaN.  A weight does not depend on the scale of its direction, and keeps
+    its bits when the direction is scaled by a power of two.  Raises
+    ValueError as ``directional_sensitivities`` does.
     """
-    _require_finite_lam(lam)
-    _require_finite_entries(e)
-    g = _projected_perturbations(p, lam, bases, e)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _joint_norms(lam, e)
+        g = _projected_perturbations(p, lam, bases, e)
         ok = _passes_screen(g, np.linalg.slogdet(g)[1])
-    # right-hand sides as (k, d+1, 1) stacks, which solve reads alike on
-    # every supported numpy
+    # each block scaled exactly, by the power of two that brings its largest
+    # modulus into [1/2, 1): the weights keep their bits under power-of-two
+    # scalings of e, and the screened inverse and its norms cannot overflow.
+    # |a[-1]| and |b[-1]| both read the inverse's corner
     screened = g[ok]
-    e_last = np.zeros((len(screened), g.shape[1], 1), dtype=complex)
-    e_last[:, -1] = 1.0
-    a = np.linalg.solve(screened.conj().transpose(0, 2, 1), e_last)[..., 0]
-    b = np.linalg.solve(screened, e_last)[..., 0]
-    a_last, b_last = ((v / np.linalg.norm(v, axis=1, keepdims=True))[:, -1] for v in (a, b))
+    _, exponent = np.frexp(np.abs(screened).max(axis=(1, 2)))
+    inv = np.linalg.inv(screened * np.ldexp(1.0, -exponent)[:, None, None])
+    corner = np.abs(inv[:, -1, -1])
     weights = np.full(len(g), np.nan)
-    weights[ok] = np.abs(a_last) * np.abs(b_last)
+    weights[ok] = corner / np.linalg.norm(inv[:, -1], axis=1) * (corner / np.linalg.norm(inv[:, :, -1], axis=1))
     return weights, ok
 
 

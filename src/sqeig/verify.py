@@ -396,7 +396,10 @@ def limit_mixing_samples(poly, lam0, bases, n_samples, rng):
 
     gamma_bar = gamma * weight is the reciprocal condition number seen through
     the perturbed eigenvectors.  Directions are drawn and redrawn as by
-    ``sensitivity_samples``.  Returns ``(weights, gamma_bars, gamma)``.
+    ``sensitivity_samples``; they have unit joint norm, inside the input
+    rule of ``condition.limit_weights``, which reads each weight from the
+    last row and column of one inverse of the projected block.  Returns
+    ``(weights, gamma_bars, gamma)``.
     """
     gamma = inverse_condition(poly, lam0, bases.x, bases.y)
     weights = _screened_samples(limit_weights, poly, lam0, bases, n_samples, rng)

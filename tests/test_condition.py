@@ -1,6 +1,5 @@
 """Condition formulas, sensitivity model, probabilistic bounds."""
 
-import cmath
 import contextlib
 import gc
 import math
@@ -37,6 +36,7 @@ from sqeig.condition import (
 )
 import sqeig.condition as condition_mod
 from sqeig.construct import chain_quadratic
+from sqeig.densela import UNIT_ROUNDOFF
 from sqeig.matpoly import (
     KernelBases,
     MatrixPolynomial,
@@ -203,9 +203,9 @@ class TestDirectionalSensitivity:
     def test_bad_direction_raises(self):
         inst = chain_quadratic([1.0, 0.5], 3, rng=5)
         b = inst.bases(1.0)
-        # rank-one direction makes the inner block exactly singular
-        u = b.Y[:, :1] @ b.x.reshape(1, -1).conj() * 0  # zero inner block
-        e = (u + 0.0 * u, np.zeros_like(u), np.zeros_like(u))
+        # a nonzero direction with E(1) = 0 exactly: a zero inner block
+        u = b.Y[:, :1] @ b.x.reshape(1, -1).conj()
+        e = (u, -u, np.zeros_like(u))
         with pytest.raises(BadDirectionError):
             directional_sensitivity(inst.polynomial(), 1.0, b, e)
 
@@ -215,7 +215,9 @@ class TestBatchedKernel:
         inst = chain_quadratic([1.0, 0.5], 3, rng=5)
         b = inst.bases(1.0)
         batch = np.array(sample_perturbations(3, 2, 4, np.random.default_rng(6)))
-        batch[2] = 0.0  # a zero direction makes every projected block singular
+        # E_1 = -E_0 and E_2 = 0 give E(1) = 0 exactly, so every projected
+        # block of this nonzero direction is zero
+        batch[2, 1], batch[2, 2] = -batch[2, 0], 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, ok = directional_sensitivities(inst.polynomial(), 1.0, b, batch)
@@ -367,12 +369,6 @@ class TestKeptAnchor:
         for lam in lams:
             condition_mod._anchor(p, lam, b)
         assert len(condition_mod._ANCHORS[p][b]) == len(lams)
-
-    def test_nan_lam_is_not_kept(self):
-        p, b = _own_probe((1.0, 0.5), 3, 48, 1.0)
-        for _ in range(3):
-            assert cmath.isnan(condition_mod._anchor(p, complex(math.nan, 0.0), b))
-        assert len(condition_mod._ANCHORS[p][b]) == 0
 
 
 #: numpy's SVD as loaded, for references that a counting wrapper put in
@@ -586,7 +582,11 @@ _SCREENED_READERS = {
 
 
 class TestNonFiniteInputs:
-    """A NaN or infinite lam or direction raises a ValueError that names it."""
+    """A lam or direction outside the one input rule raises a ValueError that names it.
+
+    The rule: lam is finite, and the squared joint norm of each direction
+    is a normal, finite number.
+    """
 
     @staticmethod
     def _probe():
@@ -618,14 +618,64 @@ class TestNonFiniteInputs:
                 fn(p, 1.0, b, e)
 
     def test_overflowing_joint_norm_is_not_a_sensitivity(self):
-        # finite entries whose squares overflow: a sensitivity divides by
-        # the joint norm, so it raises; the first-order coefficient does not
-        # read the norm and is finite
+        # finite entries whose squares overflow: the joint norm is lost, so
+        # every function raises, the first-order coefficient too although it
+        # does not read the norm
         p, b, e = self._probe()
-        big = e[:1] * 1e160
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="perturbation direction 0 has a joint norm"):
-            directional_sensitivities(p, 1.0, b, big)
-        assert cmath.isfinite(first_order_coefficient(p, 1.0, b, big[0]))
+        e[2] *= 1e160
+        for fn in _SCREENED_READERS.values():
+            with pytest.raises(ValueError, match="perturbation direction [02] has a joint norm of inf"):
+                fn(p, 1.0, b, e)
+
+    @pytest.mark.parametrize("name", sorted(_SCREENED_READERS))
+    @pytest.mark.parametrize("scale", [0.0, 2.0**-520, 2.0**520], ids=["zero", "2**-520", "2**520"])
+    def test_direction_out_of_scale(self, name, scale):
+        # a zero direction, one whose squared norm is subnormal and one whose
+        # squared norm overflows: finite entries all, and all outside the rule
+        p, b, e = self._probe()
+        e[2] *= scale
+        with pytest.raises(ValueError, match="perturbation direction [02] has a joint norm of "):
+            _SCREENED_READERS[name](p, 1.0, b, e)
+
+
+#: the two probes of the sensitivity_law benchmark, chain3 and chain5 at lam = 1,
+#: each with eight drawn directions
+_SCALE_PROBES = []
+for _lams, _n, _seed in (((1.0, 0.5), 3, 95), ((1.0, 0.5, 2.0), 5, 96)):
+    _inst = chain_quadratic(_lams, _n, rng=_seed)
+    _SCALE_PROBES.append(
+        (_inst.polynomial(), _inst.bases(1.0), np.array(sample_perturbations(_n, 2, 8, _seed)))
+    )
+
+
+class TestDirectionScale:
+    """The direction statistics across the scales the input rule admits."""
+
+    @given(st.integers(-500, 500), st.sampled_from(range(len(_SCALE_PROBES))))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scalings(self, k, probe):
+        p, b, e = _SCALE_PROBES[probe]
+        scaled = e * 2.0**k
+        weights, ok = limit_weights(p, 1.0, b, e)
+        got_weights, got_ok = limit_weights(p, 1.0, b, scaled)
+        # the same bits, NaNs of failed directions included
+        np.testing.assert_array_equal(got_weights.view(np.int64), weights.view(np.int64))
+        np.testing.assert_array_equal(got_ok, ok)
+        # the sensitivities and c come from slogdet's log magnitudes, sums of
+        # 2d+1 logarithms that each grow by about |k| ln 2 and whose partial
+        # sums reach (d+1)|k| ln 2, each rounded: an absolute error in the log
+        # of up to about (2d+1)(d+1)|k| roundings, which reached 5.3|k| at
+        # d = 2 over 200 directions
+        d = b.X.shape[1]
+        rtol = 1e-13 + (2 * d + 1) * (d + 1) * abs(k) * UNIT_ROUNDOFF
+        values, ok = directional_sensitivities(p, 1.0, b, e)
+        got_values, got_ok = directional_sensitivities(p, 1.0, b, scaled)
+        np.testing.assert_array_equal(got_ok, ok)
+        np.testing.assert_allclose(got_values, values, rtol=rtol, atol=0.0)
+        for direction, scaled_direction in zip(e, scaled):
+            c = first_order_coefficient(p, 1.0, b, direction)
+            got = first_order_coefficient(p, 1.0, b, scaled_direction)
+            assert abs(got - 2.0**k * c) <= rtol * 2.0**k * abs(c)
 
 
 class TestSensitivityTail:

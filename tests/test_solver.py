@@ -414,6 +414,9 @@ def test_perturbed_trials_build_the_companion_skeleton_once(monkeypatch):
     real_pair, real_eig = linearize_mod._companion_pair, solver_mod.generalized_eig
     monkeypatch.setattr(linearize_mod, "_companion_pair", counting_pair)
     monkeypatch.setattr(solver_mod, "generalized_eig", counting_eig)
+    # so that no skeleton of an earlier test, such as one a failed test's
+    # traceback held, goes during this one
+    gc.collect()
     kept = len(linearize_mod._SKELETONS)
     p, _ = builtin("ex4", seed=0)
     for seed in range(10):

@@ -387,8 +387,9 @@ class TestExpansionOrder:
 
     def test_bad_direction_reported(self):
         poly, bases = self._kagstrom()
-        zero = np.zeros((2, 2))
-        e = (zero, zero, zero)
+        # a nonzero direction with E(1) = 0 exactly, so every projected block is zero
+        u = np.ones((2, 2))
+        e = (u, -u, np.zeros((2, 2)))
         from sqeig.condition import BadDirectionError
 
         with pytest.raises(BadDirectionError):
