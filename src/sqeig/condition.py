@@ -241,28 +241,48 @@ def _passes_screen(g, log_det):
 
 def _joint_norms(lam, e):
     # the joint norms of the (k, m+1, n, n) batch e, once lam is finite and
-    # each squared norm is a normal, finite number: the one input rule of the
-    # four direction statistics, which do not depend on a direction's scale
-    # and keep their digits inside it.  sqrt rounds correctly, so the norms
-    # lie in [2**-511, 2**512) exactly where their squares pass the screen's
-    # >= _TINY and are finite.  Runs under the caller's np.errstate
+    # each squared norm is a normal, finite number: the first half of the
+    # one input rule of the four direction statistics, which do not depend
+    # on a direction's scale and keep their digits inside it.  sqrt rounds
+    # correctly, so the norms lie in [2**-511, 2**512) exactly where their
+    # squares pass the screen's >= _TINY and are finite.  Runs under the
+    # caller's np.errstate
     if not cmath.isfinite(complex(lam)):
         raise ValueError(f"lam must be finite, got {lam!r}")
     norms = joint_norm(e)
-    if len(norms) == 1:
-        # one direction, as a sensitivity sample draws it, in scalars: the
-        # batch form's numpy calls cost a sample about 1.3 us more (paired
-        # rounds, 2-core x86-64)
-        bad = [] if _ROOT_TINY <= norms[0] < math.inf else [0]
-    else:
-        bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= _ROOT_TINY)))
-    if len(bad):
-        i = int(bad[0])
+    i = _first_outside(norms, _ROOT_TINY)
+    if i is not None:
         raise ValueError(
             f"perturbation direction {i} has a joint norm of {float(norms[i])!r}, outside "
             "[2**-511, 2**512) where its square is a normal, finite number"
         )
     return norms
+
+
+def _require_finite_blocks(lam, log_det):
+    # the second half of the input rule, on the log|det G| that slogdet
+    # gives each statistic for its projected blocks G anyway.  An entry of
+    # E(lam) that overflowed, at a finite lam large for the direction's
+    # scale, spreads to every entry of G = [Y y]* E(lam) [X x], and such a
+    # block's log|det G| is NaN or +inf, where a finite block's is finite,
+    # or -inf where it is singular.  Raised before the screen, whose SVD
+    # fails on a non-finite block
+    i = _first_outside(log_det, -math.inf)
+    if i is not None:
+        raise ValueError(
+            f"lam = {lam!r} is too large for perturbation direction {i}: E(lam) overflows"
+        )
+
+
+def _first_outside(values, low):
+    # the index of the first of the float array values outside [low, inf),
+    # NaN included, or None.  One value, as a sensitivity sample has it, is
+    # tested in scalars: the batch form's numpy calls cost a one-direction
+    # sample about 1.3 us more (paired rounds, 2-core x86-64)
+    if len(values) == 1:
+        return None if low <= values[0] < math.inf else 0
+    bad = np.flatnonzero(~((values >= low) & (values < math.inf)))
+    return int(bad[0]) if len(bad) else None
 
 
 def _require_screened(ok):
@@ -279,8 +299,9 @@ def _first_order_terms(p, lam, bases, e):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         norms = _joint_norms(lam, e)
         g = _projected_perturbations(p, lam, bases, e)
-        inner = g[:, :-1, :-1]
         phase, log_mag = np.linalg.slogdet(g)
+        _require_finite_blocks(lam, log_mag)
+        inner = g[:, :-1, :-1]
         if inner.shape[-1]:
             sign_inner, ld_inner = np.linalg.slogdet(inner)
             ok = _passes_screen(inner, ld_inner)
@@ -300,10 +321,11 @@ def first_order_coefficient(p, lam, bases, e):
     in log-magnitude form so the ratio survives large kernel dimensions.
     c is linear in ``e``, and infinite where ``y* P'(lam) x`` vanishes.
     Raises BadDirectionError when G11 is numerically singular, and
-    ValueError, naming it, for a NaN or infinite ``lam`` or for an ``e``
+    ValueError, naming it, for a NaN or infinite ``lam``, for an ``e``
     whose squared joint norm is not a normal, finite number (a joint norm
     outside ``[2**-511, 2**512)``: a zero stack, a NaN or infinite entry,
-    or a stack scaled that far).
+    or a stack scaled that far), and for a finite ``lam`` so large that
+    E(lam) overflows.
     """
     _, phase, log_mag, anchor, ok = _first_order_terms(p, lam, bases, _batch_of_one(e))
     _require_screened(ok)
@@ -319,9 +341,11 @@ def directional_sensitivities(p, lam, bases, e):
     ``e[i]`` as ``directional_sensitivity`` defines it, and ``ok[i]`` is
     False where that direction fails the screen on the inner block, whose
     value is then meaningless.  A sensitivity does not depend on the scale
-    of its direction.  Raises ValueError for a NaN or infinite ``lam``, and
+    of its direction.  Raises ValueError for a NaN or infinite ``lam``,
     for the first direction whose squared joint norm is not a normal,
-    finite number (a joint norm outside ``[2**-511, 2**512)``), naming it.
+    finite number (a joint norm outside ``[2**-511, 2**512)``), naming it,
+    and for a finite ``lam`` so large that E(lam) overflows along a
+    direction, naming lam and the first such direction.
     """
     norms, _, log_mag, anchor, ok = _first_order_terms(p, lam, bases, e)
     if anchor == 0.0:
@@ -362,7 +386,9 @@ def limit_weights(p, lam, bases, e):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _joint_norms(lam, e)
         g = _projected_perturbations(p, lam, bases, e)
-        ok = _passes_screen(g, np.linalg.slogdet(g)[1])
+        log_det = np.linalg.slogdet(g)[1]
+        _require_finite_blocks(lam, log_det)
+        ok = _passes_screen(g, log_det)
     # each block scaled exactly, by the power of two that brings its largest
     # modulus into [1/2, 1): the weights keep their bits under power-of-two
     # scalings of e, and the screened inverse and its norms cannot overflow.

@@ -4,11 +4,12 @@ A matrix polynomial is stored as its coefficient stack ``A_0 ... A_m`` in
 ascending powers.  The module provides the Horner evaluator, ``horner``
 (the package's one power loop, ``condition``'s too), and on it
 evaluation and the derivative; reversal, the joint
-Frobenius norm of one coefficient stack or a batch of them,
-normalized random perturbation sampling (one stack or a batch), the
-deflation of the coefficients' common kernels and probabilistic
-normal-rank estimation (both kept per polynomial), the two-sided
-backward errors of approximate eigentriples, exact or read in the
+Frobenius norm of one coefficient stack or a batch of them, random
+perturbation sampling (raw Gaussian stacks for the scale-free study
+statistics, and stacks of unit joint norm, one or a batch, for the
+solver), the deflation of the coefficients' common kernels and
+probabilistic normal-rank estimation (both kept per polynomial), the
+two-sided backward errors of approximate eigentriples, exact or read in the
 coordinates of the deflated core with a bound on the difference, the
 two-norm scaling used to balance quadratic problems, the orthonormal
 kernel bases at an eigenvalue, the known-truth record of benchmark
@@ -40,6 +41,7 @@ __all__ = [
     "check_seed",
     "core_backward_errors",
     "deflate",
+    "gaussian_perturbations",
     "horner",
     "joint_norm",
     "normal_rank",
@@ -54,7 +56,7 @@ __all__ = [
 #: relative tolerance for matching a computed eigenvalue to a known one
 MATCH_TOL = 1e-4
 
-#: most standard normal entries ``sample_perturbations`` draws at once; a
+#: most standard normal entries a perturbation draw takes at once; a
 #: batch is drawn in pieces of whole stacks, which changes no sample
 DRAW_CHUNK_ENTRIES = 1 << 20
 
@@ -355,22 +357,25 @@ def _norm_reader(e):
     return norms
 
 
-def sample_perturbations(n, m, count, rng):
-    """Draw ``count`` random perturbation stacks of m+1 complex n-by-n coefficients.
+def gaussian_perturbations(n, m, count, rng):
+    """Draw ``count`` raw Gaussian perturbation stacks of m+1 complex n-by-n matrices.
 
-    Every real and imaginary entry is an independent standard normal; each
-    stack is then divided once by its joint norm (and once more to absorb
-    rounding), making the vectorized stack exactly uniform on the unit
-    sphere of real dimension 2*n**2*(m+1).  The norms are ``joint_norm``'s:
-    the square root of one BLAS dot of each stack's float view with itself,
-    all stacks in one stacked product, with no Python ``sum``, ``pow`` or
-    ``reduce``.  The generator is consumed as by
+    Every real and imaginary entry is an independent standard normal, so
+    each vectorized stack's direction is uniform on the unit sphere of real
+    dimension 2*n**2*(m+1), while its joint norm, about sqrt(2*n**2*(m+1)),
+    is random.  A statistic that does not depend on a direction's scale
+    reads these stacks as they are.  The generator is consumed as by
     ``count`` single draws, stack after stack, each in the order of m+1
-    (real part, imaginary part) pairs of n-by-n draws.  Returns a read-only
-    complex (count, m+1, n, n) array.  ``rng`` is a seed or a stream, as
-    ``seeded_generator`` takes it.
+    (real part, imaginary part) pairs of n-by-n draws: the draws and the
+    generator's end state of ``sample_perturbations``, before it normalizes.
+    Returns a read-only complex (count, m+1, n, n) array.  ``rng`` is a seed
+    or a stream, as ``seeded_generator`` takes it.
     """
-    rng = seeded_generator(rng)
+    return _read_only(_gaussian_draw(n, m, count, seeded_generator(rng)))
+
+
+def _gaussian_draw(n, m, count, rng):
+    # the writable draw of gaussian_perturbations from the generator rng
     e = np.empty((count, m + 1, n, n), dtype=complex)
     # the real and imaginary parts of e as the last axis of a float view
     parts = e.view(float).reshape(count, m + 1, n, n, 2)
@@ -378,7 +383,26 @@ def sample_perturbations(n, m, count, rng):
     for start in range(0, count, step):
         raw = rng.standard_normal((min(step, count - start), m + 1, 2, n, n))
         parts[start : start + len(raw)] = raw.transpose(0, 1, 3, 4, 2)
-    return _normalized(e)
+    return e
+
+
+def sample_perturbations(n, m, count, rng):
+    """Draw ``count`` random perturbation stacks of unit joint norm.
+
+    The stacks of ``gaussian_perturbations(n, m, count, rng)``, from the
+    same generator draws, each divided in place by its joint norm twice
+    (the second pass absorbs rounding, and its norms are checked to be 1
+    up to rounding), making the vectorized stack exactly uniform on the
+    unit sphere of real dimension 2*n**2*(m+1).  The solver scales its one
+    draw by epsilon, so it needs the unit norm; the study samplers of
+    ``verify`` take the raw draw, since their statistics do not depend on
+    a direction's scale.  The norms are ``joint_norm``'s: the square root
+    of one BLAS dot of each stack's float view with itself, all stacks in
+    one stacked product, with no Python ``sum``, ``pow`` or ``reduce``.
+    Returns a read-only complex (count, m+1, n, n) array.  ``rng`` is a
+    seed or a stream, as ``seeded_generator`` takes it.
+    """
+    return _normalized(_gaussian_draw(n, m, count, seeded_generator(rng)))
 
 
 def sample_perturbation(n, m, rng):

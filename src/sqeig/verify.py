@@ -37,7 +37,7 @@ from .matpoly import (
     MATCH_TOL,
     KernelBases,
     TruthSpec,
-    sample_perturbations,
+    gaussian_perturbations,
     seeded_generator,
 )
 from .solver import SOURCE_C1, SolverConfig, solve_perturbed
@@ -202,10 +202,13 @@ def _screened_samples(statistic, poly, lam0, bases, n_samples, rng):
     # statistic(poly, lam0, bases, batch) -> (values, ok) over n_samples
     # independent uniform directions drawn as one batch; the directions ok
     # flags as bad are redrawn in place, in order, at most MAX_RETRIES times
-    # over the whole call
+    # over the whole call.  The directions are raw Gaussian stacks, not
+    # normalized: each statistic is scale-free and takes the one joint norm
+    # it needs by its input rule
     count = _count(n_samples, "sample count", 0)
     rng = seeded_generator(rng)
-    values, ok = statistic(poly, lam0, bases, sample_perturbations(poly.n, poly.degree, count, rng))
+    batch = gaussian_perturbations(poly.n, poly.degree, count, rng)
+    values, ok = statistic(poly, lam0, bases, batch)
     bad = 0
     while not ok.all():
         redo = np.flatnonzero(~ok)
@@ -214,7 +217,7 @@ def _screened_samples(statistic, poly, lam0, bases, n_samples, rng):
             raise BadDirectionError(
                 f"more than {MAX_RETRIES} perturbation directions failed the bad-direction screen"
             )
-        batch = sample_perturbations(poly.n, poly.degree, len(redo), rng)
+        batch = gaussian_perturbations(poly.n, poly.degree, len(redo), rng)
         values[redo], ok[redo] = statistic(poly, lam0, bases, batch)
     return values
 
@@ -222,7 +225,11 @@ def _screened_samples(statistic, poly, lam0, bases, n_samples, rng):
 def sensitivity_samples(poly, lam0, bases, n_samples, rng):
     """Directional sensitivities under independent uniform perturbations.
 
-    The directions are drawn as one batch; a direction failing the
+    The directions are drawn as one batch by
+    ``matpoly.gaussian_perturbations``: raw Gaussian stacks, uniform in
+    direction and not normalized, since a sensitivity does not depend on
+    the scale of its direction and ``condition.directional_sensitivities``
+    takes each joint norm once, by its input rule.  A direction failing the
     bad-direction screen is redrawn in its place, at most ``MAX_RETRIES``
     times per call, else BadDirectionError is raised.  ``n_samples`` must
     be a nonnegative integer; ``rng`` is a seed or a stream, as
@@ -396,9 +403,11 @@ def limit_mixing_samples(poly, lam0, bases, n_samples, rng):
 
     gamma_bar = gamma * weight is the reciprocal condition number seen through
     the perturbed eigenvectors.  Directions are drawn and redrawn as by
-    ``sensitivity_samples``; they have unit joint norm, inside the input
-    rule of ``condition.limit_weights``, which reads each weight from the
-    last row and column of one inverse of the projected block.  Returns
+    ``sensitivity_samples``, as raw Gaussian stacks: a weight does not
+    depend on the scale of its direction, and their joint norms, about
+    sqrt(2*n**2*(m+1)), lie far inside the input rule of
+    ``condition.limit_weights``, which reads each weight from the last row
+    and column of one inverse of the projected block.  Returns
     ``(weights, gamma_bars, gamma)``.
     """
     gamma = inverse_condition(poly, lam0, bases.x, bases.y)

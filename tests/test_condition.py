@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -584,8 +585,8 @@ _SCREENED_READERS = {
 class TestNonFiniteInputs:
     """A lam or direction outside the one input rule raises a ValueError that names it.
 
-    The rule: lam is finite, and the squared joint norm of each direction
-    is a normal, finite number.
+    The rule: lam is finite, the squared joint norm of each direction is a
+    normal, finite number, and E(lam) does not overflow.
     """
 
     @staticmethod
@@ -626,6 +627,29 @@ class TestNonFiniteInputs:
         for fn in _SCREENED_READERS.values():
             with pytest.raises(ValueError, match="perturbation direction [02] has a joint norm of inf"):
                 fn(p, 1.0, b, e)
+
+    @staticmethod
+    def _large_lam_probe():
+        # chain3 with its kernel bases at lam = 1, read at a large lam
+        inst = chain_quadratic((1.0, 0.5), 3, rng=1)
+        return inst.polynomial(), inst.bases(1.0), np.array(sample_perturbations(3, 2, 4, 1))
+
+    @pytest.mark.parametrize("name", sorted(_SCREENED_READERS))
+    @pytest.mark.parametrize("lam", [1e160, 1e200], ids=repr)
+    def test_lam_so_large_that_the_direction_overflows(self, name, lam):
+        # lam**2 E_2 overflows, which leaves every projected block NaN; the
+        # rule names lam before the screen's SVD fails on such a block
+        p, b, e = self._large_lam_probe()
+        with pytest.raises(ValueError, match=re.escape(f"lam = {lam!r} is too large")):
+            _SCREENED_READERS[name](p, lam, b, e)
+
+    @pytest.mark.parametrize("name", sorted(_SCREENED_READERS))
+    def test_large_lam_inside_the_rule(self, name):
+        # at lam = 1e100, E(lam) and its blocks near 1e200 are finite
+        p, b, e = self._large_lam_probe()
+        out = _SCREENED_READERS[name](p, 1e100, b, e)
+        values, ok = out if isinstance(out, tuple) else (np.array([out]), [True])
+        assert np.all(ok) and np.all(np.isfinite(values)) and np.all(values != 0)
 
     @pytest.mark.parametrize("name", sorted(_SCREENED_READERS))
     @pytest.mark.parametrize("scale", [0.0, 2.0**-520, 2.0**520], ids=["zero", "2**-520", "2**520"])

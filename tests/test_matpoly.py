@@ -33,6 +33,7 @@ from sqeig.matpoly import (
     MatrixPolynomial,
     backward_errors,
     core_backward_errors,
+    gaussian_perturbations,
     horner,
     joint_norm,
     normal_rank,
@@ -264,6 +265,26 @@ class TestSamplePerturbation:
             for got, want in zip(stack, sample_perturbation(n, m, single_rng)):
                 np.testing.assert_array_equal(got, want)
         assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n,m,count", [(1, 0, 1), (3, 2, 1), (3, 2, 7), (5, 2, 12), (11, 1, 3)])
+    def test_raw_draw_is_the_sample_before_normalizing(self, n, m, count):
+        # the raw draw consumes the generator as the normalized one does, and
+        # its stacks, each divided by its joint norm twice, are that draw's
+        # bits (the pinned ones: test_draw_bits_are_pinned)
+        raw_rng, unit_rng = np.random.default_rng(12), np.random.default_rng(12)
+        raw = gaussian_perturbations(n, m, count, raw_rng)
+        unit = sample_perturbations(n, m, count, unit_rng)
+        assert raw_rng.bit_generator.state == unit_rng.bit_generator.state
+        assert raw.shape == (count, m + 1, n, n) and raw.dtype == complex and not raw.flags.writeable
+        normalized = np.array(raw)
+        for _ in range(2):
+            normalized /= joint_norm(normalized).reshape(-1, 1, 1, 1)
+        np.testing.assert_array_equal(normalized, unit)
+        # the entries are the per-coefficient (real, imaginary) draws
+        rng = np.random.default_rng(12)
+        for stack in raw:
+            for c in stack:
+                np.testing.assert_array_equal(c, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
     def test_chunked_draw_changes_no_sample(self, monkeypatch):
         whole_rng, chunked_rng = np.random.default_rng(10), np.random.default_rng(10)

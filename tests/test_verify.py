@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sqeig import condition, verify
+from sqeig import condition, matpoly, verify
 from sqeig.condition import BadDirectionError, directional_sensitivity, limit_weights
 from sqeig.construct import KernelBases, chain_quadratic
 from sqeig.corpus import BUILTIN_NAMES, builtin
@@ -258,11 +258,19 @@ BATCH_CASES = {
 }
 
 
+#: (case, sample count): every case at 40 samples, and the two instances of
+#: the sensitivity_law benchmark at the 10**4 of its batches
+BATCH_SIZES = [pytest.param(case, 40, id=case) for case in sorted(BATCH_CASES)] + [
+    pytest.param(case, 10**4, id=f"{case}, 10**4") for case in ("chain3 (d=1)", "chain5 (d=2)")
+]
+
+
 class TestBatchedSampling:
-    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-    def test_matches_per_direction_reference(self, case):
+    @pytest.mark.parametrize("case,k", BATCH_SIZES)
+    def test_matches_per_direction_reference(self, case, k):
+        # the samplers read raw Gaussian draws; the reference reads the same
+        # draws normalized, one direction at a time
         poly, lam, b = BATCH_CASES[case]()
-        k = 40
         ref_rng = np.random.default_rng(41)
         draws = [sample_perturbation(poly.n, poly.degree, ref_rng) for _ in range(k)]
         sens_rng = np.random.default_rng(41)
@@ -274,7 +282,27 @@ class TestBatchedSampling:
         weights, _, _ = limit_mixing_samples(poly, lam, b, k, np.random.default_rng(41))
         # each direction as its own batch of one
         want = [limit_weights(poly, lam, b, np.array([e]))[0][0] for e in draws]
-        np.testing.assert_allclose(weights, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(weights, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("sampler", [sensitivity_samples, limit_mixing_samples])
+    def test_one_sample_takes_one_joint_norm(self, sampler, monkeypatch):
+        # the input rule's norm is the only one: the draw is not normalized
+        evaluations = []
+        reader = matpoly._norm_reader
+
+        def counting_reader(e):
+            norms = reader(e)
+
+            def counted():
+                evaluations.append(len(e))
+                return norms()
+
+            return counted
+
+        monkeypatch.setattr(matpoly, "_norm_reader", counting_reader)
+        poly, lam, b = BATCH_CASES["chain5 (d=2)"]()
+        sampler(poly, lam, b, 1, np.random.default_rng(45))
+        assert evaluations == [1]
 
     def test_redraws_only_flagged_positions_in_order(self, monkeypatch):
         poly, lam, b = BATCH_CASES["chain5 (d=2)"]()
