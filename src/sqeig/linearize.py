@@ -11,8 +11,8 @@ either recovery to its eigenvectors; the study functions use both forms.
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 
 import numpy as np
 
@@ -52,63 +52,54 @@ def first_companion(p, e=None, epsilon=1.0):
     its own ``(A0, -A1)``.  Degree 0 raises ValueError.
 
     ``e`` is a perturbation stack ``E_0 ... E_m`` of n-by-n matrices, or
-    None for ``P`` itself.  A perturbed pair is a copy of the unperturbed
-    one, built once per polynomial and kept while the polynomial lives,
-    with the whole stack ``epsilon*E`` added into its blocks, so the pair
-    equals, bit for bit, the first companion form of the polynomial whose
-    coefficients are the sums ``A_j + epsilon*E_j``.  A stack of another
+    None for ``P`` itself.  A perturbed pair is the first companion form
+    of the sums ``A_j + epsilon*E_j``, so it equals, bit for bit, that of
+    the polynomial whose coefficients are those sums.  A stack of another
     length or coefficient shape is a ValueError.
     """
     m, n = p.degree, p.n
     if m < 1:
         raise ValueError(f"a companion form needs degree at least 1, got degree {m}")
-    if e is None:
-        return _companion_pair(p)
-    # checked before the arithmetic, which would broadcast a scalar or a row
-    if _stack_shape(e) != (m + 1, n, n):
-        raise ValueError(
-            f"perturbation stack must hold {m + 1} coefficients of shape {(n, n)}"
-        )
-    skeleton = _SKELETONS.get(p)
-    if skeleton is None:
-        skeleton = _SKELETONS[p] = _companion_pair(p)
-        for x in skeleton:
-            x.setflags(write=False)
-    a, b = skeleton[0].copy(), skeleton[1].copy()
-    t = np.multiply(e, epsilon)
-    # the blocks A_{m-1} ... A_0 of the first block row of A, as
-    # blocks[:, q] = A_{m-1-q}, each become A_j + epsilon*E_j
-    blocks = a[:n].reshape(n, m, n)
-    blocks += t[m - 1 :: -1].transpose(1, 0, 2)
-    # the sum is negated after it is formed, as -(A_m + epsilon*E_m): the
-    # skeleton's -A_m minus epsilon*E_m differs from it in the sign of a
-    # zero sum.  It is formed apart, where both steps run over contiguous
-    # arrays, and copied into its block
-    lead = np.add(p.coeffs[m], t[m])
-    b[:n, :n] = np.negative(lead, lead)
-    return a, b
+    coeffs = p.coeffs
+    if e is not None:
+        # checked before the arithmetic, which would broadcast a scalar or a row
+        if _stack_shape(e) != (m + 1, n, n):
+            raise ValueError(
+                f"perturbation stack must hold {m + 1} coefficients of shape {(n, n)}"
+            )
+        coeffs = [a + t for a, t in zip(coeffs, np.multiply(e, epsilon))]
+    # B's leading block is -(A_m + epsilon*E_m), negated after the sum is
+    # formed: -A_m - epsilon*E_m differs from it in the sign of a zero sum
+    return _companion_pair(coeffs[m - 1 :: -1], (-coeffs[m],) + (None,) * (m - 1))
 
 
-#: the unperturbed first companion pair of each polynomial that has been
-#: perturbed, read-only, dropped with the polynomial.  Kept beside
-#: _companion_pair: building the pair afresh cost 12 us (3%) per perturbed
-#: trial, paired A/B over the built-ins on a 2-core x86-64 host
-_SKELETONS = weakref.WeakKeyDictionary()
-
-
-def _companion_pair(p):
-    # the first companion pair of p, in new arrays
-    m, n = p.degree, p.n
+def _companion_pair(a_row, b_row):
+    # the pair (A, B) of order mn whose first block rows hold the m n-by-n
+    # blocks of a_row and b_row (None for a zero block; B's leading block
+    # never is), with -I on the block subdiagonal of A and on the block
+    # diagonal of B below its first row, in new arrays
+    m, n = len(a_row), len(b_row[0])
     a = np.zeros((m * n, m * n), dtype=complex)
     b = np.zeros((m * n, m * n), dtype=complex)
-    for j, c in enumerate(p.coeffs[:m]):
-        a[:n, (m - 1 - j) * n : (m - j) * n] = c
-    np.negative(p.coeffs[m], out=b[:n, :n])
-    minus_eye = -np.eye(n, dtype=complex)
+    for pair, row in ((a, a_row), (b, b_row)):
+        for q, block in enumerate(row):
+            if block is not None:
+                pair[:n, q * n : (q + 1) * n] = block
     for i in range(1, m):
-        a[i * n : (i + 1) * n, (i - 1) * n : i * n] = minus_eye
-        b[i * n : (i + 1) * n, i * n : (i + 1) * n] = minus_eye
+        a[i * n : (i + 1) * n, (i - 1) * n : i * n] = _minus_eye(n)
+        b[i * n : (i + 1) * n, i * n : (i + 1) * n] = _minus_eye(n)
     return a, b
+
+
+@functools.cache
+def _minus_eye(n):
+    # -I of order n, read-only, with the -0.0 zeros that negation makes (QZ
+    # reads signed zeros).  Kept per order: formed afresh on every call, it
+    # made ex1's perturbed companion pair 5.4 us rather than 4.5 (timeit,
+    # one BLAS thread, 2-core x86-64 host)
+    minus_eye = -np.eye(n, dtype=complex)
+    minus_eye.setflags(write=False)
+    return minus_eye
 
 
 def _stack_shape(e):
@@ -129,16 +120,7 @@ def alternate_companion(q):
     if q.degree != 2:
         raise ValueError(f"the alternate form needs a quadratic, got degree {q.degree}")
     k, c, m = q.coeffs
-    n = q.n
-    a = np.zeros((2 * n, 2 * n), dtype=complex)
-    b = np.zeros((2 * n, 2 * n), dtype=complex)
-    minus_eye = -np.eye(n, dtype=complex)
-    a[:n, n:] = k
-    a[n:, :n] = minus_eye
-    np.negative(m, out=b[:n, :n])
-    np.negative(c, out=b[:n, n:])
-    b[n:, n:] = minus_eye
-    return a, b
+    return _companion_pair((None, k), (-m, -c))
 
 
 def recover_vectors(v, w, first, n):

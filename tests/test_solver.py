@@ -391,43 +391,36 @@ def test_quadratic_solve_checks_each_matrix_once(monkeypatch):
         assert calls == ["A", "B"]
 
 
-def test_perturbed_trials_build_the_companion_skeleton_once(monkeypatch):
-    # the unperturbed companion pair of the balanced polynomial is built on
-    # its first perturbed solve and copied by the later ones, and every
-    # trial makes exactly one eigensolver call; the pair is kept only
-    # while its polynomial lives
-    import gc
-
-    import sqeig.linearize as linearize_mod
+def test_perturbed_trials_make_one_eigensolver_call_each(monkeypatch):
+    # every trial makes exactly one eigensolver call, at order 2n, on a
+    # companion pair of its own: writable, and built in new arrays that
+    # share no memory with the balanced coefficients or the draw
     import sqeig.solver as solver_mod
 
-    builds, eig_calls = [], []
-
-    def counting_pair(p):
-        builds.append(p)
-        return real_pair(p)
+    eig_calls, pairs = [], []
 
     def counting_eig(*args, **kwargs):
         eig_calls.append(args[0].shape)
         return real_eig(*args, **kwargs)
 
-    real_pair, real_eig = linearize_mod._companion_pair, solver_mod.generalized_eig
-    monkeypatch.setattr(linearize_mod, "_companion_pair", counting_pair)
+    def kept_pair(p, e, epsilon):
+        pair = real_pair(p, e, epsilon)
+        pairs.append((p, e, pair))
+        return pair
+
+    real_pair, real_eig = solver_mod.first_companion, solver_mod.generalized_eig
+    monkeypatch.setattr(solver_mod, "first_companion", kept_pair)
     monkeypatch.setattr(solver_mod, "generalized_eig", counting_eig)
-    # so that no skeleton of an earlier test, such as one a failed test's
-    # traceback held, goes during this one
-    gc.collect()
-    kept = len(linearize_mod._SKELETONS)
     p, _ = builtin("ex4", seed=0)
     for seed in range(10):
         solve_perturbed(p, SolverConfig(seed=seed))
-        assert len(eig_calls) == seed + 1
-    assert builds == [p.balancing[0]]
     assert eig_calls == [(2 * p.n, 2 * p.n)] * 10
-    assert len(linearize_mod._SKELETONS) == kept + 1
-    del p, builds
-    gc.collect()
-    assert len(linearize_mod._SKELETONS) == kept
+    assert len(pairs) == 10
+    for balanced, e, pair in pairs:
+        assert balanced is p.balancing[0]
+        for x in pair:
+            assert x.flags.writeable
+            assert not any(np.shares_memory(x, c) for c in (*balanced.coeffs, e))
 
 
 @pytest.mark.parametrize("name", ["ex4", "ex10"])
